@@ -234,4 +234,33 @@ mod tests {
         let cfg = crate::RunConfig::smoke(1);
         assert!(run("E5", &cfg).is_some());
     }
+
+    #[test]
+    fn convergence_sweeps_run_on_the_configured_engine() {
+        // The engine picks each batch's checkpoint kind, so the recorded
+        // keys show which engine ran every batch.
+        use crate::config::ReplicationEngine;
+        use bitdissem_obs::CheckpointLog;
+        use std::sync::Arc;
+        for id in ["e2", "e4"] {
+            for (engine, kind) in
+                [(ReplicationEngine::default(), "conv"), (ReplicationEngine::Wide, "conv+wide")]
+            {
+                let path = std::env::temp_dir().join(format!(
+                    "bitdissem_engine_keys_{}_{id}_{engine}.jsonl",
+                    std::process::id()
+                ));
+                let obs =
+                    Obs::none().with_checkpoint(Arc::new(CheckpointLog::create(&path).unwrap()));
+                let cfg = crate::RunConfig::smoke(3).with_engine(engine);
+                assert!(run_observed(id, &cfg, &obs).is_some());
+                drop(obs);
+                let log = std::fs::read_to_string(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                let prefix = format!("\"key\":\"{id}/{kind}:");
+                assert!(log.lines().count() > 0, "{id} recorded no checkpoints");
+                assert!(log.lines().all(|l| l.contains(&prefix)), "{id} on {engine}:\n{log}");
+            }
+        }
+    }
 }

@@ -30,12 +30,26 @@
 //!
 //! # Order and batch grouping
 //!
-//! A block holds a **run** of consecutive same-typed events: the sink
-//! seals the open block whenever the event type changes (or the block
-//! reaches [`BLOCK_ROWS`] rows, or [`EventSink::flush`] is called).
-//! Expanding blocks in file order therefore reproduces the original
-//! event stream *exactly* — batch grouping, round interleaving and
-//! convert round-trips are all order-faithful.
+//! A block holds a **run** of consecutive same-typed events. The sink is
+//! striped so that recording never serialises the worker pool: each
+//! emitting thread appends the hot rows (`RoundCompleted`,
+//! `ReplicationFinished`, `ConsensusExited`) to its own stripe (see
+//! [`crate::telemetry::thread_slot`]) and seals the run there when the
+//! event type changes or the run reaches [`BLOCK_ROWS`] rows — building
+//! and checksumming the frame itself, taking the shared writer lock only
+//! to write it. Rare, string-bearing events (dictionary entries, batch
+//! headers, experiment brackets, manifests, telemetry samples) first seal
+//! every stripe, and so do [`EventSink::flush`] and drop. Expanding
+//! blocks in file order therefore reproduces
+//!
+//! - each thread's events in that thread's emission order, and
+//! - the order between a rare event and every event that happens before
+//!   or after it, in any thread: a batch's rows sit between its
+//!   `BatchStarted` header and the next one, since batch calls block.
+//!
+//! Rows that different threads emit between the same two rare events
+//! may interleave in any block order. A single-threaded stream is
+//! reproduced exactly, which keeps convert round trips order-faithful.
 //!
 //! # Torn-tail semantics
 //!
@@ -55,17 +69,22 @@ use crate::event::{Event, ReplicationOutcome};
 use crate::json;
 use crate::manifest::RunManifest;
 use crate::sink::EventSink;
+use crate::telemetry::{thread_slot, CachePadded, STRIPES};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// File magic: identifies a columnar trace (and its layout version).
 pub const MAGIC: [u8; 8] = *b"BDCT0001";
 
-/// Rows per block before the sink seals it even mid-run. Bounds both the
-/// sink's buffer memory and the worst-case tail loss after a crash.
+/// Rows per block before the sink seals it even mid-run. Each of the
+/// sink's [`STRIPES`] buffers at most one open run, so a sink holds at
+/// most `STRIPES × BLOCK_ROWS` hot rows (plus one open run of rare
+/// events, itself at most `BLOCK_ROWS` rows) — which bounds both its
+/// buffer memory and the worst-case tail loss after a crash.
 pub const BLOCK_ROWS: usize = 4096;
 
 /// Block header size: type id (1) + row count (4) + payload len (4) +
@@ -176,25 +195,24 @@ struct BatchRow {
     g1: Vec<f64>,
 }
 
-/// Per-type row buffers. The type-switch sealing policy guarantees at
-/// most one buffer is non-empty at any time.
+/// Row buffers of the open run of rare events, per type. The type-switch
+/// sealing policy guarantees at most one buffer is non-empty at any time.
 #[derive(Default)]
 struct Buffers {
     experiment_started: Vec<(u32, u32, u64, u32)>,
     experiment_finished: Vec<(u32, u8, u64)>,
     batch_started: Vec<BatchRow>,
-    replication_finished: Vec<(u64, u8, u64, u64)>,
-    round_completed: Vec<(u64, u64, u64, u8)>,
-    consensus_exited: Vec<(u64, u64, u64)>,
     manifest: Vec<String>,
     telemetry_sample: Vec<(u32, u64, u64, u64)>,
 }
 
-struct ColumnarInner {
+/// The file and everything that is ordered through it: the dictionary
+/// and the open run of rare events.
+struct Writer {
     out: Box<dyn Write + Send>,
     buffers: Buffers,
-    /// Type id of the open (possibly empty) run; sealing happens when a
-    /// differently-typed event arrives.
+    /// Type id of the open (possibly empty) rare run; sealing happens
+    /// when a differently-typed rare event arrives.
     open_type: Option<u8>,
     /// String → dictionary id, for every string interned so far.
     dict: HashMap<String, u32>,
@@ -203,12 +221,106 @@ struct ColumnarInner {
     pending_dict: Vec<String>,
 }
 
+/// Column widths in bytes, in field order, of the three hot row types.
+const ROUND_COLS: [usize; 4] = [8, 8, 8, 1];
+const FINISHED_COLS: [usize; 4] = [8, 1, 8, 8];
+const EXITED_COLS: [usize; 3] = [8, 8, 8];
+/// The widest hot row in bytes: a stripe's frame holds `BLOCK_ROWS` of
+/// them.
+const HOT_ROW_MAX: usize = 25;
+
+fn hot_cols(type_id: u8) -> &'static [usize] {
+    match type_id {
+        ty::ROUND_COMPLETED => &ROUND_COLS,
+        ty::REPLICATION_FINISHED => &FINISHED_COLS,
+        ty::CONSENSUS_EXITED => &EXITED_COLS,
+        _ => unreachable!("only hot rows are buffered on stripes"),
+    }
+}
+
+/// One stripe's open run of hot rows, written column by column straight
+/// into the frame it will be sealed as.
+#[derive(Default)]
+struct Stripe {
+    /// Type id of the open run (meaningless while `rows` is 0).
+    type_id: u8,
+    rows: usize,
+    /// Block header, then the open run's columns, each reserved
+    /// `BLOCK_ROWS` rows wide. Allocated on the stripe's first row and
+    /// reused across seals.
+    frame: Vec<u8>,
+}
+
+impl Stripe {
+    /// Appends one row of `type_id` whose fields are `cols` bytes wide.
+    /// The caller has sealed any run the row does not fit.
+    #[inline]
+    fn push<const N: usize>(&mut self, type_id: u8, fields: [u64; N], cols: &[usize; N]) {
+        if self.frame.is_empty() {
+            self.frame = vec![0; HEADER_LEN + BLOCK_ROWS * HOT_ROW_MAX];
+        }
+        self.type_id = type_id;
+        let mut column = HEADER_LEN;
+        for (&value, &width) in fields.iter().zip(cols) {
+            let at = column + self.rows * width;
+            // Fixed-size stores: a copy of run-time length would be a
+            // `memcpy` call per field.
+            if width == 8 {
+                self.frame[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            } else {
+                self.frame[at] = value as u8;
+            }
+            column += BLOCK_ROWS * width;
+        }
+        self.rows += 1;
+    }
+
+    /// Whether a row of `type_id` must start a new run.
+    fn needs_seal(&self, type_id: u8) -> bool {
+        self.rows > 0 && (self.type_id != type_id || self.rows == BLOCK_ROWS)
+    }
+
+    /// Closes the open run into a finished block — columns packed to
+    /// `rows` values each, header and checksum in front — and returns its
+    /// bytes, or `None` when no rows are open. Leaves the stripe empty.
+    fn seal(&mut self) -> Option<&[u8]> {
+        if self.rows == 0 {
+            return None;
+        }
+        let rows = std::mem::take(&mut self.rows);
+        // Each column moves down to follow the packed one before it; a
+        // destination never reaches past its own source, so no later
+        // column is overwritten before it moves. A full run is packed
+        // already.
+        let (mut from, mut to) = (HEADER_LEN, HEADER_LEN);
+        for &width in hot_cols(self.type_id) {
+            if from != to {
+                self.frame.copy_within(from..from + rows * width, to);
+            }
+            from += BLOCK_ROWS * width;
+            to += rows * width;
+        }
+        let (header, payload) = self.frame[..to].split_at_mut(HEADER_LEN);
+        header.copy_from_slice(&block_header(self.type_id, rows, payload));
+        Some(&self.frame[..to])
+    }
+}
+
 /// Binary columnar [`EventSink`]: buffers events per type and writes
-/// framed column blocks. Like [`crate::JsonlSink`] it is best-effort —
-/// I/O errors end the trace early instead of aborting the simulation —
-/// and it flushes on [`EventSink::flush`] and on drop.
+/// framed column blocks, striped per emitting thread (see the module
+/// docs for the order this keeps). Like [`crate::JsonlSink`] it is
+/// best-effort — I/O errors end the trace early instead of aborting the
+/// simulation — and it flushes on [`EventSink::flush`] and on drop.
 pub struct ColumnarSink {
-    inner: Mutex<ColumnarInner>,
+    /// Open runs of hot rows, indexed by [`thread_slot`]. Lock order: a
+    /// stripe, then the writer.
+    stripes: Box<[CachePadded<Mutex<Stripe>>]>,
+    writer: Mutex<Writer>,
+    /// Whether `writer` holds an open rare run. Changed only under the
+    /// writer lock. The `Release` store after a rare event pairs with the
+    /// `Acquire` load on every hot row, so a row emitted after a rare
+    /// event (in any thread) first writes that event's block.
+    rare_open: AtomicBool,
 }
 
 impl ColumnarSink {
@@ -233,18 +345,63 @@ impl ColumnarSink {
     pub fn from_writer(mut out: Box<dyn Write + Send>) -> std::io::Result<Self> {
         out.write_all(&MAGIC)?;
         Ok(ColumnarSink {
-            inner: Mutex::new(ColumnarInner {
+            stripes: (0..STRIPES).map(|_| CachePadded::default()).collect(),
+            writer: Mutex::new(Writer {
                 out,
                 buffers: Buffers::default(),
                 open_type: None,
                 dict: HashMap::new(),
                 pending_dict: Vec::new(),
             }),
+            rare_open: AtomicBool::new(false),
         })
+    }
+
+    fn lock_writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().expect("columnar sink poisoned")
+    }
+
+    /// Appends a hot row to the calling thread's stripe, sealing first
+    /// the open rare run (so the row lands after it) and then the
+    /// stripe's own run if the row does not fit it.
+    fn push_hot<const N: usize>(&self, type_id: u8, fields: [u64; N], cols: &[usize; N]) {
+        if self.rare_open.load(Ordering::Acquire) {
+            drop(self.seal_rare());
+        }
+        let mut stripe = self.stripes[thread_slot()].0.lock().expect("columnar sink poisoned");
+        if stripe.needs_seal(type_id) {
+            self.seal_stripe(&mut stripe);
+        }
+        stripe.push(type_id, fields, cols);
+    }
+
+    /// Writes a stripe's open run. The frame is built and checksummed
+    /// before the writer lock is taken, so that lock covers the write
+    /// alone.
+    fn seal_stripe(&self, stripe: &mut Stripe) {
+        if let Some(frame) = stripe.seal() {
+            // Best effort, like every write here: an I/O error ends the
+            // trace early.
+            let _ = self.lock_writer().out.write_all(frame);
+        }
+    }
+
+    fn seal_stripes(&self) {
+        for stripe in self.stripes.iter() {
+            self.seal_stripe(&mut stripe.0.lock().expect("columnar sink poisoned"));
+        }
+    }
+
+    /// Writes the open rare run and returns the writer, still locked.
+    fn seal_rare(&self) -> MutexGuard<'_, Writer> {
+        let mut writer = self.lock_writer();
+        writer.seal();
+        self.rare_open.store(false, Ordering::Release);
+        writer
     }
 }
 
-impl ColumnarInner {
+impl Writer {
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.dict.get(s) {
             return id;
@@ -261,16 +418,13 @@ impl ColumnarInner {
             ty::EXPERIMENT_STARTED => b.experiment_started.len(),
             ty::EXPERIMENT_FINISHED => b.experiment_finished.len(),
             ty::BATCH_STARTED => b.batch_started.len(),
-            ty::REPLICATION_FINISHED => b.replication_finished.len(),
-            ty::ROUND_COMPLETED => b.round_completed.len(),
-            ty::CONSENSUS_EXITED => b.consensus_exited.len(),
             ty::MANIFEST => b.manifest.len(),
             ty::TELEMETRY_SAMPLE => b.telemetry_sample.len(),
             _ => 0,
         }
     }
 
-    /// Serializes and writes the open run's block (plus any pending
+    /// Serializes and writes the open rare run's block (plus any pending
     /// dictionary block), clearing the buffer. Errors are swallowed: the
     /// trace just ends early, like the JSONL sink.
     fn seal(&mut self) {
@@ -295,6 +449,7 @@ impl ColumnarInner {
         let _ = write_block(&mut self.out, type_id, count, &payload);
     }
 
+    /// Buffers a rare event in the open rare run.
     fn push(&mut self, event: &Event) {
         let type_id = event_type_id(event);
         if self.open_type != Some(type_id) || self.buffered_rows(type_id) >= BLOCK_ROWS {
@@ -338,20 +493,15 @@ impl ColumnarInner {
                 };
                 self.buffers.batch_started.push(row);
             }
-            Event::ReplicationFinished { rep, outcome, rounds, elapsed_us } => {
-                let tag = u8::from(matches!(outcome, ReplicationOutcome::Converged));
-                self.buffers.replication_finished.push((*rep, tag, *rounds, *elapsed_us));
-            }
-            Event::RoundCompleted { rep, round, ones, source_opinion } => {
-                self.buffers.round_completed.push((*rep, *round, *ones, *source_opinion));
-            }
-            Event::ConsensusExited { rep, entered, exited } => {
-                self.buffers.consensus_exited.push((*rep, *entered, *exited));
-            }
             Event::Manifest(m) => self.buffers.manifest.push(m.to_json()),
             Event::TelemetrySample { series, version, elapsed_us, value } => {
                 let row = (self.intern(series), *version, *elapsed_us, *value);
                 self.buffers.telemetry_sample.push(row);
+            }
+            Event::ReplicationFinished { .. }
+            | Event::RoundCompleted { .. }
+            | Event::ConsensusExited { .. } => {
+                unreachable!("hot rows are buffered on stripes")
             }
         }
     }
@@ -359,22 +509,47 @@ impl ColumnarInner {
 
 impl EventSink for ColumnarSink {
     fn emit(&self, event: &Event) {
-        self.inner.lock().expect("columnar sink poisoned").push(event);
+        match *event {
+            Event::RoundCompleted { rep, round, ones, source_opinion } => {
+                let fields = [rep, round, ones, u64::from(source_opinion)];
+                self.push_hot(ty::ROUND_COMPLETED, fields, &ROUND_COLS);
+            }
+            Event::ReplicationFinished { rep, outcome, rounds, elapsed_us } => {
+                let converged = u64::from(matches!(outcome, ReplicationOutcome::Converged));
+                let fields = [rep, converged, rounds, elapsed_us];
+                self.push_hot(ty::REPLICATION_FINISHED, fields, &FINISHED_COLS);
+            }
+            Event::ConsensusExited { rep, entered, exited } => {
+                self.push_hot(ty::CONSENSUS_EXITED, [rep, entered, exited], &EXITED_COLS);
+            }
+            _ => {
+                // Everything emitted before a rare event lands before it.
+                self.seal_stripes();
+                let mut writer = self.lock_writer();
+                writer.push(event);
+                self.rare_open.store(true, Ordering::Release);
+            }
+        }
     }
 
     fn flush(&self) {
-        let mut inner = self.inner.lock().expect("columnar sink poisoned");
-        inner.seal();
-        let _ = inner.out.flush();
+        self.seal_stripes();
+        let _ = self.seal_rare().out.flush();
     }
 }
 
 impl Drop for ColumnarSink {
     fn drop(&mut self) {
-        if let Ok(mut inner) = self.inner.lock() {
-            inner.seal();
-            let _ = inner.out.flush();
+        // No other reference is left, so no locks are taken; a poisoned
+        // one is skipped, since a panic in drop would abort.
+        let Ok(writer) = self.writer.get_mut() else { return };
+        for stripe in self.stripes.iter_mut() {
+            if let Some(frame) = stripe.0.get_mut().ok().and_then(Stripe::seal) {
+                let _ = writer.out.write_all(frame);
+            }
         }
+        writer.seal();
+        let _ = writer.out.flush();
     }
 }
 
@@ -449,26 +624,6 @@ fn serialize_payload(type_id: u8, buffers: &mut Buffers) -> Vec<u8> {
             rows.iter().for_each(|r| put_f64s(&mut p, &r.g0));
             rows.iter().for_each(|r| put_f64s(&mut p, &r.g1));
         }
-        ty::REPLICATION_FINISHED => {
-            let rows = std::mem::take(&mut buffers.replication_finished);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
-            rows.iter().for_each(|r| p.push(r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-            rows.iter().for_each(|r| put_u64(&mut p, r.3));
-        }
-        ty::ROUND_COMPLETED => {
-            let rows = std::mem::take(&mut buffers.round_completed);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
-            rows.iter().for_each(|r| put_u64(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-            rows.iter().for_each(|r| p.push(r.3));
-        }
-        ty::CONSENSUS_EXITED => {
-            let rows = std::mem::take(&mut buffers.consensus_exited);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
-            rows.iter().for_each(|r| put_u64(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-        }
         ty::MANIFEST => {
             let rows = std::mem::take(&mut buffers.manifest);
             rows.iter().for_each(|r| put_bytes(&mut p, r.as_bytes()));
@@ -480,9 +635,19 @@ fn serialize_payload(type_id: u8, buffers: &mut Buffers) -> Vec<u8> {
             rows.iter().for_each(|r| put_u64(&mut p, r.2));
             rows.iter().for_each(|r| put_u64(&mut p, r.3));
         }
-        _ => unreachable!("serialize_payload called with dict/unknown type"),
+        _ => unreachable!("serialize_payload called with a dict, hot or unknown type"),
     }
     p
+}
+
+fn block_header(type_id: u8, count: usize, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[0] = type_id;
+    header[1..5].copy_from_slice(&u32::try_from(count).expect("block rows < 2^32").to_le_bytes());
+    header[5..9]
+        .copy_from_slice(&u32::try_from(payload.len()).expect("block < 4 GiB").to_le_bytes());
+    header[9..17].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    header
 }
 
 fn write_block<W: Write + ?Sized>(
@@ -491,13 +656,7 @@ fn write_block<W: Write + ?Sized>(
     count: usize,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = type_id;
-    header[1..5].copy_from_slice(&u32::try_from(count).expect("block rows < 2^32").to_le_bytes());
-    header[5..9]
-        .copy_from_slice(&u32::try_from(payload.len()).expect("block < 4 GiB").to_le_bytes());
-    header[9..17].copy_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.write_all(&header)?;
+    out.write_all(&block_header(type_id, count, payload))?;
     out.write_all(payload)
 }
 
@@ -772,10 +931,10 @@ impl ColumnarReader {
         self.blocks.iter().map(|b| decode_block(&self.data[b.payload.clone()], b, &self.dict))
     }
 
-    /// Streams the recovered events in original emission order — the
-    /// compatibility path (`trace convert`, tests). Analytics should
-    /// prefer [`ColumnarReader::blocks`], which never materializes
-    /// events.
+    /// Streams the recovered events in file order, which keeps emission
+    /// order as the module docs state — the compatibility path (`trace
+    /// convert`, tests). Analytics should prefer
+    /// [`ColumnarReader::blocks`], which never materializes events.
     pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
         self.blocks().flat_map(block_to_events)
     }
@@ -1333,17 +1492,28 @@ mod tests {
         assert_eq!(back, events);
     }
 
+    fn long_round_run() -> Vec<Event> {
+        (0..(BLOCK_ROWS as u64 * 2 + 10))
+            .map(|r| Event::RoundCompleted { rep: 0, round: r, ones: r, source_opinion: 1 })
+            .collect()
+    }
+
     #[test]
     fn long_runs_split_into_bounded_blocks() {
-        let mut events = Vec::new();
-        for r in 0..(BLOCK_ROWS as u64 * 2 + 10) {
-            events.push(Event::RoundCompleted { rep: 0, round: r, ones: r, source_opinion: 1 });
-        }
+        let events = long_round_run();
         let reader = ColumnarReader::from_bytes(encode(&events)).unwrap();
         assert_eq!(reader.block_count(), 3, "two full blocks plus the remainder");
         assert_eq!(reader.event_count(), events.len());
         let back: Vec<Event> = reader.events().collect();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn single_threaded_bytes_are_pinned() {
+        // Golden hashes of whole files: a sink rewrite must leave every
+        // byte of a single-threaded trace as it was.
+        assert_eq!(fnv1a64(&encode(&sample_events())), 0x6ed2_04c8_1bd7_63a4);
+        assert_eq!(fnv1a64(&encode(&long_round_run())), 0x2b25_6547_56aa_0666);
     }
 
     #[test]

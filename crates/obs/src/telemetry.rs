@@ -48,8 +48,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Number of stripes per counter/histogram. A power of two at least as
-/// large as the pool sizes we deploy (workers register dedicated slots;
-/// unregistered threads hash onto the remainder).
+/// large as the pool sizes we deploy, so every pool participant owns a
+/// stripe (see [`thread_slot`]).
 pub const STRIPES: usize = 16;
 
 /// Lower edge of the latency histograms: 100 ns.
@@ -70,22 +70,16 @@ thread_local! {
     static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// Round-robin slot source for threads that never called
-/// [`register_thread_slot`].
+/// The one claim counter every thread draws its stripe from.
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
-/// Pins the calling thread to stripe `slot % STRIPES`.
+/// The calling thread's stripe index, claimed from one process-wide
+/// counter on first use and stable for the thread's life.
 ///
-/// Pool workers call this once at thread start with their worker index
-/// so each worker owns a stable stripe for the life of the pool; the
-/// submitting thread and ad-hoc threads fall back to a round-robin
-/// assignment on first write.
-pub fn register_thread_slot(slot: usize) {
-    SLOT.with(|s| s.set(slot % STRIPES));
-}
-
-/// The calling thread's stripe index, assigning one round-robin on
-/// first use.
+/// Pool workers claim theirs at spawn, submitting and ad-hoc threads on
+/// first use, all from the same counter — so the first [`STRIPES`]
+/// threads to claim each own a distinct stripe, and only later threads
+/// share one.
 #[inline]
 #[must_use]
 pub fn thread_slot() -> usize {
@@ -1017,10 +1011,9 @@ mod tests {
     fn counter_sums_across_threads() {
         let c = Arc::new(Counter::new());
         let mut joins = Vec::new();
-        for slot in 0..8 {
+        for _ in 0..8 {
             let c = Arc::clone(&c);
             joins.push(thread::spawn(move || {
-                register_thread_slot(slot);
                 for _ in 0..1000 {
                     c.add(1);
                 }

@@ -40,7 +40,7 @@
 
 #![warn(missing_docs)]
 
-use bitdissem_obs::telemetry::register_thread_slot;
+use bitdissem_obs::telemetry::thread_slot;
 use bitdissem_obs::Counter;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -313,10 +313,12 @@ impl Pool {
                 std::thread::Builder::new()
                     .name(format!("bitdissem-pool-{i}"))
                     .spawn(move || {
-                        // Pin this worker to a stable telemetry stripe so
-                        // its counter increments always land on the same
-                        // cache-padded cell (see `bitdissem_obs::telemetry`).
-                        register_thread_slot(i);
+                        // Claim this worker's telemetry stripe now, from
+                        // the counter the submitting thread also claims
+                        // from, so participants do not share a stripe
+                        // while fewer than `STRIPES` threads have claimed
+                        // (see `bitdissem_obs::telemetry::thread_slot`).
+                        let _ = thread_slot();
                         worker_loop(&shared);
                     })
                     .expect("spawn pool worker")

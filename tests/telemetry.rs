@@ -16,10 +16,10 @@
 //!    back to a clean trace.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use bitdissem_obs::columnar::{repair, Block, ColumnarReader, ColumnarSink};
-use bitdissem_obs::telemetry::{register_thread_slot, AtomicHistogram, ColumnarTelemetryExporter};
+use bitdissem_obs::telemetry::{AtomicHistogram, ColumnarTelemetryExporter};
 use bitdissem_obs::{Counter, TelemetryExporter, TelemetrySnapshot};
 use proptest::prelude::*;
 
@@ -34,6 +34,10 @@ proptest! {
         let counter = Arc::new(Counter::new());
         let hist = Arc::new(AtomicHistogram::new());
         let stop = Arc::new(AtomicBool::new(false));
+        // Holds the writers back until the snapshotter is inside its
+        // first pass; otherwise short writers can finish (and `stop` be
+        // set) before the snapshotter thread is ever scheduled.
+        let go = Arc::new(Barrier::new(writers + 1));
 
         // The snapshotter races the writers and checks the merge
         // invariants on every pass: a derived count that always equals
@@ -43,11 +47,15 @@ proptest! {
         let snap_counter = Arc::clone(&counter);
         let snap_hist = Arc::clone(&hist);
         let snap_stop = Arc::clone(&stop);
+        let snap_go = Arc::clone(&go);
         let snapshotter = std::thread::spawn(move || {
             let mut last_total = 0u64;
             let mut last_bins: Vec<u64> = Vec::new();
             let mut snaps = 0u64;
             while !snap_stop.load(Ordering::Relaxed) {
+                if snaps == 0 {
+                    snap_go.wait();
+                }
                 let total = snap_counter.get();
                 assert!(total >= last_total, "counter total went backwards");
                 last_total = total;
@@ -72,11 +80,12 @@ proptest! {
         });
 
         let mut joins = Vec::new();
-        for w in 0..writers {
+        for _ in 0..writers {
             let counter = Arc::clone(&counter);
             let hist = Arc::clone(&hist);
+            let go = Arc::clone(&go);
             joins.push(std::thread::spawn(move || {
-                register_thread_slot(w);
+                go.wait();
                 for i in 0..adds_per_writer {
                     counter.add(1);
                     // Samples spread over the underflow bin, the

@@ -15,17 +15,21 @@
 //! 3. **Fault-injected writers** — a columnar sink over a `FaultyWriter`
 //!    (short writes, crash mid-block) leaves a file the reader recovers
 //!    a prefix from and `repair` truncates back to a clean trace.
+//! 4. **Concurrent writers** — rows emitted from many threads read back
+//!    exactly once, each thread's in emission order, every one between
+//!    the batch header it was emitted under and the next.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
-use bitdissem_experiments::trace::{analyze, TraceAccumulator};
+use bitdissem_experiments::trace::{analyze, TraceAccumulator, TraceAnalysis};
 use bitdissem_experiments::{registry, RunConfig};
-use bitdissem_obs::columnar::{repair, ColumnarReader, ColumnarSink, MAGIC};
+use bitdissem_obs::columnar::{repair, ColumnarReader, ColumnarSink, BLOCK_ROWS, MAGIC};
 use bitdissem_obs::{Event, EventSink, FaultyWriter, MemorySink, Obs, ReplicationOutcome};
 use proptest::prelude::*;
 
-/// Encodes an event slice through a `ColumnarSink` into memory.
-fn encode_columnar(events: &[Event]) -> Vec<u8> {
+/// Runs `emit` against a fresh `ColumnarSink` over memory and returns
+/// the finished file bytes.
+fn record_columnar(emit: impl FnOnce(&Arc<ColumnarSink>)) -> Vec<u8> {
     #[derive(Clone, Default)]
     struct Shared(Arc<Mutex<Vec<u8>>>);
     impl std::io::Write for Shared {
@@ -38,13 +42,16 @@ fn encode_columnar(events: &[Event]) -> Vec<u8> {
         }
     }
     let shared = Shared::default();
-    let sink = ColumnarSink::from_writer(Box::new(shared.clone())).unwrap();
-    for ev in events {
-        sink.emit(ev);
-    }
-    drop(sink);
+    let sink = Arc::new(ColumnarSink::from_writer(Box::new(shared.clone())).unwrap());
+    emit(&sink);
+    drop(Arc::into_inner(sink).expect("no clone of the sink outlives the recording"));
     let bytes = shared.0.lock().unwrap().clone();
     bytes
+}
+
+/// Encodes an event slice through a `ColumnarSink` into memory.
+fn encode_columnar(events: &[Event]) -> Vec<u8> {
+    record_columnar(|sink| events.iter().for_each(|ev| sink.emit(ev)))
 }
 
 #[test]
@@ -127,6 +134,165 @@ fn faulty_writer_tear_is_recovered_and_repaired() {
     assert_eq!(clean.event_count(), recovered);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hot row number `seq` of writer `thread` in phase `phase`, all three
+/// carried in the row. Thread 0 writes one long `RoundCompleted` run, so
+/// its stripe seals full blocks mid-run; the others switch type every
+/// 3 to 7 rows.
+fn hot_row(thread: u64, seq: u64, phase: u64) -> Event {
+    let kind = if thread == 0 { 0 } else { (seq / (3 + thread % 5) + thread) % 3 };
+    match kind {
+        0 => Event::RoundCompleted { rep: thread, round: seq, ones: phase, source_opinion: 1 },
+        1 => Event::ReplicationFinished {
+            rep: thread,
+            outcome: ReplicationOutcome::Converged,
+            rounds: seq,
+            elapsed_us: phase,
+        },
+        _ => Event::ConsensusExited { rep: thread, entered: seq, exited: phase },
+    }
+}
+
+fn phase_header(phase: u64) -> Event {
+    Event::BatchStarted {
+        kind: "conv".to_string(),
+        protocol: "voter".to_string(),
+        ell: 1,
+        n: 64,
+        x0: 1,
+        source_opinion: 1,
+        reps: 0,
+        budget: 0,
+        seed: phase,
+        g0: vec![0.0, 1.0],
+        g1: vec![0.0, 1.0],
+    }
+}
+
+#[test]
+fn concurrent_writers_keep_thread_order_between_batch_headers() {
+    // 20 writers outnumber the sink's stripes, so some threads share one.
+    const PHASES: u64 = 3;
+    for threads in [2u64, 20] {
+        let rows = |thread: u64| if thread == 0 { BLOCK_ROWS as u64 + 100 } else { 500 };
+        let bytes = record_columnar(|sink| {
+            // Two barrier waits per phase: after the header is emitted,
+            // and after every writer has finished the phase — as a pool
+            // batch runs between its header and the next one.
+            let barrier = Barrier::new(threads as usize + 1);
+            std::thread::scope(|s| {
+                for thread in 0..threads {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let mut seq = 0;
+                        for phase in 0..PHASES {
+                            barrier.wait();
+                            for _ in 0..rows(thread) {
+                                sink.emit(&hot_row(thread, seq, phase));
+                                seq += 1;
+                            }
+                            barrier.wait();
+                        }
+                    });
+                }
+                for phase in 0..PHASES {
+                    sink.emit(&phase_header(phase));
+                    barrier.wait();
+                    barrier.wait();
+                }
+            });
+        });
+
+        let reader = ColumnarReader::from_bytes(bytes).unwrap();
+        assert!(!reader.torn_tail());
+        let mut phase = None;
+        let mut next_seq = vec![0u64; threads as usize];
+        for ev in reader.events() {
+            let (thread, seq, row_phase) = match ev {
+                Event::BatchStarted { seed, .. } => {
+                    assert_eq!(seed, phase.map_or(0, |p| p + 1), "headers out of order");
+                    phase = Some(seed);
+                    continue;
+                }
+                Event::RoundCompleted { rep, round, ones, .. } => (rep, round, ones),
+                Event::ReplicationFinished { rep, rounds, elapsed_us, .. } => {
+                    (rep, rounds, elapsed_us)
+                }
+                Event::ConsensusExited { rep, entered, exited } => (rep, entered, exited),
+                other => panic!("unexpected event {other:?}"),
+            };
+            assert_eq!(Some(row_phase), phase, "{threads} writers: row outside its batch");
+            assert_eq!(seq, next_seq[thread as usize], "{threads} writers: thread {thread}");
+            assert_eq!(ev, hot_row(thread, seq, row_phase));
+            next_seq[thread as usize] += 1;
+        }
+        assert_eq!(phase, Some(PHASES - 1));
+        let expected: Vec<u64> = (0..threads).map(|t| PHASES * rows(t)).collect();
+        assert_eq!(next_seq, expected, "{threads} writers: every row exactly once");
+    }
+}
+
+/// Per batch: the header, then its round rows and `(rep, converged,
+/// rounds)` results, sorted — a multiset, free of the order threads
+/// interleave in and of wall-clock `elapsed_us`.
+type BatchContents = (Event, Vec<(u64, u64, u64, u8)>, Vec<(u64, bool, u64)>);
+
+fn batch_contents(events: &[Event]) -> Vec<BatchContents> {
+    let mut batches: Vec<BatchContents> = Vec::new();
+    for ev in events {
+        match ev {
+            Event::BatchStarted { .. } => batches.push((ev.clone(), Vec::new(), Vec::new())),
+            Event::RoundCompleted { rep, round, ones, source_opinion } => {
+                let batch = batches.last_mut().expect("rows follow a header");
+                batch.1.push((*rep, *round, *ones, *source_opinion));
+            }
+            Event::ReplicationFinished { rep, outcome, rounds, .. } => {
+                let batch = batches.last_mut().expect("results follow a header");
+                batch.2.push((*rep, *outcome == ReplicationOutcome::Converged, *rounds));
+            }
+            _ => {}
+        }
+    }
+    for batch in &mut batches {
+        batch.1.sort_unstable();
+        batch.2.sort_unstable();
+    }
+    batches
+}
+
+#[test]
+fn threaded_run_records_the_same_batches_through_both_sinks() {
+    let cfg = RunConfig { threads: Some(4), ..RunConfig::smoke(20_260_808) };
+    let memory = Arc::new(MemorySink::new());
+    registry::run_observed("e2", &cfg, &Obs::none().with_sink(Arc::clone(&memory) as _))
+        .expect("registered id");
+    let bytes = record_columnar(|sink| {
+        registry::run_observed("e2", &cfg, &Obs::none().with_sink(Arc::clone(sink) as _))
+            .expect("registered id");
+    });
+    let reader = ColumnarReader::from_bytes(bytes).unwrap();
+    assert!(!reader.torn_tail());
+    let columnar: Vec<Event> = reader.events().collect();
+    let memory = memory.events();
+    let batches = batch_contents(&memory);
+    assert!(batches.len() > 1 && batches.iter().all(|b| !b.1.is_empty()));
+    assert_eq!(batch_contents(&columnar), batches);
+
+    // The Prop-4/Prop-5 checks see the same trajectories either way.
+    let mut acc = TraceAccumulator::new();
+    for block in reader.blocks() {
+        acc.ingest_block(&block);
+    }
+    let checks = |a: &TraceAnalysis| {
+        a.batches
+            .iter()
+            .map(|b| (b.meta.clone(), b.replications, b.converged, b.conformance.clone()))
+            .collect::<Vec<_>>()
+    };
+    let via_memory = analyze(&memory, 0);
+    assert_eq!(checks(&acc.finish(0)), checks(&via_memory));
+    assert!(!via_memory.has_violations(), "{}", via_memory.render());
 }
 
 /// Strategy over arbitrary events mixing every hot variant plus batch
