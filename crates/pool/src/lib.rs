@@ -273,10 +273,11 @@ fn worker_loop(shared: &PoolShared) {
 /// worker count) plus one when set, otherwise the machine's full
 /// available parallelism; never less than 1.
 ///
-/// This is the **single** resolver for worker-count defaults — the CLI
-/// and [`Pool::global`] both derive from it, so a machine uses all of its
-/// cores consistently instead of the CLI silently capping at a different
-/// number than the pool spawns.
+/// This is the **single** resolver for worker-count defaults — the CLI,
+/// [`Pool::global`] and the replication drivers of `bitdissem-sim` all
+/// derive from it, so a machine uses all of its cores consistently instead
+/// of the CLI silently capping at a different number than the pool spawns,
+/// or a driver sizing its shards for more participants than the pool has.
 #[must_use]
 pub fn effective_parallelism() -> usize {
     std::env::var("BITDISSEM_POOL_WORKERS")

@@ -8,7 +8,7 @@ use bitdissem_core::{
 use bitdissem_poly::binomial::{binomial_pmf_into, binomial_pmf_vec};
 
 use crate::rng::SimRng;
-use crate::roundplan::RoundPlanCache;
+use crate::roundplan::{RoundPlan, StateCache};
 use crate::run::Simulator;
 
 /// Slack allowed around `[0, 1]` for an adoption probability before it is
@@ -114,7 +114,7 @@ pub fn adoption_probs(table: &GTable, p: f64) -> (f64, f64) {
 pub struct AggregateSim {
     kernel: Arc<Kernel>,
     config: Configuration,
-    plans: RoundPlanCache,
+    plans: StateCache<RoundPlan>,
 }
 
 impl AggregateSim {
@@ -140,7 +140,7 @@ impl AggregateSim {
     /// read-only with the caller (no per-replica table materialization).
     #[must_use]
     pub fn with_kernel(kernel: Arc<Kernel>, start: Configuration) -> Self {
-        Self { kernel, config: start, plans: RoundPlanCache::new() }
+        Self { kernel, config: start, plans: StateCache::new(start.n()) }
     }
 
     /// The compiled adoption-probability kernel.
@@ -156,11 +156,6 @@ impl AggregateSim {
     /// Panics if the new configuration has a different population size.
     pub fn reset(&mut self, start: Configuration) {
         assert_eq!(start.n(), self.config.n(), "population size is fixed at construction");
-        // Cached round plans are keyed by the ones-count for a fixed source
-        // opinion; a different source invalidates them.
-        if start.correct() != self.config.correct() {
-            self.plans.clear();
-        }
         self.config = start;
     }
 }
@@ -171,10 +166,9 @@ impl Simulator for AggregateSim {
     }
 
     fn step_round(&mut self, rng: &mut SimRng) {
-        let n = self.config.n();
         let x = self.config.ones();
         let z = u64::from(self.config.correct().as_bit());
-        let next = self.plans.step(&self.kernel, n, z, x, rng);
+        let next = self.plans.step(&self.kernel, z, x, rng);
         self.config = self.config.with_ones(next).expect("next state is always consistent");
     }
 
@@ -187,8 +181,8 @@ impl Simulator for AggregateSim {
     }
 
     /// Aggregate perturbation: the schedule rewrites `(z, x)` directly. The
-    /// round-plan cache needs no flushing — its slots are tagged by the
-    /// full `(x, z)` pair (DESIGN decision 15).
+    /// state cache needs no flushing — its slots are tagged by the full
+    /// `(x, z)` pair (DESIGN decision 15).
     fn perturb(&mut self, env: &crate::env::EnvSchedule, t: u64, rng: &mut SimRng) -> u64 {
         let n = self.config.n();
         let mut z = u64::from(self.config.correct().as_bit());

@@ -23,11 +23,11 @@ use std::sync::{Arc, Mutex};
 
 use bitdissem_core::{Configuration, Kernel};
 use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer};
-use bitdissem_pool::Pool;
+use bitdissem_pool::{effective_parallelism, Pool};
 
 use crate::env::EnvSchedule;
 use crate::rng::{replication_seed, rng_from, SimRng};
-use crate::roundplan::RoundPlanCache;
+use crate::roundplan::{RoundPlan, StateCache};
 use crate::run::Outcome;
 
 /// `B` replicas of the aggregate chain stepped in lock-step.
@@ -63,7 +63,7 @@ pub struct BatchedAggregateSim {
     /// schedule that can knock a replica off consensus: consensus is no
     /// longer absorbing, so a retired replica would report a stale state.
     retire_on_consensus: bool,
-    plans: RoundPlanCache,
+    plans: StateCache<RoundPlan>,
 }
 
 impl BatchedAggregateSim {
@@ -103,7 +103,7 @@ impl BatchedAggregateSim {
             ones_by_rep: vec![start.ones(); b],
             converged_at: vec![None; b],
             retire_on_consensus,
-            plans: RoundPlanCache::new(),
+            plans: StateCache::new(n),
         };
         for (rep, &seed) in seeds.iter().enumerate() {
             if start.ones() == target {
@@ -159,7 +159,7 @@ impl BatchedAggregateSim {
         for pos in 0..self.live_ones.len() {
             let x = self.live_ones[pos];
             let rng = &mut self.live_rngs[pos];
-            let next = self.plans.step(&self.kernel, self.n, self.z, x, rng);
+            let next = self.plans.step(&self.kernel, self.z, x, rng);
             debug_assert!(next <= self.n);
             self.live_ones[pos] = next;
             self.ones_by_rep[self.live_rep[pos]] = next;
@@ -499,9 +499,7 @@ fn replicate_batched_inner(
         return Vec::new();
     }
     let tasks = indices.len();
-    let cap = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        .clamp(1, tasks);
+    let cap = threads.unwrap_or_else(effective_parallelism).clamp(1, tasks);
     // Aim for ~4 chunks per worker so stealing can balance convergence-time
     // skew; chunk boundaries never affect results.
     let chunk = tasks.div_ceil(cap * 4).clamp(MIN_CHUNK, MAX_CHUNK);

@@ -137,10 +137,10 @@ pub fn binv(rng: &mut SimRng, n: u64, p: f64) -> u64 {
 }
 
 /// The deterministic per-`(n, p)` state of the BINV sampler — everything
-/// computed before the first uniform is drawn. Split out so the
-/// [`BinomialMemo`] can cache it; [`BinvSetup::draw`] consumes uniforms
-/// exactly like the historical monolithic `binv`, so memoized and fresh
-/// calls are bit-identical draw-for-draw.
+/// computed before the first uniform is drawn. Split out so a [`Plan`] can
+/// cache it; [`BinvSetup::draw`] consumes uniforms exactly like the
+/// historical monolithic `binv`, so cached and fresh calls are
+/// bit-identical draw-for-draw.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BinvSetup {
     /// Odds ratio `p / (1 − p)` driving the upward pmf recurrence.
@@ -209,17 +209,18 @@ impl BinvSetup {
 pub fn btrs(rng: &mut SimRng, n: u64, p: f64) -> u64 {
     assert!(p > 0.0 && p <= 0.5, "btrs requires p in (0, 1/2], got {p}");
     assert!((n as f64) * p >= 10.0, "btrs requires n*p >= 10");
-    with_lnfact(n, |lnfact| BtrsSetup::new(n, p, lnfact).draw(rng, lnfact))
+    with_lnfact(n, |lnfact| BtrsSetup::new(n, p, lnfact).draw(rng, n, lnfact))
 }
 
 /// The deterministic per-`(n, p)` state of the BTRS sampler (Hörmann's
-/// constants, including the two setup `ln_gamma` calls). Split out so the
-/// [`BinomialMemo`] can cache it; [`BtrsSetup::draw`] consumes uniforms
-/// exactly like the historical monolithic `btrs`, so memoized and fresh
-/// calls are bit-identical draw-for-draw.
+/// constants, including the two setup `ln_gamma` calls). Split out so a
+/// [`Plan`] can cache it; [`BtrsSetup::draw`] consumes uniforms exactly
+/// like the historical monolithic `btrs`, so cached and fresh calls are
+/// bit-identical draw-for-draw. The trial count `n` is not stored: every
+/// caller already holds it and passes it to `draw`, which keeps a cached
+/// [`Plan`] at 72 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BtrsSetup {
-    nf: f64,
     a: f64,
     b: f64,
     c: f64,
@@ -245,16 +246,18 @@ impl BtrsSetup {
         let lpq = (p / q).ln();
         let m = ((nf + 1.0) * p).floor(); // mode
         let h = ln_fact(lnfact, m) + ln_fact(lnfact, nf - m);
-        Self { nf, a, b, c, v_r, alpha, lpq, m, h }
+        Self { a, b, c, v_r, alpha, lpq, m, h }
     }
 
-    fn draw(&self, rng: &mut SimRng, lnfact: &[f64]) -> u64 {
+    /// Draws with the trial count `n` the setup was built for.
+    fn draw(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
+        let nf = n as f64;
         loop {
             let u: f64 = rng.random::<f64>() - 0.5;
             let v: f64 = rng.random();
             let us = 0.5 - u.abs();
             let kf = ((2.0 * self.a / us + self.b) * u + self.c).floor();
-            if kf < 0.0 || kf > self.nf {
+            if kf < 0.0 || kf > nf {
                 continue;
             }
             // Squeeze step: cheap unconditional acceptance region.
@@ -266,7 +269,7 @@ impl BtrsSetup {
             // to live `ln_gamma` calls — see [`LNFACT`]).
             let v2 = v * self.alpha / (self.a / (us * us) + self.b);
             if v2.ln()
-                <= self.h - ln_fact(lnfact, kf) - ln_fact(lnfact, self.nf - kf)
+                <= self.h - ln_fact(lnfact, kf) - ln_fact(lnfact, nf - kf)
                     + (kf - self.m) * self.lpq
             {
                 return kf as u64;
@@ -314,22 +317,17 @@ impl Plan {
         }
     }
 
-    fn sample(&self, rng: &mut SimRng, n: u64) -> u64 {
-        if let Plan::Btrs { .. } = self {
-            with_lnfact(n, |lnfact| self.sample_with(rng, n, lnfact))
-        } else {
-            self.sample_with(rng, n, &[])
-        }
-    }
-
-    /// Like `sample`, with the `ln(i!)` table supplied by the caller (one
-    /// thread-local access can then serve several draws).
+    /// Draws one variate for the trial count `n` the plan was built for,
+    /// with the `ln(i!)` table supplied by the caller (one thread-local
+    /// access can then serve several draws; see [`with_lnfact`]).
+    /// Bit-identical to [`sample_binomial`] with the same `(n, p)` and rng
+    /// state.
     #[inline]
     pub(crate) fn sample_with(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
         let (k, flipped) = match self {
             Plan::Const(k) => return *k,
             Plan::Binv { flipped, setup } => (setup.draw(rng, n), *flipped),
-            Plan::Btrs { flipped, setup } => (setup.draw(rng, lnfact), *flipped),
+            Plan::Btrs { flipped, setup } => (setup.draw(rng, n, lnfact), *flipped),
         };
         if flipped {
             n - k
@@ -561,87 +559,6 @@ impl WideBinomial {
     }
 }
 
-/// Number of direct-mapped memo slots. The aggregate chain revisits a
-/// `O(√n)`-wide band of states (near its drift fixed point, or near
-/// absorption), and each state contributes two `(count, p)` setups, so a
-/// few hundred slots give a near-perfect hit rate on realistic runs while
-/// keeping a memo cheap enough to embed per simulator (~12 KiB).
-const MEMO_SLOTS: usize = 256;
-
-/// A small direct-mapped memo for binomial sampler setups, keyed by the
-/// exact `(n, p)` pair (bit pattern of `p`).
-///
-/// The aggregate hot loop repeatedly draws with recurring setups — the
-/// state revisits the same `X_t` values near absorption and around drift
-/// fixed points, and every revisit re-derived the full BINV/BTRS setup
-/// (logs, square roots, two `ln_gamma` calls). The memo caches that
-/// deterministic setup; the *draw* path is untouched, so for any seed the
-/// sampled values are **bit-identical** to [`sample_binomial`] — a
-/// collision merely recomputes.
-///
-/// # Examples
-///
-/// ```
-/// use bitdissem_sim::binomial::{sample_binomial, BinomialMemo};
-/// use bitdissem_sim::rng::rng_from;
-///
-/// let mut memo = BinomialMemo::new();
-/// let mut a = rng_from(7);
-/// let mut b = rng_from(7);
-/// for _ in 0..100 {
-///     assert_eq!(memo.sample(&mut a, 512, 0.37), sample_binomial(&mut b, 512, 0.37));
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BinomialMemo {
-    slots: Box<[Option<(u64, u64, Plan)>]>,
-}
-
-impl Default for BinomialMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BinomialMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { slots: vec![None; MEMO_SLOTS].into_boxed_slice() }
-    }
-
-    /// Draws one `Binomial(n, p)` variate, reusing the cached setup when
-    /// this exact `(n, p)` pair was seen before. Identical draws to
-    /// [`sample_binomial`] for the same rng state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    #[must_use]
-    pub fn sample(&mut self, rng: &mut SimRng, n: u64, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        if n == 0 || p == 0.0 {
-            return 0;
-        }
-        if p == 1.0 {
-            return n;
-        }
-        let bits = p.to_bits();
-        // Fibonacci hashing over the pair; the slot count is a power of 2.
-        let idx =
-            ((n ^ bits).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (MEMO_SLOTS - 1);
-        let plan = match self.slots[idx] {
-            Some((sn, sbits, plan)) if sn == n && sbits == bits => plan,
-            _ => {
-                let plan = Plan::build(n, p);
-                self.slots[idx] = Some((n, bits, plan));
-                plan
-            }
-        };
-        plan.sample(rng, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,10 +719,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_bit_identical_to_plain_sampler() {
-        // Identical rng streams through memoized and fresh paths, across
+    fn plan_is_bit_identical_to_plain_sampler() {
+        // Identical rng streams through cached plans and fresh calls, across
         // every regime: degenerate, BINV, BTRS, and the p > 1/2 reflection.
-        // Interleave (n, p) pairs so the memo both hits and misses.
+        // Interleave (n, p) pairs so every plan is reused between other
+        // plans' draws.
         let cases: Vec<(u64, f64)> = vec![
             (0, 0.5),
             (100, 0.0),
@@ -816,44 +734,14 @@ mod tests {
             (512, 0.999), // reflected BINV
             (7, 0.4),     // BINV small n
         ];
-        let mut memo = BinomialMemo::new();
+        let plans: Vec<Plan> = cases.iter().map(|&(n, p)| Plan::build(n, p)).collect();
         let mut a = rng_from(42);
         let mut b = rng_from(42);
         for round in 0..200 {
-            let (n, p) = cases[round % cases.len()];
-            assert_eq!(
-                memo.sample(&mut a, n, p),
-                sample_binomial(&mut b, n, p),
-                "round {round}: n={n} p={p}"
-            );
-        }
-    }
-
-    #[test]
-    fn memo_collisions_are_correct() {
-        // More distinct (n, p) pairs than slots: every lookup that evicts
-        // or misses must still draw the exact sample_binomial value.
-        let mut memo = BinomialMemo::new();
-        let mut a = rng_from(7);
-        let mut b = rng_from(7);
-        for i in 0..2000u64 {
-            let n = 200 + (i % 700);
-            let p = 0.05 + 0.9 * ((i % 101) as f64 / 101.0);
-            assert_eq!(memo.sample(&mut a, n, p), sample_binomial(&mut b, n, p), "i={i}");
-        }
-    }
-
-    #[test]
-    fn memo_moments_in_every_regime() {
-        let mut memo = BinomialMemo::new();
-        for (n, p, seed) in [(50u64, 0.05, 31u64), (1000, 0.3, 32), (1000, 0.9, 33)] {
-            let mut rng = rng_from(seed);
-            let reps = 20_000;
-            let samples: Vec<u64> = (0..reps).map(|_| memo.sample(&mut rng, n, p)).collect();
-            let (mean, _) = empirical_moments(&samples);
-            let true_mean = binomial_mean(n, p);
-            let se = (binomial_variance(n, p) / reps as f64).sqrt();
-            assert!((mean - true_mean).abs() < 5.0 * se + 1e-9, "n={n} p={p}: {mean}");
+            let i = round % cases.len();
+            let (n, p) = cases[i];
+            let planned = with_lnfact(n, |lnfact| plans[i].sample_with(&mut a, n, lnfact));
+            assert_eq!(planned, sample_binomial(&mut b, n, p), "round {round}: n={n} p={p}");
         }
     }
 

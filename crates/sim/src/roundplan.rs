@@ -1,119 +1,184 @@
-//! Per-state round-plan cache for the aggregate hot loop.
+//! The per-state cache behind all three aggregate engines.
 //!
-//! For a fixed `(kernel, n, z)` everything a round needs — the adoption
-//! probabilities `(P₀(x/n), P₁(x/n))`, the two binomial counts, and both
-//! sampler setups — is a pure function of the current ones-count `x`. The
-//! chain revisits a narrow contiguous band of states (hovering around its
-//! drift fixed point, or drifting toward absorption), so a direct-mapped
-//! cache indexed by the low bits of `x` is collision-free whenever the
-//! band is narrower than the slot count, unlike a `(count, p)`-keyed memo
-//! where unrelated keys can hash to the same slot and evict each other
-//! every round.
+//! For a fixed `(kernel, n)`, everything a round needs out of ones-count
+//! `x` under source opinion `z` is a pure function of `(x, z)`: the
+//! adoption probabilities `(P₀(x/n), P₁(x/n))`, the two binomial counts and
+//! the samplers built from them. The per-replica and batched engines cache
+//! a [`RoundPlan`] (both BINV/BTRS sampler setups), the wide engine a
+//! compiled fused alias step (`sim::wide`). Both live in one
+//! [`StateCache`]: 1024 direct-mapped slots, each tagged by the full
+//! `(x, z)` pair.
 //!
-//! A hit skips the kernel evaluation *and* both sampler setups; the draw
-//! code itself is byte-for-byte the one behind
-//! [`sample_binomial`](crate::binomial::sample_binomial), so sampled
-//! values are bit-identical for any rng state.
+//! # Slot index
+//!
+//! State `x` maps to slot `(x mod 512) + 512·[x > n/2]`: each side of `n/2`
+//! owns 512 slots. The chain spends its time in `O(√n)`-wide bands of
+//! states. A chain that hovers around a stable drift fixed point, or drifts
+//! toward absorption, visits one band. A chain whose fixed point at ½ is
+//! unstable with slope below −1 visits two: Minority(ℓ ≥ 5) (slope −5/4 at
+//! ℓ = 5) settles on a period-2 orbit that alternates every round between
+//! bands near `p*·n` and `(1 − p*)·n`, one on each side of `n/2`. Indexed by
+//! `x mod 512` alone, those bands evict each other whenever their distance
+//! is close to a multiple of 512 (at `n = 8192`, Minority(5)'s bands sit 44
+//! slots apart and 44% of rounds miss under that index). The side bit gives
+//! each band a half of its own, whatever their distance.
+//!
+//! Sizing: a half holds a band of up to 512 consecutive states without a
+//! collision, which covers Minority(5) up to `n ≈ 32 768` and Minority(7)
+//! up to `n ≈ 16 384`. A single band is collision-free up to 512 states
+//! wide wherever it lies, and up to 1024 when it is centred on `n/2`, so
+//! single-band chains keep at least the capacity of a plain 512-slot
+//! index. Chains that visit more states than that — diffusive Voter,
+//! chaotic Minority(ℓ ≥ 9) — stay capacity-bound: states that share a slot
+//! rebuild on revisit.
+//!
+//! # Entry layout
+//!
+//! A slot is an `Option<(tag, value)>` with the packed tag `2x + z`, so the
+//! cache serves populations below `2⁶³`. An empty slot costs no extra word:
+//! `None` lives in a spare discriminant of the value. A [`RoundPlan`] holds
+//! two 72-byte [`Plan`]s (discriminant and reflection flag in one word,
+//! then at most eight `f64` BTRS constants), so an aggregate slot is 152
+//! bytes and a cache 152 KiB. The component counts `keep_n`/`flip_n` are
+//! not stored: [`component_sizes`] derives them from `x` on every round.
+//!
+//! # Bit identity
+//!
+//! A slot only ever serves the exact `(x, z)` it was built for, and
+//! building is deterministic, so a hit and a miss draw the same values. The
+//! draw code behind [`StateCache::step`] is byte-for-byte the one behind
+//! [`sample_binomial`](crate::binomial::sample_binomial): sampled values
+//! are bit-identical for any rng state, whatever the slot layout.
 
 use bitdissem_core::Kernel;
 
 use crate::binomial::{with_lnfact, Plan};
 use crate::rng::SimRng;
 
-/// Slot count (power of two). The visited band is `O(√n)` wide, so 512
-/// slots are collision-free for populations up to the hundreds of
-/// thousands; beyond that the cache degrades gracefully (distant states
-/// that alias simply rebuild on revisit).
-const SLOTS: usize = 512;
+/// Slots on each side of `n/2` (a power of two).
+const HALF_SLOTS: usize = 512;
+/// Total slot count.
+const SLOTS: usize = 2 * HALF_SLOTS;
 
-/// Everything needed to advance one replica from ones-count `x`.
+/// Sizes of the two binomial components of a round out of state `x`:
+/// `(keep_n, flip_n)`, the non-source agents holding opinion 1 (each keeps
+/// it with probability `P₁`) and opinion 0 (each adopts 1 with probability
+/// `P₀`).
+///
+/// Environment perturbations can produce the transient states `x < z` and
+/// `x + (1 − z) > n`; `x` is clamped into the legal band `[z, n − 1 + z]`
+/// first, so the sizes never wrap `u64` and the next state stays in that
+/// band. The two sizes always sum to `n − 1`, every agent but the source.
+#[inline]
+pub(crate) fn component_sizes(n: u64, z: u64, x: u64) -> (u64, u64) {
+    let keep_n = x.max(z).min(n - 1 + z) - z;
+    (keep_n, n - 1 - keep_n)
+}
+
+/// Direct-mapped cache of per-state values, tagged by `(x, z)`. See the
+/// module docs for the index, its sizing and the slot layout.
+///
+/// One cache serves one `(kernel, n)` pair, both fixed by the engine that
+/// owns it. The source opinion `z` is not fixed: an environment flip
+/// changes it mid-run, and the tag makes a value built for `(x, z)` miss
+/// when queried for `(x, 1 − z)`, so no flip or reset ever needs a flush.
+#[derive(Debug, Clone)]
+pub(crate) struct StateCache<T> {
+    /// Population size.
+    n: u64,
+    slots: Box<[Option<(u64, T)>; SLOTS]>,
+}
+
+impl<T> StateCache<T> {
+    /// An empty cache for population `n`. The slot array is allocated up
+    /// front, so the first simulated round pays only its own build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n ≥ 2⁶³`, where the packed tag `2x + z` would overflow.
+    pub(crate) fn new(n: u64) -> Self {
+        assert!(n < 1 << 63, "the state cache packs 2x + z into a u64; n = {n} is too large");
+        let slots: Box<[Option<(u64, T)>]> = (0..SLOTS).map(|_| None).collect();
+        Self { n, slots: slots.try_into().unwrap_or_else(|_| unreachable!("SLOTS slots")) }
+    }
+
+    /// The slot of state `x`: its low bits, plus one bit for the side of
+    /// `n/2` it lies on.
+    #[inline]
+    fn slot(&self, x: u64) -> usize {
+        (x as usize & (HALF_SLOTS - 1)) | (usize::from(x > self.n / 2) * HALF_SLOTS)
+    }
+
+    #[inline]
+    fn tag(x: u64, z: u64) -> u64 {
+        debug_assert!(z <= 1, "z is a source opinion bit");
+        2 * x + z
+    }
+
+    /// The value cached for `(x, z)`, if its slot holds it.
+    #[inline]
+    pub(crate) fn get(&self, x: u64, z: u64) -> Option<&T> {
+        match &self.slots[self.slot(x)] {
+            Some((tag, value)) if *tag == Self::tag(x, z) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Caches `value` for `(x, z)`, evicting whatever held its slot.
+    pub(crate) fn insert(&mut self, x: u64, z: u64, value: T) {
+        let slot = self.slot(x);
+        self.slots[slot] = Some((Self::tag(x, z), value));
+    }
+
+    /// The value cached for `(x, z)`, built by `build` and cached first on
+    /// a miss.
+    #[inline]
+    pub(crate) fn get_or_insert_with(&mut self, x: u64, z: u64, build: impl FnOnce() -> T) -> &T {
+        let tag = Self::tag(x, z);
+        let slot = self.slot(x);
+        let slot = &mut self.slots[slot];
+        if !matches!(slot, Some((t, _)) if *t == tag) {
+            *slot = Some((tag, build()));
+        }
+        match slot {
+            Some((_, value)) => value,
+            None => unreachable!("the slot was filled above"),
+        }
+    }
+}
+
+/// Both sampler setups for one round out of `(x, z)`: the entry the
+/// per-replica and batched engines cache.
 #[derive(Debug, Clone, Copy)]
-struct RoundPlan {
-    /// The state this plan was built for (the slot tag).
-    x: u64,
-    /// The source opinion this plan was built for (part of the tag: a plan
-    /// for `(x, z)` must never serve `(x, 1 − z)`).
-    z: u64,
-    /// Non-source agents currently holding the correct opinion.
-    keep_n: u64,
-    /// Non-source agents currently holding the wrong opinion.
-    flip_n: u64,
-    /// Sampler for `Binomial(keep_n, P_z)`.
+pub(crate) struct RoundPlan {
+    /// Sampler for `Binomial(keep_n, P₁)`.
     keep: Plan,
-    /// Sampler for `Binomial(flip_n, P_{1−z})`.
+    /// Sampler for `Binomial(flip_n, P₀)`.
     flip: Plan,
 }
 
-/// Direct-mapped cache of [`RoundPlan`]s, indexed by `x & (SLOTS − 1)`.
-///
-/// One cache instance serves one `(kernel, n)` pair (both fixed at
-/// simulator construction). Slots are tagged with `(x, z)`, so a source
-/// flip mid-run is safe without an explicit [`clear`](RoundPlanCache::clear):
-/// a plan built for `(x, z)` misses when queried for `(x, 1 − z)` and is
-/// rebuilt in place.
-#[derive(Debug, Clone)]
-pub(crate) struct RoundPlanCache {
-    slots: Vec<Option<RoundPlan>>,
-}
-
-impl Default for RoundPlanCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoundPlanCache {
-    /// Allocates the (empty) slot array up front, so the first simulated
-    /// round pays only its own plan build, not a ~90 KiB memset.
-    pub(crate) fn new() -> Self {
-        Self { slots: vec![None; SLOTS] }
-    }
-
-    /// Drops all cached plans (subsequent steps rebuild on demand).
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill(None);
-    }
-
+impl StateCache<RoundPlan> {
     /// Advances one replica by one aggregate round: draws the keep/flip
     /// binomials for state `x` and returns the next ones-count.
     ///
     /// Draws are bit-identical to two
     /// [`sample_binomial`](crate::binomial::sample_binomial) calls with
-    /// `(keep_n, P_z)` then `(flip_n, P_{1−z})` on the same rng.
+    /// `(keep_n, P₁)` then `(flip_n, P₀)` on the same rng.
     #[inline]
-    pub(crate) fn step(
-        &mut self,
-        kernel: &Kernel,
-        n: u64,
-        z: u64,
-        x: u64,
-        rng: &mut SimRng,
-    ) -> u64 {
-        let slot = &mut self.slots[(x as usize) & (SLOTS - 1)];
-        let plan = match slot {
-            Some(plan) if plan.x == x && plan.z == z => plan,
-            _ => {
-                let (p0, p1) = kernel.eval(x as f64 / n as f64);
-                // Environment perturbations can produce the transient states
-                // `x < z` / `x + (1 − z) > n`; clamp into the legal band so
-                // the component sizes never wrap `u64`. The slot keeps the
-                // raw `x` as its tag so lookups still hit.
-                let cx = x.clamp(z, n - (1 - z));
-                let keep_n = cx - z;
-                let flip_n = n - cx - (1 - z);
-                slot.insert(RoundPlan {
-                    x,
-                    z,
-                    keep_n,
-                    flip_n,
-                    keep: Plan::build(keep_n, p1),
-                    flip: Plan::build(flip_n, p0),
-                })
-            }
-        };
-        with_lnfact(n, |lnfact| {
-            let keep = plan.keep.sample_with(rng, plan.keep_n, lnfact);
-            let flip = plan.flip.sample_with(rng, plan.flip_n, lnfact);
+    pub(crate) fn step(&mut self, kernel: &Kernel, z: u64, x: u64, rng: &mut SimRng) -> u64 {
+        let n = self.n;
+        let plan = self.get_or_insert_with(x, z, || {
+            let (keep_n, flip_n) = component_sizes(n, z, x);
+            let (p0, p1) = kernel.eval(x as f64 / n as f64);
+            RoundPlan { keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
+        });
+        // `move` hands the closure copies of `n`, `z` and `x` instead of
+        // references: on the cheapest rounds (a near-absorbed chain drawing
+        // one short BINV) the extra indirections cost ~10%.
+        with_lnfact(n, move |lnfact| {
+            let (keep_n, flip_n) = component_sizes(n, z, x);
+            let keep = plan.keep.sample_with(rng, keep_n, lnfact);
+            let flip = plan.flip.sample_with(rng, flip_n, lnfact);
             z + keep + flip
         })
     }
@@ -136,12 +201,12 @@ mod tests {
         let n = 256u64;
         let z = 1u64;
         let kernel = Minority::new(5).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = RoundPlanCache::new();
+        let mut cache = StateCache::new(n);
         let mut a = rng_from(42);
         let mut b = rng_from(42);
         let mut x = n / 2;
         for _ in 0..2000 {
-            let next = cache.step(&kernel, n, z, x, &mut a);
+            let next = cache.step(&kernel, z, x, &mut a);
             let (p0, p1) = kernel.eval(x as f64 / n as f64);
             let keep = sample_binomial(&mut b, x - z, p1);
             let flip = sample_binomial(&mut b, n - x - (1 - z), p0);
@@ -157,13 +222,13 @@ mod tests {
         let n = 64u64;
         let kernel = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
         for z in [0u64, 1] {
-            let mut cache = RoundPlanCache::new();
+            let mut cache = StateCache::new(n);
             // Visit twice: once through the miss path, once through a hit.
             for _ in 0..2 {
                 let x = z * n;
                 let mut rng = rng_from(5);
                 let mut probe = rng_from(5);
-                let next = cache.step(&kernel, n, z, x, &mut rng);
+                let next = cache.step(&kernel, z, x, &mut rng);
                 assert_eq!(next, x, "consensus is absorbing");
                 assert_eq!(rng.random::<u64>(), probe.random::<u64>(), "no randomness consumed");
             }
@@ -178,44 +243,96 @@ mod tests {
     fn source_flip_mid_run_matches_cold_cache() {
         let n = 256u64;
         let kernel = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut warm = RoundPlanCache::new();
+        let mut warm = StateCache::new(n);
         // Warm the cache for z = 1 over a band of states.
         let mut x = n / 2;
         let mut rng = rng_from(13);
         for _ in 0..500 {
-            x = warm.step(&kernel, n, 1, x, &mut rng);
+            x = warm.step(&kernel, 1, x, &mut rng);
         }
         // Flip the source to z = 0 and replay against a cold cache: the
         // warm cache's draws must be identical, state by state.
-        let mut cold = RoundPlanCache::new();
+        let mut cold = StateCache::new(n);
         let mut a = rng_from(77);
         let mut b = rng_from(77);
         let mut xw = n / 2;
         let mut xc = n / 2;
         for round in 0..500 {
-            xw = warm.step(&kernel, n, 0, xw, &mut a);
-            xc = cold.step(&kernel, n, 0, xc, &mut b);
+            xw = warm.step(&kernel, 0, xw, &mut a);
+            xc = cold.step(&kernel, 0, xc, &mut b);
             assert_eq!(xw, xc, "stale z-plan served at round {round}");
         }
     }
 
-    /// States further apart than the slot count alias the same slot; the
-    /// cache must rebuild rather than reuse a stale plan.
+    /// States on the same side of `n/2` that are a multiple of 512 apart
+    /// share a slot; the cache must rebuild rather than reuse a stale plan.
     #[test]
     fn aliasing_states_rebuild_instead_of_reusing() {
         let n = 2048u64;
         let z = 1u64;
         let kernel = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = RoundPlanCache::new();
-        // x and x + 512 share a slot.
-        for &x in &[700u64, 700 + 512, 700, 700 + 512] {
-            let mut a = rng_from(9);
-            let mut b = rng_from(9);
-            let next = cache.step(&kernel, n, z, x, &mut a);
-            let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            let keep = sample_binomial(&mut b, x - z, p1);
-            let flip = sample_binomial(&mut b, n - x - (1 - z), p0);
-            assert_eq!(next, z + keep + flip, "x={x}");
+        let mut cache = StateCache::new(n);
+        // One colliding pair on each side of n/2 = 1024.
+        for (a, b) in [(300u64, 300 + 512), (1100, 1100 + 512)] {
+            assert_eq!(cache.slot(a), cache.slot(b), "{a} and {b} must share a slot");
+            for x in [a, b, a, b] {
+                let mut r1 = rng_from(9);
+                let mut r2 = rng_from(9);
+                let next = cache.step(&kernel, z, x, &mut r1);
+                let (p0, p1) = kernel.eval(x as f64 / n as f64);
+                let keep = sample_binomial(&mut r2, x - z, p1);
+                let flip = sample_binomial(&mut r2, n - x - (1 - z), p0);
+                assert_eq!(next, z + keep + flip, "x={x}");
+            }
         }
+    }
+
+    /// Share of rounds that miss on a state the chain has visited before,
+    /// when the real aggregate chain of Minority(ℓ) is driven from
+    /// `x = n/2` for 20 000 rounds. First visits miss under every slot
+    /// layout (the cache starts cold; they are 1.5–4.4% of these runs), so
+    /// they are not counted: what remains are states evicted since their
+    /// last visit.
+    fn revisit_miss_rate(ell: usize, n: u64) -> f64 {
+        const ROUNDS: u32 = 20_000;
+        let z = 1u64;
+        let kernel = Minority::new(ell).unwrap().to_table(n).unwrap().compile().unwrap();
+        let mut cache = StateCache::new(n);
+        let mut seen = vec![false; n as usize + 1];
+        let mut rng = rng_from(2024);
+        let mut x = n / 2;
+        let mut misses = 0u32;
+        for _ in 0..ROUNDS {
+            misses += u32::from(seen[x as usize] && cache.get(x, z).is_none());
+            seen[x as usize] = true;
+            x = cache.step(&kernel, z, x, &mut rng);
+        }
+        f64::from(misses) / f64::from(ROUNDS)
+    }
+
+    /// The two bands of a period-2 orbit must not evict each other. With
+    /// both bands indexed by `x mod 512`, revisits missed on 42% of rounds
+    /// for Minority(5) at n = 8192, 35% at n = 16 384, and 44% for
+    /// Minority(7) at n = 8192.
+    #[test]
+    fn period_two_chains_hit_in_both_bands() {
+        for (ell, n) in [(5, 8192), (5, 16_384), (7, 8192)] {
+            let rate = revisit_miss_rate(ell, n);
+            assert!(rate <= 0.02, "Minority({ell}) at n = {n}: {:.1}% misses", 100.0 * rate);
+        }
+    }
+
+    /// A single-band chain keeps its hit rate.
+    #[test]
+    fn single_band_chain_keeps_hitting() {
+        let rate = revisit_miss_rate(3, 8192);
+        assert!(rate <= 0.005, "Minority(3) at n = 8192: {:.2}% misses", 100.0 * rate);
+    }
+
+    /// The compaction that pays for the doubled slot count: a cached
+    /// aggregate entry, tag included, fits in 152 bytes.
+    #[test]
+    fn aggregate_slot_is_at_most_152_bytes() {
+        assert!(std::mem::size_of::<Option<(u64, RoundPlan)>>() <= 152);
     }
 }

@@ -21,19 +21,15 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 
 use bitdissem_obs::Obs;
-use bitdissem_pool::Pool;
+use bitdissem_pool::{effective_parallelism, Pool};
 
 use crate::rng::{replication_seed, rng_from, SimRng};
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
 /// Runs `reps` independent replications of `f`, each with its own
 /// deterministically derived RNG, distributing work over the shared worker
-/// pool with at most `threads` concurrent participants (defaults to
-/// available parallelism). Results are returned **in replication order**,
-/// independent of scheduling.
+/// pool with at most `threads` concurrent participants (defaults to the
+/// pool's [`effective_parallelism`]). Results are returned **in
+/// replication order**, independent of scheduling.
 ///
 /// `f` receives `(rng, replication_index)`.
 ///
@@ -111,7 +107,7 @@ where
         return Vec::new();
     }
     let tasks = indices.len();
-    let cap = threads.unwrap_or_else(default_threads).clamp(1, tasks);
+    let cap = threads.unwrap_or_else(effective_parallelism).clamp(1, tasks);
     let _scope = obs.scope("replicate");
     if obs.metrics_on() {
         obs.metrics().add_rng_streams(tasks as u64);
@@ -171,7 +167,7 @@ where
     if reps == 0 {
         return Vec::new();
     }
-    let threads = threads.unwrap_or_else(default_threads).clamp(1, reps);
+    let threads = threads.unwrap_or_else(effective_parallelism).clamp(1, reps);
 
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();

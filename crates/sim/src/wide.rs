@@ -35,11 +35,12 @@ use std::sync::{Arc, Mutex};
 
 use bitdissem_core::{Configuration, Kernel};
 use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer};
-use bitdissem_pool::Pool;
+use bitdissem_pool::{effective_parallelism, Pool};
 
 use crate::binomial::{pmf_window, AliasTable, WideBinomial, MAX_ALIAS_SUPPORT};
 use crate::env::{EnvSchedule, ENV_STREAM_SALT};
 use crate::rng::{counter_rng, replication_seed, rng_from, splitmix64};
+use crate::roundplan::{component_sizes, StateCache};
 use crate::run::Outcome;
 
 /// Cost ceiling (`w₁ · w₂` multiply-adds) for building one fused
@@ -66,10 +67,11 @@ enum WideStep {
     Split {
         /// Source contribution to the next ones-count.
         z: u64,
-        /// Wide sampler for `Binomial(keep_n, P₁)`.
-        keep: WideBinomial,
-        /// Wide sampler for `Binomial(flip_n, P₀)`.
-        flip: WideBinomial,
+        /// Wide samplers for `Binomial(keep_n, P₁)` and `Binomial(flip_n,
+        /// P₀)`. Boxed: they are five times the size of a fused table and
+        /// only needed for spreads beyond the alias support, so a cached
+        /// step stays 40 bytes.
+        parts: Box<[WideBinomial; 2]>,
     },
 }
 
@@ -79,11 +81,8 @@ impl WideStep {
     fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
         // An environment perturbation can hand us the transient states
         // `x < z` (source flipped to 1 while no agent holds 1 yet) or
-        // `x + (1 − z) > n`; clamp `x` into the legal band so the component
-        // sizes below never wrap `u64` (and the step stays within `[z, n]`).
-        let x = x.clamp(z, n - (1 - z));
-        let keep_n = x - z;
-        let flip_n = n - x - (1 - z);
+        // `x + (1 − z) > n`; `component_sizes` clamps them.
+        let (keep_n, flip_n) = component_sizes(n, z, x);
         let keep_w = pmf_window(keep_n, p1, MAX_ALIAS_SUPPORT);
         let flip_w = pmf_window(flip_n, p0, MAX_ALIAS_SUPPORT);
         match (keep_w, flip_w) {
@@ -103,8 +102,7 @@ impl WideStep {
             }
             _ => WideStep::Split {
                 z,
-                keep: WideBinomial::build(keep_n, p1),
-                flip: WideBinomial::build(flip_n, p0),
+                parts: Box::new([WideBinomial::build(keep_n, p1), WideBinomial::build(flip_n, p0)]),
             },
         }
     }
@@ -115,47 +113,14 @@ impl WideStep {
         match self {
             WideStep::Const(v) => *v,
             WideStep::Fused(table) => table.draw(word),
-            WideStep::Split { z, keep, flip } => {
+            WideStep::Split { z, parts } => {
+                let [keep, flip] = &**parts;
                 // The companion word is one SplitMix64 step away — the same
                 // derivation that splits replication streams, so the two
                 // component draws are as independent as any two streams.
                 z + keep.sample(word) + flip.sample(splitmix64(word))
             }
         }
-    }
-}
-
-/// Slot count of the direct-mapped step cache (same sizing argument as
-/// `RoundPlanCache`: the visited band is `O(√n)` wide, so 512 slots are
-/// collision-free for realistic populations; aliasing states rebuild).
-const SLOTS: usize = 512;
-
-/// Direct-mapped cache of compiled [`WideStep`]s, indexed by
-/// `x & (SLOTS − 1)` and tagged by the full `(x, z)` pair. `n` is fixed per
-/// sim, but `z` is **not** — an environment source flip changes it mid-run,
-/// and a slot compiled under the old `z` encodes the wrong law for the same
-/// `x` (DESIGN decision 15; same staleness class as the `RoundPlanCache`
-/// fix).
-#[derive(Debug)]
-struct WideStepCache {
-    slots: Vec<Option<(u64, u64, WideStep)>>,
-}
-
-impl WideStepCache {
-    fn new() -> Self {
-        Self { slots: vec![None; SLOTS] }
-    }
-
-    #[inline]
-    fn get(&self, x: u64, z: u64) -> Option<&WideStep> {
-        match &self.slots[(x as usize) & (SLOTS - 1)] {
-            Some((tag_x, tag_z, step)) if *tag_x == x && *tag_z == z => Some(step),
-            _ => None,
-        }
-    }
-
-    fn insert(&mut self, x: u64, z: u64, step: WideStep) {
-        self.slots[(x as usize) & (SLOTS - 1)] = Some((x, z, step));
     }
 }
 
@@ -199,7 +164,10 @@ pub struct WideBatchedSim {
     /// schedule that can knock a replica off consensus: consensus is no
     /// longer absorbing, so a retired replica would report a stale state.
     retire_on_consensus: bool,
-    steps: WideStepCache,
+    /// Compiled steps by `(x, z)`; `z` changes on an environment source
+    /// flip, and the tag keeps steps compiled under the old `z` from being
+    /// served (DESIGN decision 15).
+    steps: StateCache<WideStep>,
     // Per-round scratch (kept across rounds to avoid reallocation).
     words: Vec<u64>,
     pending: Vec<(usize, usize)>,
@@ -268,7 +236,7 @@ impl WideBatchedSim {
             ones_by_rep: vec![start.ones(); b],
             converged_at: vec![None; b],
             retire_on_consensus,
-            steps: WideStepCache::new(),
+            steps: StateCache::new(n),
             words: Vec::new(),
             pending: Vec::new(),
             miss_x: Vec::new(),
@@ -452,16 +420,12 @@ impl WideBatchedSim {
         for pos in 0..self.live_ones.len() {
             let x = self.live_ones[pos];
             let word = counter_rng(self.live_stream[pos], ctr);
-            let next = match self.steps.get(x, self.z) {
-                Some(step) => step.apply(word),
-                None => {
-                    let (p0, p1) = self.kernel.eval(x as f64 / self.n as f64);
-                    let step = WideStep::build(self.n, self.z, x, p0, p1);
-                    let next = step.apply(word);
-                    self.steps.insert(x, self.z, step);
-                    next
-                }
-            };
+            let (kernel, n, z) = (&self.kernel, self.n, self.z);
+            let step = self.steps.get_or_insert_with(x, z, || {
+                let (p0, p1) = kernel.eval(x as f64 / n as f64);
+                WideStep::build(n, z, x, p0, p1)
+            });
+            let next = step.apply(word);
             self.commit(pos, next);
         }
     }
@@ -765,9 +729,7 @@ fn replicate_wide_inner(
         return Vec::new();
     }
     let tasks = indices.len();
-    let cap = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        .clamp(1, tasks);
+    let cap = threads.unwrap_or_else(effective_parallelism).clamp(1, tasks);
     let chunk = wide_chunk(tasks, cap);
 
     let _scope = obs.scope("replicate");
@@ -858,10 +820,12 @@ mod tests {
         // depends on both (`keep_n = x − z`, `flip_n = n − x − (1 − z)`),
         // so a warm slot compiled under the old `z` silently encoded the
         // wrong transition for the same `x`.
-        let n = 300u64; // < SLOTS, so slot aliasing cannot mask a stale hit
+        // Every state has a slot of its own, so aliasing cannot mask a
+        // stale hit.
+        let n = 300u64;
         let voter = Voter::new(1).unwrap();
         let kernel = kernel_of(&voter, n);
-        let mut warm = WideStepCache::new();
+        let mut warm = StateCache::new(n);
         for x in 1..=n {
             let (p0, p1) = kernel.eval(x as f64 / n as f64);
             warm.insert(x, 1, WideStep::build(n, 1, x, p0, p1));
@@ -876,13 +840,13 @@ mod tests {
         // and against a cold one, feeding both the same counter-rng words,
         // must agree bit for bit (pre-fix, the warm cache replays the
         // z = 1 law instead).
-        let mut cold = WideStepCache::new();
+        let mut cold = StateCache::new(n);
         let stream = replication_seed(17, 0);
         let mut x_warm = 150u64;
         let mut x_cold = 150u64;
         for t in 0..400u64 {
             let word = counter_rng(stream, t);
-            let step_in = |cache: &mut WideStepCache, x: u64| -> u64 {
+            let step_in = |cache: &mut StateCache<WideStep>, x: u64| -> u64 {
                 if cache.get(x, 0).is_none() {
                     let (p0, p1) = kernel.eval(x as f64 / n as f64);
                     cache.insert(x, 0, WideStep::build(n, 0, x, p0, p1));
@@ -914,6 +878,24 @@ mod tests {
                     "build({z}, {x}) stepped outside the band: {next}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn split_fallback_draws_its_two_parts() {
+        // σ = 2500 per component: both windows exceed the alias support, so
+        // the step falls back to two one-word draws, the second from the
+        // SplitMix64 companion word.
+        let (n, z, x, p0, p1) = (50_000_000u64, 1u64, 25_000_000u64, 0.5, 0.5);
+        let step = WideStep::build(n, z, x, p0, p1);
+        assert!(matches!(step, WideStep::Split { .. }));
+        let (keep_n, flip_n) = component_sizes(n, z, x);
+        let keep = WideBinomial::build(keep_n, p1);
+        let flip = WideBinomial::build(flip_n, p0);
+        for t in 0..50u64 {
+            let word = counter_rng(8, t);
+            let expect = z + keep.sample(word) + flip.sample(splitmix64(word));
+            assert_eq!(step.apply(word), expect, "t={t}");
         }
     }
 
