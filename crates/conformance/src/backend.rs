@@ -33,7 +33,8 @@ use bitdissem_sim::wide::WideBatchedSim;
 pub enum ParallelBackend {
     /// The literal agent-level simulator (ground truth).
     Agent,
-    /// The aggregate exact chain (two binomials per round).
+    /// The aggregate exact chain (two binomials per round, one where
+    /// `P₀ = P₁`).
     Aggregate,
     /// [`PartialSim`] with a full batch `m = n − 1`.
     PartialFull,

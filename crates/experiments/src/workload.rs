@@ -2,11 +2,13 @@
 //!
 //! When the observability handle carries a checkpoint log, the replicated
 //! helpers run **checkpointed**: each replication's outcome is keyed by
-//! `<kind>:<g-table-fingerprint>:<batch-params>#<rep>` (namespaced per
-//! experiment by the registry), cached results are loaded instead of
-//! re-simulated, and fresh results are recorded as they complete. Because
-//! every replication derives its RNG from its index alone, splicing cached
-//! and fresh results is bit-identical to an uninterrupted run.
+//! `<kind>:<g-table-fingerprint>:<batch-params>:<stream-revision>#<rep>`
+//! (namespaced per experiment by the registry), cached results are loaded
+//! instead of re-simulated, and fresh results are recorded as they
+//! complete. Because every replication derives its RNG from its index
+//! alone, splicing cached and fresh results is bit-identical to an
+//! uninterrupted run — within one revision of the engines' randomness
+//! streams, which the key carries.
 
 use std::sync::Arc;
 
@@ -119,16 +121,25 @@ fn table_fingerprint(table: &GTable) -> u64 {
     h
 }
 
+/// Revision of the engines' randomness streams, the last field of every
+/// checkpoint key. A change that moves the outcome a given seed produces
+/// bumps it, so a log written before the change misses instead of
+/// splicing old-stream outcomes into a new-stream sweep — the rule the
+/// `conv` and `conv+wide` kinds already apply across engines. Keys without
+/// a revision predate `r2`, at which states with `P₀ = P₁` started drawing
+/// one binomial per round instead of two.
+const STREAM_REVISION: &str = "r2";
+
 /// Builds the per-batch checkpoint key base (everything but the `#rep`
-/// suffix): the kind tag, the protocol's table fingerprint, and every
-/// parameter the outcome depends on.
+/// suffix): the kind tag, the protocol's table fingerprint, every
+/// parameter the outcome depends on, and the [`STREAM_REVISION`].
 fn batch_key<P>(kind: &str, protocol: &P, start: Configuration, budget: u64, seed: u64) -> String
 where
     P: Protocol + Sync + ?Sized,
 {
     let table = protocol.to_table(start.n()).expect("valid protocol");
     format!(
-        "{kind}:{fp:016x}:n{n}:z{z}:x{x}:b{budget}:s{seed}",
+        "{kind}:{fp:016x}:n{n}:z{z}:x{x}:b{budget}:s{seed}:{STREAM_REVISION}",
         fp = table_fingerprint(&table),
         n = start.n(),
         z = start.correct().as_bit(),
@@ -1047,5 +1058,29 @@ mod tests {
         assert_ne!(base, batch_key("conv", &voter, other_start, 1000, 5));
         let minority = bitdissem_core::dynamics::Minority::new(3).unwrap();
         assert_ne!(base, batch_key("conv", &minority, start, 1000, 5));
+    }
+
+    #[test]
+    fn checkpoints_of_an_older_stream_revision_are_not_reused() {
+        // A log written before the stream revision keyed each outcome
+        // without it. Its entries must miss, or a resumed sweep would
+        // splice outcomes of the old draws into the new ones.
+        let voter = Voter::new(1).unwrap();
+        let start = Configuration::all_wrong(24, Opinion::One);
+        let (reps, budget, seed) = (4, 100_000, 5);
+        let fp = table_fingerprint(&voter.to_table(24).unwrap());
+        let log = Arc::new(bitdissem_obs::CheckpointLog::in_memory());
+        for rep in 0..reps {
+            log.record(&format!("conv:{fp:016x}:n24:z1:x1:b{budget}:s{seed}#{rep}"), "c:1");
+        }
+        let obs = Obs::none().with_metrics().with_checkpoint(Arc::clone(&log));
+        let resumed = measure_convergence_observed(&obs, &voter, start, reps, budget, seed, None);
+        let fresh =
+            measure_convergence_observed(&Obs::none(), &voter, start, reps, budget, seed, None);
+        assert_eq!(resumed.outcomes(), fresh.outcomes());
+        assert!(resumed.outcomes().iter().all(|o| *o != Outcome::Converged { rounds: 1 }));
+        let hits = obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(hits, 0, "no old-revision entry is served");
+        assert_eq!(log.len(), 2 * reps, "the batch is recorded under its new keys");
     }
 }

@@ -95,7 +95,9 @@ pub fn adoption_probs(table: &GTable, p: f64) -> (f64, f64) {
 /// with probability `P₀(x/n)`, so
 /// `X_{t+1} = z + Bin(x−z, P₁) + Bin(n−x−(1−z), P₀)` — the same law as the
 /// agent-level simulator (ablation A1 checks this), at two binomial draws
-/// per round instead of `n·ℓ` uniform draws.
+/// per round instead of `n·ℓ` uniform draws. Where `P₀ = P₁ = P` the two
+/// collapse into one, `X_{t+1} = z + Bin(n−1, P)`, and the round takes a
+/// single draw (every round of Voter and Minority).
 ///
 /// # Examples
 ///
@@ -174,7 +176,7 @@ impl Simulator for AggregateSim {
 
     /// The aggregate chain is distributionally equivalent to every agent
     /// drawing `ℓ` samples per round, so the nominal sample count is `ℓ·n`
-    /// even though only two binomial draws are performed. Saturates
+    /// even though only one or two binomial draws are performed. Saturates
     /// instead of overflowing for extreme-`n` nominal accounting.
     fn opinion_samples_per_round(&self) -> u64 {
         (self.kernel.sample_size() as u64).saturating_mul(self.config.n())

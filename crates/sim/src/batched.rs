@@ -7,7 +7,7 @@
 //! [`Kernel`] and a single per-state round-plan cache, so when the
 //! replicas cluster in the same narrow band of states — hovering, or near
 //! absorption — almost every round reuses a cached kernel evaluation and
-//! pair of sampler setups.
+//! sampler setup(s).
 //!
 //! Replicas that reach the correct consensus are **retired** by
 //! `swap_remove`, keeping the live arrays dense; the hot loop never

@@ -8,7 +8,8 @@
 //!   round; the ground truth.
 //! * [`aggregate::AggregateSim`] — exploits anonymity: conditioned on
 //!   `X_t = x`, the next state is `z + Bin(x−z, P₁) + Bin(n−x−(1−z), P₀)`,
-//!   so a round costs two binomial draws. Distributionally identical to the
+//!   so a round costs two binomial draws — one, `z + Bin(n−1, P)`, where
+//!   `P₀ = P₁ = P`. Distributionally identical to the
 //!   agent simulator (ablation A1 verifies this) and fast enough for
 //!   `n = 2²⁰` sweeps.
 //!

@@ -2,12 +2,24 @@
 //!
 //! For a fixed `(kernel, n)`, everything a round needs out of ones-count
 //! `x` under source opinion `z` is a pure function of `(x, z)`: the
-//! adoption probabilities `(P₀(x/n), P₁(x/n))`, the two binomial counts and
+//! adoption probabilities `(P₀(x/n), P₁(x/n))`, the binomial counts and
 //! the samplers built from them. The per-replica and batched engines cache
-//! a [`RoundPlan`] (both BINV/BTRS sampler setups), the wide engine a
-//! compiled fused alias step (`sim::wide`). Both live in one
-//! [`StateCache`]: 1024 direct-mapped slots, each tagged by the full
-//! `(x, z)` pair.
+//! a [`RoundPlan`] (BINV/BTRS sampler setups), the wide engine a compiled
+//! fused alias step (`sim::wide`). Both live in one [`StateCache`]: 1024
+//! direct-mapped slots, each tagged by the full `(x, z)` pair.
+//!
+//! # One draw or two
+//!
+//! A round out of `x` is `z + Bin(keep_n, P₁) + Bin(flip_n, P₀)` (Eq. 4),
+//! with `keep_n + flip_n = n − 1`. When a state's two kernel values are
+//! equal — always for rules that ignore the agent's own opinion
+//! (`g⁰ = g¹`: Voter, Minority) — `Bin(a, p) + Bin(b, p) = Bin(a + b, p)`
+//! collapses the round to `z + Bin(n − 1, P)`, so the plan holds one
+//! sampler and the round takes one draw ([`RoundPlan::Merged`]). Every
+//! other state draws keep then flip ([`RoundPlan::Split`]). The test is the
+//! one `markov::sparse` applies to its rows, per state and on the exact
+//! `f64` values, so no option selects it: a protocol whose kernel values
+//! differ draws twice wherever they differ.
 //!
 //! # Slot index
 //!
@@ -37,10 +49,11 @@
 //! A slot is an `Option<(tag, value)>` with the packed tag `2x + z`, so the
 //! cache serves populations below `2⁶³`. An empty slot costs no extra word:
 //! `None` lives in a spare discriminant of the value. A [`RoundPlan`] holds
-//! two 72-byte [`Plan`]s (discriminant and reflection flag in one word,
-//! then at most eight `f64` BTRS constants), so an aggregate slot is 152
-//! bytes and a cache 152 KiB. The component counts `keep_n`/`flip_n` are
-//! not stored: [`component_sizes`] derives them from `x` on every round.
+//! one or two 72-byte [`Plan`]s (discriminant and reflection flag in one
+//! word, then at most eight `f64` BTRS constants) and keeps its own
+//! variant in a spare discriminant value of a `Plan`, so a `RoundPlan` is
+//! 144 bytes, an aggregate slot 152 and a cache 152 KiB. The component counts `keep_n`/`flip_n` are not stored:
+//! [`component_sizes`] derives them from `x` on every round.
 //!
 //! # Bit identity
 //!
@@ -48,7 +61,9 @@
 //! building is deterministic, so a hit and a miss draw the same values. The
 //! draw code behind [`StateCache::step`] is byte-for-byte the one behind
 //! [`sample_binomial`](crate::binomial::sample_binomial): sampled values
-//! are bit-identical for any rng state, whatever the slot layout.
+//! are bit-identical, for any rng state and whatever the slot layout, to
+//! one `sample_binomial(n − 1, P)` call on a merged state and to two calls,
+//! `(keep_n, P₁)` then `(flip_n, P₀)`, on a split one.
 
 use bitdissem_core::Kernel;
 
@@ -147,39 +162,59 @@ impl<T> StateCache<T> {
     }
 }
 
-/// Both sampler setups for one round out of `(x, z)`: the entry the
+/// The sampler setups for one round out of `(x, z)`: the entry the
 /// per-replica and batched engines cache.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundPlan {
-    /// Sampler for `Binomial(keep_n, P₁)`.
-    keep: Plan,
-    /// Sampler for `Binomial(flip_n, P₀)`.
-    flip: Plan,
+pub(crate) enum RoundPlan {
+    /// `P₀ = P₁ = P`: sampler for `Binomial(n − 1, P)`, the whole round.
+    Merged(Plan),
+    /// `P₀ ≠ P₁`: the round's two components, drawn keep then flip.
+    Split {
+        /// Sampler for `Binomial(keep_n, P₁)`.
+        keep: Plan,
+        /// Sampler for `Binomial(flip_n, P₀)`.
+        flip: Plan,
+    },
+}
+
+impl RoundPlan {
+    /// The plan for a round out of `(x, z)`, given the state's kernel
+    /// values `(P₀, P₁)`.
+    fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
+        if p0 == p1 {
+            return RoundPlan::Merged(Plan::build(n - 1, p1));
+        }
+        let (keep_n, flip_n) = component_sizes(n, z, x);
+        RoundPlan::Split { keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
+    }
 }
 
 impl StateCache<RoundPlan> {
-    /// Advances one replica by one aggregate round: draws the keep/flip
-    /// binomials for state `x` and returns the next ones-count.
+    /// Advances one replica by one aggregate round: draws the round's
+    /// binomial(s) for state `x` and returns the next ones-count.
     ///
-    /// Draws are bit-identical to two
-    /// [`sample_binomial`](crate::binomial::sample_binomial) calls with
-    /// `(keep_n, P₁)` then `(flip_n, P₀)` on the same rng.
+    /// Draws are bit-identical to one
+    /// [`sample_binomial`](crate::binomial::sample_binomial) call with
+    /// `(n − 1, P)` when `P₀ = P₁ = P`, and otherwise to two calls with
+    /// `(keep_n, P₁)` then `(flip_n, P₀)`, on the same rng.
     #[inline]
     pub(crate) fn step(&mut self, kernel: &Kernel, z: u64, x: u64, rng: &mut SimRng) -> u64 {
         let n = self.n;
         let plan = self.get_or_insert_with(x, z, || {
-            let (keep_n, flip_n) = component_sizes(n, z, x);
             let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            RoundPlan { keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
+            RoundPlan::build(n, z, x, p0, p1)
         });
         // `move` hands the closure copies of `n`, `z` and `x` instead of
         // references: on the cheapest rounds (a near-absorbed chain drawing
         // one short BINV) the extra indirections cost ~10%.
-        with_lnfact(n, move |lnfact| {
-            let (keep_n, flip_n) = component_sizes(n, z, x);
-            let keep = plan.keep.sample_with(rng, keep_n, lnfact);
-            let flip = plan.flip.sample_with(rng, flip_n, lnfact);
-            z + keep + flip
+        with_lnfact(n, move |lnfact| match plan {
+            RoundPlan::Merged(all) => z + all.sample_with(rng, n - 1, lnfact),
+            RoundPlan::Split { keep, flip } => {
+                let (keep_n, flip_n) = component_sizes(n, z, x);
+                let keep = keep.sample_with(rng, keep_n, lnfact);
+                let flip = flip.sample_with(rng, flip_n, lnfact);
+                z + keep + flip
+            }
         })
     }
 }
@@ -189,29 +224,58 @@ mod tests {
     use super::*;
     use crate::binomial::sample_binomial;
     use crate::rng::rng_from;
-    use bitdissem_core::dynamics::Minority;
-    use bitdissem_core::ProtocolExt;
+    use bitdissem_core::dynamics::{Minority, TwoChoices};
+    use bitdissem_core::{Protocol, ProtocolExt};
     use rand::Rng;
 
-    /// The cache's draws must be bit-identical to two `sample_binomial`
-    /// calls, across repeated visits (cache hits) and band wanderings
-    /// (misses and rebuilds).
+    fn kernel_of(protocol: &dyn Protocol, n: u64) -> Kernel {
+        protocol.to_table(n).unwrap().compile().unwrap()
+    }
+
+    /// One round drawn without the cache: one `sample_binomial(n − 1, P)`
+    /// when `P₀ = P₁ = P`, otherwise keep then flip.
+    fn plain_step(kernel: &Kernel, n: u64, z: u64, x: u64, rng: &mut SimRng) -> u64 {
+        let (p0, p1) = kernel.eval(x as f64 / n as f64);
+        if p0 == p1 {
+            z + sample_binomial(rng, n - 1, p1)
+        } else {
+            z + sample_binomial(rng, x - z, p1) + sample_binomial(rng, n - x - (1 - z), p0)
+        }
+    }
+
+    /// An own-independent kernel, whose states all merge, and an
+    /// own-dependent one, whose interior states all split.
+    fn kernels(n: u64) -> [(Kernel, bool); 2] {
+        [
+            (kernel_of(&Minority::new(5).unwrap(), n), true),
+            (kernel_of(&TwoChoices::new(), n), false),
+        ]
+    }
+
+    fn is_merged(cache: &StateCache<RoundPlan>, x: u64, z: u64) -> bool {
+        matches!(cache.get(x, z), Some(RoundPlan::Merged(_)))
+    }
+
+    /// The cache's draws must be bit-identical to plain sampling, across
+    /// repeated visits (cache hits) and band wanderings (misses and
+    /// rebuilds), on merged and on split states.
     #[test]
     fn step_matches_plain_sampling_bit_for_bit() {
         let n = 256u64;
         let z = 1u64;
-        let kernel = Minority::new(5).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = StateCache::new(n);
-        let mut a = rng_from(42);
-        let mut b = rng_from(42);
-        let mut x = n / 2;
-        for _ in 0..2000 {
-            let next = cache.step(&kernel, z, x, &mut a);
-            let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            let keep = sample_binomial(&mut b, x - z, p1);
-            let flip = sample_binomial(&mut b, n - x - (1 - z), p0);
-            assert_eq!(next, z + keep + flip);
-            x = next;
+        for (kernel, merged) in kernels(n) {
+            let mut cache = StateCache::new(n);
+            let mut a = rng_from(42);
+            let mut b = rng_from(42);
+            let mut x = n / 2;
+            for round in 0..2000 {
+                let next = cache.step(&kernel, z, x, &mut a);
+                assert_eq!(next, plain_step(&kernel, n, z, x, &mut b), "round {round}, x={x}");
+                assert_eq!(is_merged(&cache, x, z), merged, "x={x}");
+                // Restart a chain that reaches either end of the band, so
+                // TwoChoices keeps drawing out of interior states.
+                x = if next == n || next == z { n / 2 } else { next };
+            }
         }
     }
 
@@ -270,19 +334,18 @@ mod tests {
     fn aliasing_states_rebuild_instead_of_reusing() {
         let n = 2048u64;
         let z = 1u64;
-        let kernel = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = StateCache::new(n);
-        // One colliding pair on each side of n/2 = 1024.
-        for (a, b) in [(300u64, 300 + 512), (1100, 1100 + 512)] {
-            assert_eq!(cache.slot(a), cache.slot(b), "{a} and {b} must share a slot");
-            for x in [a, b, a, b] {
-                let mut r1 = rng_from(9);
-                let mut r2 = rng_from(9);
-                let next = cache.step(&kernel, z, x, &mut r1);
-                let (p0, p1) = kernel.eval(x as f64 / n as f64);
-                let keep = sample_binomial(&mut r2, x - z, p1);
-                let flip = sample_binomial(&mut r2, n - x - (1 - z), p0);
-                assert_eq!(next, z + keep + flip, "x={x}");
+        for (kernel, merged) in kernels(n) {
+            let mut cache = StateCache::new(n);
+            // One colliding pair on each side of n/2 = 1024.
+            for (a, b) in [(300u64, 300 + 512), (1100, 1100 + 512)] {
+                assert_eq!(cache.slot(a), cache.slot(b), "{a} and {b} must share a slot");
+                for x in [a, b, a, b] {
+                    let mut r1 = rng_from(9);
+                    let mut r2 = rng_from(9);
+                    let next = cache.step(&kernel, z, x, &mut r1);
+                    assert_eq!(next, plain_step(&kernel, n, z, x, &mut r2), "x={x}");
+                    assert_eq!(is_merged(&cache, x, z), merged, "x={x}");
+                }
             }
         }
     }

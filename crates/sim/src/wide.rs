@@ -11,8 +11,10 @@
 //! 1. **Fused one-word draws.** A round advances a replica from ones-count
 //!    `x` by `z + Binomial(keep_n, P₁) + Binomial(flip_n, P₀)`. The wide
 //!    engine tabulates that *sum* — the convolution of the two truncated
-//!    binomial pmfs — as a single Walker/Vose [`AliasTable`], so the per
-//!    replica-round hot path is one SplitMix64 mix plus one alias lookup.
+//!    binomial pmfs, or where `P₀ = P₁ = P` the one truncated pmf of
+//!    `Binomial(n − 1, P)` it equals — as a single Walker/Vose
+//!    [`AliasTable`], so the per replica-round hot path is one SplitMix64
+//!    mix plus one alias lookup.
 //! 2. **Lane-friendly loops.** The per-round work splits into flat passes
 //!    (counter words for all live replicas, then draws, with kernel
 //!    evaluations for cache misses batched through the lane-blocked
@@ -54,24 +56,26 @@ const MAX_CONV_OPS: usize = 1 << 22;
 /// uniform `u64` word to the next ones-count.
 #[derive(Debug, Clone)]
 enum WideStep {
-    /// Deterministic transition (both component laws degenerate — e.g. the
-    /// absorbing consensus states). Draw-free.
+    /// Deterministic transition (every component law degenerate — e.g.
+    /// the absorbing consensus states). Draw-free.
     Const(u64),
-    /// Fused fast path: one alias draw from the convolution
-    /// `z + Binomial(keep_n, P₁) + Binomial(flip_n, P₀)`, table offset
-    /// already including `z`.
+    /// Fused fast path: one alias draw from the round's law, table offset
+    /// already including `z`. That law is `z + Binomial(n − 1, P)` when
+    /// `P₀ = P₁ = P`, tabulated from one window, and otherwise the
+    /// convolution `z + Binomial(keep_n, P₁) + Binomial(flip_n, P₀)`.
     Fused(AliasTable),
-    /// Convolution too expensive to tabulate: the two component laws drawn
-    /// separately through the wide per-`(n, p)` dispatch ([`WideBinomial`]),
-    /// the second from a SplitMix64-derived companion word.
+    /// Too wide to tabulate as one table: the round's component laws drawn
+    /// one by one through the wide per-`(n, p)` dispatch ([`WideBinomial`]),
+    /// each from the next word of a SplitMix64 chain.
     Split {
         /// Source contribution to the next ones-count.
         z: u64,
-        /// Wide samplers for `Binomial(keep_n, P₁)` and `Binomial(flip_n,
-        /// P₀)`. Boxed: they are five times the size of a fused table and
-        /// only needed for spreads beyond the alias support, so a cached
-        /// step stays 40 bytes.
-        parts: Box<[WideBinomial; 2]>,
+        /// `[Binomial(n − 1, P)]` when `P₀ = P₁ = P`, otherwise
+        /// `[Binomial(keep_n, P₁), Binomial(flip_n, P₀)]`. Boxed: they are
+        /// five times the size of a fused table each and only needed for
+        /// spreads beyond the alias support, so a cached step stays 40
+        /// bytes.
+        parts: Box<[WideBinomial]>,
     },
 }
 
@@ -79,6 +83,15 @@ impl WideStep {
     /// Compiles the transition out of state `x` given the kernel values
     /// `(P₀(x/n), P₁(x/n))`.
     fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
+        // Bin(a, p) + Bin(b, p) = Bin(a + b, p): equal kernel values make
+        // the round one binomial over every agent but the source (see the
+        // `roundplan` module docs).
+        if p0 == p1 {
+            return match pmf_window(n - 1, p1, MAX_ALIAS_SUPPORT) {
+                Some((lo, w)) => Self::tabulate(z + lo, &w),
+                None => WideStep::Split { z, parts: Box::new([WideBinomial::build(n - 1, p1)]) },
+            };
+        }
         // An environment perturbation can hand us the transient states
         // `x < z` (source flipped to 1 while no agent holds 1 yet) or
         // `x + (1 − z) > n`; `component_sizes` clamps them.
@@ -87,23 +100,28 @@ impl WideStep {
         let flip_w = pmf_window(flip_n, p0, MAX_ALIAS_SUPPORT);
         match (keep_w, flip_w) {
             (Some((lo1, w1)), Some((lo2, w2))) if w1.len() * w2.len() <= MAX_CONV_OPS => {
-                let lo = z + lo1 + lo2;
-                if w1.len() == 1 && w2.len() == 1 {
-                    WideStep::Const(lo)
-                } else {
-                    let mut conv = vec![0.0f64; w1.len() + w2.len() - 1];
-                    for (i, &a) in w1.iter().enumerate() {
-                        for (j, &b) in w2.iter().enumerate() {
-                            conv[i + j] += a * b;
-                        }
+                let mut conv = vec![0.0f64; w1.len() + w2.len() - 1];
+                for (i, &a) in w1.iter().enumerate() {
+                    for (j, &b) in w2.iter().enumerate() {
+                        conv[i + j] += a * b;
                     }
-                    WideStep::Fused(AliasTable::build(lo, &conv))
                 }
+                Self::tabulate(z + lo1 + lo2, &conv)
             }
             _ => WideStep::Split {
                 z,
                 parts: Box::new([WideBinomial::build(keep_n, p1), WideBinomial::build(flip_n, p0)]),
             },
+        }
+    }
+
+    /// The step drawing from the (unnormalized) `weights` over
+    /// `lo .. lo + weights.len()`.
+    fn tabulate(lo: u64, weights: &[f64]) -> Self {
+        if weights.len() == 1 {
+            WideStep::Const(lo)
+        } else {
+            WideStep::Fused(AliasTable::build(lo, weights))
         }
     }
 
@@ -114,11 +132,16 @@ impl WideStep {
             WideStep::Const(v) => *v,
             WideStep::Fused(table) => table.draw(word),
             WideStep::Split { z, parts } => {
-                let [keep, flip] = &**parts;
-                // The companion word is one SplitMix64 step away — the same
-                // derivation that splits replication streams, so the two
+                // Each further word is one SplitMix64 step away — the same
+                // derivation that splits replication streams, so the
                 // component draws are as independent as any two streams.
-                z + keep.sample(word) + flip.sample(splitmix64(word))
+                let mut word = word;
+                let mut next = *z;
+                for part in parts.iter() {
+                    next += part.sample(word);
+                    word = splitmix64(word);
+                }
+                next
             }
         }
     }
@@ -883,12 +906,12 @@ mod tests {
 
     #[test]
     fn split_fallback_draws_its_two_parts() {
-        // σ = 2500 per component: both windows exceed the alias support, so
+        // σ ≈ 2450 per component: both windows exceed the alias support, so
         // the step falls back to two one-word draws, the second from the
         // SplitMix64 companion word.
-        let (n, z, x, p0, p1) = (50_000_000u64, 1u64, 25_000_000u64, 0.5, 0.5);
+        let (n, z, x, p0, p1) = (50_000_000u64, 1u64, 25_000_000u64, 0.4, 0.6);
         let step = WideStep::build(n, z, x, p0, p1);
-        assert!(matches!(step, WideStep::Split { .. }));
+        assert!(matches!(&step, WideStep::Split { parts, .. } if parts.len() == 2));
         let (keep_n, flip_n) = component_sizes(n, z, x);
         let keep = WideBinomial::build(keep_n, p1);
         let flip = WideBinomial::build(flip_n, p0);
@@ -896,6 +919,21 @@ mod tests {
             let word = counter_rng(8, t);
             let expect = z + keep.sample(word) + flip.sample(splitmix64(word));
             assert_eq!(step.apply(word), expect, "t={t}");
+        }
+    }
+
+    #[test]
+    fn merged_over_wide_step_draws_one_binomial_from_the_word() {
+        // P₀ = P₁: the round is z + Binomial(n − 1, P) whatever x is, and
+        // at σ ≈ 3500 that one law is still too wide to tabulate, so the
+        // step draws it through the scalar fallback from the word itself.
+        let (n, z, x, p) = (50_000_000u64, 1u64, 25_000_000u64, 0.5);
+        let step = WideStep::build(n, z, x, p, p);
+        assert!(matches!(&step, WideStep::Split { parts, .. } if parts.len() == 1));
+        let all = WideBinomial::build(n - 1, p);
+        for t in 0..50u64 {
+            let word = counter_rng(8, t);
+            assert_eq!(step.apply(word), z + all.sample(word), "t={t}");
         }
     }
 

@@ -138,7 +138,8 @@ pub struct ModelComparison {
     /// Fitted exponent of the free power-law model.
     pub power_law_exponent: f64,
     /// The fixed-shape model (`NLogN`, `LogSquared`, `Linear`) with the
-    /// highest R².
+    /// smallest residual sum of squares in log space: the highest R² when
+    /// the series varies, and the flattest shape when it does not.
     pub best_fixed: ScalingModel,
 }
 
@@ -147,7 +148,11 @@ pub struct ModelComparison {
 /// Fits are performed in log space: for each fixed-shape model
 /// `T ≈ c·f(n)`, we regress `ln T` on `ln f(n)` with slope constrained to 1
 /// (i.e. `c = exp(mean(ln T − ln f))`) and report the R² of that constrained
-/// fit; for the power law the exponent is free.
+/// fit; for the power law the exponent is free. The best fixed model is
+/// the one with the smallest residual sum of squares. Where the series
+/// varies (`ss_tot > 0`) that is the R² order; on a flat series every
+/// constrained fit reports R² = 1, and the residuals still tell the shapes
+/// apart.
 ///
 /// Returns `None` on degenerate input (fewer than 3 points, non-positive
 /// values).
@@ -162,7 +167,7 @@ pub fn compare_models(n: &[f64], t: &[f64]) -> Option<ModelComparison> {
     let (b, _c, r2_pl) = fit_power_law(n, t)?;
     let mut fits = vec![(ScalingModel::PowerLaw, b, r2_pl)];
     let mut best_fixed = ScalingModel::Linear;
-    let mut best_r2 = f64::NEG_INFINITY;
+    let mut best_ss_res = f64::INFINITY;
     for model in [ScalingModel::NLogN, ScalingModel::LogSquared, ScalingModel::Linear] {
         let lf: Vec<f64> = n.iter().map(|&v| model.regressor(v).ln()).collect();
         let lt: Vec<f64> = t.iter().map(|&v| v.ln()).collect();
@@ -173,8 +178,8 @@ pub fn compare_models(n: &[f64], t: &[f64]) -> Option<ModelComparison> {
         let ss_res: f64 = lt.iter().zip(&lf).map(|(&a, &f)| (a - ln_c - f).powi(2)).sum();
         let r2 = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
         fits.push((model, ln_c.exp(), r2));
-        if r2 > best_r2 {
-            best_r2 = r2;
+        if ss_res < best_ss_res {
+            best_ss_res = ss_res;
             best_fixed = model;
         }
     }
@@ -237,6 +242,21 @@ mod tests {
         let cmp = compare_models(&n, &t).unwrap();
         assert_eq!(cmp.best_fixed, ScalingModel::LogSquared);
         assert!(cmp.power_law_exponent < 0.5);
+    }
+
+    #[test]
+    fn flat_series_picks_the_flattest_shape() {
+        // Constant T(n). Where the log-space mean of the series is exact
+        // (four or five points of 6.0), ss_tot = 0 and every constrained
+        // fit reports R² = 1, so ranking by R² handed the win to the first
+        // model tried (n ln n). The residuals rank ln(n)², the
+        // slowest-growing shape, first at every length.
+        for len in 3..=8 {
+            let n: Vec<f64> = (10..10 + len).map(|k| f64::from(1 << k)).collect();
+            let cmp = compare_models(&n, &vec![6.0; n.len()]).unwrap();
+            assert_eq!(cmp.best_fixed, ScalingModel::LogSquared, "{len} points: {:?}", cmp.fits);
+            assert!(cmp.power_law_exponent.abs() < 1e-12, "{len} points");
+        }
     }
 
     #[test]

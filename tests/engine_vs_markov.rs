@@ -1,14 +1,18 @@
 //! Cross-crate validation: the simulation engine reproduces the exact
 //! Markov-chain law computed independently by `bitdissem-markov`.
 
-use bitdissem_core::dynamics::{Majority, Minority, Voter};
-use bitdissem_core::{Configuration, Opinion, Protocol};
+use std::sync::Arc;
+
+use bitdissem_analysis::LowerBoundWitness;
+use bitdissem_core::dynamics::{Majority, Minority, TwoChoices, Voter};
+use bitdissem_core::{Configuration, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_markov::absorbing::expected_hitting_times;
 use bitdissem_markov::{AggregateChain, SequentialChain};
 use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::{run_to_consensus, Outcome, Simulator};
 use bitdissem_sim::sequential::SequentialSim;
+use bitdissem_sim::WideBatchedSim;
 
 fn simulated_mean_tau<P: Protocol>(
     protocol: &P,
@@ -53,28 +57,87 @@ fn majority_mean_from_favorable_start_matches_exact() {
     assert!(rel < 0.1, "sim {sim} vs exact {exact} (rel {rel})");
 }
 
+/// Replicas per one-round law check.
+const LAW_DRAWS: u64 = 60_000;
+/// Significance level of the DKW band.
+const LAW_ALPHA: f64 = 1e-9;
+
+/// `LAW_DRAWS` one-round draws out of `start` on the per-replica engine,
+/// each replica on its own stream.
+fn per_replica_one_round(kernel: &Arc<Kernel>, start: Configuration) -> Vec<u64> {
+    let mut sim = AggregateSim::with_kernel(Arc::clone(kernel), start);
+    (0..LAW_DRAWS)
+        .map(|rep| {
+            sim.reset(start);
+            sim.step_round(&mut rng_from(replication_seed(0xAD, rep)));
+            sim.configuration().ones()
+        })
+        .collect()
+}
+
+/// `LAW_DRAWS` one-round draws out of `start` on the wide engine.
+fn wide_one_round(kernel: &Arc<Kernel>, start: Configuration) -> Vec<u64> {
+    let streams: Vec<u64> = (0..LAW_DRAWS).map(|rep| replication_seed(0xAD, rep)).collect();
+    let mut batch = WideBatchedSim::new(Arc::clone(kernel), start, &streams);
+    batch.step_round();
+    (0..streams.len()).map(|rep| batch.ones_of(rep)).collect()
+}
+
+/// `sup_y |F̂(y) − F(y)|` between the empirical CDF of `draws` and the CDF
+/// of the exact distribution `row` over `0..row.len()`.
+fn sup_cdf_distance(draws: &[u64], row: &[f64]) -> f64 {
+    let mut counts = vec![0u64; row.len()];
+    for &y in draws {
+        counts[usize::try_from(y).unwrap()] += 1;
+    }
+    let (mut seen, mut exact, mut sup) = (0u64, 0.0f64, 0.0f64);
+    for (&c, &p) in counts.iter().zip(row) {
+        seen += c;
+        exact += p;
+        sup = sup.max((seen as f64 / draws.len() as f64 - exact).abs());
+    }
+    sup
+}
+
 #[test]
 fn one_round_distribution_matches_transition_row() {
-    // Empirical one-round distribution vs the exact convolution row, in
-    // total variation.
-    let n = 30u64;
-    let minority = Minority::new(3).unwrap();
-    let x0 = 20u64;
-    let chain = AggregateChain::build(&minority, n, Opinion::One).unwrap();
-    let row = chain.transition_row(x0);
-    let reps = 60_000;
-    let mut counts = vec![0u64; n as usize + 1];
-    let start = Configuration::new(n, Opinion::One, x0).unwrap();
-    for rep in 0..reps {
-        let mut rng = rng_from(replication_seed(0xAD, rep));
-        let mut sim = AggregateSim::new(&minority, start).unwrap();
-        sim.step_round(&mut rng);
-        counts[sim.configuration().ones() as usize] += 1;
+    // The one-round law out of a state, on both engine families, against
+    // the exact row `AggregateChain::transition_row` computes as the
+    // convolution of the keep and flip binomials. Own-independent rules
+    // (Voter, Minority) draw `z + Bin(n − 1, P)` in one go, TwoChoices
+    // draws keep then flip; a merge over the wrong count (e.g. the
+    // `x − z` one-holders instead of all `n − 1` non-source agents) moves
+    // the mean by about `(n − x)·P` and leaves every band.
+    let witness_start =
+        |p: &dyn Protocol, n| LowerBoundWitness::construct(p, n).expect("valid").start();
+    let cases: Vec<(Box<dyn Protocol + Send + Sync>, Configuration)> = vec![
+        (Box::new(Minority::new(3).unwrap()), Configuration::new(30, Opinion::One, 20).unwrap()),
+        (Box::new(Voter::new(1).unwrap()), Configuration::new(512, Opinion::One, 200).unwrap()),
+        (Box::new(Minority::new(5).unwrap()), witness_start(&Minority::new(5).unwrap(), 512)),
+        (Box::new(TwoChoices::new()), witness_start(&TwoChoices::new(), 512)),
+    ];
+    // DKW: with N draws, sup|F̂ − F| exceeds this only with probability
+    // α; the 1e-6 covers the wide engine's window truncation and alias
+    // quantization.
+    let band = ((2.0 / LAW_ALPHA).ln() / (2.0 * LAW_DRAWS as f64)).sqrt() + 1e-6;
+    for (protocol, start) in cases {
+        let (n, x) = (start.n(), start.ones());
+        let chain = AggregateChain::build(&protocol, n, start.correct()).unwrap();
+        let row = chain.transition_row(x);
+        let kernel = Arc::new(protocol.to_table(n).unwrap().compile().unwrap());
+        for (engine, draws) in [
+            ("per-replica", per_replica_one_round(&kernel, start)),
+            ("wide", wide_one_round(&kernel, start)),
+        ] {
+            let sup = sup_cdf_distance(&draws, &row);
+            assert!(
+                sup <= band,
+                "{} n={n} x={x} z={}, {engine}: sup|F̂ − F| = {sup:.5} > DKW band {band:.5}",
+                protocol.name(),
+                start.correct()
+            );
+        }
     }
-    let tv: f64 =
-        counts.iter().zip(&row).map(|(&c, &p)| (c as f64 / reps as f64 - p).abs()).sum::<f64>()
-            / 2.0;
-    assert!(tv < 0.02, "total variation {tv}");
 }
 
 #[test]
