@@ -1122,6 +1122,10 @@ fn cmd_markov(args: &Args) -> CommandOutput {
     let correct = bitdissem_core::Opinion::One;
     let mut out = String::new();
     let mut status = Status::Ok;
+    // The vector lanes the LU and the stepping ran on: the timings differ
+    // between them, the results do not.
+    let lanes = if bitdissem_pool::wide_lanes() { "avx2" } else { "baseline" };
+    let _ = writeln!(out, "lanes: {lanes}");
 
     // Deterministic gate first: at --verify-n the sparse rows must agree
     // with the dense chain within the tracked truncation tail bound.
@@ -1305,6 +1309,7 @@ fn cmd_markov(args: &Args) -> CommandOutput {
         ("grid".to_string(), Value::Str(grid_spec)),
         ("ns".to_string(), Value::Arr(ns.iter().map(|&n| Value::Int(i128::from(n))).collect())),
         ("verify_n".to_string(), Value::Int(i128::from(verify_n))),
+        ("lanes".to_string(), Value::Str(lanes.to_string())),
         ("pass".to_string(), Value::Bool(status == Status::Ok)),
         ("verification".to_string(), Value::Arr(verify_json)),
         ("points".to_string(), Value::Arr(points_json)),
@@ -1689,6 +1694,8 @@ mod tests {
             out_dir,
         ]);
         assert_eq!(status, Status::Ok, "{out}");
+        let lanes = if bitdissem_pool::wide_lanes() { "avx2" } else { "baseline" };
+        assert!(out.starts_with(&format!("lanes: {lanes}\n")), "{out}");
         assert!(out.contains("verify voter:1"), "{out}");
         assert!(out.contains("hitting: worst"), "{out}");
         assert!(out.contains("mixing(1/4)"), "{out}");
@@ -1698,6 +1705,7 @@ mod tests {
         let v = bitdissem_obs::json::parse(&raw).unwrap();
         assert_eq!(v.get("schema_version").and_then(Value::as_u64), Some(MARKOV_SCHEMA_VERSION));
         assert_eq!(v.get("pass").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("lanes").and_then(Value::as_str), Some(lanes));
         match v.get("points") {
             Some(Value::Arr(points)) => {
                 assert_eq!(points.len(), 4, "2 protocols x 2 sizes");

@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use bitdissem_pool::{effective_parallelism, Pool};
+use bitdissem_pool::{effective_parallelism, with_wide_lanes, Pool};
 
 /// An LU decomposition with partial pivoting of a square matrix.
 ///
@@ -180,6 +180,7 @@ struct Skyline {
 }
 
 impl Skyline {
+    #[inline(always)]
     fn row(&self, k: usize) -> &[f64] {
         &self.vals[self.off[k]..self.off[k] + (self.end[k] - k)]
     }
@@ -196,6 +197,7 @@ struct PanelRow<'a> {
 impl PanelRow<'_> {
     /// The Doolittle step for finalized `U` row `k` (`urow`, its columns
     /// `k..`): `w ← w − (w[k] / u_kk)·u_k`, skipped when `w[k]` is zero.
+    #[inline(always)]
     fn apply_row(&mut self, urow: &[f64], k: usize, yk: f64) {
         let wk = self.w[k];
         if wk == 0.0 {
@@ -222,6 +224,7 @@ impl PanelRow<'_> {
     /// at different columns, each finishes alone, lowest row first. A zero
     /// factor would make the row-at-a-time loop skip that `U` row, so such
     /// a block falls back to row passes and no `0·u` term is ever formed.
+    #[inline(always)]
     fn apply_block(&mut self, u: &[&[f64]; BLOCK], k: usize, yk: &[f64; BLOCK]) {
         let mut f = [0.0; BLOCK];
         for b in 0..BLOCK {
@@ -270,23 +273,29 @@ impl PanelRow<'_> {
 
 /// Eliminates columns `ka..kb` of every row in `rows` against the finalized
 /// `U` rows `ka..kb`, in ascending `k`: four `U` rows at a time, each block
-/// read once for all of `rows`, then the remainder one row at a time.
+/// read once for all of `rows`, then the remainder one row at a time. Runs
+/// through [`with_wide_lanes`], with every helper inlined into it.
 fn eliminate(u: &Skyline, y: &[f64], ka: usize, kb: usize, rows: &mut [PanelRow]) {
-    let mut k = ka;
-    while k + BLOCK <= kb {
-        let block = [u.row(k), u.row(k + 1), u.row(k + 2), u.row(k + 3)];
-        let yk = [y[k], y[k + 1], y[k + 2], y[k + 3]];
-        for r in rows.iter_mut() {
-            r.apply_block(&block, k, &yk);
-        }
-        k += BLOCK;
-    }
-    for (k, &yk) in (k..kb).zip(&y[k..kb]) {
-        let urow = u.row(k);
-        for r in rows.iter_mut() {
-            r.apply_row(urow, k, yk);
-        }
-    }
+    with_wide_lanes(
+        #[inline(always)]
+        || {
+            let mut k = ka;
+            while k + BLOCK <= kb {
+                let block = [u.row(k), u.row(k + 1), u.row(k + 2), u.row(k + 3)];
+                let yk = [y[k], y[k + 1], y[k + 2], y[k + 3]];
+                for r in rows.iter_mut() {
+                    r.apply_block(&block, k, &yk);
+                }
+                k += BLOCK;
+            }
+            for (k, &yk) in (k..kb).zip(&y[k..kb]) {
+                let urow = u.row(k);
+                for r in rows.iter_mut() {
+                    r.apply_row(urow, k, yk);
+                }
+            }
+        },
+    );
 }
 
 /// Solves `A·x = b` (`b = rhs`) for a banded sparse matrix `A` whose rows
@@ -322,7 +331,11 @@ fn eliminate(u: &Skyline, y: &[f64], ka: usize, kb: usize, rows: &mut [PanelRow]
 /// elimination. The panel's rows are split into per-worker chunks on
 /// [`Pool::global`]; each row's float schedule depends on nothing but
 /// finalized `U` rows, so the result is also bitwise identical for every
-/// worker count.
+/// worker count. Both phases' eliminations run through
+/// [`bitdissem_pool::with_wide_lanes`], so on a CPU with AVX2 the fused
+/// pass and the row passes vectorize four lanes wide instead of the
+/// baseline's two. Wider lanes run the same operations in the same order,
+/// so the bits are also the same on every CPU.
 ///
 /// Returns `None` if a pivot is smaller than `1e-300` in magnitude or goes
 /// non-finite (singular or numerically unreachable absorption), or if any

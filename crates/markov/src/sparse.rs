@@ -17,8 +17,14 @@
 //!   allocation;
 //! * [`mixing_time_extremes_sparse`] — pruned active-window distribution
 //!   stepping (the two extreme distributions touch only the states that
-//!   carry mass, so a step costs `O(active · band)`, not `O(n · band)`);
+//!   carry mass, so a step costs `O(active · band)`, not `O(n · band)`;
+//!   the mass a step prunes or truncates widens the TV estimate);
 //! * [`spectral_gap`] — shifted power iteration on the transient submatrix.
+//!
+//! All three stepping routines spend their time in one `dist·P` matvec
+//! over the active rows, which runs through
+//! [`bitdissem_pool::with_wide_lanes`]: on a CPU with AVX2 it vectorizes
+//! four lanes wide, and its bits are the same on every CPU.
 //!
 //! Dense and sparse agree bitwise on every state inside a row's window (the
 //! window recurrence is the same two-sided ratio recurrence as the dense
@@ -31,7 +37,7 @@ use std::sync::Mutex;
 
 use bitdissem_core::{Opinion, Protocol, ProtocolError};
 use bitdissem_poly::binomial::{binomial_pmf_window, PMF_WINDOW_REL_EPS};
-use bitdissem_pool::{effective_parallelism, Pool};
+use bitdissem_pool::{effective_parallelism, with_wide_lanes, Pool};
 
 use crate::absorbing::HittingTimes;
 use crate::chain::AggregateChain;
@@ -347,34 +353,39 @@ impl SparseChain {
     /// the valid-state range): accumulates `dist·P` into `next` and returns
     /// the output extent `(out_a, out_b)`. `next[out_a..out_b]` is zeroed
     /// before accumulation; the caller maintains the invariant that `next`
-    /// is zero elsewhere.
+    /// is zero elsewhere. Runs through [`with_wide_lanes`].
     fn step_range(&self, dist: &[f64], a: usize, b: usize, next: &mut [f64]) -> (usize, usize) {
         debug_assert_eq!(dist.len(), self.num_states());
         debug_assert_eq!(next.len(), self.num_states());
-        let mut out_a = usize::MAX;
-        let mut out_b = 0usize;
-        for (i, &w) in dist.iter().enumerate().take(b).skip(a) {
-            if w == 0.0 {
-                continue;
-            }
-            out_a = out_a.min(self.row_lo[i]);
-            out_b = out_b.max(self.row_lo[i] + (self.offsets[i + 1] - self.offsets[i]));
-        }
-        if out_a >= out_b {
-            return (0, 0);
-        }
-        next[out_a..out_b].fill(0.0);
-        for (i, &w) in dist.iter().enumerate().take(b).skip(a) {
-            if w == 0.0 {
-                continue;
-            }
-            let row = &self.vals[self.offsets[i]..self.offsets[i + 1]];
-            let dst = &mut next[self.row_lo[i]..self.row_lo[i] + row.len()];
-            for (d, &v) in dst.iter_mut().zip(row) {
-                *d += w * v;
-            }
-        }
-        (out_a, out_b)
+        with_wide_lanes(
+            #[inline(always)]
+            || {
+                let mut out_a = usize::MAX;
+                let mut out_b = 0usize;
+                for (i, &w) in dist.iter().enumerate().take(b).skip(a) {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    out_a = out_a.min(self.row_lo[i]);
+                    out_b = out_b.max(self.row_lo[i] + (self.offsets[i + 1] - self.offsets[i]));
+                }
+                if out_a >= out_b {
+                    return (0, 0);
+                }
+                next[out_a..out_b].fill(0.0);
+                for (i, &w) in dist.iter().enumerate().take(b).skip(a) {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let row = &self.vals[self.offsets[i]..self.offsets[i + 1]];
+                    let dst = &mut next[self.row_lo[i]..self.row_lo[i] + row.len()];
+                    for (d, &v) in dst.iter_mut().zip(row) {
+                        *d += w * v;
+                    }
+                }
+                (out_a, out_b)
+            },
+        )
     }
 }
 
@@ -400,8 +411,15 @@ impl ActiveDist {
     }
 
     /// Advances one round; afterwards `cur` holds the stepped distribution.
+    /// The mass the truncated rows drop, `Σ cur[i]·tail[i]` over the active
+    /// rows, is added to `lost`.
     fn step(&mut self, chain: &SparseChain) {
         let (na, nb) = chain.step_range(&self.cur, self.a, self.b, &mut self.nxt);
+        self.lost += self.cur[self.a..self.b]
+            .iter()
+            .zip(&chain.tails[self.a..self.b])
+            .map(|(&p, &tail)| p * tail)
+            .sum::<f64>();
         // Zero the old buffer's active range to restore the all-zero
         // invariant, then swap.
         self.cur[self.a..self.b].fill(0.0);
@@ -774,6 +792,22 @@ mod tests {
         let td = mixing_time_extremes(&dense_chain, 0.25, 10_000).unwrap();
         let ts = mixing_time_extremes_sparse(&sparse, 0.25, 10_000).unwrap();
         assert_eq!(td, ts);
+    }
+
+    #[test]
+    fn step_counts_truncation_tails_as_lost() {
+        // At ε = 1e-3 the truncated rows drop visible mass (2.1e-4 from
+        // state 2 of Voter at n = 256), and the mixing slack must include
+        // it: one step from a point mass at x loses at least x's row tail.
+        let sparse =
+            SparseChain::build_with_eps(&Voter::new(1).unwrap(), 256, Opinion::One, 1e-3).unwrap();
+        for x in [2, 64, 128, 200] {
+            let tail = sparse.tail_bound(x);
+            assert!(tail > 1e-6, "x={x}: tail {tail}");
+            let mut dist = ActiveDist::point(sparse.num_states(), sparse.index_of(x));
+            dist.step(&sparse);
+            assert!(dist.lost >= tail, "x={x}: lost {} < tail {tail}", dist.lost);
+        }
     }
 
     #[test]

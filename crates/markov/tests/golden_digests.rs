@@ -5,12 +5,26 @@
 //! replaced, so any change to a single output bit fails here. Both kernels
 //! fan out over the worker pool; running this suite under different
 //! `BITDISSEM_POOL_WORKERS` also pins their worker-count invariance.
+//!
+//! The distribution-stepping outputs are pinned the same way, at sizes
+//! small enough for a debug build: survival curves by an FNV-1a digest of
+//! every point, and a mixing time and a spectral gap, each one word, by
+//! their value and their bits. All golden values were computed before the
+//! kernels could run on AVX2 lanes, so on a host with AVX2 this suite also
+//! pins that the wider lanes keep every bit.
 
+use bitdissem_core::channel::with_observation_noise;
 use bitdissem_core::dynamics::{Minority, Voter};
 use bitdissem_core::{Opinion, Protocol};
-use bitdissem_markov::{expected_hitting_times_sparse, SparseChain};
+use bitdissem_markov::{
+    expected_hitting_times_sparse, mixing_time_extremes_sparse, spectral_gap,
+    survival_curve_sparse, SparseChain,
+};
 
 const N: u64 = 4096;
+
+/// Population size of the stepping pins.
+const STEP_N: u64 = 256;
 
 /// FNV-1a 64 over the little-endian bytes of `words`.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -59,4 +73,28 @@ fn voter_and_minority_rows_and_tails_are_pinned() {
         let chain = SparseChain::build(protocol, N, Opinion::One).unwrap();
         assert_eq!(rows_digest(&chain), golden, "{}", protocol.name());
     }
+}
+
+#[test]
+fn voter_and_minority_survival_curves_are_pinned() {
+    // From state 1, the all-wrong start, as the benchmark's curves.
+    let cases: [(&dyn Protocol, u64); 2] = [
+        (&Voter::new(1).unwrap(), 0x80f7_ca7d_bdb2_d895),
+        (&Minority::new(3).unwrap(), 0xc35d_b580_32c4_2576),
+    ];
+    for (protocol, golden) in cases {
+        let chain = SparseChain::build(protocol, STEP_N, Opinion::One).unwrap();
+        let curve = survival_curve_sparse(&chain, 1, 1024);
+        assert_eq!(fnv(curve.iter().map(|s| s.to_bits())), golden, "{}", protocol.name());
+    }
+}
+
+#[test]
+fn noisy_voter_mixing_time_and_voter_spectral_gap_are_pinned() {
+    let noisy = with_observation_noise(&Voter::new(1).unwrap(), 0.1, STEP_N).unwrap();
+    let chain = SparseChain::build(&noisy, STEP_N, Opinion::One).unwrap();
+    assert_eq!(mixing_time_extremes_sparse(&chain, 0.25, 10_000), Some(16));
+    let chain = SparseChain::build(&Voter::new(1).unwrap(), 64, Opinion::One).unwrap();
+    let gap = spectral_gap(&chain).expect("the gap converges");
+    assert_eq!(gap.to_bits(), 0x3f8f_ffff_fff6_bf00, "gap {gap:e}");
 }

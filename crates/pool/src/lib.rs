@@ -35,10 +35,19 @@
 //! [`Pool::run_batch`] does not return until the batch is closed to new
 //! participants **and** every joined worker has left, so the pointer is
 //! never dereferenced after the borrowed core leaves scope. This is the
-//! same scheme scoped thread-pool libraries use; the unsafe surface is
-//! confined to [`BatchHandle`] and documented inline.
+//! same scheme scoped thread-pool libraries use; the pool's unsafe surface
+//! is confined to `BatchHandle`.
+//!
+//! The crate's second unsafe item is the frame behind [`with_wide_lanes`]:
+//! a function compiled with AVX2 enabled, entered only after runtime
+//! feature detection has confirmed the CPU supports it. It lives here so
+//! that the crates whose float kernels run inside it keep
+//! `#![forbid(unsafe_code)]`. Every unsafe block and impl carries a
+//! `// SAFETY:` comment, which `clippy::undocumented_unsafe_blocks`
+//! enforces.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use bitdissem_obs::telemetry::thread_slot;
 use bitdissem_obs::Counter;
@@ -170,14 +179,19 @@ struct BatchHandle {
 // alive and `BatchCore` itself is `Sync`; outside that window the pointer
 // is treated as an opaque value.
 unsafe impl Send for BatchHandle {}
+// SAFETY: shared access never mutates `core`, and every other field is an
+// atomic or a `Mutex`/`Condvar`. The only use of the shared pointer is the
+// `&dyn BatchRun` a joined worker reborrows inside its join/leave window,
+// and `BatchRun: Sync` makes that borrow safe from any thread.
 unsafe impl Sync for BatchHandle {}
 
 impl BatchHandle {
     fn new(core: &BatchCore<'_>, cap: usize) -> Self {
         let core: *const (dyn BatchRun + '_) = core;
-        // SAFETY (lifetime erasure): the pointer is stored as 'static but
-        // `close_and_wait` keeps every dereference within the pointee's
-        // actual lifetime, as documented on the struct.
+        // SAFETY: lifetime erasure only; the two pointer types differ in
+        // nothing but the trait object's lifetime bound. The pointer is
+        // stored as 'static, but `close_and_wait` keeps every dereference
+        // within the pointee's actual lifetime, as documented on the struct.
         let core: *const (dyn BatchRun + 'static) = unsafe { std::mem::transmute(core) };
         BatchHandle {
             core,
@@ -286,6 +300,84 @@ pub fn effective_parallelism() -> usize {
         .map(|workers| workers.saturating_add(1))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
         .max(1)
+}
+
+/// Whether [`with_wide_lanes`] runs its argument with AVX2 enabled: `true`
+/// on an x86-64 CPU that supports AVX2, `false` on any other CPU (and under
+/// miri, whose feature detection reports no AVX2). The standard library
+/// detects the features once per process and caches them.
+#[must_use]
+pub fn wide_lanes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Runs `f` on the widest vector lanes this CPU offers and returns its
+/// value.
+///
+/// The workspace builds for baseline x86-64, whose float vectors are
+/// 128-bit SSE2. When [`wide_lanes`] holds, `f` is called inside a private
+/// frame compiled with AVX2 enabled, so the loops that get inlined into it
+/// autovectorize on 256-bit registers; otherwise `f` is called plainly.
+/// Only code inlined into the frame gains. `f` is called from the frame and
+/// from the plain path, and LLVM keeps a large closure with two call sites
+/// out of line, compiled for the baseline; so does a function the closure
+/// calls. Mark the closure and every function in its loops
+/// `#[inline(always)]`, as the example does.
+///
+/// The result is the same bit for bit either way. Wider vectors run the
+/// same IEEE operations on more lanes at once: Rust never contracts a
+/// multiply and an add into an FMA (and AVX2 does not enable FMA), never
+/// reassociates float arithmetic, and so never vectorizes a float
+/// reduction. Only NaN payloads, which Rust leaves unspecified, may
+/// differ.
+///
+/// # Examples
+///
+/// ```
+/// let xs = [1.0_f64, 2.0, 3.0];
+/// let mut ys = [0.5_f64; 3];
+/// bitdissem_pool::with_wide_lanes(
+///     #[inline(always)]
+///     || {
+///         for (y, &x) in ys.iter_mut().zip(&xs) {
+///             *y += 2.0 * x;
+///         }
+///     },
+/// );
+/// assert_eq!(ys, [2.5, 4.5, 6.5]);
+/// ```
+#[inline]
+pub fn with_wide_lanes<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if wide_lanes() {
+            // SAFETY: `wide_lanes` has just confirmed that this CPU
+            // supports AVX2, the only feature `avx2_frame` enables.
+            return unsafe { avx2_frame(f) };
+        }
+    }
+    f()
+}
+
+/// Calls `f` from a frame compiled with AVX2 enabled, so that `f`'s body,
+/// once inlined here, may use AVX2 instructions.
+///
+/// # Safety
+///
+/// The CPU running the call must support AVX2 (`is_x86_feature_detected!
+/// ("avx2")`): executing an AVX2 instruction on a CPU without it is
+/// undefined behaviour.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_frame<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 /// A persistent pool of worker threads executing chunked work-stealing
@@ -608,6 +700,108 @@ mod tests {
             .collect();
         for (t, h) in handles.into_iter().enumerate() {
             assert_eq!(h.join().unwrap(), 257 * 256 / 2 + 257 * t);
+        }
+    }
+
+    #[test]
+    fn with_wide_lanes_runs_f_once_and_returns_its_value() {
+        let calls = AtomicUsize::new(0);
+        let value = with_wide_lanes(|| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            42u64
+        });
+        assert_eq!((value, calls.load(Ordering::Relaxed)), (42, 1));
+        let owned = String::from("moved in, moved out");
+        assert_eq!(with_wide_lanes(move || owned), "moved in, moved out");
+    }
+
+    /// The fused block update of the banded LU: `d − f₀·a₀ − … − f₃·a₃`,
+    /// left to right.
+    #[inline(always)]
+    fn fused4(dst: &mut [f64], f: [f64; 4], a: [&[f64]; 4]) {
+        let [f0, f1, f2, f3] = f;
+        for ((((d, &a0), &a1), &a2), &a3) in dst.iter_mut().zip(a[0]).zip(a[1]).zip(a[2]).zip(a[3])
+        {
+            *d = *d - f0 * a0 - f1 * a1 - f2 * a2 - f3 * a3;
+        }
+    }
+
+    /// The AXPY of distribution stepping: `d += w·a`.
+    #[inline(always)]
+    fn axpy(dst: &mut [f64], w: f64, a: &[f64]) {
+        for (d, &v) in dst.iter_mut().zip(a) {
+            *d += w * v;
+        }
+    }
+
+    /// Both kernels, in the order the test applies them.
+    #[inline(always)]
+    fn kernels(dst: &mut [f64], f: [f64; 4], a: [&[f64]; 4], w: f64) {
+        fused4(dst, f, a);
+        axpy(dst, w, a[0]);
+    }
+
+    /// Every result that is a number must match bit for bit, signed zeros,
+    /// subnormals and infinities included. A NaN result need only be NaN on
+    /// both sides: Rust leaves a NaN's sign and payload unspecified, and
+    /// when both operands of a commutative add are NaN, x86 returns the
+    /// first, whose place LLVM may choose differently per instruction set
+    /// (on these inputs one NaN reads `0x7ff8…` called directly and
+    /// `0xfff8…` dispatched).
+    #[test]
+    fn wide_lanes_keep_every_bit_of_the_float_kernels() {
+        // Special values among ordinary ones: NaN, both zeros, subnormals
+        // of both signs, both infinities, and values whose products
+        // overflow or underflow.
+        const SPECIAL: [f64; 10] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e-300,
+            f64::MAX,
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = move || {
+            let r = next();
+            if r % 5 == 0 {
+                SPECIAL[(r >> 8) as usize % SPECIAL.len()]
+            } else {
+                ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 8.0
+            }
+        };
+        // Ragged lengths cover an empty pass, vector bodies and every
+        // remainder of a vector loop unrolled to up to 32 elements.
+        for len in (0..=40).chain([63, 64, 65, 127, 1000]) {
+            for _ in 0..8 {
+                let dst: Vec<f64> = (0..len).map(|_| value()).collect();
+                let a: Vec<Vec<f64>> =
+                    (0..4).map(|_| (0..len).map(|_| value()).collect()).collect();
+                let f = [value(), value(), value(), value()];
+                let w = value();
+                let a = [&a[0][..], &a[1][..], &a[2][..], &a[3][..]];
+                let mut direct = dst.clone();
+                kernels(&mut direct, f, a, w);
+                let mut wide = dst;
+                with_wide_lanes(
+                    #[inline(always)]
+                    || kernels(&mut wide, f, a, w),
+                );
+                for (i, (&x, &y)) in direct.iter().zip(&wide).enumerate() {
+                    let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                    assert!(same, "len {len} entry {i}: {:#x} vs {:#x}", x.to_bits(), y.to_bits());
+                }
+            }
         }
     }
 
