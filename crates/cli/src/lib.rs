@@ -21,10 +21,10 @@
 //!   rounds, survival quantiles and curves, spectral gaps at small `n`, a
 //!   sparse-vs-dense verification gate, and a versioned
 //!   `MARKOV_<label>.json` record;
-//! * `bench [--scale S] [--seed N] [--label L] [--out DIR]
-//!   [--max-workers W] [--compare BASELINE.json] [--check-only]` — run the
-//!   macro-benchmark suite, write a schema-versioned `BENCH_<label>.json`,
-//!   and optionally compare against a baseline for a regression verdict;
+//! * `bench --base REV --seeds A..B [--workload W,…] [--label L] [--out DIR]`
+//!   — the paired A/B of `benchsuite/` at REV against the working tree:
+//!   one pair of runs per workload and seed, a verdict per (workload,
+//!   end-to-end metric), and a schema-versioned `BENCH_<label>.json`;
 //! * `trace <run.jsonl>` — offline analytics over a recorded trace:
 //!   consensus-time and latency summaries plus theory-conformance checks
 //!   (Proposition 4 jump bound, Proposition 5 drift band);
@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+mod bench;
 
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -57,7 +58,6 @@ use bitdissem_conformance::{
 };
 use bitdissem_core::dynamics::{self, BoxedProtocol};
 use bitdissem_core::{Protocol, ProtocolExt};
-use bitdissem_experiments::bench::{run_all as bench_run_all, BenchCtx};
 use bitdissem_experiments::trace::TraceAccumulator;
 use bitdissem_experiments::{registry, ReplicationEngine, RunConfig, Scale};
 use bitdissem_markov::absorbing::{expected_hitting_times, quantile_from_survival};
@@ -68,8 +68,8 @@ use bitdissem_markov::{
 use bitdissem_obs::durable::atomic_replace;
 use bitdissem_obs::json::Value;
 use bitdissem_obs::{
-    detect_format, stream_trace, BenchRecord, CheckpointLog, ColumnarReader, ColumnarSink,
-    EventSink, JsonlSink, Obs, Progress, TraceFormat,
+    detect_format, stream_trace, CheckpointLog, ColumnarReader, ColumnarSink, EventSink, JsonlSink,
+    Obs, Progress, TraceFormat,
 };
 use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::rng_from;
@@ -120,8 +120,7 @@ pub fn usage() -> String {
      \x20 bitdissem exact <protocol> [--ell L] [--n N]\n\
      \x20 bitdissem markov [--grid voter:1,minority:3] [--ns 1024,8192] [--eps E] [--t-max T]\n\
      \x20\x20\x20\x20 [--verify-n V] [--label L] [--out DIR]\n\
-     \x20 bitdissem bench [--scale smoke|standard|full] [--seed N] [--label L] [--out DIR]\n\
-     \x20\x20\x20\x20 [--max-workers W] [--compare BASELINE.json] [--check-only] [--metrics]\n\
+     \x20 bitdissem bench --base REV --seeds A..B [--workload W,...] [--label L] [--out DIR]\n\
      \x20 bitdissem trace <run.jsonl|run.bct>\n\
      \x20 bitdissem trace convert <in> <out>\n\
      \x20 bitdissem conform [--scale smoke|standard|full] [--seed N] [--label L] [--out DIR]\n\
@@ -156,7 +155,8 @@ pub fn usage() -> String {
      \x20 Writes a schema-versioned MARKOV_<label>.json to --out.\n\
      \x20 --grid P:L,P:L     protocols with sample sizes, e.g. voter:1,minority:3\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (default voter:1; bare names mean ell = 1)\n\
-     \x20 --ns N1,N2         population sizes (default 1024,8192; n = 1e5 stays under CI time)\n\
+     \x20 --ns N1,N2         population sizes in [2, 100000] (default 1024,8192; n = 1e5\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 stays under CI time)\n\
      \x20 --eps E            relative row-truncation cutoff in (0,1) (default 1e-12)\n\
      \x20 --t-max T          survival-curve horizon in rounds (default min(4n, 20000); 0 skips)\n\
      \x20 --mix-max M        mixing-round cap (default 10000; 0 skips — slow-mixing chains\n\
@@ -165,14 +165,24 @@ pub fn usage() -> String {
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 reporting (default 64, range [2,512]; 0 skips). exit status 1\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 if any row disagrees beyond the tracked tail bound\n\
      \n\
-     performance (bench):\n\
-     \x20 --label L          name the output record BENCH_<L>.json (default: the scale name)\n\
+     performance A/B (bench):\n\
+     \x20 builds benchsuite/'s benchmark binary from REV's tree and from the working tree\n\
+     \x20 (both unpacked into .bench_build/src/, binaries cached per tree in .bench_build/),\n\
+     \x20 runs the two one after the other for every workload and seed (the base first on\n\
+     \x20 even-indexed seeds) for BENCHMARK.json's run_seconds, and reads a verdict per\n\
+     \x20 (workload, end-to-end metric) from the pairs. Writes BENCH_<label>.json; exit\n\
+     \x20 status 1 on any regressed verdict.\n\
+     \x20 --base REV         the commit to compare against; benchsuite/ and BENCHMARK.json\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 must match the working tree\n\
+     \x20 --seeds A..B       inclusive seed range; one pair per workload and seed\n\
+     \x20 --workload W,...   workloads from BENCHMARK.json (default: all)\n\
+     \x20 --label L          name the record BENCH_<L>.json (default: ab)\n\
      \x20 --out DIR          directory for the record (default: current directory)\n\
-     \x20 --max-workers W    ceiling of the pool-scaling curve (default: the pool's\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 effective parallelism, same resolver as Pool::global)\n\
-     \x20 --compare B.json   compare against a baseline record; a benchmark regresses when its\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 median throughput drops >25% and a KS test confirms the shift\n\
-     \x20 --check-only       report regressions without failing the exit status\n\
+     \x20 verdicts: improved = at least 10 pairs, the change wins 9/10 of them (ties count\n\
+     \x20 for neither) and its median beats the base's by more than the base IQR;\n\
+     \x20 regressed = the mirror image, or a median worse by more than the metric's bound\n\
+     \x20 while the base IQR is within it, or more failed checks than the base;\n\
+     \x20 unresolved = otherwise, and always below 10 pairs\n\
      \n\
      trace analytics (trace):\n\
      \x20 exit status 1 when a recorded trajectory violates the paper's Prop-4 jump\n\
@@ -265,7 +275,7 @@ pub fn dispatch_full(args: &Args) -> CommandOutput {
         Some("simulate") => cmd_simulate(args),
         Some("exact") => cmd_exact(args),
         Some("markov") => cmd_markov(args),
-        Some("bench") => cmd_bench(args),
+        Some("bench") => bench::cmd_bench(args),
         Some("trace") => cmd_trace(args),
         Some("conform") => cmd_conform(args),
         Some("watch") => cmd_watch(args),
@@ -513,164 +523,6 @@ fn cmd_run(args: &Args) -> CommandOutput {
     CommandOutput { stdout: out, stderr, status }
 }
 
-/// Whether the first line of the file at `path` decodes as a trace
-/// [`bitdissem_obs::Event`] — used to improve the error when a JSONL
-/// trace is handed to `bench --compare`.
-fn looks_like_jsonl_trace(path: &str) -> bool {
-    use std::io::BufRead as _;
-    let Ok(file) = std::fs::File::open(path) else { return false };
-    let mut line = String::new();
-    if std::io::BufReader::new(file).read_line(&mut line).is_err() {
-        return false;
-    }
-    bitdissem_obs::Event::from_json(line.trim()).is_ok()
-}
-
-/// Relative median drop below which a benchmark is considered regressed
-/// (when the KS test also confirms the distributions differ).
-const BENCH_REGRESSION_DROP: f64 = -0.25;
-
-/// KS significance for the bench regression verdict.
-const BENCH_REGRESSION_ALPHA: f64 = 0.01;
-
-fn cmd_bench(args: &Args) -> CommandOutput {
-    let scale = match args.get("scale").map(Scale::from_str).transpose() {
-        Ok(s) => s.unwrap_or(Scale::Smoke),
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    let seed = match args.get_parsed("seed", 42u64) {
-        Ok(s) => s,
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    let max_workers = match args.get_parsed("max-workers", 0usize) {
-        Ok(0) => bitdissem_pool::effective_parallelism(),
-        Ok(w) => w,
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    let label = args.get("label").unwrap_or(scale.name()).to_string();
-    let out_dir = args.get("out").unwrap_or(".").to_string();
-    let obs = match build_obs(args) {
-        Ok(obs) => obs,
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    // Load the baseline before spending minutes benchmarking: a bad
-    // --compare path must fail fast, before anything is written.
-    let baseline = match args.get("compare") {
-        None => None,
-        Some(p) => {
-            // Catch a trace handed to --compare up front: a clear
-            // message beats a JSON-schema parse cascade.
-            if let Ok(Some(TraceFormat::Columnar)) = detect_format(std::path::Path::new(p)) {
-                return usage_error(format!(
-                    "cannot load baseline: '{p}' is a columnar trace, not a BENCH record \
-                     (run 'bitdissem trace' on it instead)\n"
-                ));
-            }
-            match BenchRecord::load(std::path::Path::new(p)) {
-                Ok(b) => Some((p, b)),
-                Err(e) => {
-                    let hint = if looks_like_jsonl_trace(p) {
-                        format!(
-                            " ('{p}' looks like a JSONL trace — run 'bitdissem trace' on it \
-                             instead)"
-                        )
-                    } else {
-                        String::new()
-                    };
-                    return usage_error(format!("cannot load baseline: {e}{hint}\n"));
-                }
-            }
-        }
-    };
-
-    let telemetry = match start_cli_telemetry(args, &obs) {
-        Ok(t) => t,
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    let ctx = BenchCtx::new(scale, seed, max_workers);
-    let results = bench_run_all(&ctx, &obs);
-    if let Some(handle) = telemetry {
-        handle.stop();
-    }
-
-    let mut record = BenchRecord::new(&label, scale.name(), seed, max_workers as u64);
-    for r in &results {
-        record.push(&r.id, r.unit, r.samples.clone());
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "benchmarks at scale {} (seed {seed}, up to {max_workers} workers):",
-        scale.name()
-    );
-    for e in &record.entries {
-        let _ = writeln!(
-            out,
-            "  {:<20} median {:>14} {} ({} samples)",
-            e.id,
-            fmt_num(e.median()),
-            e.unit,
-            e.samples.len()
-        );
-    }
-    let path = match record.save(std::path::Path::new(&out_dir)) {
-        Ok(p) => p,
-        Err(e) => return usage_error(format!("cannot write bench record in '{out_dir}': {e}\n")),
-    };
-    let _ = writeln!(out, "wrote {} (schema v{})", path.display(), record.schema_version);
-
-    let mut status = Status::Ok;
-    if let Some((baseline_path, baseline)) = baseline {
-        let _ = writeln!(
-            out,
-            "\ncompared against {baseline_path} (label '{}', scale {}):",
-            baseline.label, baseline.scale
-        );
-        let mut regressions = 0usize;
-        for e in &record.entries {
-            let Some(base) = baseline.entry(&e.id) else {
-                let _ = writeln!(out, "  {:<20} no baseline entry, skipped", e.id);
-                continue;
-            };
-            let Some(shift) =
-                bitdissem_stats::median_shift(&base.samples, &e.samples, BENCH_REGRESSION_ALPHA)
-            else {
-                let _ = writeln!(out, "  {:<20} not comparable (degenerate samples)", e.id);
-                continue;
-            };
-            // Throughput units: a regression is a *confirmed* median drop.
-            let regressed = shift.rel_change < BENCH_REGRESSION_DROP && shift.distribution_shift;
-            regressions += usize::from(regressed);
-            let _ = writeln!(
-                out,
-                "  {:<20} {:>+7.1}% vs baseline median {:>14} {}",
-                e.id,
-                shift.rel_change * 100.0,
-                fmt_num(shift.baseline_median),
-                if regressed { " REGRESSION" } else { "" }
-            );
-        }
-        if regressions > 0 {
-            let _ = writeln!(out, "verdict: {regressions} benchmark(s) regressed");
-            if !args.flag("check-only") {
-                status = Status::CheckFailed;
-            }
-        } else {
-            let _ = writeln!(out, "verdict: no regressions");
-        }
-    }
-
-    if let Some(progress) = obs.progress() {
-        progress.finish();
-    }
-    let mut stderr = String::new();
-    if args.flag("metrics") {
-        stderr.push_str(&obs.metrics().render());
-    }
-    CommandOutput { stdout: out, stderr, status }
-}
-
 fn cmd_conform(args: &Args) -> CommandOutput {
     let scale = match args.get("scale").map(ConformScale::from_str).transpose() {
         Ok(s) => s.unwrap_or(ConformScale::Smoke),
@@ -876,9 +728,10 @@ fn cmd_analyze(args: &Args) -> CommandOutput {
         Ok(p) => p,
         Err(e) => return usage_error(format!("{e}\n")),
     };
+    // The engines index per-state caches by 2x + z, so n must stay below 2^63.
     let n = match args.get_parsed("n", 4096u64) {
-        Ok(n) if n >= 8 => n,
-        Ok(_) => return usage_error("--n must be at least 8\n".to_string()),
+        Ok(n) if (8..1 << 63).contains(&n) => n,
+        Ok(_) => return usage_error("--n must be at least 8 and below 2^63\n".to_string()),
         Err(e) => return usage_error(format!("{e}\n")),
     };
     let mut out = String::new();
@@ -920,16 +773,17 @@ fn cmd_simulate(args: &Args) -> CommandOutput {
         Ok(p) => p,
         Err(e) => return usage_error(format!("{e}\n")),
     };
+    // The engines index per-state caches by 2x + z, so n must stay below 2^63.
     let n = match args.get_parsed("n", 4096u64) {
-        Ok(n) if n >= 8 => n,
-        Ok(_) => return usage_error("--n must be at least 8\n".to_string()),
+        Ok(n) if (8..1 << 63).contains(&n) => n,
+        Ok(_) => return usage_error("--n must be at least 8 and below 2^63\n".to_string()),
         Err(e) => return usage_error(format!("{e}\n")),
     };
     let seed = match args.get_parsed("seed", 1u64) {
         Ok(s) => s,
         Err(e) => return usage_error(format!("{e}\n")),
     };
-    let budget = match args.get_parsed("budget", 100 * n) {
+    let budget = match args.get_parsed("budget", n.saturating_mul(100)) {
         Ok(b) => b,
         Err(e) => return usage_error(format!("{e}\n")),
     };
@@ -1033,6 +887,10 @@ fn cmd_exact(args: &Args) -> CommandOutput {
 /// Schema version of the `MARKOV_<label>.json` analytics record.
 pub const MARKOV_SCHEMA_VERSION: u64 = 1;
 
+/// Largest population size `markov --ns` accepts: the chain's rows are
+/// allocated up front, and CI's large-`n` probe runs at exactly this size.
+const MARKOV_MAX_N: u64 = 100_000;
+
 /// Largest `n` for which the CLI attempts the spectral gap: the shifted
 /// power iteration needs `~1/gap` matvecs to converge, which is fine in the
 /// thousands of states and hopeless at `n = 1e5`.
@@ -1083,8 +941,12 @@ fn cmd_markov(args: &Args) -> CommandOutput {
     let mut ns: Vec<u64> = Vec::new();
     for part in ns_spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         match part.parse::<u64>() {
-            Ok(n) if n >= 2 => ns.push(n),
-            _ => return usage_error(format!("bad --ns entry '{part}': need integers >= 2\n")),
+            Ok(n) if (2..=MARKOV_MAX_N).contains(&n) => ns.push(n),
+            _ => {
+                return usage_error(format!(
+                    "bad --ns entry '{part}': need integers in [2, {MARKOV_MAX_N}]\n"
+                ))
+            }
         }
     }
     if ns.is_empty() {
@@ -1636,6 +1498,20 @@ mod tests {
     }
 
     #[test]
+    fn simulate_refuses_huge_n_and_saturates_the_default_budget() {
+        // The per-state caches index 2x + z, which needs n < 2^63.
+        let argv = ["simulate", "voter", "--n", "9223372036854775808", "--budget", "10"];
+        let (out, status) = run_cli(&argv);
+        assert_eq!(status, Status::UsageError, "{out}");
+        assert!(out.contains("--n"), "{out}");
+        // The default budget 100·n must not overflow when --budget is given.
+        let (out, status) =
+            run_cli(&["simulate", "voter", "--n", "200000000000000000", "--budget", "0"]);
+        assert_eq!(status, Status::Ok, "{out}");
+        assert!(out.contains("budget 0 rounds"), "{out}");
+    }
+
+    #[test]
     fn simulate_sequential_small() {
         let (out, status) = run_cli(&[
             "simulate",
@@ -1751,6 +1627,14 @@ mod tests {
         assert_eq!(run_cli(&["markov", "--ns", ""]).1, Status::UsageError);
         assert_eq!(run_cli(&["markov", "--eps", "2.0"]).1, Status::UsageError);
         assert_eq!(run_cli(&["markov", "--verify-n", "1000"]).1, Status::UsageError);
+        // Sizes whose rows cannot be allocated (2^32 states would need
+        // 34 GB) are refused before any work.
+        for n in ["9223372036854775808", "4294967296", "100001"] {
+            let argv = ["markov", "--grid", "voter:1", "--ns", n, "--t-max", "0", "--mix-max", "0"];
+            let (out, status) = run_cli(&[&argv[..], &["--verify-n", "0"]].concat());
+            assert_eq!(status, Status::UsageError, "{n}: {out}");
+            assert!(out.contains("--ns") && out.contains("100000"), "{out}");
+        }
     }
 
     #[test]
@@ -1965,6 +1849,18 @@ mod tests {
         assert_eq!(resumed.stdout, plain.stdout, "resume must be bit-identical");
         assert!(hits(&resumed.stderr) > 0, "{}", resumed.stderr);
 
+        // A resume that switches engine never splices: the wide engine
+        // checkpoints under its own batch kind, so nothing hits and the
+        // output is a fresh wide run's.
+        let wide: Vec<&str> = base.iter().copied().chain(["--engine", "wide"]).collect();
+        let fresh_wide = dispatch_full(&Args::parse(wide));
+        let resume_wide: Vec<&str> =
+            argv.iter().copied().chain(["--resume", "--engine", "wide"]).collect();
+        let resumed_wide = dispatch_full(&Args::parse(resume_wide));
+        assert_eq!(resumed_wide.status, Status::Ok, "{}", resumed_wide.stdout);
+        assert_eq!(hits(&resumed_wide.stderr), 0, "{}", resumed_wide.stderr);
+        assert_eq!(resumed_wide.stdout, fresh_wide.stdout);
+
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2029,6 +1925,15 @@ mod tests {
         // "conv", so static caches can never splice into them.
         let log = std::fs::read_to_string(dir.join("checkpoint.jsonl")).unwrap();
         assert!(log.contains("conv+env["), "{}", &log[..log.len().min(400)]);
+        // Resuming under another schedule splices nothing: it prints what a
+        // fresh run under that schedule prints.
+        let other = ["run", "e19", "--scale", "smoke", "--seed", "7", "--env", "noise:0.1"];
+        let fresh = dispatch_full(&Args::parse(other));
+        let resume: Vec<&str> =
+            other.iter().copied().chain(["--checkpoint-dir", dir_s.as_str(), "--resume"]).collect();
+        let resumed = dispatch_full(&Args::parse(resume));
+        assert_eq!(resumed.status, Status::Ok, "{}", resumed.stdout);
+        assert_eq!(resumed.stdout, fresh.stdout);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2045,118 +1950,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn bench_smoke_writes_schema_versioned_record() {
-        let dir = temp_dir("bench");
-        let dir_s = dir.to_str().unwrap().to_string();
-        let (out, status) = run_cli(&[
-            "bench",
-            "--scale",
-            "smoke",
-            "--seed",
-            "1",
-            "--label",
-            "unit-test",
-            "--max-workers",
-            "2",
-            "--out",
-            dir_s.as_str(),
-        ]);
-        assert_eq!(status, Status::Ok, "{out}");
-        assert!(out.contains("wrote"), "{out}");
-
-        let path = dir.join("BENCH_unit-test.json");
-        let record = BenchRecord::load(&path).expect("record loads");
-        assert_eq!(record.schema_version, bitdissem_obs::BENCH_SCHEMA_VERSION);
-        assert_eq!(record.scale, "smoke");
-        assert_eq!(record.pool_workers, 2);
-        for id in ["agent_step", "aggregate_rounds", "pool_scaling_w1", "checkpoint_write"] {
-            let e = record.entry(id).unwrap_or_else(|| panic!("entry {id} in {out}"));
-            assert!(e.median() > 0.0, "{id} median must be positive");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_compare_against_own_record_reports_no_regression() {
-        let dir = temp_dir("bench_cmp");
-        let dir_s = dir.to_str().unwrap().to_string();
-        let base = ["bench", "--scale", "smoke", "--seed", "2", "--max-workers", "1"];
-        let first: Vec<&str> =
-            base.iter().copied().chain(["--label", "base", "--out", dir_s.as_str()]).collect();
-        assert_eq!(run_cli(&first).1, Status::Ok);
-        let baseline = dir.join("BENCH_base.json");
-        let baseline_s = baseline.to_str().unwrap().to_string();
-        let second: Vec<&str> = base
-            .iter()
-            .copied()
-            .chain([
-                "--label",
-                "current",
-                "--out",
-                dir_s.as_str(),
-                "--compare",
-                baseline_s.as_str(),
-            ])
-            .collect();
-        let (out, status) = run_cli(&second);
-        assert_eq!(status, Status::Ok, "{out}");
-        assert!(out.contains("no regressions"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_compare_flags_a_confirmed_median_drop() {
-        // A doctored baseline with impossibly high throughput: the current
-        // run's medians drop ~100%, and 100 baseline samples give the KS
-        // test the power to confirm the shift.
-        let dir = temp_dir("bench_reg");
-        let dir_s = dir.to_str().unwrap().to_string();
-        let mut fake = BenchRecord::new("fake", "smoke", 3, 1);
-        for id in ["agent_step", "aggregate_rounds", "pool_scaling_w1", "checkpoint_write"] {
-            fake.push(id, "per_sec", (0..100).map(|i| 1e15 + f64::from(i)).collect());
-        }
-        let baseline = fake.save(&dir).unwrap();
-        let baseline_s = baseline.to_str().unwrap().to_string();
-
-        let argv = [
-            "bench",
-            "--scale",
-            "smoke",
-            "--seed",
-            "3",
-            "--max-workers",
-            "1",
-            "--label",
-            "reg",
-            "--out",
-            dir_s.as_str(),
-            "--compare",
-            baseline_s.as_str(),
-        ];
-        let (out, status) = run_cli(&argv);
-        assert_eq!(status, Status::CheckFailed, "{out}");
-        assert!(out.contains("REGRESSION"), "{out}");
-        assert!(out.contains("regressed"), "{out}");
-
-        // --check-only reports the same regressions but exits cleanly.
-        let check_only: Vec<&str> = argv.iter().copied().chain(["--check-only"]).collect();
-        let (out, status) = run_cli(&check_only);
-        assert_eq!(status, Status::Ok, "{out}");
-        assert!(out.contains("REGRESSION"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_rejects_bad_inputs() {
-        let (_, status) = run_cli(&["bench", "--scale", "bogus"]);
-        assert_eq!(status, Status::UsageError);
-        let (out, status) =
-            run_cli(&["bench", "--scale", "smoke", "--compare", "/nonexistent/baseline.json"]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("cannot load baseline"), "{out}");
     }
 
     #[test]
@@ -2247,6 +2040,15 @@ mod tests {
     }
 
     #[test]
+    fn usage_documents_bench() {
+        let (out, _) = run_cli(&["help"]);
+        for flag in ["--base REV", "--seeds A..B", "--workload W", "--label L", "--out DIR"] {
+            assert!(out.contains(flag), "{flag}: {out}");
+        }
+        assert!(!out.contains("--compare") && !out.contains("--max-workers"), "{out}");
+    }
+
+    #[test]
     fn trace_rejects_missing_input() {
         let (out, status) = run_cli(&["trace"]);
         assert_eq!(status, Status::UsageError);
@@ -2264,30 +2066,6 @@ mod tests {
         let (out, status) = run_cli(&["trace", path.to_str().unwrap()]);
         assert_eq!(status, Status::UsageError);
         assert!(out.contains("not a trace file"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_compare_rejects_a_trace_with_a_clear_error() {
-        use bitdissem_obs::Event;
-        let dir = temp_dir("bench_trace_guard");
-        // Columnar trace handed to --compare.
-        let cpath = dir.join("run.bct");
-        let sink = ColumnarSink::create(&cpath).unwrap();
-        sink.emit(&Event::RoundCompleted { rep: 0, round: 1, ones: 1, source_opinion: 1 });
-        drop(sink);
-        let (out, status) =
-            run_cli(&["bench", "--scale", "smoke", "--compare", cpath.to_str().unwrap()]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("columnar trace, not a BENCH record"), "{out}");
-        // JSONL trace handed to --compare.
-        let jpath = dir.join("run.jsonl");
-        let ev = Event::RoundCompleted { rep: 0, round: 1, ones: 1, source_opinion: 1 };
-        std::fs::write(&jpath, format!("{}\n", ev.to_json())).unwrap();
-        let (out, status) =
-            run_cli(&["bench", "--scale", "smoke", "--compare", jpath.to_str().unwrap()]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("looks like a JSONL trace"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,7 +33,7 @@
 //!   checkpoint path via [`bitdissem_obs::FaultyWriter`], then proves a
 //!   `--resume` recovers bit-identically to an undisturbed run.
 //! * [`report`] serializes the outcome as a versioned
-//!   `CONFORM_<label>.json` next to the benchmark baselines.
+//!   `CONFORM_<label>.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

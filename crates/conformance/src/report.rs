@@ -1,9 +1,10 @@
 //! Versioned conformance reports (`CONFORM_<label>.json`).
 //!
-//! The report lives next to the `BENCH_*.json` baselines and follows the
-//! same conventions: a schema version for forward compatibility, a label
-//! naming the run, and enough detail per check to diagnose a failure from
-//! the artifact alone (statistic, critical value, sample sizes). Writes
+//! The report follows the conventions of the CLI's other records
+//! (`MARKOV_<label>.json`, the `BENCH_<label>.json` A/B records): a schema
+//! version for forward compatibility, a label naming the run, and enough
+//! detail per check to diagnose a failure from the artifact alone
+//! (statistic, critical value, sample sizes). Writes
 //! are atomic ([`bitdissem_obs::durable::atomic_replace`]) so a crashed
 //! run never leaves a torn report for CI to misparse.
 

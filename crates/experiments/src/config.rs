@@ -6,13 +6,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// * `Smoke` — seconds-scale, used by tests and CI: small `n`, few
 ///   replications; verifies mechanics and directional expectations only.
-/// * `Standard` — the default for example binaries and Criterion benches.
+/// * `Standard` — the default for `bitdissem run` and the example binaries.
 /// * `Full` — the scale used to produce the tables in `EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
     /// Seconds-scale smoke run.
     Smoke,
-    /// Default scale for examples and benches.
+    /// Default scale for `run` and the examples.
     Standard,
     /// Publication scale (minutes).
     Full,

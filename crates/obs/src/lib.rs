@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_record;
 pub mod checkpoint;
 pub mod columnar;
 pub mod durable;
@@ -47,7 +46,6 @@ pub mod sink;
 pub mod telemetry;
 pub mod time;
 
-pub use bench_record::{BenchEntry, BenchRecord, BENCH_SCHEMA_VERSION};
 pub use checkpoint::{CheckpointLog, ResumeStats};
 pub use columnar::{detect_format, ColumnarReader, ColumnarSink, TraceFormat};
 pub use event::{Event, ReplicationOutcome};

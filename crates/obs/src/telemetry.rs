@@ -6,8 +6,8 @@
 //! the main thread) owns one cache-line-padded stripe and writes it
 //! with plain relaxed increments. Nothing on the write path takes a
 //! lock, issues a read-modify-write on a shared line, or even branches
-//! on reader state, so instrumented engines keep their measured
-//! replica-round throughput (see the `telemetry_overhead` bench group).
+//! on reader state, so instrumented engines keep their replica-round
+//! throughput (the `recorded` benchmark workload runs with telemetry on).
 //!
 //! The read half is a snapshot thread ([`start_telemetry`]) that merges
 //! the stripes at a configurable interval into versioned

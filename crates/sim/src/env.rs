@@ -664,4 +664,77 @@ mod tests {
         let (a, g) = (dwell(true), dwell(false));
         assert!((a - g).abs() < 0.15, "agent dwell {a} vs aggregate dwell {g}");
     }
+
+    /// Grammar tokens plus junk: digits, separators, overflowing and
+    /// exponent numerals, a sign, whitespace and a non-ASCII character.
+    const ALPHABET: [&str; 24] = [
+        "flip@",
+        "every:",
+        "noise:",
+        "reset:",
+        "k=",
+        "@",
+        "adaptive",
+        ":",
+        ",",
+        "0",
+        "1",
+        "7",
+        ".",
+        "0.5",
+        "1e-7",
+        "-",
+        "+",
+        " ",
+        "18446744073709551616",
+        "nan",
+        "inf",
+        "x",
+        "é",
+        "",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn parser_never_panics_and_every_schedule_round_trips(
+            ix in proptest::collection::vec(0..ALPHABET.len(), 0..12),
+        ) {
+            let spec: String = ix.iter().map(|&i| ALPHABET[i]).collect();
+            if let Ok(env) = spec.parse::<EnvSchedule>() {
+                let again: EnvSchedule = env.fingerprint().parse().expect("fingerprint parses");
+                proptest::prop_assert_eq!(again, env);
+            }
+        }
+
+        #[test]
+        fn well_formed_clauses_round_trip(
+            picks in proptest::collection::vec(
+                (0..CLAUSES.len(), 0..NUMERALS.len(), 0..NUMERALS.len()),
+                1..4,
+            ),
+        ) {
+            let clause = |(c, a, b): (usize, usize, usize)| {
+                CLAUSES[c].replacen('#', NUMERALS[a], 1).replacen('#', NUMERALS[b], 1)
+            };
+            let spec = picks.into_iter().map(clause).collect::<Vec<_>>().join(",");
+            if let Ok(env) = spec.parse::<EnvSchedule>() {
+                let again: EnvSchedule = env.fingerprint().parse().expect("fingerprint parses");
+                proptest::prop_assert_eq!(again, env);
+            }
+        }
+    }
+
+    /// Clause templates (`#` takes a numeral) and numerals, so that most
+    /// generated specifications parse and the round trip is exercised.
+    const CLAUSES: [&str; 7] = [
+        "flip@#",
+        "flip@every:#",
+        "noise:#",
+        "reset:k=#@#",
+        "reset:k=#@every:#",
+        "reset:k=#@adaptive:#",
+        "reset:k=#@adaptive",
+    ];
+    const NUMERALS: [&str; 8] =
+        ["0", "1", "250", "0.05", "1e-3", "0.0000015", "18446744073709551615", "+3"];
 }

@@ -13,8 +13,7 @@
 //!
 //! The pre-pool engine — spawn scoped threads per call, join, repeat — is
 //! kept as [`replicate_spawn`] as an executable reference implementation:
-//! the equivalence proptest and the `pool_vs_spawn` benchmark compare the
-//! two directly.
+//! the equivalence proptest compares the two directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -153,8 +152,8 @@ where
 /// The pre-pool replication engine: spawns `threads` scoped threads **per
 /// call**, joins them, and scatters `(index, result)` pairs sent over a
 /// channel. Kept as the reference implementation the pool is proven
-/// equivalent to (see `tests/pool_scheduler.rs`) and as the baseline of the
-/// `pool_vs_spawn` benchmark. New code should call [`replicate`].
+/// equivalent to (see `tests/pool_scheduler.rs`). New code should call
+/// [`replicate`].
 ///
 /// # Panics
 ///

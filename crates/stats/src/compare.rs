@@ -1,9 +1,15 @@
-//! Two-sample distribution comparison.
+//! Two-sample and paired comparison.
 //!
 //! The simulator-equivalence ablation (A1) and the integration tests need a
 //! principled "are these two samples from the same distribution?" check:
 //! the two-sample Kolmogorov–Smirnov statistic with its asymptotic
-//! significance level.
+//! significance level. `bitdissem bench` needs the other question, "is the
+//! change faster than its base?", answered from paired runs: [`paired_ab`]
+//! counts pair wins, an exact sign-test p-value and the median gap against
+//! the base's spread, and reads a [`Verdict`] by thresholds declared up
+//! front ([`AB_MIN_PAIRS`], [`AB_WIN_TENTHS`]).
+
+use crate::summary::Summary;
 
 /// The two-sample Kolmogorov–Smirnov statistic
 /// `D = sup_x |F̂_a(x) − F̂_b(x)|`.
@@ -82,59 +88,177 @@ pub fn same_distribution(a: &[f64], b: &[f64], alpha: f64) -> bool {
     }
 }
 
-/// The outcome of comparing a current sample against a baseline: the
-/// relative change in medians plus whether a KS test rejects the two
-/// samples coming from the same distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MedianShift {
-    /// Median of the baseline sample.
-    pub baseline_median: f64,
-    /// Median of the current sample.
-    pub current_median: f64,
-    /// `(current − baseline) / baseline`; negative means the current
-    /// median is lower.
-    pub rel_change: f64,
-    /// Whether the KS test rejects a common distribution at the given
-    /// significance — i.e. the shift is not plausibly run-to-run noise.
-    pub distribution_shift: bool,
+/// Fewest pairs on which a paired A/B comparison reads anything but
+/// [`Verdict::Unresolved`].
+pub const AB_MIN_PAIRS: usize = 10;
+
+/// Share of all pairs, in tenths, that one side must win for a verdict by
+/// pairs: nine tenths, ties counting for neither side.
+pub const AB_WIN_TENTHS: usize = 9;
+
+/// The direction in which a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Smaller values are better (times, memory).
+    Lower,
+    /// Larger values are better (throughputs).
+    Higher,
 }
 
-/// Compares `current` against `baseline` for a regression verdict: the
-/// relative median change, qualified by a two-sample KS test so tiny
-/// samples with large run-to-run noise don't produce false alarms.
-///
-/// Returns `None` if either sample is empty or non-finite, or the
-/// baseline median is zero (no meaningful relative change).
-///
-/// # Panics
-///
-/// Panics if `alpha` is not in `(0, 1)`.
-#[must_use]
-pub fn median_shift(baseline: &[f64], current: &[f64], alpha: f64) -> Option<MedianShift> {
-    fn median(xs: &[f64]) -> Option<f64> {
-        if xs.is_empty() || xs.iter().any(|x| !x.is_finite()) {
-            return None;
+impl Better {
+    /// `"lower"` or `"higher"`, as benchmark specifications spell it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Better::Lower => "lower",
+            Better::Higher => "higher",
         }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        Some(if sorted.len() % 2 == 1 {
-            sorted[mid]
-        } else {
-            (sorted[mid - 1] + sorted[mid]) / 2.0
-        })
     }
-    let baseline_median = median(baseline)?;
-    let current_median = median(current)?;
-    if baseline_median == 0.0 {
+}
+
+/// The verdict of a paired A/B comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The change is better, beyond the base's own spread.
+    Improved,
+    /// The change is worse, beyond the base's own spread or the metric's
+    /// bound.
+    Regressed,
+    /// Neither could be shown.
+    Unresolved,
+}
+
+impl Verdict {
+    /// The lowercase name printed and recorded.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Improved => "improved",
+            Verdict::Regressed => "regressed",
+            Verdict::Unresolved => "unresolved",
+        }
+    }
+}
+
+/// Median and quartiles of one side's samples ([`Summary::quantile`]'s
+/// linear interpolation).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Quartiles {
+    fn of(xs: &[f64]) -> Option<Self> {
+        let s = Summary::from_samples(xs)?;
+        Some(Quartiles { q1: s.quantile(0.25), median: s.median(), q3: s.quantile(0.75) })
+    }
+}
+
+/// A paired A/B comparison of one metric: pair `i` holds the base's and
+/// the change's value measured back to back on the same input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedAb {
+    /// Number of pairs.
+    pub pairs: usize,
+    /// The base's quartiles.
+    pub base: Quartiles,
+    /// The change's quartiles.
+    pub change: Quartiles,
+    /// Pairs in which the change reads better.
+    pub wins: usize,
+    /// Pairs in which the change reads worse.
+    pub losses: usize,
+    /// Pairs in which both read the same.
+    pub ties: usize,
+    /// Exact one-sided sign-test p-value in the direction the pairs lean:
+    /// `P(X ≥ max(wins, losses))` for `X ~ Bin(wins + losses, ½)`.
+    pub sign_p: f64,
+    /// Change median minus base median.
+    pub gap: f64,
+    /// `gap` over the base's interquartile range (not finite when that
+    /// range is 0).
+    pub gap_over_iqr: f64,
+    /// The verdict.
+    pub verdict: Verdict,
+}
+
+/// Compares paired samples of one metric.
+///
+/// The verdict is [`Verdict::Unresolved`] below [`AB_MIN_PAIRS`] pairs.
+/// From there it is [`Verdict::Improved`] when the change wins at least
+/// [`AB_WIN_TENTHS`] tenths of the pairs and its median beats the base's
+/// by more than the base's interquartile range; [`Verdict::Regressed`] on
+/// the mirror image, or when the change's median is worse than the base's
+/// by more than `bound` (relative) while the base's interquartile range is
+/// within `bound` of its median; unresolved otherwise.
+///
+/// Returns `None` if the samples are empty, of different lengths, or not
+/// finite.
+#[must_use]
+pub fn paired_ab(base: &[f64], change: &[f64], better: Better, bound: f64) -> Option<PairedAb> {
+    if base.len() != change.len() {
         return None;
     }
-    Some(MedianShift {
-        baseline_median,
-        current_median,
-        rel_change: (current_median - baseline_median) / baseline_median,
-        distribution_shift: !same_distribution(baseline, current, alpha),
+    let (b, c) = (Quartiles::of(base)?, Quartiles::of(change)?);
+    // Positive `edge` means the change reads better.
+    let edge = |base: f64, change: f64| match better {
+        Better::Lower => base - change,
+        Better::Higher => change - base,
+    };
+    let (mut wins, mut losses) = (0, 0);
+    for (&x, &y) in base.iter().zip(change) {
+        let e = edge(x, y);
+        wins += usize::from(e > 0.0);
+        losses += usize::from(e < 0.0);
+    }
+    let pairs = base.len();
+    let iqr = b.q3 - b.q1;
+    let gain = edge(b.median, c.median);
+    let by_pairs = |n: usize| n * 10 >= AB_WIN_TENTHS * pairs;
+    let rel = |x: f64| x / b.median.abs();
+    let verdict = if pairs < AB_MIN_PAIRS {
+        Verdict::Unresolved
+    } else if by_pairs(wins) && gain > iqr {
+        Verdict::Improved
+    } else if (by_pairs(losses) && -gain > iqr) || (rel(-gain) > bound && rel(iqr) <= bound) {
+        Verdict::Regressed
+    } else {
+        Verdict::Unresolved
+    };
+    Some(PairedAb {
+        pairs,
+        base: b,
+        change: c,
+        wins,
+        losses,
+        ties: pairs - wins - losses,
+        sign_p: sign_test_p(wins.max(losses), wins + losses),
+        gap: c.median - b.median,
+        gap_over_iqr: (c.median - b.median) / iqr,
+        verdict,
     })
+}
+
+/// `P(X ≥ k)` for `X ~ Bin(n, ½)`, summed in log space so large `n`
+/// neither overflows nor underflows the binomial coefficients.
+fn sign_test_p(k: usize, n: usize) -> f64 {
+    let ln_half_n = -(n as f64) * std::f64::consts::LN_2;
+    let mut ln_choose = 0.0; // ln C(n, i)
+    let mut p = 0.0;
+    for i in 0..=n {
+        if i >= k {
+            p += (ln_choose + ln_half_n).exp();
+        }
+        if i < n {
+            ln_choose += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
+        }
+    }
+    p.min(1.0)
 }
 
 /// Lag-`k` sample autocorrelation of a series (used to sanity-check the
@@ -213,25 +337,123 @@ mod tests {
         assert!(!same_distribution(&a, &b, 0.01));
     }
 
-    #[test]
-    fn median_shift_reports_relative_change() {
-        let base: Vec<f64> = (0..100).map(|i| 1000.0 + f64::from(i)).collect();
-        let current: Vec<f64> = base.iter().map(|x| x * 0.8).collect();
-        let shift = median_shift(&base, &current, 0.01).unwrap();
-        assert!((shift.rel_change + 0.2).abs() < 1e-9, "{shift:?}");
-        assert!(shift.distribution_shift);
-        // Identical samples: no change, no rejection.
-        let same = median_shift(&base, &base, 0.01).unwrap();
-        assert_eq!(same.rel_change, 0.0);
-        assert!(!same.distribution_shift);
+    /// Ten base pass times, 10.0 … 10.9 s: median 10.45, IQR 0.45.
+    fn base_times() -> Vec<f64> {
+        (0..10).map(|i| 10.0 + f64::from(i) / 10.0).collect()
+    }
+
+    /// The base shifted by `shift`, except that the first `flipped` pairs
+    /// read `0.05` the other way.
+    fn shifted(base: &[f64], shift: f64, flipped: usize) -> Vec<f64> {
+        let away = if shift < 0.0 { 0.05 } else { -0.05 };
+        base.iter().enumerate().map(|(i, x)| x + if i < flipped { away } else { shift }).collect()
     }
 
     #[test]
-    fn median_shift_degenerate_inputs() {
-        assert!(median_shift(&[], &[1.0], 0.05).is_none());
-        assert!(median_shift(&[1.0], &[], 0.05).is_none());
-        assert!(median_shift(&[f64::NAN], &[1.0], 0.05).is_none());
-        assert!(median_shift(&[0.0], &[1.0], 0.05).is_none()); // zero baseline
+    fn ten_of_ten_wins_beyond_the_iqr_read_improved() {
+        let base = base_times();
+        let ab = paired_ab(&base, &shifted(&base, -1.0, 0), Better::Lower, 0.25).unwrap();
+        assert_eq!((ab.wins, ab.losses, ab.ties), (10, 0, 0));
+        assert!((ab.sign_p - 1.0 / 1024.0).abs() < 1e-15, "{ab:?}");
+        assert!((ab.gap + 1.0).abs() < 1e-12 && (ab.gap_over_iqr + 1.0 / 0.45).abs() < 1e-9);
+        assert_eq!(ab.verdict, Verdict::Improved);
+    }
+
+    #[test]
+    fn nine_of_ten_read_improved_and_eight_unresolved() {
+        let base = base_times();
+        let nine = paired_ab(&base, &shifted(&base, -1.0, 1), Better::Lower, 0.25).unwrap();
+        assert_eq!((nine.wins, nine.losses), (9, 1));
+        assert!((nine.sign_p - 11.0 / 1024.0).abs() < 1e-15, "{nine:?}");
+        assert_eq!(nine.verdict, Verdict::Improved);
+        let eight = paired_ab(&base, &shifted(&base, -1.0, 2), Better::Lower, 0.25).unwrap();
+        assert_eq!((eight.wins, eight.losses), (8, 2));
+        assert!((eight.sign_p - 56.0 / 1024.0).abs() < 1e-15, "{eight:?}");
+        assert_eq!(eight.verdict, Verdict::Unresolved);
+    }
+
+    #[test]
+    fn mirror_images_read_regressed() {
+        let base = base_times();
+        for (flipped, p) in [(0, 1.0 / 1024.0), (1, 11.0 / 1024.0)] {
+            let ab = paired_ab(&base, &shifted(&base, 1.0, flipped), Better::Lower, 0.25).unwrap();
+            assert_eq!((ab.wins, ab.losses), (flipped, 10 - flipped));
+            assert!((ab.sign_p - p).abs() < 1e-15, "{ab:?}");
+            assert_eq!(ab.verdict, Verdict::Regressed);
+        }
+        let eight = paired_ab(&base, &shifted(&base, 1.0, 2), Better::Lower, 0.25).unwrap();
+        assert_eq!(eight.verdict, Verdict::Unresolved);
+        // A throughput reads the other way round: higher is better.
+        let higher = paired_ab(&base, &shifted(&base, 1.0, 0), Better::Higher, 0.25).unwrap();
+        assert_eq!((higher.wins, higher.verdict), (10, Verdict::Improved));
+        let lower = paired_ab(&base, &shifted(&base, -1.0, 0), Better::Higher, 0.25).unwrap();
+        assert_eq!((lower.losses, lower.verdict), (10, Verdict::Regressed));
+    }
+
+    #[test]
+    fn a_gap_beyond_the_bound_regresses_at_six_losses() {
+        // Narrow base spread (IQR 0.045 on a median of 10.045); the change
+        // loses six pairs by ~40% and wins four.
+        let base: Vec<f64> = (0..10).map(|i| 10.0 + f64::from(i) / 100.0).collect();
+        let change: Vec<f64> =
+            base.iter().enumerate().map(|(i, _)| if i < 6 { 14.0 } else { 9.9 }).collect();
+        let ab = paired_ab(&base, &change, Better::Lower, 0.25).unwrap();
+        assert_eq!((ab.wins, ab.losses), (4, 6));
+        assert_eq!(ab.verdict, Verdict::Regressed);
+        // Within a looser bound, six losses alone prove nothing.
+        let loose = paired_ab(&base, &change, Better::Lower, 0.5).unwrap();
+        assert_eq!(loose.verdict, Verdict::Unresolved);
+        // Nor does the bound fire when the base's own spread exceeds it.
+        let wide: Vec<f64> = (0..10).map(|i| 5.0 + f64::from(i)).collect();
+        let worse: Vec<f64> = wide.iter().map(|x| x * 1.3).collect();
+        let ab = paired_ab(&wide, &worse, Better::Lower, 0.25).unwrap();
+        assert_eq!((ab.losses, ab.verdict), (10, Verdict::Unresolved));
+    }
+
+    #[test]
+    fn nine_pairs_are_always_unresolved() {
+        let base = &base_times()[..9];
+        for shift in [-5.0, -1.0, 1.0, 5.0] {
+            let ab = paired_ab(base, &shifted(base, shift, 0), Better::Lower, 0.25).unwrap();
+            assert_eq!(ab.pairs, 9);
+            assert_eq!(ab.verdict, Verdict::Unresolved, "shift {shift}");
+        }
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        let base = base_times();
+        let mut change = shifted(&base, -1.0, 0);
+        change[0] = base[0];
+        let ab = paired_ab(&base, &change, Better::Lower, 0.25).unwrap();
+        assert_eq!((ab.wins, ab.losses, ab.ties), (9, 0, 1));
+        // The sign test runs on the nine untied pairs.
+        assert!((ab.sign_p - 1.0 / 512.0).abs() < 1e-15, "{ab:?}");
+        assert_eq!(ab.verdict, Verdict::Improved);
+        change[1] = base[1];
+        let ab = paired_ab(&base, &change, Better::Lower, 0.25).unwrap();
+        assert_eq!((ab.wins, ab.losses, ab.ties), (8, 0, 2));
+        assert_eq!(ab.verdict, Verdict::Unresolved);
+        let all_tied = paired_ab(&base, &base, Better::Lower, 0.25).unwrap();
+        assert_eq!((all_tied.ties, all_tied.sign_p), (10, 1.0));
+        assert_eq!(all_tied.verdict, Verdict::Unresolved);
+    }
+
+    #[test]
+    fn paired_ab_rejects_degenerate_inputs() {
+        assert!(paired_ab(&[], &[], Better::Lower, 0.25).is_none());
+        assert!(paired_ab(&[1.0], &[1.0, 2.0], Better::Lower, 0.25).is_none());
+        assert!(paired_ab(&[f64::NAN], &[1.0], Better::Lower, 0.25).is_none());
+    }
+
+    #[test]
+    fn sign_test_p_sums_the_upper_binomial_tail() {
+        assert_eq!(sign_test_p(0, 0), 1.0);
+        assert!((sign_test_p(3, 4) - 5.0 / 16.0).abs() < 1e-15);
+        // Large n neither overflows nor loses the tail.
+        let p = sign_test_p(600, 1000);
+        assert!(p > 0.0 && p < 1e-9, "{p}");
+        assert!((sign_test_p(0, 2000) - 1.0).abs() < 1e-9);
     }
 
     #[test]

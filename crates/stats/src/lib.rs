@@ -31,7 +31,7 @@ pub mod regression;
 pub mod summary;
 pub mod table;
 
-pub use compare::{median_shift, MedianShift};
+pub use compare::{paired_ab, Better, PairedAb, Verdict};
 pub use histogram::{Histogram, LogHistogram};
 pub use regression::{fit_power_law, LinearFit, ScalingModel};
 pub use summary::Summary;

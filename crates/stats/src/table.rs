@@ -1,8 +1,7 @@
 //! Aligned plain-text and CSV table rendering.
 //!
 //! Every experiment prints its results through this type so that the rows in
-//! `EXPERIMENTS.md`, the example binaries and the bench harness all share
-//! one format.
+//! `EXPERIMENTS.md` and the example binaries all share one format.
 
 use std::fmt;
 
