@@ -9,7 +9,8 @@
 //! `bound`, and the run length all come from `BENCHMARK.json`; the
 //! verdict per (workload, metric) is
 //! [`paired_ab`]'s, plus one rule of its own: a change that fails
-//! more of the benchmark's checks than its base regresses. The record,
+//! more of the benchmark's checks than its base regresses, at any number
+//! of pairs, since a failed check needs no statistics. The record,
 //! `BENCH_<label>.json` (schema 2), keeps every pair's raw values and run
 //! order, so each verdict can be recomputed from it.
 
@@ -312,7 +313,9 @@ fn run_ab(plan: &Plan, base: &Side, change: &Side, path: &Path) -> CommandOutput
             let Some(mut ab) = paired_ab(&b, &c, m.better, m.bound) else {
                 return failure(format!("bench: {workload} {} read non-finite values", m.name));
             };
-            if ab.pairs >= AB_MIN_PAIRS && failed[1] > failed[0] {
+            // A failed correctness check is a fact, not a sample, so this
+            // rule has no pair minimum; the value verdicts keep theirs.
+            if failed[1] > failed[0] {
                 ab.verdict = Verdict::Regressed;
             }
             regressed |= ab.verdict == Verdict::Regressed;

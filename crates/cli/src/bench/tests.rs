@@ -148,9 +148,18 @@ fn more_failed_checks_read_regressed() {
     assert_eq!(read[0], ("converge".into(), "unresolved".into(), Some(0)));
     assert_eq!(read[2], ("exact".into(), "regressed".into(), Some(1)));
     assert_eq!(read[3].1, "regressed");
-    // Below ten pairs nothing is resolved, failed checks included.
+    // A failed check regresses at any pair count; the value verdicts
+    // stay unresolved below ten pairs.
     let few = run_ab(&plan(&["exact"], 4..=6), &base, &change, &path);
-    assert_eq!(few.status, Status::Ok, "{}", few.stdout);
+    assert_eq!(few.status, Status::CheckFailed, "{}", few.stdout);
+    let rec = record(&path);
+    let Some(Value::Arr(verdicts)) = rec.get("verdicts") else { panic!("no verdicts") };
+    for v in verdicts {
+        assert_eq!(v.get("verdict").and_then(Value::as_str), Some("regressed"), "{v:?}");
+        assert_eq!(v.get("pairs").and_then(Value::as_u64), Some(3), "{v:?}");
+    }
+    let clean = run_ab(&plan(&["exact"], 6..=8), &base, &change, &path);
+    assert_eq!(clean.status, Status::Ok, "{}", clean.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

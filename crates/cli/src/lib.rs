@@ -181,8 +181,8 @@ pub fn usage() -> String {
      \x20 verdicts: improved = at least 10 pairs, the change wins 9/10 of them (ties count\n\
      \x20 for neither) and its median beats the base's by more than the base IQR;\n\
      \x20 regressed = the mirror image, or a median worse by more than the metric's bound\n\
-     \x20 while the base IQR is within it, or more failed checks than the base;\n\
-     \x20 unresolved = otherwise, and always below 10 pairs\n\
+     \x20 while the base IQR is within it, or more failed checks than the base (at any\n\
+     \x20 number of pairs); unresolved = otherwise, and for values always below 10 pairs\n\
      \n\
      trace analytics (trace):\n\
      \x20 exit status 1 when a recorded trajectory violates the paper's Prop-4 jump\n\
@@ -669,6 +669,15 @@ fn cmd_trace_convert(args: &Args) -> CommandOutput {
         TraceFormat::Jsonl => TraceFormat::Columnar,
         TraceFormat::Columnar => TraceFormat::Jsonl,
     };
+    // A columnar input is scanned before the output is created, so that
+    // a trace this build cannot read leaves no empty output behind.
+    let columnar = match format {
+        TraceFormat::Jsonl => None,
+        TraceFormat::Columnar => match ColumnarReader::open(std::path::Path::new(input)) {
+            Ok(reader) => Some(reader),
+            Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
+        },
+    };
     let sink: Arc<dyn EventSink> = match target {
         TraceFormat::Jsonl => match JsonlSink::create(output) {
             Ok(s) => Arc::new(s),
@@ -680,8 +689,8 @@ fn cmd_trace_convert(args: &Args) -> CommandOutput {
         },
     };
     let mut events = 0usize;
-    let (skipped, torn_tail) = match format {
-        TraceFormat::Jsonl => {
+    let (skipped, torn_tail) = match columnar {
+        None => {
             match stream_trace(std::path::Path::new(input), |ev| {
                 events += 1;
                 sink.emit(&ev);
@@ -690,16 +699,13 @@ fn cmd_trace_convert(args: &Args) -> CommandOutput {
                 Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
             }
         }
-        TraceFormat::Columnar => match ColumnarReader::open(std::path::Path::new(input)) {
-            Ok(reader) => {
-                for ev in reader.events() {
-                    events += 1;
-                    sink.emit(&ev);
-                }
-                (0, reader.torn_tail())
+        Some(reader) => {
+            for ev in reader.events() {
+                events += 1;
+                sink.emit(&ev);
             }
-            Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
-        },
+            (0, reader.torn_tail())
+        }
     };
     sink.flush();
     let mut out = String::new();
@@ -2066,6 +2072,23 @@ mod tests {
         let (out, status) = run_cli(&["trace", path.to_str().unwrap()]);
         assert_eq!(status, Status::UsageError);
         assert!(out.contains("not a trace file"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_names_a_columnar_version_it_cannot_read() {
+        let dir = temp_dir("trace_v3");
+        let (path, out_path) = (dir.join("future.bct"), dir.join("future.jsonl"));
+        std::fs::write(&path, b"BDCT0003").unwrap();
+        let expected = "columnar trace version 0003: this build reads 0001 and 0002";
+        let (out, status) = run_cli(&["trace", path.to_str().unwrap()]);
+        assert_eq!(status, Status::UsageError);
+        assert!(out.contains(expected) && !out.contains("not a trace file"), "{out}");
+        let (out, status) =
+            run_cli(&["trace", "convert", path.to_str().unwrap(), out_path.to_str().unwrap()]);
+        assert_eq!(status, Status::UsageError);
+        assert!(out.contains(expected), "{out}");
+        assert!(!out_path.exists(), "nothing is written for an unreadable input");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

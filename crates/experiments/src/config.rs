@@ -29,8 +29,8 @@ impl Scale {
         }
     }
 
-    /// The lowercase scale name, as accepted by [`Scale::from_str`] and
-    /// recorded in run manifests.
+    /// The lowercase scale name, as accepted by the
+    /// [`FromStr`](std::str::FromStr) impl and recorded in run manifests.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -86,8 +86,8 @@ pub enum ReplicationEngine {
 }
 
 impl ReplicationEngine {
-    /// The lowercase engine name, as accepted by
-    /// [`ReplicationEngine::from_str`] and recorded in run output.
+    /// The lowercase engine name, as accepted by the
+    /// [`FromStr`](std::str::FromStr) impl and recorded in run output.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

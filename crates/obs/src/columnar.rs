@@ -11,10 +11,10 @@
 //! # On-disk layout
 //!
 //! ```text
-//! [8-byte magic "BDCT0001"]
+//! [8-byte magic "BDCT0002"]
 //! [block][block][block]…
 //!
-//! block := [u8 type-id][u32 row-count][u32 payload-len][u64 fnv1a-64 checksum of payload]
+//! block := [u8 type-id][u32 row-count][u32 payload-len][u64 xxh64 checksum of payload]
 //!          [payload: the block's columns, concatenated field by field]
 //! ```
 //!
@@ -27,6 +27,25 @@
 //! entries ride in dedicated blocks (type 0) emitted *before* the first
 //! block that references them, with densely increasing ids — so a
 //! sequential scan always resolves every reference.
+//!
+//! The checksum is [`xxh64`] with seed 0 over the payload bytes.
+//!
+//! # Versions
+//!
+//! The sink writes version `0002` only. Version `0001` ([`MAGIC_V1`]) has
+//! the same layout, byte for byte, except that each block's checksum is
+//! [`fnv1a64`]: FNV-1a works one byte at a time, which made it a large
+//! share of a recorded run's CPU time. [`ColumnarReader`] picks the
+//! checksum from the file's magic, so traces of either version read,
+//! analyze, convert and [`repair`] alike, and a repaired file keeps its
+//! own magic. A file that starts with `BDCT` and four other digits is a
+//! columnar trace of a version this build does not know: it is rejected
+//! with an error that names the version, not read as "not a trace".
+//!
+//! To upgrade a v1 trace, convert it to JSONL and back: `bitdissem trace
+//! convert old.bct old.jsonl`, then `bitdissem trace convert old.jsonl
+//! new.bct`. The round trip keeps the event sequence exactly, and the
+//! new file is written as v2.
 //!
 //! # Order and batch grouping
 //!
@@ -77,8 +96,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// File magic: identifies a columnar trace (and its layout version).
-pub const MAGIC: [u8; 8] = *b"BDCT0001";
+/// File magic of the layout the sink writes: `BDCT` plus the four-digit
+/// layout version, `0002`. Blocks carry an [`xxh64`] checksum; the
+/// earlier [`MAGIC_V1`] layout is read too (see the module docs).
+pub const MAGIC: [u8; 8] = *b"BDCT0002";
+
+/// File magic of layout version `0001`: identical to [`MAGIC`]'s but for
+/// the block checksum, which is [`fnv1a64`]. The reader keeps this path
+/// for traces of earlier runs; nothing writes it.
+pub const MAGIC_V1: [u8; 8] = *b"BDCT0001";
 
 /// Rows per block before the sink seals it even mid-run. Each of the
 /// sink's [`STRIPES`] buffers at most one open run, so a sink holds at
@@ -106,8 +132,9 @@ mod ty {
     pub const MAX: u8 = TELEMETRY_SAMPLE;
 }
 
-/// FNV-1a 64-bit over `bytes` — dependency-free integrity check, plenty
-/// to detect torn writes and bit rot in a block payload.
+/// FNV-1a 64-bit over `bytes`: the block checksum of layout `0001`
+/// ([`MAGIC_V1`]). It hashes one byte per multiply, so it runs at about
+/// 1.6 ns/byte.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -116,6 +143,78 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2)).rotate_left(31).wrapping_mul(XXH_P1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte word"))
+}
+
+/// xxHash64 with seed 0 over `bytes`: the block checksum of layout
+/// `0002` ([`MAGIC`]). Four independent 8-byte lanes take 32 bytes per
+/// step, so it runs at about 0.11 ns/byte, near memory speed, and still
+/// detects torn writes and bit rot in a block payload.
+#[must_use]
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [XXH_P1.wrapping_add(XXH_P2), XXH_P2, 0, XXH_P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh_round(*a, le_u64(lane));
+            }
+        }
+        let mut h = acc[0].rotate_left(1);
+        h = h.wrapping_add(acc[1].rotate_left(7));
+        h = h.wrapping_add(acc[2].rotate_left(12));
+        h = h.wrapping_add(acc[3].rotate_left(18));
+        for a in acc {
+            h = (h ^ xxh_round(0, a)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        }
+        h
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word))).rotate_left(27).wrapping_mul(XXH_P1);
+        h = h.wrapping_add(XXH_P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4-byte word"));
+        h = (h ^ u64::from(half).wrapping_mul(XXH_P1)).rotate_left(23).wrapping_mul(XXH_P2);
+        h = h.wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_P5)).rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// The block checksum of the layout a file's leading bytes name, or
+/// `None` when they are not a layout this build reads.
+fn checksum_for(magic: &[u8]) -> Option<fn(&[u8]) -> u64> {
+    match magic {
+        m if m == MAGIC => Some(xxh64),
+        m if m == MAGIC_V1 => Some(fnv1a64),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -142,9 +241,11 @@ impl TraceFormat {
     }
 }
 
-/// Sniffs the format of the file at `path` from its leading bytes: the
-/// columnar magic wins, a leading `{` (after ASCII whitespace) reads as
-/// JSONL, anything else is `None` — not a trace.
+/// Sniffs the format of the file at `path` from its leading bytes: a
+/// columnar magic of any version (`BDCT` and four ASCII digits) wins, a
+/// leading `{` (after ASCII whitespace) reads as JSONL, anything else is
+/// `None` — not a trace. Whether this build reads that columnar version
+/// is [`ColumnarReader::open`]'s question.
 ///
 /// # Errors
 ///
@@ -167,8 +268,10 @@ pub fn detect_format(path: impl AsRef<Path>) -> std::io::Result<Option<TraceForm
 /// [`detect_format`] over in-memory leading bytes.
 #[must_use]
 pub fn sniff_bytes(head: &[u8]) -> Option<TraceFormat> {
-    if head.starts_with(&MAGIC) {
-        return Some(TraceFormat::Columnar);
+    if let Some((b"BDCT", version)) = head.get(..MAGIC.len()).map(|m| m.split_at(4)) {
+        if version.iter().all(u8::is_ascii_digit) {
+            return Some(TraceFormat::Columnar);
+        }
     }
     match head.iter().find(|b| !b" \t\r\n".contains(b)) {
         Some(b'{') => Some(TraceFormat::Jsonl),
@@ -361,14 +464,19 @@ impl ColumnarSink {
         self.writer.lock().expect("columnar sink poisoned")
     }
 
-    /// Appends a hot row to the calling thread's stripe, sealing first
-    /// the open rare run (so the row lands after it) and then the
-    /// stripe's own run if the row does not fit it.
-    fn push_hot<const N: usize>(&self, type_id: u8, fields: [u64; N], cols: &[usize; N]) {
+    /// Locks the calling thread's stripe, sealing first the open rare run
+    /// so that the rows pushed under the lock land after it.
+    fn hot_stripe(&self) -> MutexGuard<'_, Stripe> {
         if self.rare_open.load(Ordering::Acquire) {
             drop(self.seal_rare());
         }
-        let mut stripe = self.stripes[thread_slot()].0.lock().expect("columnar sink poisoned");
+        self.stripes[thread_slot()].0.lock().expect("columnar sink poisoned")
+    }
+
+    /// Appends a hot row to the calling thread's stripe, sealing the
+    /// stripe's own run first if the row does not fit it.
+    fn push_hot<const N: usize>(&self, type_id: u8, fields: [u64; N], cols: &[usize; N]) {
+        let mut stripe = self.hot_stripe();
         if stripe.needs_seal(type_id) {
             self.seal_stripe(&mut stripe);
         }
@@ -532,6 +640,27 @@ impl EventSink for ColumnarSink {
         }
     }
 
+    /// Checks for an open rare run and takes the stripe lock once per
+    /// call, not once per row. A rare event of this thread cannot fall
+    /// between the rows, so the bytes are those of the per-row `emit`
+    /// loop; one of another thread waits for the lock and lands after
+    /// them, an order the per-row loop may produce too.
+    fn emit_rounds(&self, round: u64, source_opinion: u8, reps: &[u64], ones: &[u64]) {
+        assert_eq!(reps.len(), ones.len(), "one ones-count per replica label");
+        // The per-row loop over no rows would not seal the rare run.
+        if reps.is_empty() {
+            return;
+        }
+        let mut stripe = self.hot_stripe();
+        for (&rep, &ones) in reps.iter().zip(ones) {
+            if stripe.needs_seal(ty::ROUND_COMPLETED) {
+                self.seal_stripe(&mut stripe);
+            }
+            let fields = [rep, round, ones, u64::from(source_opinion)];
+            stripe.push(ty::ROUND_COMPLETED, fields, &ROUND_COLS);
+        }
+    }
+
     fn flush(&self) {
         self.seal_stripes();
         let _ = self.seal_rare().out.flush();
@@ -646,7 +775,7 @@ fn block_header(type_id: u8, count: usize, payload: &[u8]) -> [u8; HEADER_LEN] {
     header[1..5].copy_from_slice(&u32::try_from(count).expect("block rows < 2^32").to_le_bytes());
     header[5..9]
         .copy_from_slice(&u32::try_from(payload.len()).expect("block < 4 GiB").to_le_bytes());
-    header[9..17].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    header[9..17].copy_from_slice(&xxh64(payload).to_le_bytes());
     header
 }
 
@@ -858,9 +987,10 @@ impl ColumnarReader {
     /// # Errors
     ///
     /// Propagates I/O errors, and reports `InvalidData` when the file
-    /// does not start with the columnar magic (it is not a columnar
-    /// trace at all — as opposed to a torn one, which opens fine and is
-    /// flagged via [`ColumnarReader::torn_tail`]).
+    /// does not start with a columnar magic this build reads (it is not a
+    /// columnar trace at all, or one of an unknown version — as opposed
+    /// to a torn one, which opens fine and is flagged via
+    /// [`ColumnarReader::torn_tail`]).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Self::from_bytes(std::fs::read(path)?)
     }
@@ -869,21 +999,26 @@ impl ColumnarReader {
     ///
     /// # Errors
     ///
-    /// Reports `InvalidData` when the buffer does not start with the
-    /// columnar magic.
+    /// Reports `InvalidData` when the buffer does not start with
+    /// [`MAGIC`] or [`MAGIC_V1`]; the message names the version when the
+    /// magic is a columnar one of another version.
     pub fn from_bytes(data: Vec<u8>) -> std::io::Result<Self> {
-        if !data.starts_with(&MAGIC) {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                "not a columnar trace (missing BDCT magic)",
-            ));
-        }
+        let head = data.get(..MAGIC.len()).unwrap_or_default();
+        let Some(checksum) = checksum_for(head) else {
+            let message = if sniff_bytes(head) == Some(TraceFormat::Columnar) {
+                let version = String::from_utf8_lossy(&head[4..]);
+                format!("columnar trace version {version}: this build reads 0001 and 0002")
+            } else {
+                "not a columnar trace (missing BDCT magic)".to_string()
+            };
+            return Err(std::io::Error::new(ErrorKind::InvalidData, message));
+        };
         let mut blocks = Vec::new();
         let mut dict: Vec<String> = Vec::new();
         let mut torn_at = None;
         let mut offset = MAGIC.len();
         while offset < data.len() {
-            match scan_block(&data, offset, &mut dict) {
+            match scan_block(&data, offset, &mut dict, checksum) {
                 Some(block) => {
                     let next = block.payload.end;
                     if block.type_id != ty::DICT {
@@ -951,9 +1086,15 @@ impl std::fmt::Debug for ColumnarReader {
     }
 }
 
-/// Validates the frame at `offset` and (for dictionary blocks) extends
-/// `dict`. Returns `None` on any inconsistency — the torn-tail signal.
-fn scan_block(data: &[u8], offset: usize, dict: &mut Vec<String>) -> Option<BlockRef> {
+/// Validates the frame at `offset` against the file's `checksum` and (for
+/// dictionary blocks) extends `dict`. Returns `None` on any inconsistency
+/// — the torn-tail signal.
+fn scan_block(
+    data: &[u8],
+    offset: usize,
+    dict: &mut Vec<String>,
+    checksum: fn(&[u8]) -> u64,
+) -> Option<BlockRef> {
     let header = data.get(offset..offset + HEADER_LEN)?;
     let type_id = header[0];
     if type_id > ty::MAX {
@@ -961,10 +1102,10 @@ fn scan_block(data: &[u8], offset: usize, dict: &mut Vec<String>) -> Option<Bloc
     }
     let count = u32::from_le_bytes(header[1..5].try_into().ok()?) as usize;
     let payload_len = u32::from_le_bytes(header[5..9].try_into().ok()?) as usize;
-    let checksum = u64::from_le_bytes(header[9..17].try_into().ok()?);
+    let expected = u64::from_le_bytes(header[9..17].try_into().ok()?);
     let start = offset + HEADER_LEN;
     let payload = data.get(start..start.checked_add(payload_len)?)?;
-    if fnv1a64(payload) != checksum {
+    if checksum(payload) != expected {
         return None;
     }
     if type_id == ty::DICT {
@@ -1368,6 +1509,11 @@ mod tests {
     }
 
     fn encode(events: &[Event]) -> Vec<u8> {
+        record(|sink| events.iter().for_each(|ev| sink.emit(ev)))
+    }
+
+    /// The bytes a sink writes for what `emit` sends it, drop included.
+    fn record(emit: impl FnOnce(&ColumnarSink)) -> Vec<u8> {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
@@ -1380,9 +1526,7 @@ mod tests {
             }
         }
         let sink = ColumnarSink::from_writer(Box::new(Shared(Arc::clone(&buf)))).unwrap();
-        for ev in events {
-            sink.emit(ev);
-        }
+        emit(&sink);
         drop(sink);
         let bytes = buf.lock().unwrap().clone();
         bytes
@@ -1428,18 +1572,34 @@ mod tests {
         bounds
     }
 
+    /// Re-encodes a valid v2 trace as layout `0001`: the v1 magic, and
+    /// each block's checksum recomputed with FNV-1a. Everything else is
+    /// left as it is.
+    fn to_v1(bytes: &[u8]) -> Vec<u8> {
+        let mut v1 = bytes.to_vec();
+        v1[..MAGIC.len()].copy_from_slice(&MAGIC_V1);
+        for pair in block_boundaries(bytes).windows(2) {
+            let (start, end) = (pair[0], pair[1]);
+            let sum = fnv1a64(&bytes[start + HEADER_LEN..end]);
+            v1[start + 9..start + HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        }
+        v1
+    }
+
     #[test]
     fn truncation_at_every_byte_offset_recovers_a_clean_prefix() {
-        // The exhaustive version of the torn-tail contract: cutting the
-        // file at *any* byte offset must recover a prefix of whole
-        // blocks — never garbage, never a panic. A cut exactly on a
-        // block boundary is indistinguishable from a clean shorter
-        // trace (just as JSONL cut exactly at a newline), so only
-        // mid-block cuts must raise the torn-tail flag.
         let events = sample_events();
-        let full = encode(&events);
-        let bounds = block_boundaries(&full);
-        let all: Vec<Event> = events.clone();
+        assert_every_cut_recovers_a_clean_prefix(&encode(&events), &events);
+    }
+
+    /// The exhaustive version of the torn-tail contract: cutting `full`
+    /// (the trace of `all`) at *any* byte offset must recover a prefix of
+    /// whole blocks — never garbage, never a panic. A cut exactly on a
+    /// block boundary is indistinguishable from a clean shorter trace
+    /// (just as JSONL cut exactly at a newline), so only mid-block cuts
+    /// must raise the torn-tail flag.
+    fn assert_every_cut_recovers_a_clean_prefix(full: &[u8], all: &[Event]) {
+        let bounds = block_boundaries(full);
         for cut in MAGIC.len()..full.len() {
             let reader = ColumnarReader::from_bytes(full[..cut].to_vec()).unwrap();
             let recovered: Vec<Event> = reader.events().collect();
@@ -1511,9 +1671,143 @@ mod tests {
     #[test]
     fn single_threaded_bytes_are_pinned() {
         // Golden hashes of whole files: a sink rewrite must leave every
-        // byte of a single-threaded trace as it was.
-        assert_eq!(fnv1a64(&encode(&sample_events())), 0x6ed2_04c8_1bd7_63a4);
-        assert_eq!(fnv1a64(&encode(&long_round_run())), 0x2b25_6547_56aa_0666);
+        // byte of a single-threaded trace as it was. Re-encoded as v1,
+        // the files hash to the v1 writer's goldens, so layout `0002`
+        // changed the checksum alone: payloads, headers and block
+        // boundaries are those of `0001`.
+        let (short, long) = (encode(&sample_events()), encode(&long_round_run()));
+        assert_eq!(fnv1a64(&to_v1(&short)), 0x6ed2_04c8_1bd7_63a4);
+        assert_eq!(fnv1a64(&to_v1(&long)), 0x2b25_6547_56aa_0666);
+        assert_eq!(fnv1a64(&short), 0x7d58_a885_bef6_31c6);
+        assert_eq!(fnv1a64(&long), 0x0d9e_52c2_4e4d_8c8c);
+    }
+
+    #[test]
+    fn xxh64_matches_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"xxhash"), 0x32DD_3895_2C4B_C720);
+        // 39 bytes: one 32-byte stripe of four lanes, then a 4-byte word
+        // and a 3-byte tail.
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+        // 43 bytes: the stripe, one 8-byte word and a 3-byte tail.
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(xxh64(fox), 0x0B24_2D36_1FDA_71BC);
+    }
+
+    #[test]
+    fn v1_traces_still_read_check_and_recover() {
+        let events = sample_events();
+        let v1 = to_v1(&encode(&events));
+        assert_eq!(sniff_bytes(&v1), Some(TraceFormat::Columnar));
+        let reader = ColumnarReader::from_bytes(v1.clone()).unwrap();
+        assert!(!reader.torn_tail());
+        assert_eq!(reader.events().collect::<Vec<_>>(), events);
+        // Relabelled as v2, its FNV-1a checksums fail: the reader takes
+        // the checksum from the magic.
+        let mut relabelled = v1.clone();
+        relabelled[..MAGIC.len()].copy_from_slice(&MAGIC);
+        assert_eq!(ColumnarReader::from_bytes(relabelled).unwrap().torn_offset(), Some(8));
+        // A flipped payload byte fails FNV-1a.
+        let mut flipped = v1.clone();
+        flipped[MAGIC.len() + HEADER_LEN + 1] ^= 0xFF;
+        let reader = ColumnarReader::from_bytes(flipped).unwrap();
+        assert_eq!(reader.torn_offset(), Some(MAGIC.len() as u64));
+        assert_eq!(reader.event_count(), 0);
+        assert_every_cut_recovers_a_clean_prefix(&v1, &events);
+        // Repair truncates and keeps the file's own magic.
+        let path =
+            std::env::temp_dir().join(format!("obs_columnar_v1_repair_{}.bct", std::process::id()));
+        std::fs::write(&path, &v1[..v1.len() - 5]).unwrap();
+        let stats = repair(&path).unwrap();
+        assert!(stats.bytes_truncated > 0);
+        let repaired = std::fs::read(&path).unwrap();
+        assert_eq!(repaired[..MAGIC.len()], MAGIC_V1);
+        let reader = ColumnarReader::from_bytes(repaired).unwrap();
+        assert!(!reader.torn_tail());
+        assert_eq!(reader.event_count(), stats.events_kept);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unknown_versions_are_named_not_taken_for_other_files() {
+        let mut v3 = encode(&sample_events());
+        v3[..MAGIC.len()].copy_from_slice(b"BDCT0003");
+        assert_eq!(sniff_bytes(&v3), Some(TraceFormat::Columnar));
+        let err = ColumnarReader::from_bytes(v3).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "columnar trace version 0003: this build reads 0001 and 0002");
+        assert_eq!(sniff_bytes(b"BDCTv003"), None);
+        let err = ColumnarReader::from_bytes(b"BDCTv003".to_vec()).unwrap_err();
+        assert!(err.to_string().starts_with("not a columnar trace"), "{err}");
+    }
+
+    /// Four rounds of 3000 live replicas after a batch header. The first
+    /// two fill one run past `BLOCK_ROWS`; a replica finishes after the
+    /// second round and two telemetry samples follow the third.
+    fn round_script() -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+        let reps: Vec<u64> = (0..3000).collect();
+        (1..=4)
+            .map(|round| {
+                let ones = reps.iter().map(|r| r * 7 + round).collect();
+                (round, reps.clone(), ones)
+            })
+            .collect()
+    }
+
+    fn play_round_script(sink: &dyn EventSink, per_row: bool) {
+        sink.emit(&sample_events()[2]);
+        for (round, reps, ones) in round_script() {
+            if per_row {
+                for (&rep, &ones) in reps.iter().zip(&ones) {
+                    sink.emit(&Event::RoundCompleted { rep, round, ones, source_opinion: 1 });
+                }
+            } else {
+                sink.emit_rounds(round, 1, &reps, &ones);
+            }
+            match round {
+                2 => sink.emit(&sample_events()[5]),
+                3 => {
+                    sink.emit(&sample_events()[10]);
+                    // A round with no live rows must not split the run
+                    // of rare events around it.
+                    if !per_row {
+                        sink.emit_rounds(round, 1, &[], &[]);
+                    }
+                    sink.emit(&sample_events()[11]);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn emit_rounds_writes_the_bytes_of_per_row_emits() {
+        let batched = record(|sink| play_round_script(sink, false));
+        let per_row = record(|sink| play_round_script(sink, true));
+        assert_eq!(batched, per_row);
+        let reader = ColumnarReader::from_bytes(batched).unwrap();
+        assert_eq!(reader.event_count(), 1 + 4 * 3000 + 3);
+        // The first two rounds seal at BLOCK_ROWS and at the finished
+        // row; the telemetry samples seal the third round.
+        let sizes: Vec<usize> = reader
+            .blocks()
+            .filter_map(|b| match b {
+                Block::RoundCompleted(c) => Some(c.len),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes, [BLOCK_ROWS, 2 * 3000 - BLOCK_ROWS, 3000, 3000]);
+    }
+
+    #[test]
+    fn default_emit_rounds_is_the_per_row_loop() {
+        let (batched, per_row) = (MemorySink::new(), MemorySink::new());
+        play_round_script(&batched, false);
+        play_round_script(&per_row, true);
+        assert_eq!(batched.len(), 1 + 4 * 3000 + 3);
+        assert_eq!(batched.events(), per_row.events());
     }
 
     #[test]
@@ -1564,6 +1858,7 @@ mod tests {
     #[test]
     fn format_sniffing() {
         assert_eq!(sniff_bytes(&MAGIC), Some(TraceFormat::Columnar));
+        assert_eq!(sniff_bytes(&MAGIC_V1), Some(TraceFormat::Columnar));
         assert_eq!(sniff_bytes(b"{\"type\":"), Some(TraceFormat::Jsonl));
         assert_eq!(sniff_bytes(b"  \n{\"a\":1}"), Some(TraceFormat::Jsonl));
         assert_eq!(sniff_bytes(b"schema_version,label"), None);

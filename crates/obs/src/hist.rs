@@ -2,7 +2,7 @@
 //!
 //! [`LogHistogram`] records `u64` values (conventionally nanoseconds) into
 //! HDR-style buckets: each power-of-two range is split into
-//! [`LogHistogram::SUB_BUCKETS`] linear sub-buckets, so quantile estimates
+//! 16 linear sub-buckets, so quantile estimates
 //! carry a bounded relative error (≤ 1/16 ≈ 6.25%) while the histogram
 //! itself stays a fixed ~8 KiB of counters — no samples are stored, and
 //! recording is a handful of bit operations. This is what makes it safe to

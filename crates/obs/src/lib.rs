@@ -190,6 +190,13 @@ impl Obs {
         self.sink.emit(event);
     }
 
+    /// Sends one round's [`Event::RoundCompleted`] rows, one per pair of
+    /// `reps` and `ones`, in one call (see [`EventSink::emit_rounds`]).
+    /// Gate on [`Obs::wants_round`] first.
+    pub fn emit_rounds(&self, round: u64, source_opinion: u8, reps: &[u64], ones: &[u64]) {
+        self.sink.emit_rounds(round, source_opinion, reps, ones);
+    }
+
     /// The metrics block (always present; only populated when
     /// [`Obs::metrics_on`]).
     #[must_use]

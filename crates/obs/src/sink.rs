@@ -22,6 +22,19 @@ pub trait EventSink: Send + Sync {
     /// Records one event.
     fn emit(&self, event: &Event);
 
+    /// Records one round of a lock-step batch: a
+    /// [`Event::RoundCompleted`] labelled `round` with `source_opinion`
+    /// for each pair of `reps` and `ones`, in that order, exactly as the
+    /// same `emit` calls would. All rows come from the calling thread, so
+    /// a sink may take its locks once per call rather than once per row.
+    /// Default: one `emit` per row.
+    fn emit_rounds(&self, round: u64, source_opinion: u8, reps: &[u64], ones: &[u64]) {
+        debug_assert_eq!(reps.len(), ones.len(), "one ones-count per replica label");
+        for (&rep, &ones) in reps.iter().zip(ones) {
+            self.emit(&Event::RoundCompleted { rep, round, ones, source_opinion });
+        }
+    }
+
     /// Flushes any buffered output. Default: no-op.
     fn flush(&self) {}
 }

@@ -30,7 +30,7 @@
 //!
 //! Tasks borrow caller state, while workers are `'static` threads, so the
 //! batch core is handed to workers through a lifetime-erased raw pointer
-//! ([`BatchHandle`]). Soundness rests on one invariant, enforced by a
+//! (`BatchHandle`). Soundness rests on one invariant, enforced by a
 //! close/leave handshake on sequentially-consistent atomics:
 //! [`Pool::run_batch`] does not return until the batch is closed to new
 //! participants **and** every joined worker has left, so the pointer is

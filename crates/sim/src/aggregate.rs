@@ -21,7 +21,7 @@ const ADOPTION_PROB_TOL: f64 = 1e-9;
 /// `(P₀(p), P₁(p))` — the probability that a 0-holder (resp. 1-holder)
 /// adopts opinion 1 next round.
 ///
-/// Values within [`ADOPTION_PROB_TOL`] of `[0, 1]` are clamped (summation
+/// Values within `ADOPTION_PROB_TOL` (1e-9) of `[0, 1]` are clamped (summation
 /// noise); anything further out means the table or the pmf computation is
 /// corrupt and is surfaced as
 /// [`ProtocolError::InvalidAdoptionProbability`] instead of being silently

@@ -321,6 +321,9 @@ impl BatchedAggregateSim {
 
         let timer = Timer::start();
         let mut perturbations = 0u64;
+        // Trace labels of the live replicas, gathered once per recorded
+        // round so that the round's rows go to the sink in one call.
+        let mut live_labels = Vec::with_capacity(self.live_rep.len());
         if obs.active() {
             // Replicas already at consensus finish at round 0, before any
             // round event — same shape as the solo loop.
@@ -363,14 +366,9 @@ impl BatchedAggregateSim {
                 // Still-live replicas report their post-round state; the
                 // replicas retired *this* round report the consensus they
                 // just reached (the solo loop emits that round too).
-                for pos in 0..self.live_rep.len() {
-                    obs.emit(&Event::RoundCompleted {
-                        rep: reps[self.live_rep[pos]],
-                        round: r,
-                        ones: self.live_ones[pos],
-                        source_opinion,
-                    });
-                }
+                live_labels.clear();
+                live_labels.extend(self.live_rep.iter().map(|&rep| reps[rep]));
+                obs.emit_rounds(r, source_opinion, &live_labels, &self.live_ones);
             }
             for (rep, &label) in reps.iter().enumerate() {
                 if self.converged_at[rep] == Some(r) {

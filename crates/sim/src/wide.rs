@@ -13,7 +13,7 @@
 //!    engine tabulates that *sum* — the convolution of the two truncated
 //!    binomial pmfs, or where `P₀ = P₁ = P` the one truncated pmf of
 //!    `Binomial(n − 1, P)` it equals — as a single Walker/Vose
-//!    [`AliasTable`], so the per replica-round hot path is one SplitMix64
+//!    `AliasTable`, so the per replica-round hot path is one SplitMix64
 //!    mix plus one alias lookup.
 //! 2. **Lane-friendly loops.** The per-round work splits into flat passes
 //!    (counter words for all live replicas, then draws, with kernel
@@ -563,6 +563,9 @@ impl WideBatchedSim {
 
         let timer = Timer::start();
         let mut perturbations = 0u64;
+        // Trace labels of the live replicas, gathered once per recorded
+        // round so that the round's rows go to the sink in one call.
+        let mut live_labels = Vec::with_capacity(self.live_rep.len());
         if obs.active() {
             for (rep, &label) in reps.iter().enumerate() {
                 if self.converged_at[rep] == Some(0) {
@@ -600,14 +603,9 @@ impl WideBatchedSim {
             let source_opinion = self.z as u8;
             let r = self.round;
             if obs.wants_round(r) {
-                for pos in 0..self.live_rep.len() {
-                    obs.emit(&Event::RoundCompleted {
-                        rep: reps[self.live_rep[pos]],
-                        round: r,
-                        ones: self.live_ones[pos],
-                        source_opinion,
-                    });
-                }
+                live_labels.clear();
+                live_labels.extend(self.live_rep.iter().map(|&rep| reps[rep]));
+                obs.emit_rounds(r, source_opinion, &live_labels, &self.live_ones);
             }
             for (rep, &label) in reps.iter().enumerate() {
                 if self.converged_at[rep] == Some(r) {
