@@ -21,19 +21,32 @@
 //! no replica of either chain crosses the witness threshold or converges,
 //! so the digests also cover every replica's whole path, which any changed
 //! draw would move.
+//!
+//! Two more pins cover what the lock-step round loop does around a draw:
+//!
+//! * **Environment schedules.** Voter(1) at `n = 256` under a schedule with
+//!   all three clause kinds (source flip, noise, periodic reset). The
+//!   per-replica and batched engines draw the perturbations from each
+//!   replica's own stream and must agree; the wide engine draws them from
+//!   the salted counter stream and has a pin of its own.
+//! * **Observed event stream.** One observed lock-step run per engine, with
+//!   a round stride and a source flip: the digest covers every event field
+//!   but the wall-clock `elapsed_us`, in emission order, plus the run's
+//!   counters. Recorded traces come out of this loop.
 
 use std::sync::Arc;
 
 use bitdissem_analysis::LowerBoundWitness;
-use bitdissem_core::dynamics::{Minority, TwoChoices};
-use bitdissem_core::{Kernel, Protocol, ProtocolExt};
+use bitdissem_core::dynamics::{Minority, TwoChoices, Voter};
+use bitdissem_core::{Configuration, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_experiments::workload::measure_crossing_observed;
-use bitdissem_obs::Obs;
+use bitdissem_obs::{CounterSnapshot, Event, MemorySink, Obs, ReplicationOutcome};
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::{
-    replicate_batched_observed, replicate_wide_observed, AggregateSim, BatchedAggregateSim,
-    Outcome, WideBatchedSim,
+    replicate_batched_env_observed, replicate_batched_observed, replicate_indices_observed,
+    replicate_wide_env_observed, replicate_wide_observed, run_to_consensus_env_observed,
+    AggregateSim, BatchedAggregateSim, EnvSchedule, Outcome, WideBatchedSim,
 };
 
 const N: u64 = 8192;
@@ -197,4 +210,193 @@ fn two_choices_batched_outcomes_and_states_are_pinned() {
 #[test]
 fn two_choices_wide_outcomes_and_states_are_pinned() {
     assert_eq!(wide_pin(&TwoChoices::new()), TWO_CHOICES_WIDE, "wide digests");
+}
+
+const ENV_N: u64 = 256;
+const ENV_X0: u64 = 77;
+const ENV_BUDGET: u64 = 2000;
+const ENV_SCHEDULE: &str = "flip@40,noise:0.01,reset:k=4@every:60";
+
+/// Voter(1) under [`ENV_SCHEDULE`], per-replica and batched engines: both
+/// draw every perturbation from the replica's own stream, so they agree on
+/// outcomes and paths.
+const ENV_REFERENCE: Pin = (9_151_437_523_866_711_054, 4_197_544_416_341_348_954);
+/// The same runs on the wide engine, whose perturbations come from the
+/// counter stream `stream ^ ENV_STREAM_SALT`.
+const ENV_WIDE: Pin = (10_942_672_526_979_212_375, 15_722_102_892_072_395_737);
+
+fn env_setup() -> (Arc<Kernel>, Configuration, EnvSchedule, Vec<usize>, Vec<u64>) {
+    let kernel = Arc::new(
+        Voter::new(1).expect("valid").to_table(ENV_N).expect("valid").compile().expect("compiles"),
+    );
+    let start = Configuration::new(ENV_N, Opinion::One, ENV_X0).expect("valid start");
+    let env: EnvSchedule = ENV_SCHEDULE.parse().expect("valid schedule");
+    let indices: Vec<usize> = (0..REPS).collect();
+    let seeds = indices.iter().map(|&rep| replication_seed(SEED, rep as u64)).collect();
+    (kernel, start, env, indices, seeds)
+}
+
+/// `budget` rounds of `round`, which perturbs and steps a no-retire
+/// lock-step batch and returns every replica's ones-count.
+fn env_paths(mut round: impl FnMut() -> Vec<u64>) -> Vec<Vec<u64>> {
+    let mut paths = vec![Vec::new(); REPS];
+    for _ in 0..ENV_BUDGET {
+        for (path, x) in paths.iter_mut().zip(round()) {
+            path.push(x);
+        }
+    }
+    paths
+}
+
+fn env_reference_pin() -> Pin {
+    let (kernel, start, env, indices, seeds) = env_setup();
+    let obs = Obs::none();
+    let outcomes = replicate_indices_observed(&indices, SEED, Some(2), &obs, |mut rng, rep| {
+        let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+        run_to_consensus_env_observed(&mut sim, &env, &mut rng, ENV_BUDGET, &obs, rep as u64)
+    });
+    let paths: Vec<Vec<u64>> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+            let mut rng = rng_from(seed);
+            (0..ENV_BUDGET)
+                .map(|t| {
+                    sim.perturb(&env, t, &mut rng);
+                    sim.step_round(&mut rng);
+                    sim.configuration().ones()
+                })
+                .collect()
+        })
+        .collect();
+    (outcome_digest(&outcomes), path_digest(&paths))
+}
+
+fn env_batched_pin() -> Pin {
+    let (kernel, start, env, indices, seeds) = env_setup();
+    let outcomes = replicate_batched_env_observed(
+        &kernel,
+        start,
+        &indices,
+        SEED,
+        Some(2),
+        ENV_BUDGET,
+        &env,
+        &Obs::none(),
+    );
+    let mut batch = BatchedAggregateSim::with_retirement(kernel, start, &seeds, false);
+    let paths = env_paths(|| {
+        batch.perturb_round(&env);
+        batch.step_round();
+        (0..REPS).map(|rep| batch.ones_of(rep)).collect()
+    });
+    (outcome_digest(&outcomes), path_digest(&paths))
+}
+
+fn env_wide_pin() -> Pin {
+    let (kernel, start, env, indices, streams) = env_setup();
+    let outcomes = replicate_wide_env_observed(
+        &kernel,
+        start,
+        &indices,
+        SEED,
+        Some(2),
+        ENV_BUDGET,
+        &env,
+        &Obs::none(),
+    );
+    let scalar = std::env::var("BITDISSEM_WIDE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
+    let mut batch = WideBatchedSim::with_mode(kernel, start, &streams, scalar, false);
+    let paths = env_paths(|| {
+        batch.perturb_round(&env);
+        batch.step_round();
+        (0..REPS).map(|rep| batch.ones_of(rep)).collect()
+    });
+    (outcome_digest(&outcomes), path_digest(&paths))
+}
+
+#[test]
+fn env_outcomes_and_states_are_pinned() {
+    assert_eq!(env_reference_pin(), ENV_REFERENCE, "per-replica env digests");
+    assert_eq!(env_batched_pin(), ENV_REFERENCE, "batched env digests");
+    assert_eq!(env_wide_pin(), ENV_WIDE, "wide env digests");
+}
+
+const OBS_N: u64 = 64;
+const OBS_X0: u64 = 20;
+const OBS_REPS: usize = 8;
+const OBS_BUDGET: u64 = 100;
+
+/// An observed run's event digest and its `(rounds_simulated,
+/// opinion_samples, perturbations_applied, replicas_retired)` counters.
+type ObservedPin = (u64, [u64; 4]);
+
+/// The observed run on the batched engine: five replicas converge (one
+/// flip each), three time out at the budget.
+const OBSERVED_BATCHED: ObservedPin = (12_705_591_152_106_064_800, [573, 36_672, 8, 5]);
+/// The observed run on the wide engine: four converge, four time out.
+const OBSERVED_WIDE: ObservedPin = (3_828_907_192_953_506_369, [640, 40_960, 8, 4]);
+
+/// Digest of an event stream over every field but `elapsed_us`, in
+/// emission order.
+fn event_digest(events: &[Event]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for event in events {
+        match *event {
+            Event::RoundCompleted { rep, round, ones, source_opinion } => {
+                for x in [0, rep, round, ones, u64::from(source_opinion)] {
+                    fnv(&mut h, x);
+                }
+            }
+            Event::ReplicationFinished { rep, outcome, rounds, elapsed_us: _ } => {
+                let converged = u64::from(outcome == ReplicationOutcome::Converged);
+                for x in [1, rep, converged, rounds] {
+                    fnv(&mut h, x);
+                }
+            }
+            ref other => panic!("a lock-step run emitted {other:?}"),
+        }
+    }
+    h
+}
+
+/// Voter(1) from `X_0 = 20` at `n = 64` with the source flipping at round
+/// 25; trace labels are `100 + rep`.
+fn observed_setup() -> (Arc<Kernel>, Configuration, EnvSchedule, Vec<u64>, Vec<u64>) {
+    let kernel = Arc::new(
+        Voter::new(1).expect("valid").to_table(OBS_N).expect("valid").compile().expect("compiles"),
+    );
+    let start = Configuration::new(OBS_N, Opinion::One, OBS_X0).expect("valid start");
+    let env: EnvSchedule = "flip@25".parse().expect("valid schedule");
+    let seeds = (0..OBS_REPS).map(|rep| replication_seed(SEED, rep as u64)).collect();
+    let labels = (0..OBS_REPS as u64).map(|rep| 100 + rep).collect();
+    (kernel, start, env, seeds, labels)
+}
+
+/// Runs `run` on a handle that records every event at round stride 3 and
+/// counts metrics.
+fn observed_pin(run: impl FnOnce(&Obs) -> Vec<Outcome>) -> ObservedPin {
+    let sink = Arc::new(MemorySink::new());
+    let obs = Obs::none().with_sink(Arc::clone(&sink) as _).with_metrics().with_round_stride(3);
+    run(&obs);
+    let c: CounterSnapshot = obs.metrics().snapshot();
+    (
+        event_digest(&sink.events()),
+        [c.rounds_simulated, c.opinion_samples, c.perturbations_applied, c.replicas_retired],
+    )
+}
+
+#[test]
+fn observed_event_streams_are_pinned() {
+    let (kernel, start, env, seeds, labels) = observed_setup();
+    let batched = observed_pin(|obs| {
+        BatchedAggregateSim::new(Arc::clone(&kernel), start, &seeds)
+            .run_to_consensus_env_observed(OBS_BUDGET, &env, obs, &labels)
+    });
+    let wide = observed_pin(|obs| {
+        WideBatchedSim::new(Arc::clone(&kernel), start, &seeds)
+            .run_to_consensus_env_observed(OBS_BUDGET, &env, obs, &labels)
+    });
+    assert_eq!(batched, OBSERVED_BATCHED, "batched event stream");
+    assert_eq!(wide, OBSERVED_WIDE, "wide event stream");
 }
