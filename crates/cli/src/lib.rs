@@ -2093,6 +2093,34 @@ mod tests {
     }
 
     #[test]
+    fn trace_reads_a_jsonl_trace_behind_blank_lines() {
+        // More blank lines than a columnar magic is long: the format sniff
+        // must read past them, as the JSONL reader does.
+        let dir = temp_dir("trace_padded");
+        let (bare, padded) = (dir.join("run.jsonl"), dir.join("padded.jsonl"));
+        let (out, status) = run_cli(&[
+            "run",
+            "e2",
+            "--scale",
+            "smoke",
+            "--seed",
+            "13",
+            "--trace-out",
+            bare.to_str().unwrap(),
+        ]);
+        assert_eq!(status, Status::Ok, "{out}");
+        let mut bytes = b"\n".repeat(9);
+        bytes.extend(std::fs::read(&bare).unwrap());
+        std::fs::write(&padded, bytes).unwrap();
+        let (expected, status) = run_cli(&["trace", bare.to_str().unwrap()]);
+        assert_eq!(status, Status::Ok, "{expected}");
+        let (report, status) = run_cli(&["trace", padded.to_str().unwrap()]);
+        assert_eq!(status, Status::Ok, "{report}");
+        assert_eq!(report, expected, "blank lines change nothing in the report");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn run_trace_format_columnar_matches_jsonl_analytics_exactly() {
         // The acceptance contract at CLI level: the same run recorded in
         // both formats must produce byte-identical `trace` reports

@@ -13,14 +13,15 @@ use std::sync::Arc;
 use bitdissem_core::{Configuration, GTable};
 use bitdissem_sim::agent::AgentSim;
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::batched::BatchedAggregateSim;
+use bitdissem_sim::batched::SeededDraw;
 use bitdissem_sim::dual::CoalescingDual;
 use bitdissem_sim::env::EnvSchedule;
+use bitdissem_sim::lockstep::{Draw, LockstepSim};
 use bitdissem_sim::partial::PartialSim;
 use bitdissem_sim::rng::{replication_seed, rng_from, SimRng};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::WideBatchedSim;
+use bitdissem_sim::wide::CounterDraw;
 
 /// A backend of the *parallel* law: all `n − 1` non-source agents update
 /// each round. The five are distributionally identical by construction
@@ -38,12 +39,13 @@ pub enum ParallelBackend {
     Aggregate,
     /// [`PartialSim`] with a full batch `m = n − 1`.
     PartialFull,
-    /// [`BatchedAggregateSim`]: all replications of the cell advance
-    /// lock-step through a shared compiled kernel.
+    /// [`LockstepSim`] on the [`SeededDraw`]: all replications of the cell
+    /// advance lock-step through a shared compiled kernel.
     Batched,
-    /// [`WideBatchedSim`]: the counter-rng lane engine. Same law, but a
-    /// different randomness stream than every other backend, so its
-    /// admission rests on these KS gates rather than bit equality.
+    /// [`LockstepSim`] on the [`CounterDraw`]: the counter-rng lane engine.
+    /// Same law, but a different randomness stream than every other
+    /// backend, so its admission rests on these KS gates rather than bit
+    /// equality.
     Wide,
 }
 
@@ -166,11 +168,8 @@ pub fn sample_parallel(
     checkpoints: &[u64],
     seed: u64,
 ) -> RunSamples {
-    if backend == ParallelBackend::Batched {
-        return sample_parallel_batched(table, start, reps, budget, checkpoints, seed);
-    }
-    if backend == ParallelBackend::Wide {
-        return sample_parallel_wide(table, start, reps, budget, checkpoints, seed);
+    if let Some(sample) = lockstep_sampler(backend) {
+        return sample(table, start, reps, budget, checkpoints, seed, None);
     }
     let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
     let mut times = Vec::with_capacity(reps);
@@ -197,89 +196,6 @@ pub fn sample_parallel(
         }
         times.push(time as f64);
     }
-    RunSamples { marginals, times }
-}
-
-/// The [`ParallelBackend::Batched`] driver: one lock-step batch holds all
-/// `reps` replications of the cell, and the observables are read from the
-/// batch as its shared clock passes each checkpoint. Mirrors [`run_one`]'s
-/// conventions exactly — consensus is checked at `t` before stepping, a
-/// converged replication holds its absorbed state for later checkpoints
-/// without burning randomness (the engine retires it), and times are
-/// right-censored at `budget`.
-fn sample_parallel_batched(
-    table: &GTable,
-    start: Configuration,
-    reps: usize,
-    budget: u64,
-    checkpoints: &[u64],
-    seed: u64,
-) -> RunSamples {
-    let kernel = Arc::new(table.compile().expect("valid grid cell"));
-    let seeds: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch = BatchedAggregateSim::new(kernel, start, &seeds);
-
-    let last_cp = checkpoints.last().copied().unwrap_or(0);
-    // Rows are filled in visit order; checkpoints beyond the budget leave
-    // their row empty, the same shape the per-replication drivers produce.
-    let mut marginals = vec![Vec::new(); checkpoints.len()];
-    let mut next_row = 0;
-    let mut t: u64 = 0;
-    loop {
-        if checkpoints.contains(&t) {
-            marginals[next_row] = (0..reps).map(|rep| batch.ones_of(rep) as f64).collect();
-            next_row += 1;
-        }
-        if t == budget || (batch.live() == 0 && t >= last_cp) {
-            break;
-        }
-        if batch.live() > 0 {
-            batch.step_round();
-        }
-        t += 1;
-    }
-    let times =
-        (0..reps).map(|rep| batch.converged_at(rep).unwrap_or(budget) as f64).collect::<Vec<_>>();
-    RunSamples { marginals, times }
-}
-
-/// The [`ParallelBackend::Wide`] driver: the counter-rng lane engine over
-/// the same checkpoint/censoring conventions as
-/// [`sample_parallel_batched`]. Replication `rep` draws from the counter
-/// stream `replication_seed(seed, rep)` — reproducible in isolation, but
-/// *not* the byte stream the other backends consume, which is exactly why
-/// this backend exists: the harness KS-gates its law against theirs.
-fn sample_parallel_wide(
-    table: &GTable,
-    start: Configuration,
-    reps: usize,
-    budget: u64,
-    checkpoints: &[u64],
-    seed: u64,
-) -> RunSamples {
-    let kernel = Arc::new(table.compile().expect("valid grid cell"));
-    let streams: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch = WideBatchedSim::new(kernel, start, &streams);
-
-    let last_cp = checkpoints.last().copied().unwrap_or(0);
-    let mut marginals = vec![Vec::new(); checkpoints.len()];
-    let mut next_row = 0;
-    let mut t: u64 = 0;
-    loop {
-        if checkpoints.contains(&t) {
-            marginals[next_row] = (0..reps).map(|rep| batch.ones_of(rep) as f64).collect();
-            next_row += 1;
-        }
-        if t == budget || (batch.live() == 0 && t >= last_cp) {
-            break;
-        }
-        if batch.live() > 0 {
-            batch.step_round();
-        }
-        t += 1;
-    }
-    let times =
-        (0..reps).map(|rep| batch.converged_at(rep).unwrap_or(budget) as f64).collect::<Vec<_>>();
     RunSamples { marginals, times }
 }
 
@@ -343,32 +259,8 @@ pub fn sample_parallel_env(
     if env.is_inert() {
         return sample_parallel(backend, table, start, reps, budget, checkpoints, seed);
     }
-    match backend {
-        ParallelBackend::Batched => {
-            return sample_lockstep_env(
-                LockstepEnv::Batched,
-                table,
-                start,
-                reps,
-                budget,
-                checkpoints,
-                seed,
-                env,
-            )
-        }
-        ParallelBackend::Wide => {
-            return sample_lockstep_env(
-                LockstepEnv::Wide,
-                table,
-                start,
-                reps,
-                budget,
-                checkpoints,
-                seed,
-                env,
-            )
-        }
-        _ => {}
+    if let Some(sample) = lockstep_sampler(backend) {
+        return sample(table, start, reps, budget, checkpoints, seed, Some(env));
     }
     let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
     let mut times = Vec::with_capacity(reps);
@@ -395,81 +287,51 @@ pub fn sample_parallel_env(
     RunSamples { marginals, times }
 }
 
-enum LockstepEnv {
-    Batched,
-    Wide,
-}
-
-/// The lock-step engine surface the env driver needs; both engines expose
-/// it with identical semantics (no-retire construction keeps every
-/// replica live, `converged_at` preserves the first hit).
-trait LockstepBatch {
-    fn ones_of(&self, rep: usize) -> u64;
-    fn converged_at(&self, rep: usize) -> Option<u64>;
-    fn perturb_round(&mut self, env: &EnvSchedule) -> u64;
-    fn step_round(&mut self);
-}
-
-impl LockstepBatch for BatchedAggregateSim {
-    fn ones_of(&self, rep: usize) -> u64 {
-        BatchedAggregateSim::ones_of(self, rep)
-    }
-    fn converged_at(&self, rep: usize) -> Option<u64> {
-        BatchedAggregateSim::converged_at(self, rep)
-    }
-    fn perturb_round(&mut self, env: &EnvSchedule) -> u64 {
-        BatchedAggregateSim::perturb_round(self, env)
-    }
-    fn step_round(&mut self) {
-        BatchedAggregateSim::step_round(self);
+/// [`sample_lockstep`] on the draw of `backend`, or `None` for the
+/// per-replication backends.
+fn lockstep_sampler(backend: ParallelBackend) -> Option<LockstepSampler> {
+    match backend {
+        ParallelBackend::Batched => Some(sample_lockstep::<SeededDraw>),
+        ParallelBackend::Wide => Some(sample_lockstep::<CounterDraw>),
+        ParallelBackend::Agent | ParallelBackend::Aggregate | ParallelBackend::PartialFull => None,
     }
 }
 
-impl LockstepBatch for WideBatchedSim {
-    fn ones_of(&self, rep: usize) -> u64 {
-        WideBatchedSim::ones_of(self, rep)
-    }
-    fn converged_at(&self, rep: usize) -> Option<u64> {
-        WideBatchedSim::converged_at(self, rep)
-    }
-    fn perturb_round(&mut self, env: &EnvSchedule) -> u64 {
-        WideBatchedSim::perturb_round(self, env)
-    }
-    fn step_round(&mut self) {
-        WideBatchedSim::step_round(self);
-    }
-}
+type LockstepSampler =
+    fn(&GTable, Configuration, usize, u64, &[u64], u64, Option<&EnvSchedule>) -> RunSamples;
 
-/// The lock-step env driver shared by the batched and wide backends:
-/// no-retire construction, perturb-then-step at every boundary, and
-/// [`run_one_env`]'s exact observation conventions. With the same base
-/// seed the batched variant is bit-identical to the aggregate backend
-/// (`batched_env_backend_is_bit_identical_to_aggregate` pins this); the
-/// wide variant draws from counter streams and is admitted by the KS
-/// gates only.
-#[allow(clippy::too_many_arguments)]
-fn sample_lockstep_env(
-    which: LockstepEnv,
+/// The lock-step driver of the [`ParallelBackend::Batched`] and
+/// [`ParallelBackend::Wide`] backends: one batch holds all `reps`
+/// replications of the cell, and the observables are read from the batch
+/// as its shared clock passes each checkpoint, with [`run_one`]'s
+/// conventions (or [`run_one_env`]'s under a schedule) exactly —
+/// consensus is checked at `t` before stepping and times are
+/// right-censored at `budget`. Without a schedule a converged replication
+/// retires and holds its absorbed state for later checkpoints without
+/// burning randomness; under one, consensus is not absorbing, so every
+/// replica keeps stepping (perturb, then one round) until all have hit it
+/// and every checkpoint is recorded.
+///
+/// With the same base seed the seeded draw is bit-identical to the
+/// aggregate backend (`batched_backend_is_bit_identical_to_aggregate` and
+/// `batched_env_backend_is_bit_identical_to_aggregate` pin this); the
+/// counter draw is admitted by the KS gates only.
+fn sample_lockstep<D: Draw>(
     table: &GTable,
     start: Configuration,
     reps: usize,
     budget: u64,
     checkpoints: &[u64],
     seed: u64,
-    env: &EnvSchedule,
+    env: Option<&EnvSchedule>,
 ) -> RunSamples {
     let kernel = Arc::new(table.compile().expect("valid grid cell"));
-    let streams: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch: Box<dyn LockstepBatch> = match which {
-        LockstepEnv::Batched => {
-            Box::new(BatchedAggregateSim::with_retirement(kernel, start, &streams, false))
-        }
-        LockstepEnv::Wide => {
-            Box::new(WideBatchedSim::with_mode(kernel, start, &streams, false, false))
-        }
-    };
+    let seeds: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
+    let mut batch = LockstepSim::<D>::with_retirement(kernel, start, &seeds, env.is_none());
 
     let last_cp = checkpoints.last().copied().unwrap_or(0);
+    // Rows are filled in visit order; checkpoints beyond the budget leave
+    // their row empty, the same shape the per-replication drivers produce.
     let mut marginals = vec![Vec::new(); checkpoints.len()];
     let mut next_row = 0;
     let mut t: u64 = 0;
@@ -482,7 +344,9 @@ fn sample_lockstep_env(
         if t == budget || (all_hit && t >= last_cp) {
             break;
         }
-        batch.perturb_round(env);
+        if let Some(env) = env {
+            batch.perturb_round(env);
+        }
         batch.step_round();
         t += 1;
     }

@@ -16,14 +16,13 @@ use bitdissem_analysis::LowerBoundWitness;
 use bitdissem_core::{Configuration, GTable, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_obs::{GaugeId, Obs};
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::batched::{replicate_batched_env_observed, replicate_batched_observed};
+use bitdissem_sim::batched::SeededDraw;
 use bitdissem_sim::env::EnvSchedule;
-use bitdissem_sim::run::{
-    run_to_consensus_env_observed, run_to_consensus_observed, Outcome, Simulator,
-};
+use bitdissem_sim::lockstep::replicate_lockstep;
+use bitdissem_sim::run::{run_to_consensus_observed, Outcome, Simulator};
 use bitdissem_sim::runner::replicate_indices_observed;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::{replicate_wide_env_observed, replicate_wide_observed};
+use bitdissem_sim::wide::CounterDraw;
 use bitdissem_stats::Summary;
 
 use crate::config::ReplicationEngine;
@@ -439,39 +438,20 @@ where
     emit_batch_started(obs, emit_kind, protocol, start, reps, budget, seed);
     let kernel = compile_kernel(protocol, start.n());
     let key_base = || batch_key(&kind, protocol, start, budget, seed);
-    let outcomes = match engine {
-        ReplicationEngine::Batched => {
-            replicate_checkpointed(obs, key_base, reps, |missing| match env {
-                Some(env) => replicate_batched_env_observed(
-                    &kernel, start, missing, seed, threads, budget, env, obs,
-                ),
-                None => {
-                    replicate_batched_observed(&kernel, start, missing, seed, threads, budget, obs)
-                }
-            })
-        }
-        ReplicationEngine::PerReplica => replicate_checkpointed(obs, key_base, reps, |missing| {
+    let outcomes = replicate_checkpointed(obs, key_base, reps, |missing| match engine {
+        ReplicationEngine::Batched => replicate_lockstep::<SeededDraw>(
+            &kernel, start, missing, seed, threads, budget, env, obs,
+        ),
+        ReplicationEngine::Wide => replicate_lockstep::<CounterDraw>(
+            &kernel, start, missing, seed, threads, budget, env, obs,
+        ),
+        ReplicationEngine::PerReplica => {
             replicate_indices_observed(missing, seed, threads, obs, |mut rng, rep| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
-                match env {
-                    Some(env) => run_to_consensus_env_observed(
-                        &mut sim, env, &mut rng, budget, obs, rep as u64,
-                    ),
-                    None => run_to_consensus_observed(&mut sim, &mut rng, budget, obs, rep as u64),
-                }
-            })
-        }),
-        ReplicationEngine::Wide => {
-            replicate_checkpointed(obs, key_base, reps, |missing| match env {
-                Some(env) => replicate_wide_env_observed(
-                    &kernel, start, missing, seed, threads, budget, env, obs,
-                ),
-                None => {
-                    replicate_wide_observed(&kernel, start, missing, seed, threads, budget, obs)
-                }
+                run_to_consensus_observed(&mut sim, &mut rng, budget, env, obs, rep as u64)
             })
         }
-    };
+    });
     OutcomeBatch::new(outcomes, budget)
 }
 
@@ -522,7 +502,7 @@ where
         |missing| {
             replicate_indices_observed(missing, seed, threads, obs, |mut rng, rep| {
                 let mut sim = SequentialSim::new(protocol, start).expect("valid protocol");
-                run_to_consensus_observed(&mut sim, &mut rng, budget_rounds, obs, rep as u64)
+                run_to_consensus_observed(&mut sim, &mut rng, budget_rounds, None, obs, rep as u64)
             })
         },
     );

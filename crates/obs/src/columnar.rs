@@ -91,7 +91,7 @@ use crate::sink::EventSink;
 use crate::telemetry::{thread_slot, CachePadded, STRIPES};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -242,28 +242,31 @@ impl TraceFormat {
 }
 
 /// Sniffs the format of the file at `path` from its leading bytes: a
-/// columnar magic of any version (`BDCT` and four ASCII digits) wins, a
-/// leading `{` (after ASCII whitespace) reads as JSONL, anything else is
-/// `None` — not a trace. Whether this build reads that columnar version
-/// is [`ColumnarReader::open`]'s question.
+/// columnar magic of any version (`BDCT` and four ASCII digits) at offset 0
+/// wins, a leading `{` (after any run of ASCII whitespace) reads as JSONL,
+/// anything else is `None` — not a trace. Whether this build reads that
+/// columnar version is [`ColumnarReader::open`]'s question.
 ///
 /// # Errors
 ///
 /// Propagates the I/O error if the file cannot be opened or read.
 pub fn detect_format(path: impl AsRef<Path>) -> std::io::Result<Option<TraceFormat>> {
-    let mut head = [0u8; 8];
-    let mut file = File::open(path)?;
-    let mut filled = 0;
-    while filled < head.len() {
-        match file.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut head = Vec::with_capacity(MAGIC.len() + 1);
+    reader.by_ref().take(MAGIC.len() as u64).read_to_end(&mut head)?;
+    // A JSONL trace may open with any number of blank lines, which the
+    // readers skip: past the magic's length, read on through whitespace to
+    // the first byte that decides.
+    if head.len() == MAGIC.len() && head.iter().all(|b| WHITESPACE.contains(b)) {
+        if let Some(byte) = reader.bytes().find(|b| !matches!(b, Ok(b) if WHITESPACE.contains(b))) {
+            head.push(byte?);
         }
     }
-    Ok(sniff_bytes(&head[..filled]))
+    Ok(sniff_bytes(&head))
 }
+
+/// The bytes a JSONL trace may open with before its first `{`.
+const WHITESPACE: &[u8] = b" \t\r\n";
 
 /// [`detect_format`] over in-memory leading bytes.
 #[must_use]
@@ -273,7 +276,7 @@ pub fn sniff_bytes(head: &[u8]) -> Option<TraceFormat> {
             return Some(TraceFormat::Columnar);
         }
     }
-    match head.iter().find(|b| !b" \t\r\n".contains(b)) {
+    match head.iter().find(|b| !WHITESPACE.contains(b)) {
         Some(b'{') => Some(TraceFormat::Jsonl),
         _ => None,
     }
@@ -1872,13 +1875,20 @@ mod tests {
         let cpath = dir.join(format!("obs_detect_col_{}.bct", std::process::id()));
         let jpath = dir.join(format!("obs_detect_jsonl_{}.jsonl", std::process::id()));
         let xpath = dir.join(format!("obs_detect_other_{}.txt", std::process::id()));
+        let padded = dir.join(format!("obs_detect_padded_{}.jsonl", std::process::id()));
+        let blank = dir.join(format!("obs_detect_blank_{}.jsonl", std::process::id()));
         drop(ColumnarSink::create(&cpath).unwrap());
         std::fs::write(&jpath, "{\"type\":\"x\"}\n").unwrap();
         std::fs::write(&xpath, "hello\n").unwrap();
+        // More leading whitespace than a magic is long.
+        std::fs::write(&padded, "\n\n\n\n\n\n\n\n\n{\"type\":\"x\"}\n").unwrap();
+        std::fs::write(&blank, " \n\t\r\n\n\n\n\n\n\n").unwrap();
         assert_eq!(detect_format(&cpath).unwrap(), Some(TraceFormat::Columnar));
         assert_eq!(detect_format(&jpath).unwrap(), Some(TraceFormat::Jsonl));
         assert_eq!(detect_format(&xpath).unwrap(), None);
-        for p in [cpath, jpath, xpath] {
+        assert_eq!(detect_format(&padded).unwrap(), Some(TraceFormat::Jsonl));
+        assert_eq!(detect_format(&blank).unwrap(), None, "whitespace alone is not a trace");
+        for p in [cpath, jpath, xpath, padded, blank] {
             let _ = std::fs::remove_file(&p);
         }
     }

@@ -13,11 +13,21 @@
 //!   agent simulator (ablation A1 verifies this) and fast enough for
 //!   `n = 2²⁰` sweeps.
 //!
+//! Replication sweeps step the aggregate chain for a whole batch of
+//! replicas at once: [`lockstep::LockstepSim`] advances them in lock-step,
+//! generic over how one replica-round is drawn — [`batched::SeededDraw`]
+//! (per-replica rngs, bit-identical to `AggregateSim`; the
+//! [`BatchedAggregateSim`] default) or [`wide::CounterDraw`] (counter
+//! streams and fused alias draws; [`WideBatchedSim`], `--engine wide`) —
+//! and [`lockstep::replicate_lockstep`] shards the batches over the
+//! worker pool.
+//!
 //! Plus the sequential-setting simulator ([`sequential::SequentialSim`]),
 //! the Voter *dual process* of coalescing backward random walks used in the
 //! Theorem 2 proof ([`dual`]), deterministic seeding ([`rng`]), a built-from-
-//! scratch binomial sampler ([`binomial`]), convergence detection ([`run`])
-//! and a multi-threaded replication runner ([`runner`]).
+//! scratch binomial sampler ([`binomial`]), environment perturbations
+//! ([`mod@env`]), convergence detection ([`run`]) and a multi-threaded
+//! per-replica replication runner ([`runner`]).
 //!
 //! # Example
 //!
@@ -47,6 +57,7 @@ pub mod consensus;
 pub mod dual;
 pub mod env;
 pub mod hypergeometric;
+pub mod lockstep;
 pub mod partial;
 pub mod rng;
 mod roundplan;
@@ -59,15 +70,13 @@ pub mod wide;
 
 pub use agent::AgentSim;
 pub use aggregate::AggregateSim;
-pub use batched::{
-    replicate_batched_env_observed, replicate_batched_observed, BatchedAggregateSim,
-};
+pub use batched::{BatchedAggregateSim, SeededDraw};
 pub use env::{run_env, run_env_observed, EnvRunStats, EnvSchedule, ResetSpec, ResetTrigger};
+pub use lockstep::{replicate_lockstep, Draw, LockstepSim};
 pub use rng::{rng_from, SimRng};
 pub use run::{
-    run_to_consensus, run_to_consensus_env, run_to_consensus_env_observed,
-    run_to_consensus_observed, run_with_exit_detection, run_with_exit_detection_observed, Outcome,
-    Simulator, StabilityOutcome,
+    run_to_consensus, run_to_consensus_observed, run_with_exit_detection,
+    run_with_exit_detection_observed, Outcome, Simulator, StabilityOutcome,
 };
 pub use runner::{replicate, replicate_indices_observed, replicate_observed, replicate_spawn};
-pub use wide::{replicate_wide_env_observed, replicate_wide_observed, WideBatchedSim};
+pub use wide::{CounterDraw, WideBatchedSim};

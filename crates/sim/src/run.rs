@@ -114,10 +114,12 @@ pub fn run_to_consensus<S: Simulator + ?Sized>(
     Outcome::TimedOut { rounds: max_rounds }
 }
 
-/// [`run_to_consensus`] with observability: emits a
-/// [`Event::RoundCompleted`] per simulated round (subject to the handle's
-/// round stride), a closing [`Event::ReplicationFinished`], and
-/// batch-adds round/sample counters once at the end of the run.
+/// [`run_to_consensus`] with observability and an optional environment
+/// schedule. Emits a [`Event::RoundCompleted`] per simulated round
+/// (subject to the handle's round stride), a closing
+/// [`Event::ReplicationFinished`], and batch-adds round/sample counters
+/// (plus `perturbations_applied` under a schedule) once at the end of the
+/// run.
 ///
 /// Round labels follow the convention documented on
 /// [`Event::RoundCompleted`]: the event labeled `round = r` carries the
@@ -125,22 +127,29 @@ pub fn run_to_consensus<S: Simulator + ?Sized>(
 /// labels start at 1 and a run converging at round `k` reports the
 /// consensus in its `round = k` event.
 ///
+/// Under `env`, the perturbation at boundary `t` is applied after the
+/// consensus check at `t` and before the step, so a run that is perturbed
+/// *into* the correct consensus is credited at the next boundary,
+/// uniformly across every engine.
+///
 /// Instrumentation never touches `rng`, so outcomes are **identical** to
-/// [`run_to_consensus`] for the same seed; with a fully disabled handle
-/// the call forwards directly to the uninstrumented loop.
+/// the unobserved run for the same seed; with a fully disabled handle and
+/// no schedule the call forwards directly to [`run_to_consensus`].
 pub fn run_to_consensus_observed<S: Simulator + ?Sized>(
     sim: &mut S,
     rng: &mut SimRng,
     max_rounds: u64,
+    env: Option<&EnvSchedule>,
     obs: &Obs,
     rep: u64,
 ) -> Outcome {
-    if !obs.active() && !obs.metrics_on() {
+    if env.is_none() && !obs.active() && !obs.metrics_on() {
         return run_to_consensus(sim, rng, max_rounds);
     }
 
     let timer = Timer::start();
     let mut rounds_done: u64 = 0;
+    let mut perturbations: u64 = 0;
     let outcome = 'run: {
         for t in 0..=max_rounds {
             if sim.configuration().is_correct_consensus() {
@@ -148,6 +157,9 @@ pub fn run_to_consensus_observed<S: Simulator + ?Sized>(
             }
             if t == max_rounds {
                 break;
+            }
+            if let Some(env) = env {
+                perturbations += sim.perturb(env, t, rng);
             }
             sim.step_round(rng);
             rounds_done += 1;
@@ -168,92 +180,9 @@ pub fn run_to_consensus_observed<S: Simulator + ?Sized>(
     if obs.metrics_on() {
         obs.metrics().add_rounds(rounds_done);
         obs.metrics().add_samples(rounds_done.saturating_mul(sim.opinion_samples_per_round()));
-    }
-    if obs.active() {
-        obs.emit(&Event::ReplicationFinished {
-            rep,
-            outcome: if outcome.is_converged() {
-                ReplicationOutcome::Converged
-            } else {
-                ReplicationOutcome::TimedOut
-            },
-            rounds: outcome.rounds_censored(),
-            elapsed_us: timer.elapsed_us(),
-        });
-    }
-    outcome
-}
-
-/// [`run_to_consensus`] under an environment schedule: the perturbation
-/// at boundary `t` is applied after the consensus check at `t` and before
-/// the step, so a run that is perturbed *into* the correct consensus is
-/// credited at the next boundary, uniformly across every engine.
-pub fn run_to_consensus_env<S: Simulator + ?Sized>(
-    sim: &mut S,
-    env: &EnvSchedule,
-    rng: &mut SimRng,
-    max_rounds: u64,
-) -> Outcome {
-    for t in 0..=max_rounds {
-        if sim.configuration().is_correct_consensus() {
-            return Outcome::Converged { rounds: t };
+        if env.is_some() {
+            obs.metrics().add_perturbations(perturbations);
         }
-        if t == max_rounds {
-            break;
-        }
-        sim.perturb(env, t, rng);
-        sim.step_round(rng);
-    }
-    Outcome::TimedOut { rounds: max_rounds }
-}
-
-/// [`run_to_consensus_env`] with observability — the same event and
-/// counter conventions as [`run_to_consensus_observed`], plus the
-/// `perturbations_applied` counter. Instrumentation never touches `rng`,
-/// so outcomes are identical to the uninstrumented loop for the same
-/// seed.
-pub fn run_to_consensus_env_observed<S: Simulator + ?Sized>(
-    sim: &mut S,
-    env: &EnvSchedule,
-    rng: &mut SimRng,
-    max_rounds: u64,
-    obs: &Obs,
-    rep: u64,
-) -> Outcome {
-    if !obs.active() && !obs.metrics_on() {
-        return run_to_consensus_env(sim, env, rng, max_rounds);
-    }
-
-    let timer = Timer::start();
-    let mut rounds_done: u64 = 0;
-    let mut perturbations: u64 = 0;
-    let outcome = 'run: {
-        for t in 0..=max_rounds {
-            if sim.configuration().is_correct_consensus() {
-                break 'run Outcome::Converged { rounds: t };
-            }
-            if t == max_rounds {
-                break;
-            }
-            perturbations += sim.perturb(env, t, rng);
-            sim.step_round(rng);
-            rounds_done += 1;
-            if obs.wants_round(rounds_done) {
-                let config = sim.configuration();
-                obs.emit(&Event::RoundCompleted {
-                    rep,
-                    round: rounds_done,
-                    ones: config.ones(),
-                    source_opinion: config.correct().as_bit(),
-                });
-            }
-        }
-        Outcome::TimedOut { rounds: max_rounds }
-    };
-    if obs.metrics_on() {
-        obs.metrics().add_rounds(rounds_done);
-        obs.metrics().add_samples(rounds_done.saturating_mul(sim.opinion_samples_per_round()));
-        obs.metrics().add_perturbations(perturbations);
     }
     if obs.active() {
         obs.emit(&Event::ReplicationFinished {
@@ -339,7 +268,7 @@ pub fn run_with_exit_detection_observed<S: Simulator + ?Sized>(
         return run_with_exit_detection(sim, rng, max_rounds, dwell);
     }
 
-    let entered = match run_to_consensus_observed(sim, rng, max_rounds, obs, rep) {
+    let entered = match run_to_consensus_observed(sim, rng, max_rounds, None, obs, rep) {
         Outcome::Converged { rounds } => rounds,
         Outcome::TimedOut { rounds } => return StabilityOutcome::NeverReached { rounds },
     };
@@ -434,7 +363,7 @@ mod tests {
         let obs = Obs::none().with_sink(sink).with_metrics();
         let observed = {
             let mut sim = AggregateSim::new(&voter, start).unwrap();
-            run_to_consensus_observed(&mut sim, &mut rng_from(11), 100_000, &obs, 0)
+            run_to_consensus_observed(&mut sim, &mut rng_from(11), 100_000, None, &obs, 0)
         };
         assert_eq!(plain, observed);
     }
@@ -450,7 +379,8 @@ mod tests {
         let sink = std::sync::Arc::new(bitdissem_obs::MemorySink::new());
         let obs = Obs::none().with_sink(std::sync::Arc::clone(&sink) as _);
         let mut sim = AggregateSim::new(&voter, start).unwrap();
-        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(42), 100_000, &obs, 5);
+        let outcome =
+            run_to_consensus_observed(&mut sim, &mut rng_from(42), 100_000, None, &obs, 5);
         let k = outcome.rounds().expect("voter converges on n = 8");
         assert!(k > 0);
 
@@ -489,7 +419,7 @@ mod tests {
         let sink = std::sync::Arc::new(bitdissem_obs::MemorySink::new());
         let obs = Obs::none().with_sink(std::sync::Arc::clone(&sink) as _).with_round_stride(8);
         let mut sim = AggregateSim::new(&voter, start).unwrap();
-        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(4), 100_000, &obs, 0);
+        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(4), 100_000, None, &obs, 0);
         let k = outcome.rounds().unwrap();
         let round_events = sink
             .events()
@@ -506,7 +436,7 @@ mod tests {
         let start = Configuration::all_wrong(16, Opinion::One);
         let obs = Obs::none().with_metrics();
         let mut sim = AggregateSim::new(&voter, start).unwrap();
-        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(9), 100_000, &obs, 0);
+        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(9), 100_000, None, &obs, 0);
         let k = outcome.rounds().unwrap();
         let m = obs.metrics();
         assert_eq!(m.rounds_simulated.load(std::sync::atomic::Ordering::Relaxed), k);
@@ -522,7 +452,8 @@ mod tests {
         let start = Configuration::new(16, Opinion::One, 14).unwrap();
         let obs = Obs::none().with_metrics();
         let mut sim = AggregateSim::new(&minority, start).unwrap();
-        let outcome = run_to_consensus_observed(&mut sim, &mut rng_from(13), 100_000, &obs, 0);
+        let outcome =
+            run_to_consensus_observed(&mut sim, &mut rng_from(13), 100_000, None, &obs, 0);
         let k = outcome.rounds().expect("minority converges from 14/16 correct");
         let m = obs.metrics();
         assert_eq!(m.rounds_simulated.load(std::sync::atomic::Ordering::Relaxed), k);
@@ -652,12 +583,19 @@ mod tests {
         let start = Configuration::all_wrong(32, Opinion::One);
         let plain = {
             let mut sim = AggregateSim::new(&voter, start).unwrap();
-            run_to_consensus_env(&mut sim, &env, &mut rng_from(31), 100_000)
+            run_to_consensus_observed(
+                &mut sim,
+                &mut rng_from(31),
+                100_000,
+                Some(&env),
+                &Obs::none(),
+                0,
+            )
         };
         let obs = Obs::none().with_metrics();
         let observed = {
             let mut sim = AggregateSim::new(&voter, start).unwrap();
-            run_to_consensus_env_observed(&mut sim, &env, &mut rng_from(31), 100_000, &obs, 0)
+            run_to_consensus_observed(&mut sim, &mut rng_from(31), 100_000, Some(&env), &obs, 0)
         };
         assert_eq!(plain, observed);
         assert!(observed.is_converged());

@@ -44,9 +44,8 @@ use bitdissem_obs::{CounterSnapshot, Event, MemorySink, Obs, ReplicationOutcome}
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::{
-    replicate_batched_env_observed, replicate_batched_observed, replicate_indices_observed,
-    replicate_wide_env_observed, replicate_wide_observed, run_to_consensus_env_observed,
-    AggregateSim, BatchedAggregateSim, EnvSchedule, Outcome, WideBatchedSim,
+    replicate_indices_observed, replicate_lockstep, run_to_consensus_observed, AggregateSim,
+    CounterDraw, Draw, EnvSchedule, LockstepSim, Outcome, SeededDraw,
 };
 
 const N: u64 = 8192;
@@ -150,26 +149,22 @@ fn crossing_pin<P: Protocol + Sync>(protocol: &P) -> Pin {
     (outcome_digest(&outcomes), path_digest(&paths))
 }
 
-fn batched_pin<P: Protocol>(protocol: &P) -> Pin {
+/// Outcomes through the pooled lock-step driver on draw `D`, and the paths
+/// of one batch of the same replicas stepped for the whole budget.
+fn lockstep_pin<D: Draw, P: Protocol>(protocol: &P) -> Pin {
     let (witness, kernel, indices, seeds) = setup(protocol);
     let start = witness.start();
-    let outcomes =
-        replicate_batched_observed(&kernel, start, &indices, SEED, Some(2), BUDGET, &Obs::none());
-    let mut batch = BatchedAggregateSim::new(kernel, start, &seeds);
-    let paths = batch_paths(|| {
-        batch.step_round();
-        (0..REPS).map(|rep| batch.ones_of(rep)).collect()
-    });
-    assert_eq!(batch.outcomes(BUDGET), outcomes, "driver and batch agree");
-    (outcome_digest(&outcomes), path_digest(&paths))
-}
-
-fn wide_pin<P: Protocol>(protocol: &P) -> Pin {
-    let (witness, kernel, indices, streams) = setup(protocol);
-    let start = witness.start();
-    let outcomes =
-        replicate_wide_observed(&kernel, start, &indices, SEED, Some(2), BUDGET, &Obs::none());
-    let mut batch = WideBatchedSim::new(kernel, start, &streams);
+    let outcomes = replicate_lockstep::<D>(
+        &kernel,
+        start,
+        &indices,
+        SEED,
+        Some(2),
+        BUDGET,
+        None,
+        &Obs::none(),
+    );
+    let mut batch = LockstepSim::<D>::new(kernel, start, &seeds);
     let paths = batch_paths(|| {
         batch.step_round();
         (0..REPS).map(|rep| batch.ones_of(rep)).collect()
@@ -189,12 +184,12 @@ fn crossing_outcomes_and_states_are_pinned() {
 
 #[test]
 fn batched_outcomes_and_states_are_pinned() {
-    assert_eq!(batched_pin(&minority5()), MINORITY5_REFERENCE, "batched digests");
+    assert_eq!(lockstep_pin::<SeededDraw, _>(&minority5()), MINORITY5_REFERENCE, "batched digests");
 }
 
 #[test]
 fn wide_outcomes_and_states_are_pinned() {
-    assert_eq!(wide_pin(&minority5()), MINORITY5_WIDE, "wide digests");
+    assert_eq!(lockstep_pin::<CounterDraw, _>(&minority5()), MINORITY5_WIDE, "wide digests");
 }
 
 #[test]
@@ -204,12 +199,14 @@ fn two_choices_crossing_outcomes_and_states_are_pinned() {
 
 #[test]
 fn two_choices_batched_outcomes_and_states_are_pinned() {
-    assert_eq!(batched_pin(&TwoChoices::new()), TWO_CHOICES_REFERENCE, "batched digests");
+    let pin = lockstep_pin::<SeededDraw, _>(&TwoChoices::new());
+    assert_eq!(pin, TWO_CHOICES_REFERENCE, "batched digests");
 }
 
 #[test]
 fn two_choices_wide_outcomes_and_states_are_pinned() {
-    assert_eq!(wide_pin(&TwoChoices::new()), TWO_CHOICES_WIDE, "wide digests");
+    let pin = lockstep_pin::<CounterDraw, _>(&TwoChoices::new());
+    assert_eq!(pin, TWO_CHOICES_WIDE, "wide digests");
 }
 
 const ENV_N: u64 = 256;
@@ -253,7 +250,7 @@ fn env_reference_pin() -> Pin {
     let obs = Obs::none();
     let outcomes = replicate_indices_observed(&indices, SEED, Some(2), &obs, |mut rng, rep| {
         let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
-        run_to_consensus_env_observed(&mut sim, &env, &mut rng, ENV_BUDGET, &obs, rep as u64)
+        run_to_consensus_observed(&mut sim, &mut rng, ENV_BUDGET, Some(&env), &obs, rep as u64)
     });
     let paths: Vec<Vec<u64>> = seeds
         .iter()
@@ -272,41 +269,21 @@ fn env_reference_pin() -> Pin {
     (outcome_digest(&outcomes), path_digest(&paths))
 }
 
-fn env_batched_pin() -> Pin {
+/// Outcomes through the pooled lock-step driver on draw `D` under the
+/// schedule, and the paths of one no-retire batch of the same replicas.
+fn env_lockstep_pin<D: Draw>() -> Pin {
     let (kernel, start, env, indices, seeds) = env_setup();
-    let outcomes = replicate_batched_env_observed(
+    let outcomes = replicate_lockstep::<D>(
         &kernel,
         start,
         &indices,
         SEED,
         Some(2),
         ENV_BUDGET,
-        &env,
+        Some(&env),
         &Obs::none(),
     );
-    let mut batch = BatchedAggregateSim::with_retirement(kernel, start, &seeds, false);
-    let paths = env_paths(|| {
-        batch.perturb_round(&env);
-        batch.step_round();
-        (0..REPS).map(|rep| batch.ones_of(rep)).collect()
-    });
-    (outcome_digest(&outcomes), path_digest(&paths))
-}
-
-fn env_wide_pin() -> Pin {
-    let (kernel, start, env, indices, streams) = env_setup();
-    let outcomes = replicate_wide_env_observed(
-        &kernel,
-        start,
-        &indices,
-        SEED,
-        Some(2),
-        ENV_BUDGET,
-        &env,
-        &Obs::none(),
-    );
-    let scalar = std::env::var("BITDISSEM_WIDE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
-    let mut batch = WideBatchedSim::with_mode(kernel, start, &streams, scalar, false);
+    let mut batch = LockstepSim::<D>::with_retirement(kernel, start, &seeds, false);
     let paths = env_paths(|| {
         batch.perturb_round(&env);
         batch.step_round();
@@ -318,8 +295,8 @@ fn env_wide_pin() -> Pin {
 #[test]
 fn env_outcomes_and_states_are_pinned() {
     assert_eq!(env_reference_pin(), ENV_REFERENCE, "per-replica env digests");
-    assert_eq!(env_batched_pin(), ENV_REFERENCE, "batched env digests");
-    assert_eq!(env_wide_pin(), ENV_WIDE, "wide env digests");
+    assert_eq!(env_lockstep_pin::<SeededDraw>(), ENV_REFERENCE, "batched env digests");
+    assert_eq!(env_lockstep_pin::<CounterDraw>(), ENV_WIDE, "wide env digests");
 }
 
 const OBS_N: u64 = 64;
@@ -386,17 +363,16 @@ fn observed_pin(run: impl FnOnce(&Obs) -> Vec<Outcome>) -> ObservedPin {
     )
 }
 
+/// One observed run of a [`LockstepSim`] on draw `D` under the source flip.
+fn observed_lockstep_pin<D: Draw>() -> ObservedPin {
+    let (kernel, start, env, seeds, labels) = observed_setup();
+    observed_pin(|obs| {
+        LockstepSim::<D>::new(kernel, start, &seeds).run(OBS_BUDGET, Some(&env), obs, &labels)
+    })
+}
+
 #[test]
 fn observed_event_streams_are_pinned() {
-    let (kernel, start, env, seeds, labels) = observed_setup();
-    let batched = observed_pin(|obs| {
-        BatchedAggregateSim::new(Arc::clone(&kernel), start, &seeds)
-            .run_to_consensus_env_observed(OBS_BUDGET, &env, obs, &labels)
-    });
-    let wide = observed_pin(|obs| {
-        WideBatchedSim::new(Arc::clone(&kernel), start, &seeds)
-            .run_to_consensus_env_observed(OBS_BUDGET, &env, obs, &labels)
-    });
-    assert_eq!(batched, OBSERVED_BATCHED, "batched event stream");
-    assert_eq!(wide, OBSERVED_WIDE, "wide event stream");
+    assert_eq!(observed_lockstep_pin::<SeededDraw>(), OBSERVED_BATCHED, "batched event stream");
+    assert_eq!(observed_lockstep_pin::<CounterDraw>(), OBSERVED_WIDE, "wide event stream");
 }
