@@ -1211,21 +1211,6 @@ fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Nanoseconds rendered with an adaptive unit.
-fn fmt_nanos(ns: u64) -> String {
-    #[allow(clippy::cast_precision_loss)]
-    let ns = ns as f64;
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}us", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
-    }
-}
-
 /// Renders one telemetry snapshot as the multi-line live view.
 #[allow(clippy::cast_precision_loss)]
 fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
@@ -1272,16 +1257,13 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
     if !snap.spans.is_empty() {
         let _ = writeln!(out, "spans (p50 / p90 / p99):");
         for (path, q) in &snap.spans {
-            // Indent by path depth so nested span paths read as a tree.
-            let depth = path.matches('/').count();
-            let leaf = path.rsplit('/').next().unwrap_or(path);
-            let label = format!("{:indent$}{leaf}", "", indent = 2 + 2 * depth);
+            let unit = bitdissem_obs::metrics::series_unit(path);
             let _ = writeln!(
                 out,
-                "{label:<24} {:>9} / {:>9} / {:>9}  (n={})",
-                fmt_nanos(q.p50),
-                fmt_nanos(q.p90),
-                fmt_nanos(q.p99),
+                "  {path:<24} {:>9} / {:>9} / {:>9}  (n={})",
+                unit(q.p50),
+                unit(q.p90),
+                unit(q.p99),
                 q.count
             );
         }
@@ -2283,6 +2265,32 @@ mod tests {
             run_cli(&["run", "e2", "--scale", "smoke", "--telemetry-interval-ms", "50"]);
         assert_eq!(status, Status::UsageError);
         assert!(out.contains("requires a telemetry exporter flag"), "{out}");
+    }
+
+    #[test]
+    fn render_watch_prints_nanoseconds_and_round_counts() {
+        let metrics = bitdissem_obs::Metrics::new();
+        metrics.record_latency(bitdissem_obs::LatencyId::Replication, 1_500);
+        for rounds in [27, 40, 89] {
+            metrics.record_reconverge(rounds);
+        }
+        let snap = bitdissem_obs::telemetry::build_snapshot(
+            &metrics,
+            None,
+            1,
+            std::time::Instant::now(),
+            None,
+        );
+        let view = render_watch(&snap);
+        let line =
+            |path: &str| view.lines().find(|l| l.split_whitespace().next() == Some(path)).unwrap();
+        // A latency reads as a duration in `obs::hist::fmt_nanos` units.
+        let latency = line("latency/replication");
+        assert_eq!(latency.split_whitespace().nth(1), Some("1.5us"), "{view}");
+        // Re-convergence clocks read as bare round counts.
+        let rounds: Vec<&str> = line("hist/reconverge_rounds").split_whitespace().collect();
+        assert_eq!(rounds[1..6], ["41", "/", "89", "/", "89"], "{view}");
+        assert!(rounds.last().is_some_and(|n| *n == "(n=3)"), "{view}");
     }
 
     #[cfg(unix)]

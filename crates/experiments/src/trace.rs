@@ -7,7 +7,8 @@
 //! event stream by those headers and computes, per batch:
 //!
 //! - consensus-time summaries and converged/timed-out counts,
-//! - per-replication and per-round latency histograms (log-scale),
+//! - per-replication and per-round latency histograms (the log-bucketed
+//!   [`bitdissem_obs::LogHistogram`] of the live telemetry),
 //! - **theory-conformance checks** against the paper's quantitative
 //!   predictions: every adjacent one-step jump against Proposition 4's
 //!   `y(c, ℓ) = 1 − (1−c)^{ℓ+1}/2` bound, and the per-round empirical
@@ -33,8 +34,9 @@ use bitdissem_analysis::jump::y_constant;
 use bitdissem_analysis::BiasPolynomial;
 use bitdissem_core::GTable;
 use bitdissem_obs::columnar::Block;
-use bitdissem_obs::Event;
-use bitdissem_stats::{LogHistogram, Summary};
+use bitdissem_obs::hist::fmt_nanos;
+use bitdissem_obs::{Event, LogHistogram};
+use bitdissem_stats::Summary;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -141,10 +143,10 @@ pub struct BatchAnalysis {
     pub timed_out: usize,
     /// Summary of converged consensus times (rounds).
     pub rounds_summary: Option<Summary>,
-    /// Per-replication wall-clock latency (µs), log-bucketed.
-    pub rep_latency_us: Option<LogHistogram>,
-    /// Mean per-round latency per replication (µs), log-bucketed.
-    pub round_latency_us: Option<LogHistogram>,
+    /// Per-replication wall-clock latency (ns, from the traced µs).
+    pub rep_latency_ns: Option<LogHistogram>,
+    /// Mean per-round latency per replication (ns).
+    pub round_latency_ns: Option<LogHistogram>,
     /// Conformance checks; `None` when the batch is not checkable (no
     /// header, or a kind whose rounds are not parallel one-step
     /// transitions).
@@ -216,11 +218,11 @@ impl TraceAnalysis {
                     s.max()
                 );
             }
-            if let Some(h) = &b.rep_latency_us {
-                let _ = writeln!(out, "  replication latency (us): {}", quantile_line(h));
+            if let Some(h) = &b.rep_latency_ns {
+                let _ = writeln!(out, "  replication latency: {}", h.render(fmt_nanos));
             }
-            if let Some(h) = &b.round_latency_us {
-                let _ = writeln!(out, "  per-round latency (us):   {}", quantile_line(h));
+            if let Some(h) = &b.round_latency_ns {
+                let _ = writeln!(out, "  per-round latency:   {}", h.render(fmt_nanos));
             }
             match &b.conformance {
                 None => {
@@ -277,11 +279,6 @@ impl TraceAnalysis {
     }
 }
 
-fn quantile_line(h: &LogHistogram) -> String {
-    let q = |p: f64| h.quantile(p).unwrap_or(0.0);
-    format!("p50={:.1} p90={:.1} p99={:.1} ({} samples)", q(0.5), q(0.9), q(0.99), h.count())
-}
-
 /// Accumulates the raw events of one batch before analysis.
 #[derive(Debug, Default)]
 struct BatchAccum {
@@ -298,18 +295,11 @@ impl BatchAccum {
     }
 }
 
-/// Builds a log-scale histogram spanning the sample range (12 bins).
-fn latency_hist(samples: &[f64]) -> Option<LogHistogram> {
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().copied().fold(0.0f64, f64::max);
-    if samples.is_empty() || !min.is_finite() {
-        return None;
-    }
-    let lo = min.max(1e-3);
-    let hi = (max * (1.0 + 1e-9)).max(lo * 10.0);
-    let mut h = LogHistogram::new(lo, hi, 12)?;
-    h.extend(samples.iter().copied());
-    Some(h)
+/// A histogram of `samples`, or `None` when there are none.
+fn latency_hist(samples: impl Iterator<Item = u64>) -> Option<LogHistogram> {
+    let mut h = LogHistogram::new();
+    samples.for_each(|v| h.record(v));
+    (h.count() > 0).then_some(h)
 }
 
 /// Streaming trace analyzer: feed events (or whole columnar blocks) in
@@ -473,17 +463,17 @@ pub fn analyze(events: &[Event], skipped_lines: usize) -> TraceAnalysis {
 fn analyze_batch(accum: &BatchAccum) -> BatchAnalysis {
     let converged = accum.finished.iter().filter(|f| f.1).count();
     let rounds: Vec<f64> = accum.finished.iter().filter(|f| f.1).map(|f| f.2 as f64).collect();
-    let rep_samples: Vec<f64> = accum.finished.iter().map(|f| f.3 as f64).collect();
-    let round_samples: Vec<f64> =
-        accum.finished.iter().filter(|f| f.2 > 0).map(|f| f.3 as f64 / f.2 as f64).collect();
+    let nanos = |us: u64| us.saturating_mul(1_000);
     BatchAnalysis {
         meta: accum.meta.clone(),
         replications: accum.finished.len(),
         converged,
         timed_out: accum.finished.len() - converged,
         rounds_summary: Summary::from_samples(&rounds),
-        rep_latency_us: latency_hist(&rep_samples),
-        round_latency_us: latency_hist(&round_samples),
+        rep_latency_ns: latency_hist(accum.finished.iter().map(|f| nanos(f.3))),
+        round_latency_ns: latency_hist(
+            accum.finished.iter().filter(|f| f.2 > 0).map(|f| nanos(f.3) / f.2),
+        ),
         conformance: check_conformance(accum),
     }
 }
@@ -735,8 +725,8 @@ mod tests {
         let b = &a.batches[0];
         assert_eq!(b.replications, 8);
         assert_eq!(b.converged, 8);
-        assert_eq!(b.rep_latency_us.as_ref().unwrap().count(), 8);
-        assert_eq!(b.round_latency_us.as_ref().unwrap().count(), 8);
+        assert_eq!(b.rep_latency_ns.as_ref().unwrap().count(), 8);
+        assert_eq!(b.round_latency_ns.as_ref().unwrap().count(), 8);
         assert!(b.rounds_summary.is_some());
     }
 }

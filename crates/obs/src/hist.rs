@@ -1,13 +1,15 @@
-//! Streaming log-bucketed duration histograms.
+//! Streaming log-bucketed histograms: the workspace's one histogram type.
 //!
-//! [`LogHistogram`] records `u64` values (conventionally nanoseconds) into
-//! HDR-style buckets: each power-of-two range is split into
-//! 16 linear sub-buckets, so quantile estimates
-//! carry a bounded relative error (≤ 1/16 ≈ 6.25%) while the histogram
-//! itself stays a fixed ~8 KiB of counters — no samples are stored, and
-//! recording is a handful of bit operations. This is what makes it safe to
-//! attach one to every metrics phase: p50/p90/p99/max come for free without
-//! turning the metrics block into an unbounded sample buffer.
+//! [`LogHistogram`] records `u64` values (nanoseconds, or round counts for
+//! the `hist/` series) into HDR-style buckets: each power-of-two range is
+//! split into 16 linear sub-buckets, so quantile estimates carry a bounded
+//! relative error (≤ 1/16 ≈ 6.25%) at every magnitude, with no range to
+//! configure, while the histogram itself stays a fixed ~8 KiB of counters —
+//! no samples are stored, and finding a bucket is a handful of integer
+//! operations. Spans, phases, the striped telemetry cells
+//! ([`crate::telemetry::AtomicHistogram`] stripes these same buckets) and
+//! the offline `trace` report all bucket through it, so every view of a
+//! series reports the same quantiles.
 
 use std::time::Duration;
 
@@ -17,7 +19,7 @@ const SUB_BUCKETS: u64 = 16;
 const SUB_BITS: u32 = 4;
 /// Values below `SUB_BUCKETS` get one exact bucket each; every later
 /// power-of-two range contributes `SUB_BUCKETS` buckets.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
+pub(crate) const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
 
 /// A streaming histogram over `u64` values with logarithmic buckets.
 ///
@@ -58,7 +60,9 @@ impl LogHistogram {
         LogHistogram { bins: vec![0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
-    fn index(v: u64) -> usize {
+    /// The bucket `v` lands in.
+    #[inline]
+    pub(crate) fn index(v: u64) -> usize {
         if v < SUB_BUCKETS {
             return v as usize;
         }
@@ -82,6 +86,38 @@ impl LogHistogram {
         lower + ((1u64 << (e - u64::from(SUB_BITS))) - 1)
     }
 
+    /// The inclusive lower bound of bucket `idx`.
+    fn lower_bound(idx: usize) -> u64 {
+        if idx == 0 {
+            0
+        } else {
+            Self::upper_bound(idx - 1) + 1
+        }
+    }
+
+    /// Rebuilds a histogram from merged bucket counts and the sum, minimum
+    /// and maximum read beside them (the snapshot path of the striped
+    /// cells). The count is the sum of `bins`, and the extremes are clamped
+    /// into the lowest and highest non-empty buckets, so a snapshot that
+    /// raced a writer (bins read before or after that writer's extremes)
+    /// is still internally consistent.
+    pub(crate) fn from_parts(bins: Vec<u64>, sum: u128, min: u64, max: u64) -> Self {
+        debug_assert_eq!(bins.len(), BUCKETS);
+        let count = bins.iter().sum();
+        let (Some(lo), Some(hi)) =
+            (bins.iter().position(|&c| c > 0), bins.iter().rposition(|&c| c > 0))
+        else {
+            return LogHistogram::new();
+        };
+        LogHistogram {
+            bins,
+            count,
+            sum,
+            min: min.clamp(Self::lower_bound(lo), Self::upper_bound(lo)),
+            max: max.clamp(Self::lower_bound(hi), Self::upper_bound(hi)),
+        }
+    }
+
     /// Records one value.
     pub fn record(&mut self, v: u64) {
         self.bins[Self::index(v)] += 1;
@@ -96,6 +132,12 @@ impl LogHistogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    /// Per-bucket counts, in bucket order.
+    #[must_use]
+    pub fn bin_counts(&self) -> &[u64] {
+        &self.bins
+    }
+
     /// Number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -108,7 +150,7 @@ impl LogHistogram {
         self.sum
     }
 
-    /// Exact minimum recorded value (`None` when empty).
+    /// Exact minimum recorded value (0 when empty).
     #[must_use]
     pub fn min(&self) -> u64 {
         if self.count == 0 {
@@ -166,20 +208,20 @@ impl LogHistogram {
         }
     }
 
-    /// One-line `p50/p90/p99/max` summary, values rendered as durations
-    /// (the conventional unit is nanoseconds).
+    /// One-line `p50/p90/p99/max` summary, each value formatted by `unit`
+    /// (e.g. [`fmt_nanos`]).
     #[must_use]
-    pub fn render_nanos(&self) -> String {
+    pub fn render(&self, unit: fn(u64) -> String) -> String {
         if self.count == 0 {
             return "empty".to_string();
         }
-        let q = |p: f64| fmt_nanos(self.quantile(p).unwrap_or(0));
+        let q = |p: f64| unit(self.quantile(p).unwrap_or(0));
         format!(
             "p50={} p90={} p99={} max={} ({} samples)",
             q(0.50),
             q(0.90),
             q(0.99),
-            fmt_nanos(self.max),
+            unit(self.max),
             self.count
         )
     }
@@ -212,7 +254,7 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.render_nanos(), "empty");
+        assert_eq!(h.render(fmt_nanos), "empty");
     }
 
     #[test]
@@ -248,6 +290,23 @@ mod tests {
             assert!(ub > prev, "idx={idx}: {ub} <= {prev}");
             prev = ub;
         }
+    }
+
+    #[test]
+    fn from_parts_derives_count_and_clamps_extremes() {
+        let mut bins = vec![0; BUCKETS];
+        bins[LogHistogram::index(100)] += 2;
+        bins[LogHistogram::index(5_000)] += 1;
+        let exact = LogHistogram::from_parts(bins.clone(), 5_200, 100, 5_000);
+        assert_eq!((exact.count(), exact.sum(), exact.min(), exact.max()), (3, 5_200, 100, 5_000));
+        // Extremes a racing reader saw before (or after) the bins they
+        // belong to land in the lowest and highest non-empty buckets.
+        for (min, max) in [(u64::MAX, 0), (0, u64::MAX)] {
+            let h = LogHistogram::from_parts(bins.clone(), 5_200, min, max);
+            assert_eq!(LogHistogram::index(h.min()), LogHistogram::index(100));
+            assert_eq!(LogHistogram::index(h.max()), LogHistogram::index(5_000));
+        }
+        assert_eq!(LogHistogram::from_parts(vec![0; BUCKETS], 0, u64::MAX, 0), LogHistogram::new());
     }
 
     #[test]
@@ -289,7 +348,7 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record_duration(Duration::from_micros(250));
         h.record_duration(Duration::from_millis(3));
-        let text = h.render_nanos();
+        let text = h.render(fmt_nanos);
         assert!(text.contains("p50="), "{text}");
         assert!(text.contains("max=3.00ms"), "{text}");
         assert!(text.contains("2 samples"), "{text}");

@@ -5,7 +5,8 @@
 //!
 //! - [`EventSink`] + typed [`Event`]s — structured trace records
 //!   (JSONL to a file, in-memory for tests, or discarded),
-//! - [`Metrics`] — coarse atomic counters and named phase timers,
+//! - [`Metrics`] — coarse atomic counters, named phase timers and
+//!   latency histograms (one type, [`LogHistogram`]),
 //! - [`Timer`] / [`Scope`] — monotonic span timing,
 //! - [`RunManifest`] — a provenance record serialized next to reports.
 //!
@@ -52,13 +53,13 @@ pub use event::{Event, ReplicationOutcome};
 pub use fault::FaultyWriter;
 pub use hist::LogHistogram;
 pub use manifest::RunManifest;
-pub use metrics::{CounterSnapshot, GaugeId, LatencyId, Metrics, PhaseStat, LATENCY_SAMPLE_EVERY};
+pub use metrics::{CounterSnapshot, GaugeId, LatencyId, Metrics, LATENCY_SAMPLE_EVERY};
 pub use profile::SpanGuard;
 pub use progress::Progress;
 pub use reader::{parse_trace, read_trace, stream_trace, StreamStats, TraceRead};
 pub use sink::{EventSink, JsonlSink, MemorySink, NullSink};
 pub use telemetry::{
-    start_telemetry, Counter, SnapshotRing, TelemetryExporter, TelemetryHandle, TelemetrySnapshot,
+    start_telemetry, Counter, TelemetryExporter, TelemetryHandle, TelemetrySnapshot,
 };
 pub use time::{Scope, Timer};
 

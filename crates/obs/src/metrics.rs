@@ -1,7 +1,7 @@
-//! Coarse run metrics: sharded lock-free counters plus named phase
-//! timers.
+//! Coarse run metrics: sharded lock-free counters, named phase timers and
+//! latency histograms.
 
-use crate::hist::LogHistogram;
+use crate::hist::{fmt_nanos, LogHistogram};
 use crate::telemetry::{AtomicHistogram, Counter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +86,7 @@ pub struct Metrics {
     reconverge: AtomicHistogram,
     gauges: [AtomicU64; N_GAUGES],
     latencies: [AtomicHistogram; N_LATENCIES],
-    phases: Mutex<BTreeMap<String, PhaseEntry>>,
+    phases: Mutex<BTreeMap<String, LogHistogram>>,
     spans: Mutex<BTreeMap<String, LogHistogram>>,
 }
 
@@ -139,22 +139,16 @@ impl CounterSnapshot {
     }
 }
 
-/// Internal per-phase accumulator: the flat totals exposed as
-/// [`PhaseStat`] plus a streaming latency histogram of the individual
-/// entries.
-#[derive(Debug, Default)]
-struct PhaseEntry {
-    stat: PhaseStat,
-    hist: LogHistogram,
-}
-
-/// Accumulated timing for one named phase.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseStat {
-    /// Times the phase was entered.
-    pub calls: u64,
-    /// Total nanoseconds spent in the phase.
-    pub nanos: u64,
+/// The formatter for values of the histogram series at `path` (see
+/// [`Metrics::series`]): `hist/` series count rounds, every other series
+/// nanoseconds.
+#[must_use]
+pub fn series_unit(path: &str) -> fn(u64) -> String {
+    if path.starts_with("hist/") {
+        |rounds| rounds.to_string()
+    } else {
+        fmt_nanos
+    }
 }
 
 impl Default for Metrics {
@@ -238,7 +232,7 @@ impl Metrics {
 
     /// Merged snapshot of the `reconverge_rounds` histogram.
     #[must_use]
-    pub fn reconverge_snapshot(&self) -> bitdissem_stats::LogHistogram {
+    pub fn reconverge_snapshot(&self) -> LogHistogram {
         self.reconverge.snapshot()
     }
 
@@ -291,7 +285,7 @@ impl Metrics {
     /// Merged snapshots of every latency channel, as `(name,
     /// histogram)` pairs in registry order.
     #[must_use]
-    pub fn latency_snapshots(&self) -> Vec<(&'static str, bitdissem_stats::LogHistogram)> {
+    pub fn latency_snapshots(&self) -> Vec<(&'static str, LogHistogram)> {
         LATENCY_NAMES
             .iter()
             .zip(self.latencies.iter())
@@ -305,43 +299,23 @@ impl Metrics {
     ///
     /// Panics if a previous user of the metrics block panicked mid-update.
     pub fn record_phase(&self, name: &str, elapsed: Duration) {
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let mut phases = self.phases.lock().expect("metrics poisoned");
-        let entry = phases.entry(name.to_string()).or_default();
-        entry.stat.calls += 1;
-        entry.stat.nanos = entry.stat.nanos.saturating_add(nanos);
-        entry.hist.record(nanos);
+        self.phases
+            .lock()
+            .expect("metrics poisoned")
+            .entry(name.to_string())
+            .or_default()
+            .record_duration(elapsed);
     }
 
-    /// Snapshot of all phase timings, sorted by phase name.
+    /// Snapshot of the per-phase histograms (nanoseconds), sorted by phase
+    /// name: a phase's calls are its count, its total time is its sum.
     ///
     /// # Panics
     ///
     /// Panics if a previous user of the metrics block panicked mid-update.
     #[must_use]
-    pub fn phases(&self) -> Vec<(String, PhaseStat)> {
-        self.phases
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(name, entry)| (name.clone(), entry.stat))
-            .collect()
-    }
-
-    /// Snapshot of the per-phase latency histograms (nanoseconds), sorted
-    /// by phase name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the metrics block panicked mid-update.
-    #[must_use]
-    pub fn phase_histograms(&self) -> Vec<(String, LogHistogram)> {
-        self.phases
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(name, entry)| (name.clone(), entry.hist.clone()))
-            .collect()
+    pub fn phases(&self) -> Vec<(String, LogHistogram)> {
+        self.phases.lock().expect("metrics poisoned").clone().into_iter().collect()
     }
 
     /// Records one completed span (see [`crate::profile::SpanGuard`])
@@ -351,13 +325,12 @@ impl Metrics {
     ///
     /// Panics if a previous user of the metrics block panicked mid-update.
     pub fn record_span(&self, path: &str, elapsed: Duration) {
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.spans
             .lock()
             .expect("metrics poisoned")
             .entry(path.to_string())
             .or_default()
-            .record(nanos);
+            .record_duration(elapsed);
     }
 
     /// Snapshot of all span histograms (nanoseconds), sorted by path.
@@ -370,33 +343,47 @@ impl Metrics {
         self.spans.lock().expect("metrics poisoned").clone().into_iter().collect()
     }
 
-    /// Renders a human-readable multi-line summary (counters, then one
-    /// line per phase).
+    /// Every non-empty histogram series under its snapshot path, in one
+    /// order: spans by path, then `phase/<name>`, `latency/<name>` and
+    /// `hist/reconverge_rounds` (rounds, not nanoseconds). The live
+    /// snapshot ([`crate::telemetry::build_snapshot`]) and
+    /// [`Metrics::render`] both read quantiles from this list.
+    #[must_use]
+    pub fn series(&self) -> Vec<(String, LogHistogram)> {
+        let mut series = self.spans();
+        series.extend(self.phases().into_iter().map(|(name, h)| (format!("phase/{name}"), h)));
+        series.extend(
+            self.latency_snapshots()
+                .into_iter()
+                .map(|(name, h)| (format!("latency/{name}"), h))
+                .chain([("hist/reconverge_rounds".to_string(), self.reconverge_snapshot())])
+                .filter(|(_, h)| h.count() > 0),
+        );
+        series
+    }
+
+    /// Renders a human-readable multi-line summary: counters, each phase's
+    /// calls and total time, then the quantiles of every histogram series
+    /// (see [`Metrics::series`]).
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::from("metrics:\n");
         for (label, v) in self.snapshot().named() {
             out.push_str(&format!("  {label:<24} {v}\n"));
         }
-        let phases = self.phase_histograms();
+        let phases = self.phases();
         if !phases.is_empty() {
             out.push_str("phases:\n");
             for (name, hist) in phases {
                 let ms = hist.sum() as f64 / 1e6;
-                out.push_str(&format!(
-                    "  {:<24} {:>6} calls  {:>10.3} ms  [{}]\n",
-                    name,
-                    hist.count(),
-                    ms,
-                    hist.render_nanos()
-                ));
+                out.push_str(&format!("  {name:<24} {:>6} calls  {ms:>10.3} ms\n", hist.count()));
             }
         }
-        let spans = self.spans();
-        if !spans.is_empty() {
+        let series = self.series();
+        if !series.is_empty() {
             out.push_str("spans:\n");
-            for (path, hist) in spans {
-                out.push_str(&format!("  {:<24} [{}]\n", path, hist.render_nanos()));
+            for (path, hist) in series {
+                out.push_str(&format!("  {path:<24} [{}]\n", hist.render(series_unit(&path))));
             }
         }
         out
@@ -502,8 +489,8 @@ mod tests {
         let phases = m.phases();
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].0, "alpha");
-        assert_eq!(phases[0].1, PhaseStat { calls: 1, nanos: 100 });
-        assert_eq!(phases[1].1, PhaseStat { calls: 2, nanos: 75 });
+        assert_eq!((phases[0].1.count(), phases[0].1.sum()), (1, 100));
+        assert_eq!((phases[1].1.count(), phases[1].1.sum()), (2, 75));
     }
 
     #[test]
@@ -511,15 +498,14 @@ mod tests {
         let m = Metrics::new();
         m.record_phase("step", Duration::from_nanos(100));
         m.record_phase("step", Duration::from_nanos(10_000));
-        let hists = m.phase_histograms();
+        let hists = m.phases();
         assert_eq!(hists.len(), 1);
         let (name, hist) = &hists[0];
         assert_eq!(name, "step");
         assert_eq!(hist.count(), 2);
         assert_eq!(hist.min(), 100);
         assert_eq!(hist.max(), 10_000);
-        // Flat totals stay consistent with the histogram.
-        assert_eq!(m.phases()[0].1, PhaseStat { calls: 2, nanos: 10_100 });
+        assert_eq!(hist.sum(), 10_100);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! - [`ColumnarTelemetryExporter`] — `telemetry_sample` rows appended
 //!   to a `BDCT` columnar trace, so `trace` analytics (and the
 //!   torn-tail `repair()` contract) apply to telemetry series too,
-//! - [`SnapshotRing`] — an in-process ring buffer for embedding,
 //! - [`SocketPublisher`] — a unix-socket JSON-lines feed that the CLI
 //!   `watch` subcommand attaches to.
 //!
@@ -33,31 +32,23 @@
 //! later write than counter B) is inherent to sampling a live system
 //! and is bounded by one snapshot interval.
 
+use crate::hist::{LogHistogram, BUCKETS};
 use crate::json::{self, Value};
 use crate::metrics::{CounterSnapshot, Metrics};
 use crate::progress::Progress;
 use crate::sink::EventSink;
 use crate::Event;
-use bitdissem_stats::LogHistogram as EdgeHistogram;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Number of stripes per counter/histogram. A power of two at least as
 /// large as the pool sizes we deploy, so every pool participant owns a
 /// stripe (see [`thread_slot`]).
 pub const STRIPES: usize = 16;
-
-/// Lower edge of the latency histograms: 100 ns.
-pub const LATENCY_LO_NS: f64 = 100.0;
-/// Upper edge of the latency histograms: 100 s.
-pub const LATENCY_HI_NS: f64 = 1e11;
-/// Latency histogram bin count: 8 bins per decade over 9 decades.
-pub const LATENCY_BINS: usize = 72;
 
 /// Pads (and aligns) a value to its own cache line pair so adjacent
 /// stripes never share a line — 128 bytes covers the spatial prefetcher
@@ -155,84 +146,78 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// One stripe of histogram bins: its own allocation, so stripes never
-/// share cache lines beyond allocator adjacency.
+/// One stripe of an [`AtomicHistogram`]: [`LogHistogram`]'s buckets,
+/// allocated on the stripe's first record, plus the exact sum and extremes
+/// of the values recorded into it.
 #[derive(Debug)]
 struct HistStripe {
-    /// `[0]` underflow, `[1..=LATENCY_BINS]` the geometric bins,
-    /// `[LATENCY_BINS + 1]` overflow.
-    bins: Box<[AtomicU64]>,
+    bins: OnceLock<Box<[AtomicU64]>>,
+    /// Wraps past `u64::MAX` (584 years of nanoseconds).
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Default for HistStripe {
     fn default() -> Self {
-        HistStripe { bins: (0..LATENCY_BINS + 2).map(|_| AtomicU64::new(0)).collect() }
+        HistStripe {
+            bins: OnceLock::new(),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
     }
 }
 
-/// A log-bucketed latency histogram striped across [`STRIPES`] cells,
-/// sharing its geometric bin edges with [`bitdissem_stats::LogHistogram`]
-/// (100 ns .. 100 s, 8 bins per decade).
+/// A [`LogHistogram`] striped across [`STRIPES`] cache-line-padded cells.
 ///
-/// Recording is one relaxed increment on the calling thread's stripe.
+/// Recording touches only the calling thread's stripe: one relaxed
+/// increment of the value's bucket, plus relaxed updates of the stripe's
+/// sum, minimum and maximum. A stripe allocates its buckets on its first
+/// record, so a cell nobody records into costs one pointer per stripe.
 /// [`AtomicHistogram::snapshot`] merges the stripes into an ordinary
-/// `stats::LogHistogram`, whose quantile semantics (upper bin edge at
-/// the target rank) therefore apply verbatim to live telemetry. Because
-/// bins are monotone, a racing snapshot is never torn: its derived
-/// count equals the sum of the bins it read.
+/// [`LogHistogram`], whose quantiles therefore apply verbatim to live
+/// telemetry. Because bins are monotone, a racing snapshot is never torn:
+/// its count is the sum of the bins it read, and its extremes are clamped
+/// into the buckets those bins span.
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    stripes: Box<[HistStripe]>,
-    /// Empty template carrying the shared bin edges.
-    edges: EdgeHistogram,
+    stripes: Box<[CachePadded<HistStripe>]>,
 }
 
 impl AtomicHistogram {
-    /// A zeroed histogram over the standard latency edges.
-    ///
-    /// # Panics
-    ///
-    /// Never — the standard edges are statically valid.
+    /// An empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        AtomicHistogram {
-            stripes: (0..STRIPES).map(|_| HistStripe::default()).collect(),
-            edges: EdgeHistogram::new(LATENCY_LO_NS, LATENCY_HI_NS, LATENCY_BINS)
-                .expect("static latency edges are valid"),
-        }
+        AtomicHistogram { stripes: (0..STRIPES).map(|_| CachePadded::default()).collect() }
     }
 
-    /// Records one latency sample (nanoseconds) into the calling
-    /// thread's stripe.
+    /// Records one value into the calling thread's stripe.
     #[inline]
-    pub fn record(&self, nanos: u64) {
-        let v = nanos as f64;
-        let idx = match self.edges.bin_index(v) {
-            Some(b) => b + 1,
-            None if v < LATENCY_LO_NS => 0,
-            None => LATENCY_BINS + 1,
-        };
-        self.stripes[thread_slot()].bins[idx].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&self, v: u64) {
+        let stripe = &self.stripes[thread_slot()].0;
+        let bins = stripe.bins.get_or_init(|| (0..BUCKETS).map(|_| AtomicU64::new(0)).collect());
+        bins[LogHistogram::index(v)].fetch_add(1, Ordering::Relaxed);
+        stripe.sum.fetch_add(v, Ordering::Relaxed);
+        stripe.min.fetch_min(v, Ordering::Relaxed);
+        stripe.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Merges all stripes into a plain [`bitdissem_stats::LogHistogram`]
-    /// with identical edges.
-    ///
-    /// # Panics
-    ///
-    /// Never — the merged bin vector matches the static edge layout.
+    /// Merges all stripes into a plain [`LogHistogram`].
     #[must_use]
-    pub fn snapshot(&self) -> EdgeHistogram {
-        let mut merged = vec![0u64; LATENCY_BINS + 2];
+    pub fn snapshot(&self) -> LogHistogram {
+        let mut bins = vec![0u64; BUCKETS];
+        let (mut sum, mut min, mut max) = (0u128, u64::MAX, 0u64);
         for stripe in self.stripes.iter() {
-            for (acc, bin) in merged.iter_mut().zip(stripe.bins.iter()) {
+            let Some(stripe_bins) = stripe.0.bins.get() else { continue };
+            for (acc, bin) in bins.iter_mut().zip(stripe_bins.iter()) {
                 *acc += bin.load(Ordering::Relaxed);
             }
+            sum += u128::from(stripe.0.sum.load(Ordering::Relaxed));
+            min = min.min(stripe.0.min.load(Ordering::Relaxed));
+            max = max.max(stripe.0.max.load(Ordering::Relaxed));
         }
-        let overflow = merged.pop().expect("overflow bin");
-        let underflow = merged.remove(0);
-        EdgeHistogram::from_counts(LATENCY_LO_NS, LATENCY_HI_NS, merged, underflow, overflow)
-            .expect("static latency edges are valid")
+        LogHistogram::from_parts(bins, sum, min, max)
     }
 }
 
@@ -242,19 +227,29 @@ impl Default for AtomicHistogram {
     }
 }
 
-/// Latency quantile summary for one span path, in nanoseconds.
+/// Quantile summary of one histogram series, in the series' unit
+/// (nanoseconds, or rounds for `hist/` series).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanQuantiles {
     /// Samples recorded.
     pub count: u64,
-    /// 50th percentile (upper bin edge).
+    /// 50th percentile (bucket upper bound, clamped to the maximum).
     pub p50: u64,
-    /// 90th percentile (upper bin edge).
+    /// 90th percentile (bucket upper bound, clamped to the maximum).
     pub p90: u64,
-    /// 99th percentile (upper bin edge).
+    /// 99th percentile (bucket upper bound, clamped to the maximum).
     pub p99: u64,
-    /// Largest sample observed (upper bin edge for merged histograms).
+    /// Largest sample observed.
     pub max: u64,
+}
+
+impl SpanQuantiles {
+    /// The summary of `h`.
+    #[must_use]
+    pub fn of(h: &LogHistogram) -> Self {
+        let q = |p: f64| h.quantile(p).unwrap_or(0);
+        SpanQuantiles { count: h.count(), p50: q(0.5), p90: q(0.9), p99: q(0.99), max: h.max() }
+    }
 }
 
 /// Live progress as seen by one snapshot.
@@ -275,7 +270,7 @@ pub struct ProgressView {
 /// Snapshots are self-contained values: they serialize to a single
 /// JSON object (the unix-socket wire format) and back, and carry
 /// everything the `watch` view renders — totals, per-interval rates,
-/// gauges, span latency quantiles, the phase tree, and progress.
+/// gauges, the quantiles of every histogram series, and progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Monotone snapshot sequence number, starting at 1.
@@ -290,11 +285,10 @@ pub struct TelemetrySnapshot {
     pub rates: Vec<(String, f64)>,
     /// Gauge values.
     pub gauges: Vec<(String, u64)>,
-    /// Latency quantiles per span path (profiler spans plus the striped
-    /// `latency/*` histograms).
+    /// Quantiles of every histogram series, keyed by the paths of
+    /// [`Metrics::series`]: span paths, `phase/*`, the striped `latency/*`
+    /// cells and `hist/reconverge_rounds`.
     pub spans: Vec<(String, SpanQuantiles)>,
-    /// Phase totals: `(name, calls, nanos)`.
-    pub phases: Vec<(String, u64, u64)>,
     /// Progress, when a meter is attached.
     pub progress: Option<ProgressView>,
 }
@@ -366,23 +360,6 @@ impl TelemetrySnapshot {
                         .collect(),
                 ),
             ),
-            (
-                "phases".to_string(),
-                Value::Obj(
-                    self.phases
-                        .iter()
-                        .map(|(name, calls, nanos)| {
-                            (
-                                name.clone(),
-                                Value::Obj(vec![
-                                    ("calls".to_string(), Value::Int(i128::from(*calls))),
-                                    ("nanos".to_string(), Value::Int(i128::from(*nanos))),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
         ];
         if let Some(p) = &self.progress {
             obj.push((
@@ -441,10 +418,6 @@ impl TelemetrySnapshot {
                 ))
             })
             .collect::<Option<Vec<_>>>()?;
-        let phases = obj_pairs(v.get("phases")?)?
-            .into_iter()
-            .map(|(name, p)| Some((name, p.get("calls")?.as_u64()?, p.get("nanos")?.as_u64()?)))
-            .collect::<Option<Vec<_>>>()?;
         let progress = match v.get("progress") {
             Some(p) => Some(ProgressView {
                 done: p.get("done")?.as_u64()?,
@@ -462,15 +435,9 @@ impl TelemetrySnapshot {
             rates,
             gauges,
             spans,
-            phases,
             progress,
         })
     }
-}
-
-fn quantiles_of(hist: &EdgeHistogram) -> SpanQuantiles {
-    let q = |p: f64| hist.quantile(p).map(|v| v as u64).unwrap_or(0);
-    SpanQuantiles { count: hist.count(), p50: q(0.5), p90: q(0.9), p99: q(0.99), max: q(1.0) }
 }
 
 /// Merges the metric cells into one versioned snapshot. `prev` (the
@@ -499,35 +466,8 @@ pub fn build_snapshot(
             (name.to_string(), cur.saturating_sub(before) as f64 / dt)
         })
         .collect();
-    let mut spans: Vec<(String, SpanQuantiles)> = metrics
-        .spans()
-        .into_iter()
-        .map(|(path, h)| {
-            (
-                path,
-                SpanQuantiles {
-                    count: h.count(),
-                    p50: h.quantile(0.5).unwrap_or(0),
-                    p90: h.quantile(0.9).unwrap_or(0),
-                    p99: h.quantile(0.99).unwrap_or(0),
-                    max: h.max(),
-                },
-            )
-        })
-        .collect();
-    for (name, hist) in metrics.latency_snapshots() {
-        if hist.count() > 0 {
-            spans.push((format!("latency/{name}"), quantiles_of(&hist)));
-        }
-    }
-    // The re-convergence histogram shares the log-bucketed quantile
-    // machinery but records *rounds*, not nanoseconds: the `hist/`
-    // prefix keeps it out of the latency namespace and routes it to its
-    // own Prometheus metric family (see `render_prometheus`).
-    let reconverge = metrics.reconverge_snapshot();
-    if reconverge.count() > 0 {
-        spans.push(("hist/reconverge_rounds".to_string(), quantiles_of(&reconverge)));
-    }
+    let spans =
+        metrics.series().into_iter().map(|(path, h)| (path, SpanQuantiles::of(&h))).collect();
     let unix_ms = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -540,7 +480,6 @@ pub fn build_snapshot(
         rates,
         gauges: metrics.gauges().iter().map(|&(n, v)| (n.to_string(), v)).collect(),
         spans,
-        phases: metrics.phases().into_iter().map(|(n, s)| (n, s.calls, s.nanos)).collect(),
         progress: progress.map(|p| ProgressView {
             done: p.done(),
             total: p.total(),
@@ -765,81 +704,6 @@ impl TelemetryExporter for ColumnarTelemetryExporter {
 }
 
 // ---------------------------------------------------------------------------
-// In-process ring buffer
-// ---------------------------------------------------------------------------
-
-/// A bounded in-process buffer of the most recent snapshots — the
-/// embedding API for a future `serve` mode and the data source for
-/// same-process live views.
-#[derive(Debug)]
-pub struct SnapshotRing {
-    cap: usize,
-    inner: Mutex<VecDeque<TelemetrySnapshot>>,
-}
-
-impl SnapshotRing {
-    /// A ring keeping the last `cap` snapshots (`cap` 0 coerces to 1).
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        SnapshotRing { cap: cap.max(1), inner: Mutex::new(VecDeque::new()) }
-    }
-
-    fn push(&self, snap: TelemetrySnapshot) {
-        let mut q = self.inner.lock().expect("ring poisoned");
-        if q.len() == self.cap {
-            q.pop_front();
-        }
-        q.push_back(snap);
-    }
-
-    /// The most recent snapshot, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the ring panicked mid-push.
-    #[must_use]
-    pub fn latest(&self) -> Option<TelemetrySnapshot> {
-        self.inner.lock().expect("ring poisoned").back().cloned()
-    }
-
-    /// All buffered snapshots, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the ring panicked mid-push.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<TelemetrySnapshot> {
-        self.inner.lock().expect("ring poisoned").iter().cloned().collect()
-    }
-
-    /// Buffered snapshot count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the ring panicked mid-push.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring poisoned").len()
-    }
-
-    /// Whether no snapshot has been buffered yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Exporter half of [`SnapshotRing`].
-#[derive(Debug)]
-pub struct RingExporter(pub Arc<SnapshotRing>);
-
-impl TelemetryExporter for RingExporter {
-    fn export(&mut self, snap: &TelemetrySnapshot) {
-        self.0.push(snap.clone());
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Unix-socket publisher
 // ---------------------------------------------------------------------------
 
@@ -1004,7 +868,7 @@ pub fn start_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemorySink;
+    use crate::{LatencyId, MemorySink};
     use std::thread;
 
     #[test]
@@ -1035,17 +899,24 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_matches_scalar_reference() {
-        let h = AtomicHistogram::new();
-        let mut reference = EdgeHistogram::new(LATENCY_LO_NS, LATENCY_HI_NS, LATENCY_BINS).unwrap();
-        for v in [50u64, 150, 999, 10_000, 1_000_000, 200_000_000_000] {
-            h.record(v);
-            reference.add(v as f64);
+        let h = Arc::new(AtomicHistogram::new());
+        let mut reference = LogHistogram::new();
+        let values = [0u64, 7, 50, 150, 999, 10_000, 1_000_000, 200_000_000_000];
+        for &v in &values {
+            reference.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), reference.count());
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(snap.quantile(q), reference.quantile(q));
-        }
+        // Half the values from another thread, so the snapshot merges
+        // stripes.
+        let (mine, theirs) = values.split_at(values.len() / 2);
+        let other = {
+            let h = Arc::clone(&h);
+            let theirs = theirs.to_vec();
+            thread::spawn(move || theirs.into_iter().for_each(|v| h.record(v)))
+        };
+        mine.iter().for_each(|&v| h.record(v));
+        other.join().unwrap();
+        assert_eq!(h.snapshot(), reference);
+        assert_eq!(AtomicHistogram::new().snapshot(), LogHistogram::new());
     }
 
     #[test]
@@ -1061,9 +932,18 @@ mod tests {
         };
         let mut last = 0u64;
         for _ in 0..50 {
-            let count = h.snapshot().count();
+            let snap = h.snapshot();
+            let count = snap.count();
             assert!(count >= last, "snapshot count went backwards: {last} -> {count}");
             last = count;
+            // The writer's values rise, so its max races its bins: the
+            // extremes must still lie in the extreme non-empty buckets.
+            let bins = snap.bin_counts();
+            if let Some(top) = bins.iter().rposition(|&c| c > 0) {
+                assert_eq!(LogHistogram::index(snap.max()), top, "max outside the top bucket");
+                let bottom = bins.iter().position(|&c| c > 0).unwrap();
+                assert_eq!(LogHistogram::index(snap.min()), bottom, "min outside the low bucket");
+            }
         }
         writer.join().unwrap();
         assert_eq!(h.snapshot().count(), 20_000);
@@ -1082,7 +962,6 @@ mod tests {
                 "replication".to_string(),
                 SpanQuantiles { count: 7, p50: 100, p90: 200, p99: 300, max: 400 },
             )],
-            phases: vec![("replicate".to_string(), 2, 12345)],
             progress: Some(ProgressView { done: 5, total: 10, rate_per_sec: 2.0, eta_secs: 2.5 }),
         };
         let decoded = TelemetrySnapshot::from_json(&snap.to_json()).expect("decodes");
@@ -1149,6 +1028,92 @@ mod tests {
     }
 
     #[test]
+    fn reconverge_quantiles_resolve_clocks_below_one_hundred_rounds() {
+        let m = Metrics::new();
+        for clock in [27, 40, 89] {
+            m.record_reconverge(clock);
+        }
+        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let q = snap
+            .spans
+            .iter()
+            .find(|(p, _)| p == "hist/reconverge_rounds")
+            .map(|&(_, q)| q)
+            .expect("reconverge histogram exported");
+        assert_eq!(q.count, 3);
+        // Nearest-rank quantiles of {27, 40, 89}, each read within 1/16.
+        for (read, exact) in [(q.p50, 40u64), (q.p90, 89), (q.p99, 89), (q.max, 89)] {
+            assert!(
+                read >= exact && read * 16 <= exact * 17,
+                "read {read} rounds for a true {exact}: {q:?}"
+            );
+        }
+        let text = render_prometheus(&snap);
+        let p50 = parse_prometheus(&text)
+            .expect("exposition parses")
+            .into_iter()
+            .find(|s| {
+                s.name == "bitdissem_reconverge_rounds"
+                    && s.labels.iter().any(|(k, v)| k == "quantile" && v == "0.5")
+            })
+            .expect("p50 exported");
+        assert_eq!(p50.value, q.p50 as f64);
+    }
+
+    #[test]
+    fn offline_and_live_quantiles_agree() {
+        let m = Metrics::new();
+        for (i, nanos) in [900u64, 1_500, 2_600, 40_000, 41_000, 3_000_000].into_iter().enumerate()
+        {
+            m.record_latency(LatencyId::Replication, nanos * 3);
+            m.record_span("run/replicate", Duration::from_nanos(nanos));
+            m.record_phase("simulate", Duration::from_nanos(nanos * 7));
+            m.record_reconverge(10 + 17 * i as u64);
+        }
+        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let sink = Arc::new(MemorySink::new());
+        struct Fwd(Arc<MemorySink>);
+        impl EventSink for Fwd {
+            fn emit(&self, e: &Event) {
+                self.0.emit(e);
+            }
+        }
+        ColumnarTelemetryExporter::with_sink(Box::new(Fwd(Arc::clone(&sink)))).export(&snap);
+        let rows: Vec<(String, u64)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::TelemetrySample { series, value, .. } => Some((series, value)),
+                _ => None,
+            })
+            .collect();
+        let row = |series: String| rows.iter().find(|(s, _)| *s == series).map(|&(_, v)| v);
+        let text = m.render();
+
+        let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            paths,
+            ["run/replicate", "phase/simulate", "latency/replication", "hist/reconverge_rounds"]
+        );
+        for (path, q) in &snap.spans {
+            assert_eq!(q.count, 6, "{path}");
+            for (field, v) in [("count", q.count), ("p50", q.p50), ("p90", q.p90), ("p99", q.p99)] {
+                assert_eq!(row(format!("span/{path}/{field}")), Some(v), "{path} {field}");
+            }
+            let unit = crate::metrics::series_unit(path);
+            let line = format!(
+                "  {path:<24} [p50={} p90={} p99={} max={} ({} samples)]\n",
+                unit(q.p50),
+                unit(q.p90),
+                unit(q.p99),
+                unit(q.max),
+                q.count
+            );
+            assert!(text.contains(&line), "render lacks {line:?}:\n{text}");
+        }
+    }
+
+    #[test]
     fn prometheus_roundtrip_parses_and_reconciles() {
         let m = Metrics::new();
         m.add_rounds(1234);
@@ -1179,20 +1144,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_latest_snapshots() {
-        let ring = Arc::new(SnapshotRing::new(2));
-        let mut exporter = RingExporter(Arc::clone(&ring));
-        let m = Metrics::new();
-        for v in 1..=3 {
-            let snap = build_snapshot(&m, None, v, Instant::now(), None);
-            exporter.export(&snap);
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().version, 3);
-        assert_eq!(ring.snapshots()[0].version, 2);
-    }
-
-    #[test]
     fn columnar_exporter_emits_one_row_per_series() {
         let sink = Arc::new(MemorySink::new());
         struct Fwd(Arc<MemorySink>);
@@ -1216,18 +1167,25 @@ mod tests {
 
     #[test]
     fn runner_exports_final_snapshot_on_stop() {
+        struct Collect(Arc<Mutex<Vec<TelemetrySnapshot>>>);
+        impl TelemetryExporter for Collect {
+            fn export(&mut self, snap: &TelemetrySnapshot) {
+                self.0.lock().unwrap().push(snap.clone());
+            }
+        }
         let m = Arc::new(Metrics::new());
         m.add_rounds(7);
-        let ring = Arc::new(SnapshotRing::new(8));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let handle = start_telemetry(
             Arc::clone(&m),
             None,
             Duration::from_secs(3600), // never fires on its own
-            vec![Box::new(RingExporter(Arc::clone(&ring)))],
+            vec![Box::new(Collect(Arc::clone(&seen)))],
         );
         handle.stop();
-        assert_eq!(ring.len(), 1, "stop produces exactly the final snapshot");
-        assert_eq!(ring.latest().unwrap().counter("rounds_simulated"), Some(7));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 1, "stop produces exactly the final snapshot");
+        assert_eq!(seen[0].counter("rounds_simulated"), Some(7));
     }
 
     #[cfg(unix)]

@@ -90,7 +90,7 @@ mod tests {
         let phases = metrics.phases();
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].0, "phase_a");
-        assert_eq!(phases[0].1.calls, 1);
+        assert_eq!(phases[0].1.count(), 1);
     }
 
     #[test]

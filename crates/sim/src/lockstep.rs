@@ -394,7 +394,9 @@ impl<D: Draw> LockstepSim<D> {
             }
             for (rep, &label) in reps.iter().enumerate() {
                 if self.converged_at[rep] == Some(r) {
-                    if obs.wants_round(r) {
+                    // Without retirement the replica is still live, and
+                    // its row went out with the live ones.
+                    if self.retire_on_consensus && obs.wants_round(r) {
                         obs.emit(&Event::RoundCompleted {
                             rep: label,
                             round: r,
@@ -412,7 +414,9 @@ impl<D: Draw> LockstepSim<D> {
             }
         }
         if obs.active() {
-            for &rep in &self.live_rep {
+            // A live replica that already hit consensus (no retirement)
+            // finished when it did; only the others time out.
+            for &rep in self.live_rep.iter().filter(|&&rep| self.converged_at[rep].is_none()) {
                 obs.emit(&Event::ReplicationFinished {
                     rep: reps[rep],
                     outcome: ReplicationOutcome::TimedOut,
@@ -500,9 +504,7 @@ pub fn replicate_lockstep<D: Draw>(
 
     let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; tasks]);
     let stats = Pool::global().run_chunks(tasks, chunk, cap, &|range| {
-        // Batch-level latency span (one per lock-step chunk), distinct
-        // from the per-replication "replication" span of the reference
-        // engine.
+        // Batch-level latency span, one per lock-step chunk.
         let _span = obs.span("replication_batch");
         let chunk_indices = &indices[range.clone()];
         let seeds: Vec<u64> =
@@ -557,6 +559,7 @@ pub(crate) mod tests {
                 zero_budget_means_no_steps,
                 retirement_keeps_survivor_bookkeeping_consistent,
                 no_retire_mode_keeps_stepping_past_first_consensus,
+                observed_no_retire_run_emits_one_row_per_round_and_one_finish,
                 observed_run_matches_unobserved_and_counts_metrics,
                 observed_timeout_emits_timed_out_finishes,
                 observed_respects_round_stride
@@ -651,6 +654,61 @@ pub(crate) mod tests {
             assert!(k < 400, "rep {rep} converged before the flip");
             assert_eq!(batch.converged_at(rep), Some(k), "first hit is kept, not overwritten");
             assert!(batch.ones_of(rep) < n, "rep {rep} was knocked off the old consensus");
+        }
+    }
+
+    pub(crate) fn observed_no_retire_run_emits_one_row_per_round_and_one_finish<D: Draw>() {
+        // Without retirement every replica steps to the budget, so it
+        // reports each round 1..=budget exactly once and finishes exactly
+        // once, as `outcomes` says: `Converged` at its first hit (round 0
+        // for a start at consensus), `TimedOut` at the budget otherwise.
+        let n = 48;
+        let budget = 300;
+        let kernel = kernel_of(&Voter::new(1).unwrap(), n);
+        let reps = 6usize;
+        let labels: Vec<u64> = (0..reps as u64).map(|rep| 10 + rep).collect();
+        for (x0, env) in [(40, None), (n, Some("flip@150".parse::<EnvSchedule>().unwrap()))] {
+            let start = Configuration::new(n, Opinion::One, x0).unwrap();
+            let sink = Arc::new(MemorySink::new());
+            let obs = Obs::none().with_sink(Arc::clone(&sink) as _);
+            let mut batch = LockstepSim::<D>::with_retirement(
+                Arc::clone(&kernel),
+                start,
+                &seeds_for(9, reps),
+                false,
+            );
+            let outcomes = batch.run(budget, env.as_ref(), &obs, &labels);
+            assert_eq!(outcomes, batch.outcomes(budget));
+            let events = sink.events();
+            for (outcome, &label) in outcomes.iter().zip(&labels) {
+                let rounds: Vec<u64> = events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        Event::RoundCompleted { rep, round, .. } if rep == label => Some(round),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(rounds, (1..=budget).collect::<Vec<_>>(), "x0 {x0}, rep {label}");
+                let finishes: Vec<(ReplicationOutcome, u64)> = events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        Event::ReplicationFinished { rep, outcome, rounds, .. } if rep == label => {
+                            Some((outcome, rounds))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let expected = match *outcome {
+                    Outcome::Converged { rounds } => (ReplicationOutcome::Converged, rounds),
+                    Outcome::TimedOut { rounds } => (ReplicationOutcome::TimedOut, rounds),
+                };
+                assert_eq!(finishes, vec![expected], "x0 {x0}, rep {label}");
+            }
+            if x0 == 40 {
+                assert!(outcomes.iter().any(Outcome::is_converged), "{outcomes:?}");
+            } else {
+                assert!(outcomes.iter().all(|o| *o == Outcome::Converged { rounds: 0 }));
+            }
         }
     }
 

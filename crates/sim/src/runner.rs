@@ -115,9 +115,8 @@ where
 
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..tasks).map(|_| None).collect());
     let stats = Pool::global().run_batch(tasks, cap, &|i| {
-        // Per-replication latency span: feeds the p50/p90/p99 histogram
-        // under "replication" without touching the task's RNG or result.
-        let _span = obs.span("replication");
+        // Per-replication latency, into the lock-free `latency/replication`
+        // cell; it never touches the task's RNG or result.
         let task_start = obs.metrics_on().then(std::time::Instant::now);
         let rep = indices[i];
         let rng = rng_from(replication_seed(base_seed, rep as u64));
@@ -328,11 +327,11 @@ mod tests {
         assert_eq!(metrics.pool_batches.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert_eq!(metrics.pool_tasks.load(std::sync::atomic::Ordering::Relaxed), 16);
         assert_eq!(metrics.phases().len(), 1);
-        // One latency span per replication.
-        let spans = metrics.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "replication");
-        assert_eq!(spans[0].1.count(), 16);
+        // One latency sample per replication, and no per-replication span.
+        assert!(metrics.spans().is_empty());
+        let series = metrics.series();
+        let latency = series.iter().find(|(path, _)| path == "latency/replication");
+        assert_eq!(latency.map(|(_, h)| h.count()), Some(16));
     }
 
     #[test]

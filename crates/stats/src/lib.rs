@@ -8,8 +8,6 @@
 //! * [`regression`] — ordinary least squares, log–log power-law fits, and
 //!   scaling-model comparison (`n^b` vs `n·log n` vs `log² n`), used to test
 //!   the *shape* predictions of the paper's theorems;
-//! * [`histogram`] — fixed-width and log-scale histograms for
-//!   distribution sanity checks and latency data;
 //! * [`table`] — aligned plain-text and CSV rendering of result tables.
 //!
 //! # Example
@@ -26,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod compare;
-pub mod histogram;
 pub mod regression;
 pub mod summary;
 pub mod table;
 
 pub use compare::{paired_ab, Better, PairedAb, Verdict};
-pub use histogram::{Histogram, LogHistogram};
 pub use regression::{fit_power_law, LinearFit, ScalingModel};
 pub use summary::Summary;
 pub use table::Table;

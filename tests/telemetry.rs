@@ -60,9 +60,7 @@ proptest! {
                 assert!(total >= last_total, "counter total went backwards");
                 last_total = total;
                 let h = snap_hist.snapshot();
-                let mut bins = vec![h.underflow()];
-                bins.extend_from_slice(h.bin_counts());
-                bins.push(h.overflow());
+                let bins = h.bin_counts().to_vec();
                 assert_eq!(
                     h.count(),
                     bins.iter().sum::<u64>(),
@@ -88,8 +86,7 @@ proptest! {
                 go.wait();
                 for i in 0..adds_per_writer {
                     counter.add(1);
-                    // Samples spread over the underflow bin, the
-                    // geometric range, and a shared hot bin.
+                    // Samples spread from 50 to 63e6 over many buckets.
                     hist.record(50 + (i % 64) * 1_000_000);
                 }
             }));
@@ -119,7 +116,6 @@ fn sample_snapshot(version: u64) -> TelemetrySnapshot {
         rates: Vec::new(),
         gauges: vec![("g".to_string(), version)],
         spans: Vec::new(),
-        phases: Vec::new(),
         progress: None,
     }
 }
