@@ -170,6 +170,20 @@ impl LowerBoundWitness {
         self.start
     }
 
+    /// The same case and threshold, with the crossing measured from `start`
+    /// instead of the Theorem-12 start. A start that has already crossed
+    /// does so at round 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` has another population size or correct opinion.
+    #[must_use]
+    pub fn with_start(self, start: Configuration) -> Self {
+        assert_eq!(start.n(), self.start.n(), "the witness fixes the population size");
+        assert_eq!(start.correct(), self.start.correct(), "the witness fixes the correct opinion");
+        Self { start, ..self }
+    }
+
     /// The threshold state whose crossing is proven slow: the process must
     /// reach `≥ threshold` (Case 1 / Voter-like) or `≤ threshold` (Case 2)
     /// before it can converge.
@@ -250,6 +264,23 @@ mod tests {
         assert_eq!(w.start().correct(), Opinion::Zero);
         // X0 = (a1+a2)/2·n with interval (1/2, 1): 0.6875·n.
         assert_eq!(w.start().ones(), (0.6875f64 * 256.0).round() as u64);
+    }
+
+    #[test]
+    fn with_start_moves_only_the_start() {
+        let w = LowerBoundWitness::construct(&Voter::new(1).unwrap(), 1000).unwrap();
+        let past = Configuration::new(1000, Opinion::One, w.threshold()).unwrap();
+        let moved = w.clone().with_start(past);
+        assert_eq!(moved.start(), past);
+        assert!(moved.crossed(moved.start().ones()));
+        assert_eq!((moved.case(), moved.threshold()), (w.case(), w.threshold()));
+    }
+
+    #[test]
+    #[should_panic(expected = "population size")]
+    fn with_start_rejects_another_population() {
+        let w = LowerBoundWitness::construct(&Voter::new(1).unwrap(), 1000).unwrap();
+        let _ = w.with_start(Configuration::new(999, Opinion::One, 500).unwrap());
     }
 
     #[test]

@@ -44,3 +44,25 @@ fn different_seeds_change_sampled_results_but_not_exact_ones() {
     let b = render("e16", Some(2), 2);
     assert_eq!(a, b, "e16 is exact; seeds must not matter");
 }
+
+/// FNV-1a digests of the `run e1` and `run e2` reports at `--scale smoke
+/// --seed 42`. E1 is the threshold-crossing sweep (per-replica chains
+/// under a stop rule), e2 Voter convergence on the default lock-step
+/// engine; neither report prints a wall-clock figure. Run under
+/// `BITDISSEM_POOL_WORKERS` = 1 and 8, the pins hold across pool sizes.
+const E1_SMOKE_SEED42: u64 = 15_974_778_037_371_528_721;
+const E2_SMOKE_SEED42: u64 = 15_035_177_343_551_147_721;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn smoke_reports_of_e1_and_e2_are_pinned() {
+    for (id, pin) in [("e1", E1_SMOKE_SEED42), ("e2", E2_SMOKE_SEED42)] {
+        let report = registry::run(id, &RunConfig::smoke(42)).expect("known id").render();
+        assert_eq!(fnv1a(report.as_bytes()), pin, "{id} report:\n{report}");
+    }
+}

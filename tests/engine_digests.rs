@@ -22,6 +22,11 @@
 //! so the digests also cover every replica's whole path, which any changed
 //! draw would move.
 //!
+//! Crossing pins at smaller `n` see replicas cross: Voter(1) at `n = 512`,
+//! where every replica crosses, and Minority(5) at `n = 64`, where a few
+//! do, plus the stop rule's edges (a start that has already crossed, a
+//! budget of 0, a budget that ends on the crossing round).
+//!
 //! Two more pins cover what the lock-step round loop does around a draw:
 //!
 //! * **Environment schedules.** Voter(1) at `n = 256` under a schedule with
@@ -207,6 +212,74 @@ fn two_choices_batched_outcomes_and_states_are_pinned() {
 fn two_choices_wide_outcomes_and_states_are_pinned() {
     let pin = lockstep_pin::<CounterDraw, _>(&TwoChoices::new());
     assert_eq!(pin, TWO_CHOICES_WIDE, "wide digests");
+}
+
+/// Replicas per crossing pin, enough for Minority(5) at `n = 64` to see
+/// several crossings.
+const CROSS_REPS: usize = 128;
+
+/// Voter(1) at `n = 512` under e1's 50n budget: every replica crosses.
+const VOTER512_CROSSING: u64 = 14_005_755_263_173_842_326;
+/// Minority(5) at `n = 64` under e1's 50n budget: 10 of 128 replicas
+/// cross.
+const MINORITY5_64_CROSSING: u64 = 10_467_684_730_693_462_921;
+/// Replicas of [`MINORITY5_64_CROSSING`] that cross.
+const MINORITY5_64_CROSSED: usize = 10;
+
+/// Crossing outcomes of `protocol` at size `n` from `witness` (its
+/// Theorem-12 witness when `None`).
+fn crossings<P: Protocol + Sync>(
+    protocol: &P,
+    n: u64,
+    witness: Option<LowerBoundWitness>,
+    reps: usize,
+    budget: u64,
+) -> Vec<Outcome> {
+    let witness = witness
+        .unwrap_or_else(|| LowerBoundWitness::construct(protocol, n).expect("valid protocol"));
+    measure_crossing_observed(&Obs::none(), protocol, &witness, reps, budget, SEED, Some(2))
+}
+
+fn crossed(outcomes: &[Outcome]) -> usize {
+    outcomes.iter().filter(|o| o.is_converged()).count()
+}
+
+/// Chains that do cross: the 20 000-round pins above never see a replica
+/// cross, so they cannot tell where a stop rule fires.
+#[test]
+fn crossings_that_cross_are_pinned() {
+    let voter = Voter::new(1).expect("valid");
+    let outcomes = crossings(&voter, 512, None, CROSS_REPS, 50 * 512);
+    assert_eq!(crossed(&outcomes), CROSS_REPS, "every Voter replica crosses");
+    assert_eq!(outcome_digest(&outcomes), VOTER512_CROSSING, "Voter(1), n = 512");
+
+    let outcomes = crossings(&minority5(), 64, None, CROSS_REPS, 50 * 64);
+    assert_eq!(crossed(&outcomes), MINORITY5_64_CROSSED, "Minority(5) crossers");
+    assert_eq!(outcome_digest(&outcomes), MINORITY5_64_CROSSING, "Minority(5), n = 64");
+}
+
+/// The stop rule's edges: the state is tested before every round, the
+/// budget's last round included, and never after it.
+#[test]
+fn crossing_edges_are_pinned() {
+    let voter = Voter::new(1).expect("valid");
+    let witness = LowerBoundWitness::construct(&voter, 512).expect("valid protocol");
+    let past = Configuration::new(512, Opinion::One, witness.threshold()).expect("valid start");
+    let outcomes = crossings(&voter, 512, Some(witness.clone().with_start(past)), 4, 100);
+    assert_eq!(outcomes, vec![Outcome::Converged { rounds: 0 }; 4], "a crossed start");
+    let outcomes = crossings(&voter, 512, None, 4, 0);
+    assert_eq!(outcomes, vec![Outcome::TimedOut { rounds: 0 }; 4], "budget 0");
+
+    // Replica 0 draws from the same stream whatever the replica count, so
+    // a budget of exactly its crossing round still sees the crossing.
+    let Outcome::Converged { rounds } = crossings(&voter, 512, None, 1, 50 * 512)[0] else {
+        panic!("replica 0 crosses");
+    };
+    assert!(rounds > 1, "replica 0 crosses after a few rounds, not at the start");
+    let at = crossings(&voter, 512, None, 1, rounds);
+    assert_eq!(at, vec![Outcome::Converged { rounds }], "crossing on the budget's last round");
+    let before = crossings(&voter, 512, None, 1, rounds - 1);
+    assert_eq!(before, vec![Outcome::TimedOut { rounds: rounds - 1 }], "one round short");
 }
 
 const ENV_N: u64 = 256;
