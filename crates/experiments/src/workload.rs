@@ -19,7 +19,7 @@ use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::batched::SeededDraw;
 use bitdissem_sim::env::EnvSchedule;
 use bitdissem_sim::lockstep::replicate_lockstep;
-use bitdissem_sim::run::{run_to_consensus_observed, Outcome, Simulator};
+use bitdissem_sim::run::{run_to_consensus_observed, Outcome};
 use bitdissem_sim::runner::replicate_indices_observed;
 use bitdissem_sim::sequential::SequentialSim;
 use bitdissem_sim::wide::CounterDraw;
@@ -511,8 +511,10 @@ where
 
 /// Measures the first time the process crosses the witness threshold (the
 /// quantity Theorem 6 bounds from below), right-censored at `budget`.
-/// Returns one censored crossing time per replication plus the converged
-/// flag batch for reference.
+/// Returns one outcome per replication, in replication order:
+/// `Converged { rounds: t }` for a replica that first crossed at round `t`
+/// (0 if the start has already crossed), `TimedOut { rounds: budget }` for
+/// one that did not cross within the budget.
 #[must_use]
 pub fn measure_crossing<P>(
     protocol: &P,
@@ -530,7 +532,9 @@ where
 
 /// [`measure_crossing`] with an observability handle (progress ticks and
 /// stream counters; crossing runs emit no per-round events since the
-/// stopping rule differs from consensus).
+/// stopping rule differs from consensus). Each replica runs the
+/// per-replica chain through [`AggregateSim::run_until`], which tests the
+/// threshold before every round and after the last.
 #[must_use]
 pub fn measure_crossing_observed<P>(
     obs: &Obs,
@@ -553,16 +557,10 @@ where
         |missing| {
             replicate_indices_observed(missing, seed, threads, obs, |mut rng, _| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), witness.start());
-                for t in 0..=budget {
-                    if witness.crossed(sim.configuration().ones()) {
-                        return Outcome::Converged { rounds: t };
-                    }
-                    if t == budget {
-                        break;
-                    }
-                    sim.step_round(&mut rng);
+                match sim.run_until(&mut rng, budget, |x| witness.crossed(x)) {
+                    Some(rounds) => Outcome::Converged { rounds },
+                    None => Outcome::TimedOut { rounds: budget },
                 }
-                Outcome::TimedOut { rounds: budget }
             })
         },
     )

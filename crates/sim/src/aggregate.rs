@@ -7,6 +7,7 @@ use bitdissem_core::{
 };
 use bitdissem_poly::binomial::{binomial_pmf_into, binomial_pmf_vec};
 
+use crate::binomial::with_lnfact;
 use crate::rng::SimRng;
 use crate::roundplan::{RoundPlan, StateCache};
 use crate::run::Simulator;
@@ -151,6 +152,43 @@ impl AggregateSim {
         &self.kernel
     }
 
+    /// Steps until `stop` holds for the ones-count, testing it before every
+    /// round and after the last (at `t = 0, 1, …, budget`), and returns the
+    /// first `t` at which it held, or `None` if it never did. The
+    /// simulator is left in the state the run ended in.
+    ///
+    /// Draws exactly what [`Simulator::step_round`] calls between the same
+    /// tests would, from the same rng. The loop keeps the ones-count in a
+    /// local and enters the per-thread `ln(i!)` table once per run instead
+    /// of once per round, so `stop` runs while the table is held and must
+    /// not draw binomials itself.
+    pub fn run_until(
+        &mut self,
+        rng: &mut SimRng,
+        budget: u64,
+        mut stop: impl FnMut(u64) -> bool,
+    ) -> Option<u64> {
+        let Self { kernel, config, plans } = self;
+        let kernel: &Kernel = kernel;
+        let z = u64::from(config.correct().as_bit());
+        let mut x = config.ones();
+        let hit = with_lnfact(config.n(), |lnfact| {
+            let mut t = 0;
+            loop {
+                if stop(x) {
+                    return Some(t);
+                }
+                if t == budget {
+                    return None;
+                }
+                x = plans.step(kernel, z, x, rng, lnfact);
+                t += 1;
+            }
+        });
+        *config = config.with_ones(x).expect("next state is always consistent");
+        hit
+    }
+
     /// Resets the state to a new configuration (same protocol and `n`).
     ///
     /// # Panics
@@ -170,7 +208,8 @@ impl Simulator for AggregateSim {
     fn step_round(&mut self, rng: &mut SimRng) {
         let x = self.config.ones();
         let z = u64::from(self.config.correct().as_bit());
-        let next = self.plans.step(&self.kernel, z, x, rng);
+        let (kernel, plans) = (&self.kernel, &mut self.plans);
+        let next = with_lnfact(self.config.n(), |lnfact| plans.step(kernel, z, x, rng, lnfact));
         self.config = self.config.with_ones(next).expect("next state is always consistent");
     }
 
@@ -276,6 +315,41 @@ mod tests {
         for _ in 0..100 {
             sim.step_round(&mut rng);
             assert!(sim.configuration().is_correct_consensus());
+        }
+    }
+
+    /// `run_until` draws what a `step_round` loop with the same tests
+    /// draws: the same stopping round, final state and rng position, on a
+    /// merged (Voter) and a split (TwoChoices) chain, for rules that hold
+    /// at the start, part-way, or never.
+    #[test]
+    fn run_until_matches_a_step_round_loop() {
+        use bitdissem_core::dynamics::TwoChoices;
+        use rand::Rng;
+        let start = Configuration::new(300, Opinion::One, 150).unwrap();
+        let protocols: [&dyn Protocol; 2] = [&Voter::new(1).unwrap(), &TwoChoices::new()];
+        for protocol in protocols {
+            for (lo, hi) in [(150, 150), (120, 180), (0, 301)] {
+                let stop = |x: u64| x <= lo || x >= hi;
+                for budget in [0, 1, 40, 3000] {
+                    let mut fast = AggregateSim::new(protocol, start).unwrap();
+                    let mut slow = fast.clone();
+                    let (mut a, mut b) = (rng_from(11), rng_from(11));
+                    let hit = fast.run_until(&mut a, budget, stop);
+                    let expect = (0..=budget).find(|&t| {
+                        let stopped = stop(slow.configuration().ones());
+                        if !stopped && t < budget {
+                            slow.step_round(&mut b);
+                        }
+                        stopped
+                    });
+                    let case =
+                        format!("{}, stop outside ({lo}, {hi}), budget {budget}", protocol.name());
+                    assert_eq!(hit, expect, "{case}");
+                    assert_eq!(fast.configuration(), slow.configuration(), "{case}");
+                    assert_eq!(a.random::<u64>(), b.random::<u64>(), "{case}");
+                }
+            }
         }
     }
 

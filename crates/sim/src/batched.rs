@@ -14,6 +14,7 @@
 
 use bitdissem_core::Kernel;
 
+use crate::binomial::with_lnfact;
 use crate::env::EnvSchedule;
 use crate::lockstep::{Draw, LockstepSim};
 use crate::rng::{rng_from, SimRng};
@@ -50,9 +51,15 @@ impl Draw for SeededDraw {
         ones: &mut [u64],
         rngs: &mut [SimRng],
     ) {
-        for (x, rng) in ones.iter_mut().zip(rngs) {
-            *x = self.plans.step(kernel, z, *x, rng);
-        }
+        // One table access for the whole chunk-round. Perturbations draw
+        // through `sample_binomial`, which enters the table itself, so they
+        // stay outside it, between rounds.
+        let plans = &mut self.plans;
+        with_lnfact(plans.n(), |lnfact| {
+            for (x, rng) in ones.iter_mut().zip(rngs) {
+                *x = plans.step(kernel, z, *x, rng, lnfact);
+            }
+        });
     }
 
     /// The replica's own rng: exactly the draws the solo

@@ -25,7 +25,7 @@ use crate::rng::{rng_from, SimRng};
 
 /// Upper bound on the per-thread `ln(i!)` cache (512 KiB of `f64`s). Above
 /// it, lookups fall back to a live [`ln_gamma`] call.
-const LNFACT_CAP: usize = 1 << 16;
+pub(crate) const LNFACT_CAP: usize = 1 << 16;
 
 thread_local! {
     /// Per-thread cache of `ln(i!) = ln_gamma(i + 1)` at exact integer
@@ -35,12 +35,28 @@ thread_local! {
     /// with a load. Each entry is produced by the *same* `ln_gamma` at the
     /// *same* argument, so cached and uncached evaluation are bit-identical
     /// and every accept/reject decision (hence every sampled value) is
-    /// unchanged. Thread-local so the fill cost (~30 ns/entry) is paid once
-    /// per worker thread, not once per simulator instance.
+    /// unchanged, whatever prefix of the table a draw is handed. Thread-local
+    /// so the fill cost (~30 ns/entry) is paid once per worker thread, not
+    /// once per simulator instance.
+    ///
+    /// Entering it ([`with_lnfact`]) costs a `LocalKey::with` and a
+    /// `RefCell` borrow, a fifth of a cached one-draw round, so the hot
+    /// loops enter it once per unit of work and hand the slice down:
+    /// once per replica run ([`AggregateSim::run_until`]) or per lock-step
+    /// chunk-round ([`SeededDraw`]). [`Plan::build`] and
+    /// [`Plan::sample_with`] take the slice and never enter it themselves.
+    ///
+    /// [`AggregateSim::run_until`]: crate::aggregate::AggregateSim::run_until
+    /// [`SeededDraw`]: crate::batched::SeededDraw
     static LNFACT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with the `ln(i!)` table grown to cover `0..=min(upto, cap)`.
+///
+/// Not re-entrant: the table stays borrowed while `f` runs, so `f` must not
+/// call `with_lnfact` again, directly or through [`sample_binomial`] or
+/// [`btrs`] (a nested call panics with `RefCell` already borrowed). Inside
+/// `f`, draw through [`Plan`]s with the slice `f` was given.
 pub(crate) fn with_lnfact<R>(upto: u64, f: impl FnOnce(&[f64]) -> R) -> R {
     LNFACT.with(|cell| {
         let mut table = cell.borrow_mut();
@@ -297,11 +313,14 @@ pub(crate) enum Plan {
 
 impl Plan {
     /// Mirrors the [`sample_binomial`] dispatch, degenerate cases included.
+    /// A BTRS setup reads its two log-factorials from `lnfact`, the caller's
+    /// `ln(i!)` table (see [`with_lnfact`]); any prefix of it builds the
+    /// same plan.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub(crate) fn build(n: u64, p: f64) -> Self {
+    pub(crate) fn build(n: u64, p: f64, lnfact: &[f64]) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         if n == 0 || p == 0.0 {
             return Plan::Const(0);
@@ -313,15 +332,15 @@ impl Plan {
         if (n as f64) * q < 10.0 {
             Plan::Binv { flipped, setup: BinvSetup::new(n, q) }
         } else {
-            Plan::Btrs { flipped, setup: with_lnfact(n, |lnfact| BtrsSetup::new(n, q, lnfact)) }
+            Plan::Btrs { flipped, setup: BtrsSetup::new(n, q, lnfact) }
         }
     }
 
     /// Draws one variate for the trial count `n` the plan was built for,
-    /// with the `ln(i!)` table supplied by the caller (one thread-local
-    /// access can then serve several draws; see [`with_lnfact`]).
+    /// with the `ln(i!)` table supplied by the caller, who enters it once
+    /// for a whole run or lock-step round of draws (see [`LNFACT`]).
     /// Bit-identical to [`sample_binomial`] with the same `(n, p)` and rng
-    /// state.
+    /// state, for any prefix of the table.
     #[inline]
     pub(crate) fn sample_with(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
         let (k, flipped) = match self {
@@ -541,7 +560,10 @@ impl WideBinomial {
         match pmf_window(n, p, MAX_ALIAS_SUPPORT) {
             Some((lo, weights)) if weights.len() == 1 => WideBinomial::Const(lo),
             Some((lo, weights)) => WideBinomial::Alias(AliasTable::build(lo, &weights)),
-            None => WideBinomial::Scalar { plan: Plan::build(n, p), n },
+            None => {
+                let plan = with_lnfact(n, |lnfact| Plan::build(n, p, lnfact));
+                WideBinomial::Scalar { plan, n }
+            }
         }
     }
 
@@ -734,7 +756,10 @@ mod tests {
             (512, 0.999), // reflected BINV
             (7, 0.4),     // BINV small n
         ];
-        let plans: Vec<Plan> = cases.iter().map(|&(n, p)| Plan::build(n, p)).collect();
+        let plans: Vec<Plan> = cases
+            .iter()
+            .map(|&(n, p)| with_lnfact(n, |lnfact| Plan::build(n, p, lnfact)))
+            .collect();
         let mut a = rng_from(42);
         let mut b = rng_from(42);
         for round in 0..200 {

@@ -67,7 +67,7 @@
 
 use bitdissem_core::Kernel;
 
-use crate::binomial::{with_lnfact, Plan};
+use crate::binomial::Plan;
 use crate::rng::SimRng;
 
 /// Slots on each side of `n/2` (a power of two).
@@ -115,6 +115,12 @@ impl<T> StateCache<T> {
         assert!(n < 1 << 63, "the state cache packs 2x + z into a u64; n = {n} is too large");
         let slots: Box<[Option<(u64, T)>]> = (0..SLOTS).map(|_| None).collect();
         Self { n, slots: slots.try_into().unwrap_or_else(|_| unreachable!("SLOTS slots")) }
+    }
+
+    /// The population size the cache serves.
+    #[inline]
+    pub(crate) fn n(&self) -> u64 {
+        self.n
     }
 
     /// The slot of state `x`: its low bits, plus one bit for the side of
@@ -179,13 +185,16 @@ pub(crate) enum RoundPlan {
 
 impl RoundPlan {
     /// The plan for a round out of `(x, z)`, given the state's kernel
-    /// values `(P₀, P₁)`.
-    fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
+    /// values `(P₀, P₁)` and the caller's `ln(i!)` table.
+    fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64, lnfact: &[f64]) -> Self {
         if p0 == p1 {
-            return RoundPlan::Merged(Plan::build(n - 1, p1));
+            return RoundPlan::Merged(Plan::build(n - 1, p1, lnfact));
         }
         let (keep_n, flip_n) = component_sizes(n, z, x);
-        RoundPlan::Split { keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
+        RoundPlan::Split {
+            keep: Plan::build(keep_n, p1, lnfact),
+            flip: Plan::build(flip_n, p0, lnfact),
+        }
     }
 }
 
@@ -193,21 +202,32 @@ impl StateCache<RoundPlan> {
     /// Advances one replica by one aggregate round: draws the round's
     /// binomial(s) for state `x` and returns the next ones-count.
     ///
+    /// `lnfact` is the per-thread `ln(i!)` table, which the caller enters
+    /// once for a whole run or lock-step round
+    /// ([`with_lnfact`](crate::binomial::with_lnfact)`(n, …)`), not once per
+    /// replica-round: the access costs a fifth of a cached one-draw round.
+    /// Both a miss's plan build and the draw read it.
+    ///
     /// Draws are bit-identical to one
     /// [`sample_binomial`](crate::binomial::sample_binomial) call with
     /// `(n − 1, P)` when `P₀ = P₁ = P`, and otherwise to two calls with
-    /// `(keep_n, P₁)` then `(flip_n, P₀)`, on the same rng.
+    /// `(keep_n, P₁)` then `(flip_n, P₀)`, on the same rng, for any prefix
+    /// of the table.
     #[inline]
-    pub(crate) fn step(&mut self, kernel: &Kernel, z: u64, x: u64, rng: &mut SimRng) -> u64 {
+    pub(crate) fn step(
+        &mut self,
+        kernel: &Kernel,
+        z: u64,
+        x: u64,
+        rng: &mut SimRng,
+        lnfact: &[f64],
+    ) -> u64 {
         let n = self.n;
         let plan = self.get_or_insert_with(x, z, || {
             let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            RoundPlan::build(n, z, x, p0, p1)
+            RoundPlan::build(n, z, x, p0, p1, lnfact)
         });
-        // `move` hands the closure copies of `n`, `z` and `x` instead of
-        // references: on the cheapest rounds (a near-absorbed chain drawing
-        // one short BINV) the extra indirections cost ~10%.
-        with_lnfact(n, move |lnfact| match plan {
+        match plan {
             RoundPlan::Merged(all) => z + all.sample_with(rng, n - 1, lnfact),
             RoundPlan::Split { keep, flip } => {
                 let (keep_n, flip_n) = component_sizes(n, z, x);
@@ -215,14 +235,14 @@ impl StateCache<RoundPlan> {
                 let flip = flip.sample_with(rng, flip_n, lnfact);
                 z + keep + flip
             }
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binomial::sample_binomial;
+    use crate::binomial::{sample_binomial, with_lnfact, LNFACT_CAP};
     use crate::rng::rng_from;
     use bitdissem_core::dynamics::{Minority, TwoChoices};
     use bitdissem_core::{Protocol, ProtocolExt};
@@ -256,6 +276,18 @@ mod tests {
         matches!(cache.get(x, z), Some(RoundPlan::Merged(_)))
     }
 
+    /// One cached round, with the `ln(i!)` table entered for it alone (plain
+    /// sampling enters the table itself, so it cannot run inside).
+    fn step(
+        cache: &mut StateCache<RoundPlan>,
+        kernel: &Kernel,
+        z: u64,
+        x: u64,
+        rng: &mut SimRng,
+    ) -> u64 {
+        with_lnfact(cache.n(), |lnfact| cache.step(kernel, z, x, rng, lnfact))
+    }
+
     /// The cache's draws must be bit-identical to plain sampling, across
     /// repeated visits (cache hits) and band wanderings (misses and
     /// rebuilds), on merged and on split states.
@@ -269,12 +301,57 @@ mod tests {
             let mut b = rng_from(42);
             let mut x = n / 2;
             for round in 0..2000 {
-                let next = cache.step(&kernel, z, x, &mut a);
+                let next = step(&mut cache, &kernel, z, x, &mut a);
                 assert_eq!(next, plain_step(&kernel, n, z, x, &mut b), "round {round}, x={x}");
                 assert_eq!(is_merged(&cache, x, z), merged, "x={x}");
                 // Restart a chain that reaches either end of the band, so
                 // TwoChoices keeps drawing out of interior states.
                 x = if next == n || next == z { n / 2 } else { next };
+            }
+        }
+    }
+
+    /// Whether a BTRS draw of `Bin(trials, p)` reads a log-factorial past
+    /// the table's last entry: its mode term `ln((trials − m)!)` does.
+    fn reads_past_table(trials: u64, p: f64) -> bool {
+        let q = p.min(1.0 - p);
+        let mode = ((trials as f64 + 1.0) * q).floor() as u64;
+        trials as f64 * q >= 10.0 && trials - mode >= LNFACT_CAP as u64
+    }
+
+    /// Above `LNFACT_CAP` agents the table stops short of `n`, and a BTRS
+    /// draw falls back to live `ln_gamma` calls for the log-factorials past
+    /// its end. Near either consensus, rounds draw `Bin(·, q)` with small
+    /// `q`, whose `(trials − k)!` terms lie there. Drawn through the
+    /// passed-in table, such rounds must still match plain sampling, on the
+    /// first visit and on cache hits.
+    #[test]
+    fn step_matches_plain_sampling_past_the_table() {
+        let n = 70_000u64;
+        let z = 1u64;
+        assert_eq!(with_lnfact(n, <[f64]>::len), LNFACT_CAP, "the table is capped below n");
+        let per_mille = [5u64, 10, 30, 50, 500, 950, 970, 990, 995];
+        let states: Vec<u64> = per_mille.iter().map(|f| f * n / 1000).collect();
+        for (kernel, merged) in kernels(n) {
+            let past = states.iter().any(|&x| {
+                let (p0, p1) = kernel.eval(x as f64 / n as f64);
+                let (keep_n, flip_n) = component_sizes(n, z, x);
+                if merged {
+                    reads_past_table(n - 1, p1)
+                } else {
+                    reads_past_table(keep_n, p1) || reads_past_table(flip_n, p0)
+                }
+            });
+            assert!(past, "some state must draw past the table (merged: {merged})");
+            let mut cache = StateCache::new(n);
+            let mut a = rng_from(7);
+            let mut b = rng_from(7);
+            for &x in &states {
+                for visit in 0..4 {
+                    let next = step(&mut cache, &kernel, z, x, &mut a);
+                    assert_eq!(next, plain_step(&kernel, n, z, x, &mut b), "x={x}, visit {visit}");
+                    assert_eq!(is_merged(&cache, x, z), merged, "x={x}");
+                }
             }
         }
     }
@@ -292,7 +369,7 @@ mod tests {
                 let x = z * n;
                 let mut rng = rng_from(5);
                 let mut probe = rng_from(5);
-                let next = cache.step(&kernel, z, x, &mut rng);
+                let next = step(&mut cache, &kernel, z, x, &mut rng);
                 assert_eq!(next, x, "consensus is absorbing");
                 assert_eq!(rng.random::<u64>(), probe.random::<u64>(), "no randomness consumed");
             }
@@ -312,7 +389,7 @@ mod tests {
         let mut x = n / 2;
         let mut rng = rng_from(13);
         for _ in 0..500 {
-            x = warm.step(&kernel, 1, x, &mut rng);
+            x = step(&mut warm, &kernel, 1, x, &mut rng);
         }
         // Flip the source to z = 0 and replay against a cold cache: the
         // warm cache's draws must be identical, state by state.
@@ -322,8 +399,8 @@ mod tests {
         let mut xw = n / 2;
         let mut xc = n / 2;
         for round in 0..500 {
-            xw = warm.step(&kernel, 0, xw, &mut a);
-            xc = cold.step(&kernel, 0, xc, &mut b);
+            xw = step(&mut warm, &kernel, 0, xw, &mut a);
+            xc = step(&mut cold, &kernel, 0, xc, &mut b);
             assert_eq!(xw, xc, "stale z-plan served at round {round}");
         }
     }
@@ -342,7 +419,7 @@ mod tests {
                 for x in [a, b, a, b] {
                     let mut r1 = rng_from(9);
                     let mut r2 = rng_from(9);
-                    let next = cache.step(&kernel, z, x, &mut r1);
+                    let next = step(&mut cache, &kernel, z, x, &mut r1);
                     assert_eq!(next, plain_step(&kernel, n, z, x, &mut r2), "x={x}");
                     assert_eq!(is_merged(&cache, x, z), merged, "x={x}");
                 }
@@ -368,7 +445,7 @@ mod tests {
         for _ in 0..ROUNDS {
             misses += u32::from(seen[x as usize] && cache.get(x, z).is_none());
             seen[x as usize] = true;
-            x = cache.step(&kernel, z, x, &mut rng);
+            x = step(&mut cache, &kernel, z, x, &mut rng);
         }
         f64::from(misses) / f64::from(ROUNDS)
     }
