@@ -3,12 +3,13 @@
 //! Subcommands:
 //!
 //! * `list` — the experiment registry;
-//! * `run <id> [--scale smoke|standard|full] [--seed N] [--threads T] [--engine E]
-//!   [--csv] [--trace-out PATH] [--trace-every N] [--metrics] [--progress]
-//!   [--checkpoint-dir DIR] [--resume]` — run an experiment and print its
-//!   report, optionally writing a JSONL trace, printing run metrics to
-//!   stderr, and persisting per-replication checkpoints (so an interrupted
-//!   sweep can be resumed with `--resume`);
+//! * `run <id> [--scale smoke|standard|full] [--seed N] [--threads T]
+//!   [--env SPEC] [--csv] [--trace-out PATH] [--trace-format F]
+//!   [--trace-every N] [--metrics] [--progress] [--checkpoint-dir DIR]
+//!   [--resume] [--telemetry-*]` — run an experiment and print its report,
+//!   optionally writing a trace, printing run metrics to stderr, and
+//!   persisting per-replication checkpoints (so an interrupted sweep can be
+//!   resumed with `--resume`); any other option is a usage error;
 //! * `analyze <protocol> [--ell L] [--n N]` — bias polynomial, roots, sign
 //!   intervals and the Theorem-12 witness of a protocol;
 //! * `simulate <protocol> [--ell L] [--n N] [--seed S] [--budget B]
@@ -59,7 +60,7 @@ use bitdissem_conformance::{
 use bitdissem_core::dynamics::{self, BoxedProtocol};
 use bitdissem_core::{Protocol, ProtocolExt};
 use bitdissem_experiments::trace::TraceAccumulator;
-use bitdissem_experiments::{registry, ReplicationEngine, RunConfig, Scale};
+use bitdissem_experiments::{registry, RunConfig, Scale};
 use bitdissem_markov::absorbing::{expected_hitting_times, quantile_from_survival};
 use bitdissem_markov::{
     expected_hitting_times_sparse, mixing_time_extremes_sparse, spectral_gap,
@@ -111,8 +112,8 @@ pub fn usage() -> String {
      usage:\n\
      \x20 bitdissem list\n\
      \x20 bitdissem run <experiment-id|all> [--scale smoke|standard|full] [--seed N]\n\
-     \x20\x20\x20\x20 [--threads T] [--engine batched|per-replica|wide] [--env SPEC] [--csv]\n\
-     \x20\x20\x20\x20 [--trace-out PATH] [--trace-every N] [--metrics] [--progress]\n\
+     \x20\x20\x20\x20 [--threads T] [--env SPEC] [--csv] [--trace-out PATH] [--trace-format F]\n\
+     \x20\x20\x20\x20 [--trace-every N] [--metrics] [--progress]\n\
      \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--telemetry-prom F] [--telemetry-out F]\n\
      \x20\x20\x20\x20 [--telemetry-socket S] [--telemetry-interval-ms N]\n\
      \x20 bitdissem analyze <protocol> [--ell L] [--n N]\n\
@@ -199,9 +200,6 @@ pub fn usage() -> String {
      \x20 --progress         live replication meter on stderr\n\
      \x20 --checkpoint-dir D persist per-replication results to D/checkpoint.jsonl and\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run manifests to D/manifests.jsonl\n\
-     \x20 --engine E         replication engine: 'batched' (lock-step fast path, default),\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 'per-replica' (reference; outcomes bit-identical to batched),\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 or 'wide' (counter-rng lanes; KS-gated vs the reference)\n\
      \x20 --resume           skip replications already in the checkpoint log\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (requires --checkpoint-dir; results stay bit-identical)\n\
      \n\
@@ -435,7 +433,36 @@ fn parse_env_flag(args: &Args) -> Result<Option<bitdissem_sim::EnvSchedule>, Str
     }
 }
 
+/// Every option `run` accepts: the ones its synopsis lists.
+const RUN_OPTIONS: &[&str] = &[
+    "scale",
+    "seed",
+    "threads",
+    "env",
+    "csv",
+    "trace-out",
+    "trace-format",
+    "trace-every",
+    "metrics",
+    "progress",
+    "checkpoint-dir",
+    "resume",
+    "telemetry-prom",
+    "telemetry-out",
+    "telemetry-socket",
+    "telemetry-interval-ms",
+];
+
 fn cmd_run(args: &Args) -> CommandOutput {
+    let mut unknown: Vec<&str> =
+        args.options.keys().map(String::as_str).filter(|k| !RUN_OPTIONS.contains(k)).collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return usage_error(format!(
+            "run: unknown option: --{} (see 'help')\n",
+            unknown.join(", --")
+        ));
+    }
     let id = match args.positional.first() {
         Some(id) => id.clone(),
         None => return usage_error("missing experiment id\n"),
@@ -453,15 +480,11 @@ fn cmd_run(args: &Args) -> CommandOutput {
         Ok(t) => Some(t),
         Err(e) => return usage_error(format!("{e}\n")),
     };
-    let engine = match args.get("engine").map(ReplicationEngine::from_str).transpose() {
-        Ok(e) => e.unwrap_or_default(),
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
     let env = match parse_env_flag(args) {
         Ok(env) => env,
         Err(e) => return usage_error(format!("{e}\n")),
     };
-    let mut cfg = RunConfig { scale, seed, threads, engine, env: None };
+    let mut cfg = RunConfig { scale, seed, threads, env: None };
     if let Some(env) = env {
         cfg = cfg.with_env(env);
     }
@@ -1633,6 +1656,26 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_options_missing_from_its_synopsis() {
+        for bad in [["--engine", "wide"], ["--sede", "3"]] {
+            let argv: Vec<&str> =
+                ["run", "e5", "--scale", "smoke"].into_iter().chain(bad).collect();
+            let (out, status) = run_cli(&argv);
+            assert_eq!(status, Status::UsageError, "{out}");
+            assert!(out.contains(bad[0]), "the message names the option: {out}");
+        }
+        let usage = usage();
+        let synopsis =
+            &usage[usage.find("bitdissem run").unwrap()..usage.find("bitdissem analyze").unwrap()];
+        for opt in RUN_OPTIONS {
+            assert!(
+                synopsis.contains(&format!("[--{opt}")),
+                "--{opt} is accepted but undocumented"
+            );
+        }
+    }
+
+    #[test]
     fn run_e5_smoke_text_and_csv() {
         let (out, status) = run_cli(&["run", "e5", "--scale", "smoke"]);
         assert_eq!(status, Status::Ok, "{out}");
@@ -1836,18 +1879,6 @@ mod tests {
         assert_eq!(resumed.status, Status::Ok, "{}", resumed.stdout);
         assert_eq!(resumed.stdout, plain.stdout, "resume must be bit-identical");
         assert!(hits(&resumed.stderr) > 0, "{}", resumed.stderr);
-
-        // A resume that switches engine never splices: the wide engine
-        // checkpoints under its own batch kind, so nothing hits and the
-        // output is a fresh wide run's.
-        let wide: Vec<&str> = base.iter().copied().chain(["--engine", "wide"]).collect();
-        let fresh_wide = dispatch_full(&Args::parse(wide));
-        let resume_wide: Vec<&str> =
-            argv.iter().copied().chain(["--resume", "--engine", "wide"]).collect();
-        let resumed_wide = dispatch_full(&Args::parse(resume_wide));
-        assert_eq!(resumed_wide.status, Status::Ok, "{}", resumed_wide.stdout);
-        assert_eq!(hits(&resumed_wide.stderr), 0, "{}", resumed_wide.stderr);
-        assert_eq!(resumed_wide.stdout, fresh_wide.stdout);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,23 +13,20 @@ use std::sync::Arc;
 use bitdissem_core::{Configuration, GTable};
 use bitdissem_sim::agent::AgentSim;
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::batched::SeededDraw;
 use bitdissem_sim::dual::CoalescingDual;
 use bitdissem_sim::env::EnvSchedule;
-use bitdissem_sim::lockstep::{Draw, LockstepSim};
+use bitdissem_sim::lockstep::LockstepSim;
 use bitdissem_sim::partial::PartialSim;
 use bitdissem_sim::rng::{replication_seed, rng_from, SimRng};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::CounterDraw;
 
 /// A backend of the *parallel* law: all `n − 1` non-source agents update
-/// each round. The five are distributionally identical by construction
+/// each round. The four are distributionally identical by construction
 /// (the aggregate chain is the exact conditional law of the agent
 /// simulator; `m = n − 1` partial synchrony is one full round per step;
 /// the batched engine steps the aggregate chain lock-step with per-replica
-/// index-derived streams; the wide engine steps it on counter-based
-/// streams with fused convolution draws).
+/// index-derived streams).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelBackend {
     /// The literal agent-level simulator (ground truth).
@@ -39,14 +36,9 @@ pub enum ParallelBackend {
     Aggregate,
     /// [`PartialSim`] with a full batch `m = n − 1`.
     PartialFull,
-    /// [`LockstepSim`] on the [`SeededDraw`]: all replications of the cell
-    /// advance lock-step through a shared compiled kernel.
+    /// [`LockstepSim`]: all replications of the cell advance lock-step
+    /// through a shared compiled kernel.
     Batched,
-    /// [`LockstepSim`] on the [`CounterDraw`]: the counter-rng lane engine.
-    /// Same law, but a different randomness stream than every other
-    /// backend, so its admission rests on these KS gates rather than bit
-    /// equality.
-    Wide,
 }
 
 impl ParallelBackend {
@@ -58,7 +50,6 @@ impl ParallelBackend {
             ParallelBackend::Aggregate => "aggregate",
             ParallelBackend::PartialFull => "partial(n-1)",
             ParallelBackend::Batched => "batched",
-            ParallelBackend::Wide => "wide",
         }
     }
 }
@@ -168,8 +159,8 @@ pub fn sample_parallel(
     checkpoints: &[u64],
     seed: u64,
 ) -> RunSamples {
-    if let Some(sample) = lockstep_sampler(backend) {
-        return sample(table, start, reps, budget, checkpoints, seed, None);
+    if backend == ParallelBackend::Batched {
+        return sample_lockstep(table, start, reps, budget, checkpoints, seed, None);
     }
     let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
     let mut times = Vec::with_capacity(reps);
@@ -185,7 +176,7 @@ pub fn sample_parallel(
             ParallelBackend::PartialFull => {
                 Box::new(PartialSim::new(table, start, start.n() - 1).expect("valid grid cell"))
             }
-            ParallelBackend::Batched | ParallelBackend::Wide => unreachable!("handled above"),
+            ParallelBackend::Batched => unreachable!("handled above"),
         };
         let (ms, time) = run_one(&mut *sim, &mut rng, budget, checkpoints, |s, rng| {
             s.step_round(rng);
@@ -236,7 +227,7 @@ fn run_one_env(
 
 /// [`sample_parallel`] under an environment schedule. Same grid cell, same
 /// observables, but the schedule's perturbations are injected at every
-/// round boundary on all five backends; the lock-step engines run in
+/// round boundary on all four backends; the lock-step engine runs in
 /// no-retire mode so replicas keep stepping past their first consensus
 /// (it is not absorbing once the environment can disrupt it).
 ///
@@ -259,8 +250,8 @@ pub fn sample_parallel_env(
     if env.is_inert() {
         return sample_parallel(backend, table, start, reps, budget, checkpoints, seed);
     }
-    if let Some(sample) = lockstep_sampler(backend) {
-        return sample(table, start, reps, budget, checkpoints, seed, Some(env));
+    if backend == ParallelBackend::Batched {
+        return sample_lockstep(table, start, reps, budget, checkpoints, seed, Some(env));
     }
     let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
     let mut times = Vec::with_capacity(reps);
@@ -276,7 +267,7 @@ pub fn sample_parallel_env(
             ParallelBackend::PartialFull => {
                 Box::new(PartialSim::new(table, start, start.n() - 1).expect("valid grid cell"))
             }
-            ParallelBackend::Batched | ParallelBackend::Wide => unreachable!("handled above"),
+            ParallelBackend::Batched => unreachable!("handled above"),
         };
         let (ms, time) = run_one_env(&mut *sim, &mut rng, budget, checkpoints, env);
         for (slot, m) in marginals.iter_mut().zip(ms) {
@@ -287,21 +278,8 @@ pub fn sample_parallel_env(
     RunSamples { marginals, times }
 }
 
-/// [`sample_lockstep`] on the draw of `backend`, or `None` for the
-/// per-replication backends.
-fn lockstep_sampler(backend: ParallelBackend) -> Option<LockstepSampler> {
-    match backend {
-        ParallelBackend::Batched => Some(sample_lockstep::<SeededDraw>),
-        ParallelBackend::Wide => Some(sample_lockstep::<CounterDraw>),
-        ParallelBackend::Agent | ParallelBackend::Aggregate | ParallelBackend::PartialFull => None,
-    }
-}
-
-type LockstepSampler =
-    fn(&GTable, Configuration, usize, u64, &[u64], u64, Option<&EnvSchedule>) -> RunSamples;
-
-/// The lock-step driver of the [`ParallelBackend::Batched`] and
-/// [`ParallelBackend::Wide`] backends: one batch holds all `reps`
+/// The lock-step driver of the [`ParallelBackend::Batched`] backend: one
+/// batch holds all `reps`
 /// replications of the cell, and the observables are read from the batch
 /// as its shared clock passes each checkpoint, with [`run_one`]'s
 /// conventions (or [`run_one_env`]'s under a schedule) exactly —
@@ -312,11 +290,10 @@ type LockstepSampler =
 /// replica keeps stepping (perturb, then one round) until all have hit it
 /// and every checkpoint is recorded.
 ///
-/// With the same base seed the seeded draw is bit-identical to the
-/// aggregate backend (`batched_backend_is_bit_identical_to_aggregate` and
-/// `batched_env_backend_is_bit_identical_to_aggregate` pin this); the
-/// counter draw is admitted by the KS gates only.
-fn sample_lockstep<D: Draw>(
+/// With the same base seed it is bit-identical to the aggregate backend
+/// (`batched_backend_is_bit_identical_to_aggregate` and
+/// `batched_env_backend_is_bit_identical_to_aggregate` pin this).
+fn sample_lockstep(
     table: &GTable,
     start: Configuration,
     reps: usize,
@@ -327,7 +304,7 @@ fn sample_lockstep<D: Draw>(
 ) -> RunSamples {
     let kernel = Arc::new(table.compile().expect("valid grid cell"));
     let seeds: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch = LockstepSim::<D>::with_retirement(kernel, start, &seeds, env.is_none());
+    let mut batch = LockstepSim::with_retirement(kernel, start, &seeds, env.is_none());
 
     let last_cp = checkpoints.last().copied().unwrap_or(0);
     // Rows are filled in visit order; checkpoints beyond the budget leave
@@ -472,7 +449,6 @@ mod tests {
             ParallelBackend::Aggregate,
             ParallelBackend::PartialFull,
             ParallelBackend::Batched,
-            ParallelBackend::Wide,
         ] {
             let s = sample_parallel(backend, &table, start, 3, 2000, &[1], 4);
             assert_eq!(s.times.len(), 3, "{}", backend.name());
@@ -526,15 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_backend_handles_consensus_start() {
-        let table = voter_table(10);
-        let start = Configuration::correct_consensus(10, Opinion::One);
-        let s = sample_parallel(ParallelBackend::Wide, &table, start, 2, 50, &[1, 4], 1);
-        assert!(s.times.iter().all(|&t| t == 0.0));
-        assert!(s.marginals.iter().flatten().all(|&x| x == 10.0));
-    }
-
-    #[test]
     fn activation_driver_counts_activations_not_rounds() {
         let table = voter_table(8);
         let start = Configuration::all_wrong(8, Opinion::One);
@@ -566,7 +533,6 @@ mod tests {
             ParallelBackend::Aggregate,
             ParallelBackend::PartialFull,
             ParallelBackend::Batched,
-            ParallelBackend::Wide,
         ] {
             let a = sample_parallel_env(backend, &table, start, 4, 800, &[1, 4], 5, &env);
             assert_eq!(a.marginals.len(), 2, "{}", backend.name());
@@ -622,7 +588,7 @@ mod tests {
         let table = voter_table(16);
         let start = Configuration::all_wrong(16, Opinion::One);
         let env = EnvSchedule::default();
-        for backend in [ParallelBackend::Aggregate, ParallelBackend::Wide] {
+        for backend in [ParallelBackend::Aggregate, ParallelBackend::Batched] {
             let s = sample_parallel(backend, &table, start, 5, 300, &[1, 2], 3);
             let e = sample_parallel_env(backend, &table, start, 5, 300, &[1, 2], 3, &env);
             assert_eq!(s.times, e.times, "{}", backend.name());

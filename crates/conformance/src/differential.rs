@@ -5,18 +5,16 @@
 //! backend pairs that are equal in law:
 //!
 //! * parallel law — the adjacent chain `agent` vs `aggregate`, `aggregate`
-//!   vs `partial(n−1)`, `partial(n−1)` vs `batched` (the lock-step
-//!   replication engine) and `batched` vs `wide` (the counter-rng lane
-//!   engine, whose statistical admission lives here): censored
-//!   consensus-time distribution (in rounds) plus the marginal `X_r` at
-//!   each early checkpoint round;
+//!   vs `partial(n−1)` and `partial(n−1)` vs `batched` (the lock-step
+//!   replication engine): censored consensus-time distribution (in rounds)
+//!   plus the marginal `X_r` at each early checkpoint round;
 //! * per-activation law — `sequential` vs `partial(1)`: censored
 //!   consensus-time distribution **in activations** plus marginals at
 //!   activation checkpoints (multiples of `n`);
 //! * duality — coalescing-dual absorption time vs forward Voter `ℓ = 1`
 //!   consensus time from the all-wrong start;
 //! * exact oracle — i.i.d. draws from the sparse chain's exact law
-//!   ([`crate::oracle::sample_exact`]) against each of the five parallel
+//!   ([`crate::oracle::sample_exact`]) against each of the four parallel
 //!   backends under the same KS gates, plus the deterministic
 //!   sparse~dense row admission and the large-`n` drift-band envelopes.
 //!
@@ -166,12 +164,12 @@ pub struct ConformConfig {
     /// Environment schedules (in `--env` grammar) the parallel backends
     /// are additionally compared under, from the first start kind. Every
     /// engine must satisfy the same perturbed law — the env section holds
-    /// all five to it with the same KS gates as the static section.
+    /// all four to it with the same KS gates as the static section.
     pub env_specs: Vec<String>,
     /// Population size for the drift-band oracle section (one check per
-    /// protocol cell: wide-engine steps inside exact-row envelopes).
+    /// protocol cell: lock-step engine steps inside exact-row envelopes).
     pub drift_n: u64,
-    /// Wide-engine replications per drift-band cell.
+    /// Lock-step replications per drift-band cell.
     pub drift_reps: usize,
     /// Rounds per drift-band replication.
     pub drift_rounds: u64,
@@ -232,15 +230,15 @@ impl ConformConfig {
     #[must_use]
     pub fn num_checks(&self) -> usize {
         let per_parallel_pair = 1 + self.checkpoints.len();
-        // Four adjacent parallel-law pairs (agent~aggregate,
-        // aggregate~partial(n−1), partial(n−1)~batched, batched~wide) plus
-        // the exact oracle against each of the five backends.
-        let parallel = self.cells.len() * self.ns.len() * self.starts.len() * 9 * per_parallel_pair;
+        // Three adjacent parallel-law pairs (agent~aggregate,
+        // aggregate~partial(n−1), partial(n−1)~batched) plus the exact
+        // oracle against each of the four backends.
+        let parallel = self.cells.len() * self.ns.len() * self.starts.len() * 7 * per_parallel_pair;
         let activation = self.cells.len() * self.ns.len() * (1 + self.act_checkpoint_mults.len());
         let dual = self.ns.len();
-        // Env section: same four adjacent pairs per schedule, first start
+        // Env section: same three adjacent pairs per schedule, first start
         // only (the unperturbed exact chain does not participate here).
-        let env = self.env_specs.len() * self.cells.len() * self.ns.len() * 4 * per_parallel_pair;
+        let env = self.env_specs.len() * self.cells.len() * self.ns.len() * 3 * per_parallel_pair;
         // Deterministic sparse~dense row checks per (cell, n), plus one
         // drift-band envelope check per cell at `drift_n`.
         let oracle = self.cells.len() * self.ns.len() + self.cells.len();
@@ -337,8 +335,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
         for &n in &cfg.ns {
             let table = cell.table(n);
 
-            // Parallel law: agent ≡ aggregate ≡ partial(n−1) ≡ batched
-            // ≡ wide.
+            // Parallel law: agent ≡ aggregate ≡ partial(n−1) ≡ batched.
             for &start_kind in &cfg.starts {
                 let start = start_kind.configuration(n);
                 let prefix = format!("{}/n{}/{}", cell.label(), n, start_kind.label());
@@ -347,7 +344,6 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                     ParallelBackend::Aggregate,
                     ParallelBackend::PartialFull,
                     ParallelBackend::Batched,
-                    ParallelBackend::Wide,
                 ];
                 let samples: Vec<RunSamples> = backends
                     .iter()
@@ -363,7 +359,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                         )
                     })
                     .collect();
-                for (i, j) in [(0usize, 1usize), (1, 2), (2, 3), (3, 4)] {
+                for (i, j) in [(0usize, 1usize), (1, 2), (2, 3)] {
                     pair_checks(
                         &prefix,
                         (backends[i].name(), backends[j].name()),
@@ -403,7 +399,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
             // against the dense chain, entry tolerances and tail bounds.
             checks.push(sparse_dense_check(&cell.label(), &table, n, Opinion::One));
 
-            // Environment section: the same five parallel backends under
+            // Environment section: the same four parallel backends under
             // each perturbation schedule, first start only. A backend
             // whose env plumbing desynchronizes (wrong boundary, stale
             // cache after a source flip, perturbing retired replicas)
@@ -419,7 +415,6 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                         ParallelBackend::Aggregate,
                         ParallelBackend::PartialFull,
                         ParallelBackend::Batched,
-                        ParallelBackend::Wide,
                     ];
                     let samples: Vec<RunSamples> = backends
                         .iter()
@@ -436,7 +431,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                             )
                         })
                         .collect();
-                    for (i, j) in [(0usize, 1usize), (1, 2), (2, 3), (3, 4)] {
+                    for (i, j) in [(0usize, 1usize), (1, 2), (2, 3)] {
                         pair_checks(
                             &prefix,
                             (backends[i].name(), backends[j].name()),
@@ -510,7 +505,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
         ));
     }
 
-    // Drift-band oracle at large n: wide-engine trajectories inside
+    // Drift-band oracle at large n: lock-step engine trajectories inside
     // exact-row envelopes, one check per protocol cell.
     for cell in &cfg.cells {
         let table = cell.table(cfg.drift_n);
@@ -644,7 +639,6 @@ mod tests {
             ParallelBackend::Aggregate,
             ParallelBackend::PartialFull,
             ParallelBackend::Batched,
-            ParallelBackend::Wide,
         ];
         let samples: Vec<crate::backend::RunSamples> = backends
             .iter()
@@ -661,8 +655,8 @@ mod tests {
                 )
             })
             .collect();
-        // All 10 unordered pairs, 4 observables each, Bonferroni-tight.
-        let alpha = 1e-9 / 40.0;
+        // All 6 unordered pairs, 4 observables each, Bonferroni-tight.
+        let alpha = 1e-9 / 24.0;
         let mut checks = Vec::new();
         for i in 0..backends.len() {
             for j in (i + 1)..backends.len() {
@@ -677,7 +671,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(checks.len(), 40);
+        assert_eq!(checks.len(), 24);
         for c in &checks {
             assert!(c.pass, "{}: D={} > {}", c.name, c.statistic, c.critical);
         }

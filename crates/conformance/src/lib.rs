@@ -12,8 +12,8 @@
 //!   the per-round marginals `X_r` and the consensus-time distributions
 //!   with two-sample Kolmogorov–Smirnov tests. The comparisons rest on
 //!   exact equalities:
-//!   - `AgentSim ≡ AggregateSim ≡ PartialSim(m = n−1)` in the *parallel*
-//!     law (one round = all non-source agents update);
+//!   - `AgentSim ≡ AggregateSim ≡ PartialSim(m = n−1) ≡ LockstepSim` in
+//!     the *parallel* law (one round = all non-source agents update);
 //!   - `SequentialSim ≡ PartialSim(m = 1)` in the *per-activation* law
 //!     (compared in activations — the round normalizations differ);
 //!   - the [`CoalescingDual`](bitdissem_sim::dual::CoalescingDual)
@@ -26,7 +26,7 @@
 //! * [`oracle`] admits the exact Markov chain as a *reference backend*:
 //!   i.i.d. draws from the exact law for the KS matrix, a deterministic
 //!   sparse~dense row comparison at small `n`, and Proposition-5-style
-//!   drift-band envelopes that gate the wide engine at `n` in the
+//!   drift-band envelopes that gate the lock-step engine at `n` in the
 //!   thousands, where replicated KS comparison is infeasible.
 //! * [`fault`] injects I/O failures — torn lines, short writes, transient
 //!   `Interrupted`/`WouldBlock` errors, a mid-batch kill — into the

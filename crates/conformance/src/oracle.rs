@@ -15,8 +15,9 @@
 //!   stay within each row's tracked tail bound (small `n`);
 //! * [`drift_band_check`] — a Proposition-5-style envelope gate at large
 //!   `n`, where dense comparison and KS replication are both infeasible:
-//!   every one-round step observed in wide-engine trajectories must land
-//!   inside the ε-support of the exact transition row of its source state.
+//!   every one-round step observed in lock-step engine trajectories must
+//!   land inside the ε-support of the exact transition row of its source
+//!   state.
 //!   A correct engine violates the band with probability at most
 //!   `Σ tail(x)` over the observed steps (≈ `pairs × rel_eps`-scale), so a
 //!   violation is overwhelming evidence of a law mismatch.
@@ -25,8 +26,8 @@ use std::sync::Arc;
 
 use bitdissem_core::{Configuration, GTable, Opinion};
 use bitdissem_markov::SparseChain;
+use bitdissem_sim::lockstep::LockstepSim;
 use bitdissem_sim::rng::{replication_seed, splitmix64};
-use bitdissem_sim::wide::WideBatchedSim;
 
 use crate::backend::RunSamples;
 use crate::differential::Check;
@@ -186,10 +187,10 @@ pub fn sparse_dense_check(label: &str, table: &GTable, n: u64, correct: Opinion)
     }
 }
 
-/// Drift-band oracle at large `n`: wide-engine trajectories against the
-/// ε-support envelopes of the exact transition rows.
+/// Drift-band oracle at large `n`: lock-step engine trajectories against
+/// the ε-support envelopes of the exact transition rows.
 ///
-/// Runs `reps` wide-engine replications from the half-correct start for
+/// Runs `reps` lock-step replications from the half-correct start for
 /// `rounds` rounds and checks that every observed one-round transition
 /// `X_t → X_{t+1}` lands inside the stored support of the exact sparse row
 /// of `X_t`. The statistic is the number of violating steps (critical 0.5,
@@ -216,8 +217,8 @@ pub fn drift_band_check(
     let chain = SparseChain::build(table, n, Opinion::One).expect("valid grid cell");
     let start = Configuration::new(n, Opinion::One, n / 2).expect("n/2 is a valid count");
     let kernel = Arc::new(table.compile().expect("valid grid cell"));
-    let streams: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch = WideBatchedSim::new(kernel, start, &streams);
+    let seeds: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
+    let mut batch = LockstepSim::new(kernel, start, &seeds);
     let mut prev: Vec<u64> = (0..reps).map(|rep| batch.ones_of(rep)).collect();
     let mut pairs = 0usize;
     let mut violations = 0usize;
@@ -237,7 +238,7 @@ pub fn drift_band_check(
         }
     }
     Check {
-        name: format!("{label}/n{n} exact drift-band wide"),
+        name: format!("{label}/n{n} exact drift-band batched"),
         statistic: violations as f64,
         critical: 0.5,
         sizes: (pairs, pairs),
@@ -306,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_band_accepts_the_wide_engine() {
+    fn drift_band_accepts_the_lockstep_engine() {
         let n = 1024;
         let c = drift_band_check("voter(l=1)", &voter_table(n), n, 8, 10, 3);
         assert!(c.pass, "{}: {} violations", c.name, c.statistic);
@@ -328,8 +329,8 @@ mod tests {
         let chain = SparseChain::build(&noisy, n, Opinion::One).unwrap();
         let start = Configuration::all_wrong(n, Opinion::One);
         let kernel = Arc::new(voter_table(n).compile().unwrap());
-        let streams: Vec<u64> = (0..4).map(|rep| replication_seed(17, rep as u64)).collect();
-        let mut batch = WideBatchedSim::new(kernel, start, &streams);
+        let seeds: Vec<u64> = (0..4).map(|rep| replication_seed(17, rep as u64)).collect();
+        let mut batch = LockstepSim::new(kernel, start, &seeds);
         let mut violated = false;
         let mut prev: Vec<u64> = (0..4).map(|rep| batch.ones_of(rep)).collect();
         for _ in 0..5 {

@@ -60,63 +60,6 @@ impl std::str::FromStr for Scale {
     }
 }
 
-/// Which engine drives replicated aggregate-chain convergence batches.
-///
-/// The batched and per-replica engines are bit-identical per replication
-/// (each replication's RNG derives from its index alone), so the choice
-/// between them affects throughput only —
-/// `workload::tests::engines_agree_bit_for_bit` pins the equivalence. The
-/// wide engine draws from counter-based streams instead and is equivalent
-/// in law but **not** bit-comparable; the conformance KS gates admit it
-/// against the reference backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum ReplicationEngine {
-    /// Lock-step batched simulation: chunks of replicas advance round by
-    /// round through a shared kernel and sampler-setup memo. The fast
-    /// default.
-    #[default]
-    Batched,
-    /// One simulator per replication over the generic pool path. Kept as
-    /// the executable reference the batched engine is proven against.
-    PerReplica,
-    /// Counter-rng lane engine: fused one-word alias draws, sharded over
-    /// the pool. The throughput engine for large sweeps (KS-gated, not
-    /// bit-identical to the other two).
-    Wide,
-}
-
-impl ReplicationEngine {
-    /// The lowercase engine name, as accepted by the
-    /// [`FromStr`](std::str::FromStr) impl and recorded in run output.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplicationEngine::Batched => "batched",
-            ReplicationEngine::PerReplica => "per-replica",
-            ReplicationEngine::Wide => "wide",
-        }
-    }
-}
-
-impl std::fmt::Display for ReplicationEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ReplicationEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "batched" => Ok(ReplicationEngine::Batched),
-            "per-replica" | "per_replica" | "perreplica" => Ok(ReplicationEngine::PerReplica),
-            "wide" | "simd" => Ok(ReplicationEngine::Wide),
-            other => Err(format!("unknown engine '{other}' (batched|per-replica|wide)")),
-        }
-    }
-}
-
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunConfig {
@@ -126,9 +69,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Replication engine for aggregate convergence batches.
-    #[serde(default)]
-    pub engine: ReplicationEngine,
     /// Environment perturbation schedule applied between rounds (`None`
     /// means the static, unperturbed process). Recorded in run manifests
     /// and in checkpoint batch kinds.
@@ -156,14 +96,7 @@ impl RunConfig {
     }
 
     fn with_scale(scale: Scale, seed: u64) -> Self {
-        Self { scale, seed, threads: None, engine: ReplicationEngine::default(), env: None }
-    }
-
-    /// Switches the replication engine (builder-style).
-    #[must_use]
-    pub fn with_engine(mut self, engine: ReplicationEngine) -> Self {
-        self.engine = engine;
-        self
+        Self { scale, seed, threads: None, env: None }
     }
 
     /// Installs an environment perturbation schedule (builder-style). An
@@ -207,11 +140,6 @@ mod tests {
         assert_eq!(RunConfig::smoke(7).scale, Scale::Smoke);
         assert_eq!(RunConfig::standard(7).scale, Scale::Standard);
         assert_eq!(RunConfig::full(7).seed, 7);
-        assert_eq!(RunConfig::smoke(7).engine, ReplicationEngine::Batched);
-        assert_eq!(
-            RunConfig::smoke(7).with_engine(ReplicationEngine::PerReplica).engine,
-            ReplicationEngine::PerReplica
-        );
     }
 
     #[test]
@@ -224,21 +152,5 @@ mod tests {
             None,
             "an inert schedule normalizes to None"
         );
-    }
-
-    #[test]
-    fn engine_parses_and_round_trips() {
-        for engine in
-            [ReplicationEngine::Batched, ReplicationEngine::PerReplica, ReplicationEngine::Wide]
-        {
-            assert_eq!(ReplicationEngine::from_str(engine.name()).unwrap(), engine);
-            assert_eq!(engine.to_string(), engine.name());
-        }
-        assert_eq!(
-            ReplicationEngine::from_str("per_replica").unwrap(),
-            ReplicationEngine::PerReplica
-        );
-        assert_eq!(ReplicationEngine::from_str("simd").unwrap(), ReplicationEngine::Wide);
-        assert!(ReplicationEngine::from_str("bogus").is_err());
     }
 }

@@ -13,7 +13,7 @@ use bitdissem_stats::Table;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use crate::workload::{measure_convergence_engine_observed, pow2_sweep};
+use crate::workload::{measure_convergence_observed, pow2_sweep};
 use bitdissem_obs::Obs;
 
 /// Runs experiment E2.
@@ -48,9 +48,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         // Budget far above the 2 n ln n bound so timeouts are impossible
         // unless the theorem is badly violated.
         let budget = (8.0 * nlogn) as u64;
-        let batch = measure_convergence_engine_observed(
+        let batch = measure_convergence_observed(
             obs,
-            cfg.engine,
             &voter,
             start,
             reps,

@@ -15,7 +15,7 @@ use bitdissem_stats::Table;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use crate::workload::{measure_convergence_engine_observed, pow2_sweep};
+use crate::workload::{measure_convergence_observed, pow2_sweep};
 use bitdissem_obs::Obs;
 
 /// Runs experiment E3.
@@ -46,9 +46,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         let start = Configuration::all_wrong(n, Opinion::One);
         let log2n = (n as f64).ln().powi(2);
         let budget = (100.0 * log2n) as u64;
-        let batch = measure_convergence_engine_observed(
+        let batch = measure_convergence_observed(
             obs,
-            cfg.engine,
             &minority,
             start,
             reps,

@@ -15,7 +15,7 @@ use bitdissem_stats::Table;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use crate::workload::{measure_convergence_engine_observed, OutcomeBatch};
+use crate::workload::{measure_convergence_observed, OutcomeBatch};
 use bitdissem_obs::Obs;
 
 /// Runs experiment E4.
@@ -55,9 +55,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
             // Start from the adversarial witness configuration so small-l
             // runs exhibit the Theorem-1 slowness.
             let witness = LowerBoundWitness::construct(&minority, n).expect("valid");
-            let batch: OutcomeBatch = measure_convergence_engine_observed(
+            let batch: OutcomeBatch = measure_convergence_observed(
                 obs,
-                cfg.engine,
                 &minority,
                 witness.start(),
                 reps,

@@ -17,7 +17,7 @@ use bitdissem_stats::{Summary, Table};
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use crate::workload::{measure_convergence_engine_observed, pow2_sweep};
+use crate::workload::{measure_convergence_observed, pow2_sweep};
 use bitdissem_obs::Obs;
 
 /// Runs experiment E7.
@@ -59,9 +59,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         let dual_summary = Summary::from_samples(&dual_times).expect("non-empty");
 
         let start = Configuration::all_wrong(n, Opinion::One);
-        let forward = measure_convergence_engine_observed(
+        let forward = measure_convergence_observed(
             obs,
-            cfg.engine,
             &voter,
             start,
             reps,

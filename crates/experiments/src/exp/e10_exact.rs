@@ -18,9 +18,7 @@ use bitdissem_stats::Table;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use crate::workload::{
-    measure_convergence_engine_observed, measure_convergence_sequential_observed,
-};
+use crate::workload::{measure_convergence_observed, measure_convergence_sequential_observed};
 use bitdissem_obs::Obs;
 
 /// One validation case: a protocol plus a starting state chosen so that the
@@ -93,9 +91,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
             let exact_median = median_from_survival(&curve).map_or(f64::NAN, |m| m as f64);
 
             let budget = (exact_mean * 500.0) as u64 + 1000;
-            let batch = measure_convergence_engine_observed(
+            let batch = measure_convergence_observed(
                 obs,
-                cfg.engine,
                 &case.protocol,
                 start,
                 reps,

@@ -15,7 +15,7 @@ use bitdissem_stats::Table;
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
 use crate::workload::{
-    measure_convergence_engine_observed, measure_convergence_sequential_observed, pow2_sweep,
+    measure_convergence_observed, measure_convergence_sequential_observed, pow2_sweep,
 };
 use bitdissem_obs::Obs;
 
@@ -58,9 +58,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         let budget_par = (200.0 * nf.ln().powi(2)) as u64 + 8 * n;
         let budget_seq = 64 * n;
 
-        let par_min = measure_convergence_engine_observed(
+        let par_min = measure_convergence_observed(
             obs,
-            cfg.engine,
             &minority,
             start,
             reps,
@@ -77,9 +76,8 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
             cfg.seed ^ n ^ 1,
             cfg.threads,
         );
-        let par_vot = measure_convergence_engine_observed(
+        let par_vot = measure_convergence_observed(
             obs,
-            cfg.engine,
             &voter,
             start,
             reps,

@@ -116,18 +116,17 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         table,
     );
 
-    // The same flip disruption through the replicated-engine path — what
-    // `run e19 --engine E --checkpoint-dir D` exercises end to end:
-    // env-perturbed batches checkpoint under their own `conv+env[…]`
-    // kind, so cached static outcomes never splice in on `--resume`.
-    let mut engine_table = Table::new(["ell", "engine", "converged frac", "mean first consensus"]);
-    let mut engine_always_converges = true;
+    // The same flip disruption through the replicated convergence path —
+    // what `run e19 --checkpoint-dir D` exercises end to end: env-perturbed
+    // batches checkpoint under their own `conv+env[…]` kind, so cached
+    // static outcomes never splice in on `--resume`.
+    let mut batch_table = Table::new(["ell", "converged frac", "mean first consensus"]);
+    let mut batches_converge = true;
     for &ell in &ells {
         let voter = Voter::new(ell).expect("valid sample size");
         let start = Configuration::all_wrong(n, Opinion::One);
         let batch = measure_convergence_env_observed(
             obs,
-            cfg.engine,
             &flip,
             &voter,
             start,
@@ -136,24 +135,19 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
             cfg.seed ^ 0xE19 ^ ((ell as u64) << 20),
             cfg.threads,
         );
-        engine_always_converges &= batch.converged_fraction() >= 0.9;
+        batches_converge &= batch.converged_fraction() >= 0.9;
         let mean = batch.censored_summary().map_or(f64::NAN, |s| s.mean());
-        engine_table.row([
-            ell.to_string(),
-            cfg.engine.name().to_string(),
-            fmt_num(batch.converged_fraction()),
-            fmt_num(mean),
-        ]);
+        batch_table.row([ell.to_string(), fmt_num(batch.converged_fraction()), fmt_num(mean)]);
     }
     report.add_table(
-        format!("flip@{disrupt_at} through the {} replication engine", cfg.engine.name()),
-        engine_table,
+        format!("flip@{disrupt_at} through the replicated convergence batches"),
+        batch_table,
     );
 
     report.check(
-        engine_always_converges,
-        "the replication-engine batches reach a first consensus under the \
-         flip schedule (env runnable under every --engine)",
+        batches_converge,
+        "the replicated convergence batches reach a first consensus under \
+         the flip schedule",
     );
     report.check(
         always_disrupts_settled_runs,
@@ -192,10 +186,9 @@ mod tests {
     #[test]
     fn custom_env_schedule_rides_along_without_breaking_checks() {
         // A user `--env` schedule is charted observationally and must not
-        // flip the directional checks; the wide engine drives the batch.
+        // flip the directional checks.
         let env: EnvSchedule = "noise:0.05".parse().unwrap();
-        let cfg =
-            RunConfig::smoke(23).with_env(env).with_engine(crate::config::ReplicationEngine::Wide);
+        let cfg = RunConfig::smoke(23).with_env(env);
         let report = run(&cfg, &Obs::none());
         assert!(report.pass, "{}", report.render());
         assert!(report.render().contains("noise:0.05"), "custom schedule is charted");

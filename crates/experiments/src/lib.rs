@@ -41,5 +41,5 @@ pub mod report;
 pub mod trace;
 pub mod workload;
 
-pub use config::{ReplicationEngine, RunConfig, Scale};
+pub use config::{RunConfig, Scale};
 pub use report::ExperimentReport;

@@ -236,31 +236,22 @@ mod tests {
     }
 
     #[test]
-    fn convergence_sweeps_run_on_the_configured_engine() {
-        // The engine picks each batch's checkpoint kind, so the recorded
-        // keys show which engine ran every batch.
-        use crate::config::ReplicationEngine;
+    fn convergence_sweeps_record_their_batches_under_conv() {
+        // Every replicated convergence batch runs on the lock-step engine
+        // and checkpoints under the plain `conv` kind.
         use bitdissem_obs::CheckpointLog;
         use std::sync::Arc;
         for id in ["e2", "e4"] {
-            for (engine, kind) in
-                [(ReplicationEngine::default(), "conv"), (ReplicationEngine::Wide, "conv+wide")]
-            {
-                let path = std::env::temp_dir().join(format!(
-                    "bitdissem_engine_keys_{}_{id}_{engine}.jsonl",
-                    std::process::id()
-                ));
-                let obs =
-                    Obs::none().with_checkpoint(Arc::new(CheckpointLog::create(&path).unwrap()));
-                let cfg = crate::RunConfig::smoke(3).with_engine(engine);
-                assert!(run_observed(id, &cfg, &obs).is_some());
-                drop(obs);
-                let log = std::fs::read_to_string(&path).unwrap();
-                let _ = std::fs::remove_file(&path);
-                let prefix = format!("\"key\":\"{id}/{kind}:");
-                assert!(log.lines().count() > 0, "{id} recorded no checkpoints");
-                assert!(log.lines().all(|l| l.contains(&prefix)), "{id} on {engine}:\n{log}");
-            }
+            let path = std::env::temp_dir()
+                .join(format!("bitdissem_conv_keys_{}_{id}.jsonl", std::process::id()));
+            let obs = Obs::none().with_checkpoint(Arc::new(CheckpointLog::create(&path).unwrap()));
+            assert!(run_observed(id, &crate::RunConfig::smoke(3), &obs).is_some());
+            drop(obs);
+            let log = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            let prefix = format!("\"key\":\"{id}/conv:");
+            assert!(log.lines().count() > 0, "{id} recorded no checkpoints");
+            assert!(log.lines().all(|l| l.contains(&prefix)), "{id}:\n{log}");
         }
     }
 }

@@ -16,16 +16,12 @@ use bitdissem_analysis::LowerBoundWitness;
 use bitdissem_core::{Configuration, GTable, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_obs::{GaugeId, Obs};
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::batched::SeededDraw;
 use bitdissem_sim::env::EnvSchedule;
 use bitdissem_sim::lockstep::replicate_lockstep;
 use bitdissem_sim::run::{run_to_consensus_observed, Outcome};
 use bitdissem_sim::runner::replicate_indices_observed;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::CounterDraw;
 use bitdissem_stats::Summary;
-
-use crate::config::ReplicationEngine;
 
 /// A batch of replicated convergence outcomes.
 #[derive(Debug, Clone)]
@@ -123,9 +119,8 @@ fn table_fingerprint(table: &GTable) -> u64 {
 /// Revision of the engines' randomness streams, the last field of every
 /// checkpoint key. A change that moves the outcome a given seed produces
 /// bumps it, so a log written before the change misses instead of
-/// splicing old-stream outcomes into a new-stream sweep — the rule the
-/// `conv` and `conv+wide` kinds already apply across engines. Keys without
-/// a revision predate `r2`, at which states with `P₀ = P₁` started drawing
+/// splicing old-stream outcomes into a new-stream sweep. Keys without a
+/// revision predate `r2`, at which states with `P₀ = P₁` started drawing
 /// one binomial per round instead of two.
 const STREAM_REVISION: &str = "r2";
 
@@ -241,11 +236,10 @@ fn decode_outcome(payload: &str) -> Option<Outcome> {
 /// the whole index range runs through `run_missing` directly.
 ///
 /// `run_missing` receives replication indices and must return their
-/// outcomes **in the order of the indices** — both replication engines
-/// (the per-replica pool path and the lock-step batched path) satisfy
-/// this, and both derive every replication's RNG from its index alone, so
-/// splicing cached and fresh results is bit-identical to an uninterrupted
-/// run.
+/// outcomes **in the order of the indices** — both replication drivers
+/// (the lock-step engine and the per-replica pool path) satisfy this, and
+/// both derive every replication's RNG from its index alone, so splicing
+/// cached and fresh results is bit-identical to an uninterrupted run.
 fn replicate_checkpointed<K, R>(obs: &Obs, key_base: K, reps: usize, run_missing: R) -> Vec<Outcome>
 where
     K: FnOnce() -> String,
@@ -291,8 +285,8 @@ where
 }
 
 /// Compiles the protocol's decision table into the shared adoption kernel
-/// once per batch — both engines evaluate the same kernel, and no
-/// replication re-materializes the table.
+/// once per batch — every replication evaluates the same kernel, and none
+/// re-materializes the table.
 fn compile_kernel<P>(protocol: &P, n: u64) -> Arc<Kernel>
 where
     P: Protocol + ?Sized,
@@ -323,8 +317,13 @@ where
 /// [`measure_convergence`] with an observability handle: each replication
 /// emits per-round and per-replication trace events and contributes to the
 /// run counters. Outcomes are identical to the unobserved call for the
-/// same seed. Runs on the default (batched) engine; use
-/// [`measure_convergence_engine_observed`] to select explicitly.
+/// same seed.
+///
+/// Every replication runs on the lock-step engine
+/// ([`replicate_lockstep`]) through one compiled adoption [`Kernel`] and
+/// derives its randomness from its index alone, so the outcome vector is
+/// bit-identical to running each replication on its own `AggregateSim`,
+/// for every thread count and across checkpoint splicing.
 #[must_use]
 pub fn measure_convergence_observed<P>(
     obs: &Obs,
@@ -338,58 +337,19 @@ pub fn measure_convergence_observed<P>(
 where
     P: Protocol + Sync + ?Sized,
 {
-    measure_convergence_engine_observed(
-        obs,
-        ReplicationEngine::default(),
-        protocol,
-        start,
-        reps,
-        budget,
-        seed,
-        threads,
-    )
+    measure_convergence_inner(obs, None, protocol, start, reps, budget, seed, threads)
 }
 
-/// [`measure_convergence_observed`] with an explicit replication engine.
-///
-/// Every engine shares one compiled adoption [`Kernel`] (no per-replica
-/// table materialization) and derives each replication's randomness from
-/// its index alone, so the outcome vector is bit-deterministic across
-/// thread counts and checkpoint splicing. The batched and per-replica
-/// engines are additionally bit-identical to *each other*; the wide engine
-/// draws from counter-based streams (equivalent in law, KS-gated in
-/// conformance) and therefore checkpoints under a distinct batch-key kind
-/// — cached outcomes never splice across the stream boundary.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn measure_convergence_engine_observed<P>(
-    obs: &Obs,
-    engine: ReplicationEngine,
-    protocol: &P,
-    start: Configuration,
-    reps: usize,
-    budget: u64,
-    seed: u64,
-    threads: Option<usize>,
-) -> OutcomeBatch
-where
-    P: Protocol + Sync + ?Sized,
-{
-    measure_convergence_inner(obs, engine, None, protocol, start, reps, budget, seed, threads)
-}
-
-/// [`measure_convergence_engine_observed`] under an environment schedule:
-/// every replication perturbs between rounds per `env`, on any engine. An
-/// inert schedule degenerates to the static measurement (same checkpoint
-/// kind, same outcomes); an active one checkpoints under the env-suffixed
-/// kinds `conv+env[<fp>]` / `conv+wide+env[<fp>]`, so cached static-run
-/// outcomes can never splice into a dynamic sweep on resume (or vice
-/// versa).
+/// [`measure_convergence_observed`] under an environment schedule: every
+/// replication perturbs between rounds per `env`. An inert schedule
+/// degenerates to the static measurement (same checkpoint kind, same
+/// outcomes); an active one checkpoints under the env-suffixed kind
+/// `conv+env[<fp>]`, so cached static-run outcomes can never splice into a
+/// dynamic sweep on resume (or vice versa).
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn measure_convergence_env_observed<P>(
     obs: &Obs,
-    engine: ReplicationEngine,
     env: &EnvSchedule,
     protocol: &P,
     start: Configuration,
@@ -402,13 +362,12 @@ where
     P: Protocol + Sync + ?Sized,
 {
     let env = (!env.is_inert()).then_some(env);
-    measure_convergence_inner(obs, engine, env, protocol, start, reps, budget, seed, threads)
+    measure_convergence_inner(obs, env, protocol, start, reps, budget, seed, threads)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn measure_convergence_inner<P>(
     obs: &Obs,
-    engine: ReplicationEngine,
     env: Option<&EnvSchedule>,
     protocol: &P,
     start: Configuration,
@@ -420,37 +379,20 @@ fn measure_convergence_inner<P>(
 where
     P: Protocol + Sync + ?Sized,
 {
-    // The wide engine's draws come from a different randomness stream, and
-    // an active environment schedule changes the law outright — each gets
-    // its own checkpoint kind so caches never splice across either
-    // boundary.
-    let kind = match (engine == ReplicationEngine::Wide, env) {
-        (false, None) => "conv".to_string(),
-        (true, None) => "conv+wide".to_string(),
-        (false, Some(env)) => format!("conv+env[{}]", env.fingerprint()),
-        (true, Some(env)) => format!("conv+wide+env[{}]", env.fingerprint()),
+    // An active environment schedule changes the law outright, so it gets
+    // its own checkpoint kind and caches never splice across it. The trace
+    // header carries the same kind: the offline trace checker validates a
+    // "conv" batch against the static law and skips env batches, since a
+    // perturbed trajectory does not follow the unperturbed law.
+    let kind = match env {
+        None => "conv".to_string(),
+        Some(env) => format!("conv+env[{}]", env.fingerprint()),
     };
-    // Trace headers: static batches stay "conv" whatever the engine (the
-    // offline trace checker validates any "conv" batch against the static
-    // law); env batches advertise their schedule so the checker skips them
-    // — a perturbed trajectory does not follow the unperturbed law.
-    let emit_kind = if env.is_some() { kind.as_str() } else { "conv" };
-    emit_batch_started(obs, emit_kind, protocol, start, reps, budget, seed);
+    emit_batch_started(obs, &kind, protocol, start, reps, budget, seed);
     let kernel = compile_kernel(protocol, start.n());
     let key_base = || batch_key(&kind, protocol, start, budget, seed);
-    let outcomes = replicate_checkpointed(obs, key_base, reps, |missing| match engine {
-        ReplicationEngine::Batched => replicate_lockstep::<SeededDraw>(
-            &kernel, start, missing, seed, threads, budget, env, obs,
-        ),
-        ReplicationEngine::Wide => replicate_lockstep::<CounterDraw>(
-            &kernel, start, missing, seed, threads, budget, env, obs,
-        ),
-        ReplicationEngine::PerReplica => {
-            replicate_indices_observed(missing, seed, threads, obs, |mut rng, rep| {
-                let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
-                run_to_consensus_observed(&mut sim, &mut rng, budget, env, obs, rep as u64)
-            })
-        }
+    let outcomes = replicate_checkpointed(obs, key_base, reps, |missing| {
+        replicate_lockstep(&kernel, start, missing, seed, threads, budget, env, obs)
     });
     OutcomeBatch::new(outcomes, budget)
 }
@@ -531,10 +473,13 @@ where
 }
 
 /// [`measure_crossing`] with an observability handle (progress ticks and
-/// stream counters; crossing runs emit no per-round events since the
+/// run counters; crossing runs emit no per-round events since the
 /// stopping rule differs from consensus). Each replica runs the
 /// per-replica chain through [`AggregateSim::run_until`], which tests the
-/// threshold before every round and after the last.
+/// threshold before every round and after the last. With metrics on, a
+/// freshly run replica adds its rounds to `rounds_simulated` and `ℓ·n`
+/// per round to `opinion_samples`; a replica loaded from a checkpoint
+/// adds nothing.
 #[must_use]
 pub fn measure_crossing_observed<P>(
     obs: &Obs,
@@ -550,6 +495,7 @@ where
 {
     emit_batch_started(obs, "cross", protocol, witness.start(), reps, budget, seed);
     let kernel = compile_kernel(protocol, witness.start().n());
+    let samples_per_round = (kernel.sample_size() as u64).saturating_mul(witness.start().n());
     replicate_checkpointed(
         obs,
         || batch_key("cross", protocol, witness.start(), budget, seed),
@@ -557,10 +503,16 @@ where
         |missing| {
             replicate_indices_observed(missing, seed, threads, obs, |mut rng, _| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), witness.start());
-                match sim.run_until(&mut rng, budget, |x| witness.crossed(x)) {
+                let outcome = match sim.run_until(&mut rng, budget, |x| witness.crossed(x)) {
                     Some(rounds) => Outcome::Converged { rounds },
                     None => Outcome::TimedOut { rounds: budget },
+                };
+                if obs.metrics_on() {
+                    let rounds = outcome.rounds_censored();
+                    obs.metrics().add_rounds(rounds);
+                    obs.metrics().add_samples(rounds.saturating_mul(samples_per_round));
                 }
+                outcome
             })
         },
     )
@@ -625,6 +577,37 @@ mod tests {
         let w = LowerBoundWitness::construct(&stay, 64).unwrap();
         let xs = measure_crossing(&stay, &w, 3, 50, 2, Some(1));
         assert!(xs.iter().all(|o| !o.is_converged()));
+    }
+
+    #[test]
+    fn crossing_runs_count_rounds_and_samples() {
+        // Each fresh replica is charged the rounds it ran (its crossing
+        // round, or the budget) and ℓ·n samples per round; a second run
+        // over the same checkpoint log loads every replica and adds
+        // nothing.
+        use bitdissem_core::dynamics::Minority;
+        use bitdissem_obs::CheckpointLog;
+        use std::sync::atomic::Ordering;
+        let n = 64;
+        let minority = Minority::new(5).unwrap();
+        let w = LowerBoundWitness::construct(&minority, n).unwrap();
+        let log = Arc::new(CheckpointLog::in_memory());
+        let obs = Obs::none().with_metrics().with_checkpoint(Arc::clone(&log));
+        let outcomes = measure_crossing_observed(&obs, &minority, &w, 32, 50 * n, 2024, Some(2));
+        assert_eq!(outcomes, measure_crossing(&minority, &w, 32, 50 * n, 2024, Some(2)));
+        assert!(outcomes.iter().any(|o| o.is_converged()), "some replica crosses");
+        assert!(outcomes.iter().any(|o| !o.is_converged()), "some replica times out");
+        let total: u64 = outcomes.iter().map(Outcome::rounds_censored).sum();
+        let m = obs.metrics();
+        let counts = || {
+            (m.rounds_simulated.load(Ordering::Relaxed), m.opinion_samples.load(Ordering::Relaxed))
+        };
+        assert_eq!(counts(), (total, total * 5 * n), "Σ rounds and Σ rounds·ℓ·n");
+
+        let resumed = measure_crossing_observed(&obs, &minority, &w, 32, 50 * n, 2024, Some(2));
+        assert_eq!(resumed, outcomes);
+        assert_eq!(m.checkpoint_hits.load(Ordering::Relaxed), 32);
+        assert_eq!(counts(), (total, total * 5 * n), "cached replicas add nothing");
     }
 
     #[test]
@@ -758,143 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_bit_for_bit() {
-        // The batched default and the per-replica reference engine must
-        // produce identical outcome vectors — the engine is a throughput
-        // knob, never a semantics knob.
-        use bitdissem_core::dynamics::Minority;
-        let minority = Minority::new(3).unwrap();
-        let start = Configuration::new(128, Opinion::One, 40).unwrap();
-        let obs = Obs::none();
-        let batched = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &minority,
-            start,
-            12,
-            200_000,
-            21,
-            Some(3),
-        );
-        let reference = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::PerReplica,
-            &minority,
-            start,
-            12,
-            200_000,
-            21,
-            Some(2),
-        );
-        assert_eq!(batched.outcomes(), reference.outcomes());
-    }
-
-    #[test]
-    fn batched_checkpointing_splices_against_per_replica_cache() {
-        // A sweep checkpointed under one engine must resume correctly
-        // under the other: cached outcomes splice with freshly batched
-        // ones because both derive each replication from its index alone.
-        use bitdissem_obs::CheckpointLog;
-        use std::sync::Arc as StdArc;
-        let voter = Voter::new(1).unwrap();
-        let start = Configuration::all_wrong(24, Opinion::One);
-        let full = measure_convergence(&voter, start, 10, 100_000, 7, Some(2));
-
-        let log = StdArc::new(CheckpointLog::in_memory());
-        let obs = Obs::none().with_metrics().with_checkpoint(StdArc::clone(&log));
-        let _ = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::PerReplica,
-            &voter,
-            start,
-            4,
-            100_000,
-            7,
-            Some(2),
-        );
-        assert_eq!(log.len(), 4);
-
-        let resumed = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(3),
-        );
-        assert_eq!(resumed.outcomes(), full.outcomes());
-        assert_eq!(obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed), 4);
-        assert_eq!(log.len(), 10);
-    }
-
-    #[test]
-    fn wide_engine_is_deterministic_and_never_splices_other_engines() {
-        // The wide engine draws from counter streams, so (a) its outcome
-        // vector is identical for every thread count, and (b) its
-        // checkpoints live under "conv+wide" — a cache written by the
-        // batched engine must yield zero hits when resuming wide.
-        use bitdissem_obs::CheckpointLog;
-        use std::sync::Arc as StdArc;
-        let voter = Voter::new(1).unwrap();
-        let start = Configuration::all_wrong(24, Opinion::One);
-        let obs = Obs::none();
-        let wide_a = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(1),
-        );
-        let wide_b = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(3),
-        );
-        assert_eq!(wide_a.outcomes(), wide_b.outcomes());
-
-        let log = StdArc::new(CheckpointLog::in_memory());
-        let obs = Obs::none().with_metrics().with_checkpoint(StdArc::clone(&log));
-        let _ = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(2),
-        );
-        assert_eq!(log.len(), 10);
-        let wide_fresh = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(2),
-        );
-        assert_eq!(
-            obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "wide must not resume from another engine's cache"
-        );
-        assert_eq!(log.len(), 20, "wide appends its own records under conv+wide");
-        assert_eq!(wide_fresh.outcomes(), wide_a.outcomes());
-    }
-
-    #[test]
     fn env_runs_never_splice_static_checkpoints() {
         // A static sweep's cached outcomes must be invisible to an
         // env-perturbed resume of the same cell (and distinct schedules
@@ -913,48 +759,21 @@ mod tests {
         assert_eq!(log.len(), 8);
 
         let hits = || obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed);
-        let dynamic = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            5,
-            Some(2),
-        );
+        let dynamic =
+            measure_convergence_env_observed(&obs, &env, &voter, start, 8, 100_000, 5, Some(2));
         assert_eq!(hits(), 0, "env run must not resume from the static cache");
         assert_eq!(log.len(), 16, "env outcomes append under their own kind");
 
         // A different schedule is a different kind again.
         let other: EnvSchedule = "noise:0.01".parse().unwrap();
-        let _ = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &other,
-            &voter,
-            start,
-            8,
-            100_000,
-            5,
-            Some(2),
-        );
+        let _ =
+            measure_convergence_env_observed(&obs, &other, &voter, start, 8, 100_000, 5, Some(2));
         assert_eq!(hits(), 0, "schedules never share caches");
         assert_eq!(log.len(), 24);
 
         // Same schedule resumes from its own records, bit-identically.
-        let resumed = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            5,
-            Some(3),
-        );
+        let resumed =
+            measure_convergence_env_observed(&obs, &env, &voter, start, 8, 100_000, 5, Some(3));
         assert_eq!(hits(), 8);
         assert_eq!(resumed.outcomes(), dynamic.outcomes());
 
@@ -962,7 +781,6 @@ mod tests {
         // so it resumes from the static cache.
         let inert = measure_convergence_env_observed(
             &obs,
-            ReplicationEngine::Batched,
             &EnvSchedule::default(),
             &voter,
             start,
@@ -974,52 +792,6 @@ mod tests {
         assert_eq!(hits(), 16);
         let plain = measure_convergence(&voter, start, 8, 100_000, 5, Some(2));
         assert_eq!(inert.outcomes(), plain.outcomes());
-    }
-
-    #[test]
-    fn env_engines_agree_on_convergence_law_smoke() {
-        // The env path is runnable on every engine; batched and
-        // per-replica are bit-identical even under perturbations.
-        let voter = Voter::new(1).unwrap();
-        let start = Configuration::all_wrong(24, Opinion::One);
-        let env: EnvSchedule = "reset:k=2@every:40".parse().unwrap();
-        let obs = Obs::none();
-        let batched = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            13,
-            Some(2),
-        );
-        let reference = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::PerReplica,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            13,
-            Some(3),
-        );
-        assert_eq!(batched.outcomes(), reference.outcomes());
-        let wide = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            13,
-            Some(2),
-        );
-        assert_eq!(wide.len(), 8);
-        assert!(wide.converged_fraction() > 0.0, "wide env runs converge too");
     }
 
     #[test]

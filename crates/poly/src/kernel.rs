@@ -189,91 +189,6 @@ impl Kernel {
         (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0))
     }
 
-    /// Evaluates `(P₀(p), P₁(p))` for every entry of `ps`, appending to
-    /// `out` in order — the lane-friendly batch form of [`Kernel::eval`]
-    /// used by the wide replication engine.
-    ///
-    /// The slice is processed in blocks of [`Kernel::LANES`] values with
-    /// the coefficient index in the outer loop and the lane index in the
-    /// inner loop, so the compiler can keep the Horner recurrences in
-    /// vector registers. Both Horner orientations are computed for every
-    /// lane and the per-lane branch (`p ≤ ½` vs `p > ½`) becomes a select;
-    /// each orientation performs exactly the arithmetic of the matching
-    /// [`Kernel::eval`] branch, so results are **bit-identical** to
-    /// element-wise `eval` calls (pinned by a property test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry of `ps` is not in `[0, 1]`.
-    pub fn eval_slice(&self, ps: &[f64], out: &mut Vec<(f64, f64)>) {
-        out.reserve(ps.len());
-        let mut chunks = ps.chunks_exact(Self::LANES);
-        for chunk in &mut chunks {
-            let block: &[f64; Self::LANES] = chunk.try_into().expect("exact chunk");
-            out.extend_from_slice(&self.eval_block(block));
-        }
-        for &p in chunks.remainder() {
-            out.push(self.eval(p));
-        }
-    }
-
-    /// Lane width of the blocked [`Kernel::eval_slice`] pass.
-    pub const LANES: usize = 8;
-
-    /// One lane block of [`Kernel::eval_slice`]; see there for the
-    /// bit-identity contract with [`Kernel::eval`].
-    fn eval_block(&self, ps: &[f64; Self::LANES]) -> [(f64, f64); Self::LANES] {
-        const LANES: usize = Kernel::LANES;
-        for &p in ps {
-            assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        }
-        let ell = self.bern0.len() - 1;
-        let mut q = [0.0f64; LANES];
-        let mut t = [0.0f64; LANES];
-        let mut u = [0.0f64; LANES];
-        for l in 0..LANES {
-            q[l] = 1.0 - ps[l];
-            // The unused orientation's variable may be ∞ at an endpoint
-            // (q/p at p = 0); its lanes are discarded by the select below.
-            t[l] = ps[l] / q[l];
-            u[l] = q[l] / ps[l];
-        }
-        let mut asc0 = [self.bern0[ell]; LANES];
-        let mut asc1 = [self.bern1[ell]; LANES];
-        for k in (0..ell).rev() {
-            for l in 0..LANES {
-                asc0[l] = asc0[l] * t[l] + self.bern0[k];
-                asc1[l] = asc1[l] * t[l] + self.bern1[k];
-            }
-        }
-        let mut dsc0 = [self.bern0[0]; LANES];
-        let mut dsc1 = [self.bern1[0]; LANES];
-        for k in 1..=ell {
-            for l in 0..LANES {
-                dsc0[l] = dsc0[l] * u[l] + self.bern0[k];
-                dsc1[l] = dsc1[l] * u[l] + self.bern1[k];
-            }
-        }
-        let mut out = [(0.0f64, 0.0f64); LANES];
-        for l in 0..LANES {
-            let (p0, p1) = if ps[l] <= 0.5 {
-                let scale = q[l].powi(ell as i32);
-                (asc0[l] * scale, asc1[l] * scale)
-            } else {
-                let scale = ps[l].powi(ell as i32);
-                (dsc0[l] * scale, dsc1[l] * scale)
-            };
-            debug_assert!(
-                (-EVAL_TOL..=1.0 + EVAL_TOL).contains(&p0)
-                    && (-EVAL_TOL..=1.0 + EVAL_TOL).contains(&p1),
-                "compiled kernel escaped [0,1] beyond rounding noise: P0={p0} P1={p1} at p={}",
-                ps[l]
-            );
-            out[l] = (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0));
-        }
-        out
-    }
-
     /// Evaluates `(P₀(p), P₁(p))` in the power basis (plain Horner).
     ///
     /// Kept for the basis ablation: measurably less accurate than
@@ -438,40 +353,7 @@ mod tests {
         let _ = k.eval(1.5);
     }
 
-    #[test]
-    #[should_panic(expected = "p must be in [0,1]")]
-    fn eval_slice_rejects_out_of_range_p() {
-        let k = Kernel::compile(&[0.0, 1.0], &[0.0, 1.0]).unwrap();
-        let mut out = Vec::new();
-        k.eval_slice(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1.5], &mut out);
-    }
-
     proptest! {
-        /// The wide path's contract: `eval_slice` is bit-identical to
-        /// element-wise `eval`, for every slice length (full lane blocks
-        /// and the scalar remainder) across random tables and a dense grid
-        /// including both Horner branches and the endpoints.
-        #[test]
-        fn eval_slice_is_bit_identical_to_eval(
-            g0 in proptest::collection::vec(0.0f64..=1.0, 2..=10),
-            g1 in proptest::collection::vec(0.0f64..=1.0, 2..=10),
-            len in 0usize..=37,
-        ) {
-            let rows = g0.len().min(g1.len());
-            let k = Kernel::compile(&g0[..rows], &g1[..rows]).unwrap();
-            let grid = dense_grid();
-            let ps: Vec<f64> = (0..len).map(|i| grid[(i * 7) % grid.len()]).collect();
-            let mut wide = Vec::new();
-            k.eval_slice(&ps, &mut wide);
-            prop_assert_eq!(wide.len(), ps.len());
-            for (i, &p) in ps.iter().enumerate() {
-                let scalar = k.eval(p);
-                prop_assert_eq!(wide[i], scalar, "lane {} at p={}", i, p);
-                prop_assert_eq!(wide[i].0.to_bits(), scalar.0.to_bits());
-                prop_assert_eq!(wide[i].1.to_bits(), scalar.1.to_bits());
-            }
-        }
-
         /// The headline satellite property: the compiled Bernstein kernel
         /// matches the legacy pmf-summation path within 1e-12 across random
         /// valid g-tables (ℓ ≤ 9) and a dense p-grid including endpoints.

@@ -21,7 +21,7 @@ use rand::Rng;
 
 use bitdissem_poly::binomial::ln_gamma;
 
-use crate::rng::{rng_from, SimRng};
+use crate::rng::SimRng;
 
 /// Upper bound on the per-thread `ln(i!)` cache (512 KiB of `f64`s). Above
 /// it, lookups fall back to a live [`ln_gamma`] call.
@@ -43,11 +43,11 @@ thread_local! {
     /// `RefCell` borrow, a fifth of a cached one-draw round, so the hot
     /// loops enter it once per unit of work and hand the slice down:
     /// once per replica run ([`AggregateSim::run_until`]) or per lock-step
-    /// chunk-round ([`SeededDraw`]). [`Plan::build`] and
+    /// chunk-round ([`LockstepSim::step_round`]). [`Plan::build`] and
     /// [`Plan::sample_with`] take the slice and never enter it themselves.
     ///
     /// [`AggregateSim::run_until`]: crate::aggregate::AggregateSim::run_until
-    /// [`SeededDraw`]: crate::batched::SeededDraw
+    /// [`LockstepSim::step_round`]: crate::lockstep::LockstepSim::step_round
     static LNFACT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -356,231 +356,6 @@ impl Plan {
     }
 }
 
-/// Widest truncated support the wide path will materialize as an alias
-/// table (8 bytes per slot after power-of-two padding, so ≤ 64 KiB per
-/// cached state). A binomial's ±7.5σ window exceeds this only for spreads
-/// `σ ≳ 270` (e.g. `n ≥ 10⁶` at moderate `p`), where the wide engine falls
-/// back to the scalar BINV/BTRS plan.
-pub(crate) const MAX_ALIAS_SUPPORT: usize = 4096;
-
-/// Per-term cutoff of the truncated pmf window, relative to the mode.
-/// `1e-12` truncates at ≈ ±7.5σ, leaving ~1e-9 of mass outside the window
-/// — far below both the 2⁻³² alias-threshold quantization and anything the
-/// conformance KS gates or the DKW tests can resolve.
-const PMF_WINDOW_REL_EPS: f64 = 1e-12;
-
-/// The truncated pmf of `Binomial(n, p)`: returns `(lo, weights)` where
-/// `weights[i]` is proportional to `P(X = lo + i)`, covering every value
-/// whose pmf is at least [`PMF_WINDOW_REL_EPS`] of the mode's. `None` if
-/// the window would exceed `max_width` (callers fall back to the scalar
-/// plan).
-///
-/// Built outward from the mode by the pmf ratio recurrence, so every
-/// weight lives in `[1e-12, 1]` — there is no `q^n` underflow by
-/// construction, for any `n` (the corner the log-space BINV restart
-/// guards; see [`binv`]).
-pub(crate) fn pmf_window(n: u64, p: f64, max_width: usize) -> Option<(u64, Vec<f64>)> {
-    debug_assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-    if n == 0 || p <= 0.0 {
-        return Some((0, vec![1.0]));
-    }
-    if p >= 1.0 {
-        return Some((n, vec![1.0]));
-    }
-    let q = 1.0 - p;
-    let m = (((n as f64) + 1.0) * p).floor().min(n as f64) as u64;
-    // Below the mode: weights at m−1, m−2, … until the relative cutoff.
-    let mut below = Vec::new();
-    let mut r = 1.0f64;
-    let mut lo = m;
-    while lo > 0 {
-        r = r * (lo as f64) * q / (((n - lo + 1) as f64) * p);
-        // NaN-safe cutoff: a non-finite ratio must stop the walk, never
-        // enter the window.
-        if r.is_nan() || r < PMF_WINDOW_REL_EPS {
-            break;
-        }
-        below.push(r);
-        lo -= 1;
-        if below.len() >= max_width {
-            return None;
-        }
-    }
-    // Above the mode: weights at m+1, m+2, …
-    let mut above = Vec::new();
-    let mut r = 1.0f64;
-    let mut k = m;
-    while k < n {
-        r = r * ((n - k) as f64) * p / (((k + 1) as f64) * q);
-        if r.is_nan() || r < PMF_WINDOW_REL_EPS {
-            break;
-        }
-        above.push(r);
-        k += 1;
-        if below.len() + above.len() + 1 > max_width {
-            return None;
-        }
-    }
-    let mut weights = Vec::with_capacity(below.len() + 1 + above.len());
-    weights.extend(below.iter().rev());
-    weights.push(1.0);
-    weights.append(&mut above);
-    Some((lo, weights))
-}
-
-/// Walker/Vose alias table over a contiguous integer support
-/// `lo .. lo + width`: draws one value from a **single** uniform `u64`
-/// word — the top bits pick a slot, the low 32 bits run the biased coin.
-///
-/// The slot count is padded to a power of two (padding slots carry zero
-/// probability), so slot selection is an exact bit shift. Acceptance
-/// thresholds are quantized to `u32`, bounding the total-variation error
-/// by `slots · 2⁻³²` — invisible to every statistical gate in the repo.
-#[derive(Debug, Clone)]
-pub(crate) struct AliasTable {
-    /// Smallest support value (slot index 0).
-    lo: u64,
-    /// `64 − log₂(slots)`: the shift extracting the slot from a word.
-    shift: u32,
-    /// Packed slots: acceptance threshold in the high 32 bits, alias slot
-    /// index in the low 32.
-    slots: Box<[u64]>,
-}
-
-/// Quantizes an acceptance probability in `[0, 1]` to a `u32` cutoff
-/// compared against the low word bits (negative fp residue saturates to
-/// 0, values at or above 1 to `u32::MAX`).
-fn alias_threshold(w: f64) -> u32 {
-    let t = (w * 4_294_967_296.0).round();
-    if t >= 4_294_967_295.0 {
-        u32::MAX
-    } else {
-        t as u32
-    }
-}
-
-impl AliasTable {
-    /// Builds the table for (unnormalized, non-negative) `weights` over
-    /// `lo .. lo + weights.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two weights are given (degenerate draws are a
-    /// caller concern — see [`WideBinomial::Const`]) or if the support
-    /// exceeds `u32` slot indexing.
-    pub(crate) fn build(lo: u64, weights: &[f64]) -> Self {
-        assert!(weights.len() >= 2, "degenerate support belongs to Const");
-        let k = weights.len().next_power_of_two();
-        assert!(k <= 1 << 31, "alias support too wide for u32 slots");
-        let shift = 64 - k.trailing_zeros();
-        let total: f64 = weights.iter().sum();
-        debug_assert!(total > 0.0 && total.is_finite(), "weights must have positive mass");
-        let mut scaled: Vec<f64> = weights.iter().map(|w| w * (k as f64) / total).collect();
-        scaled.resize(k, 0.0);
-
-        let mut threshold = vec![u32::MAX; k];
-        let mut alias: Vec<u32> = (0..k as u32).collect();
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &w) in scaled.iter().enumerate() {
-            if w < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            threshold[s as usize] = alias_threshold(scaled[s as usize]);
-            alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers in either list hold (up to fp residue) exactly one
-        // unit of mass: full slots that never divert to an alias.
-        for &i in small.iter().chain(large.iter()) {
-            threshold[i as usize] = u32::MAX;
-            alias[i as usize] = i;
-        }
-
-        let slots = threshold
-            .into_iter()
-            .zip(alias)
-            .map(|(t, a)| (u64::from(t) << 32) | u64::from(a))
-            .collect();
-        Self { lo, shift, slots }
-    }
-
-    /// Draws one support value from a uniform `u64` word.
-    #[inline]
-    pub(crate) fn draw(&self, word: u64) -> u64 {
-        let j = (word >> self.shift) as usize;
-        let slot = self.slots[j];
-        let k = if (word as u32) < (slot >> 32) as u32 { j as u32 } else { slot as u32 };
-        self.lo + u64::from(k)
-    }
-}
-
-/// The wide engine's per-`(n, p)` binomial sampler: one uniform `u64`
-/// word in, one variate out — the counter-rng-friendly counterpart of the
-/// BINV/BTRS [`Plan`].
-///
-/// Dispatch: degenerate pairs are constants; supports up to
-/// [`MAX_ALIAS_SUPPORT`] wide get a truncated-pmf [`AliasTable`] (this
-/// covers both the BINV and the BTRS regime of the scalar dispatch,
-/// including huge-`n`/tiny-`p` corners); wider spreads fall back to the
-/// scalar plan driven by a temporary rng seeded from the word.
-#[derive(Debug, Clone)]
-pub(crate) enum WideBinomial {
-    /// Degenerate `(n, p)`: the draw is a constant.
-    Const(u64),
-    /// Truncated-support alias table (the wide fast path).
-    Alias(AliasTable),
-    /// Spread too wide to tabulate: scalar BINV/BTRS plan behind a
-    /// word-seeded temporary rng.
-    Scalar {
-        /// The scalar sampler plan for this `(n, p)`.
-        plan: Plan,
-        /// The trial count the plan was built for.
-        n: u64,
-    },
-}
-
-impl WideBinomial {
-    /// Builds the sampler for one exact `(n, p)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub(crate) fn build(n: u64, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        match pmf_window(n, p, MAX_ALIAS_SUPPORT) {
-            Some((lo, weights)) if weights.len() == 1 => WideBinomial::Const(lo),
-            Some((lo, weights)) => WideBinomial::Alias(AliasTable::build(lo, &weights)),
-            None => {
-                let plan = with_lnfact(n, |lnfact| Plan::build(n, p, lnfact));
-                WideBinomial::Scalar { plan, n }
-            }
-        }
-    }
-
-    /// Draws one variate from a uniform `u64` word.
-    #[inline]
-    pub(crate) fn sample(&self, word: u64) -> u64 {
-        match self {
-            WideBinomial::Const(k) => *k,
-            WideBinomial::Alias(table) => table.draw(word),
-            WideBinomial::Scalar { plan, n } => {
-                let mut rng = rng_from(word);
-                with_lnfact(*n, |lnfact| plan.sample_with(&mut rng, *n, lnfact))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,151 +550,5 @@ mod tests {
     fn btrs_guards_preconditions() {
         let mut rng = rng_from(0);
         let _ = btrs(&mut rng, 10, 0.1);
-    }
-
-    // ---- Wide-path (one-word) sampler: DKW quantile-level coverage ----
-
-    use crate::rng::counter_rng;
-
-    /// `P(X ≤ k)` for `k ∈ lo..=hi`, computed independently of the wide
-    /// path's ratio recurrence: each pmf term is a direct log-space
-    /// `ln_gamma` evaluation. Callers choose `lo` far enough below the
-    /// mean (≥ 10σ) that the missing lower tail is negligible.
-    fn exact_cdf_window(n: u64, p: f64, lo: u64, hi: u64) -> Vec<f64> {
-        let lnp = p.ln();
-        let lnq = (-p).ln_1p();
-        let nf = n as f64;
-        let ln_pmf = |k: u64| {
-            let kf = k as f64;
-            ln_gamma(nf + 1.0) - ln_gamma(kf + 1.0) - ln_gamma(nf - kf + 1.0)
-                + kf * lnp
-                + (nf - kf) * lnq
-        };
-        let mut acc = 0.0f64;
-        (lo..=hi)
-            .map(|k| {
-                acc += ln_pmf(k).exp();
-                acc
-            })
-            .collect()
-    }
-
-    /// DKW band check for the wide sampler: with `N` draws the empirical
-    /// CDF stays within `sqrt(ln(2/α)/(2N))` of the exact CDF everywhere,
-    /// simultaneously over all quantile levels (α = 1e-9), plus a 1e-6
-    /// allowance for the window truncation and threshold quantization.
-    fn dkw_check_wide(n: u64, p: f64, draws: usize, seed: u64) {
-        let sampler = WideBinomial::build(n, p);
-        let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for i in 0..draws {
-            let k = sampler.sample(counter_rng(seed, i as u64));
-            assert!(k <= n, "n={n} p={p}: draw {k} out of range");
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        let mean = n as f64 * p;
-        let sd = (n as f64 * p * (1.0 - p)).sqrt();
-        let lo = (mean - 12.0 * sd).floor().max(0.0) as u64;
-        let hi = (((mean + 12.0 * sd).ceil()) as u64).min(n);
-        for &k in counts.keys() {
-            assert!((lo..=hi).contains(&k), "n={n} p={p}: draw {k} outside ±12σ");
-        }
-        let cdf = exact_cdf_window(n, p, lo, hi);
-        let mut emp = 0u64;
-        let mut sup = 0.0f64;
-        for (idx, k) in (lo..=hi).enumerate() {
-            emp += counts.get(&k).copied().unwrap_or(0);
-            sup = sup.max((emp as f64 / draws as f64 - cdf[idx]).abs());
-        }
-        let eps = ((2.0f64 / 1e-9).ln() / (2.0 * draws as f64)).sqrt();
-        assert!(sup <= eps + 1e-6, "n={n} p={p}: sup|F̂−F| = {sup} > DKW band {eps}");
-    }
-
-    #[test]
-    fn wide_sampler_dkw_binv_regime() {
-        // n·p < 10: the scalar dispatch would pick BINV; the wide path
-        // tabulates the same law.
-        dkw_check_wide(50, 0.05, 20_000, 101);
-        dkw_check_wide(1000, 0.001, 20_000, 102);
-    }
-
-    #[test]
-    fn wide_sampler_dkw_btrs_regime() {
-        dkw_check_wide(1000, 0.3, 20_000, 103);
-        dkw_check_wide(100, 0.5, 20_000, 104);
-    }
-
-    #[test]
-    fn wide_sampler_dkw_dispatch_boundary() {
-        // n·q straddling 10, where the scalar path switches BINV ↔ BTRS;
-        // the wide law must be seamless across the boundary.
-        dkw_check_wide(100, 0.0999, 20_000, 105);
-        dkw_check_wide(100, 0.1001, 20_000, 106);
-    }
-
-    #[test]
-    fn wide_sampler_dkw_reflection() {
-        dkw_check_wide(1000, 0.9, 20_000, 107);
-        dkw_check_wide(64, 0.99, 20_000, 108);
-    }
-
-    #[test]
-    fn wide_sampler_dkw_huge_n_tiny_p() {
-        // n = 10⁸, p = 10⁻⁶: the q^n corner whose log-space restart PR 4
-        // fixed in BINV. The mode-outward window build never forms q^n, so
-        // the wide path cannot reintroduce the underflow; it must land on
-        // the alias fast path and pass the same DKW band.
-        let sampler = WideBinomial::build(100_000_000, 1e-6);
-        assert!(matches!(sampler, WideBinomial::Alias(_)), "±7.5σ ≈ 150 values fits the table");
-        dkw_check_wide(100_000_000, 1e-6, 20_000, 109);
-    }
-
-    #[test]
-    fn wide_sampler_scalar_fallback_dkw() {
-        // n = 10⁸, p = ½: σ = 5000, far too wide to tabulate — the wide
-        // build must fall back to the scalar BTRS plan and still pass DKW
-        // through the word-seeded temporary rng.
-        let sampler = WideBinomial::build(100_000_000, 0.5);
-        assert!(matches!(sampler, WideBinomial::Scalar { .. }));
-        dkw_check_wide(100_000_000, 0.5, 20_000, 110);
-    }
-
-    #[test]
-    fn wide_sampler_degenerate_cases_are_draw_free_constants() {
-        for (n, p, expect) in [(0u64, 0.7, 0u64), (100, 0.0, 0), (100, 1.0, 100)] {
-            let sampler = WideBinomial::build(n, p);
-            assert!(matches!(sampler, WideBinomial::Const(k) if k == expect), "n={n} p={p}");
-            assert_eq!(sampler.sample(0xDEAD_BEEF), expect);
-        }
-    }
-
-    #[test]
-    fn pmf_window_is_centered_and_normalizable() {
-        for &(n, p) in &[(40u64, 0.25), (1000, 0.004), (1000, 0.996), (100_000_000, 1e-6)] {
-            let (lo, w) = pmf_window(n, p, MAX_ALIAS_SUPPORT).expect("narrow support");
-            let mode = (((n as f64) + 1.0) * p).floor().min(n as f64) as u64;
-            assert!(lo <= mode && mode < lo + w.len() as u64, "n={n} p={p}");
-            assert_eq!(w[(mode - lo) as usize], 1.0, "mode weight is the reference");
-            assert!(w.iter().all(|&x| (PMF_WINDOW_REL_EPS..=1.0).contains(&x)));
-            assert!(lo + w.len() as u64 - 1 <= n);
-        }
-        assert!(pmf_window(100_000_000, 0.5, MAX_ALIAS_SUPPORT).is_none(), "σ=5000 over-wide");
-    }
-
-    #[test]
-    fn alias_table_reproduces_small_pmf_exactly() {
-        // Three-point law with known weights; 2e5 one-word draws must land
-        // within ~3σ of each cell's expectation.
-        let table = AliasTable::build(10, &[0.2, 0.5, 0.3]);
-        let draws = 200_000usize;
-        let mut counts = [0u64; 3];
-        for i in 0..draws {
-            let v = table.draw(counter_rng(77, i as u64));
-            counts[(v - 10) as usize] += 1;
-        }
-        for (i, &expect) in [0.2f64, 0.5, 0.3].iter().enumerate() {
-            let freq = counts[i] as f64 / draws as f64;
-            let se = (expect * (1.0 - expect) / draws as f64).sqrt();
-            assert!((freq - expect).abs() < 4.0 * se, "cell {i}: {freq} vs {expect}");
-        }
     }
 }

@@ -40,12 +40,6 @@ use crate::binomial::sample_binomial;
 use crate::rng::SimRng;
 use crate::run::Simulator;
 
-/// Stream salt for engines that derive per-round perturbation randomness
-/// from counter streams (the wide engine): XORing the replica stream with
-/// this constant yields an env stream independent of the transition
-/// stream while staying pure in `(stream, round)`.
-pub const ENV_STREAM_SALT: u64 = 0x0005_EED0_E7B0_D157_u64;
-
 /// Default adaptive-reset threshold: fire when 90% of the population
 /// holds the correct opinion.
 const DEFAULT_ADAPTIVE_PPM: u32 = 900_000;

@@ -14,13 +14,11 @@
 //!   `n = 2²⁰` sweeps.
 //!
 //! Replication sweeps step the aggregate chain for a whole batch of
-//! replicas at once: [`lockstep::LockstepSim`] advances them in lock-step,
-//! generic over how one replica-round is drawn — [`batched::SeededDraw`]
-//! (per-replica rngs, bit-identical to `AggregateSim`; the
-//! [`BatchedAggregateSim`] default) or [`wide::CounterDraw`] (counter
-//! streams and fused alias draws; [`WideBatchedSim`], `--engine wide`) —
-//! and [`lockstep::replicate_lockstep`] shards the batches over the
-//! worker pool.
+//! replicas at once: [`lockstep::LockstepSim`] advances them in lock-step
+//! on per-replica seeded rngs and one shared per-state plan cache, every
+//! replica bit-identical to a solo `AggregateSim` with the same seed, and
+//! [`lockstep::replicate_lockstep`] shards the batches over the worker
+//! pool.
 //!
 //! Plus the sequential-setting simulator ([`sequential::SequentialSim`]),
 //! the Voter *dual process* of coalescing backward random walks used in the
@@ -51,7 +49,6 @@
 
 pub mod agent;
 pub mod aggregate;
-pub mod batched;
 pub mod binomial;
 pub mod consensus;
 pub mod dual;
@@ -66,17 +63,14 @@ pub mod runner;
 pub mod sequential;
 pub mod stateful;
 pub mod trajectory;
-pub mod wide;
 
 pub use agent::AgentSim;
 pub use aggregate::AggregateSim;
-pub use batched::{BatchedAggregateSim, SeededDraw};
 pub use env::{run_env, run_env_observed, EnvRunStats, EnvSchedule, ResetSpec, ResetTrigger};
-pub use lockstep::{replicate_lockstep, Draw, LockstepSim};
+pub use lockstep::{replicate_lockstep, LockstepSim};
 pub use rng::{rng_from, SimRng};
 pub use run::{
     run_to_consensus, run_to_consensus_observed, run_with_exit_detection,
     run_with_exit_detection_observed, Outcome, Simulator, StabilityOutcome,
 };
 pub use runner::{replicate, replicate_indices_observed, replicate_observed, replicate_spawn};
-pub use wide::{CounterDraw, WideBatchedSim};

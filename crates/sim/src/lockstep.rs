@@ -2,100 +2,55 @@
 //!
 //! [`LockstepSim`] advances `B` independent replications of the aggregate
 //! process one parallel round at a time, in struct-of-arrays layout: one
-//! contiguous `ones` vector and one contiguous stream vector, walked
-//! linearly per round. All replicas share a single read-only [`Kernel`] and
-//! a single per-state cache, so when the replicas cluster in the same
-//! narrow band of states — hovering, or near absorption — almost every
-//! round reuses a cached kernel evaluation and sampler setup.
+//! contiguous `ones` vector and one contiguous rng vector, walked linearly
+//! per round. All replicas share a single read-only [`Kernel`] and a
+//! single per-state cache of BINV/BTRS plans, so when the replicas cluster
+//! in the same narrow band of states — hovering, or near absorption —
+//! almost every round reuses a cached kernel evaluation and sampler setup.
 //!
-//! How one replica-round is drawn is the type parameter, a [`Draw`]:
-//!
-//! * [`SeededDraw`](crate::batched::SeededDraw) gives each replica its own
-//!   seeded [`SimRng`](crate::rng::SimRng) and caches
-//!   BINV/BTRS plans, so every trajectory is bit-identical to the
-//!   per-replica [`AggregateSim`](crate::aggregate::AggregateSim)
-//!   ([`BatchedAggregateSim`](crate::batched::BatchedAggregateSim), the
-//!   default engine).
-//! * [`CounterDraw`](crate::wide::CounterDraw) draws each replica-round
-//!   from a counter-based word through fused alias tables
-//!   ([`WideBatchedSim`](crate::wide::WideBatchedSim), `--engine wide`).
-//!
-//! Everything around the draw exists once, here: the live arrays and their
-//! retirement, perturbation at a round boundary, the observed round loop
-//! [`LockstepSim::run`] and the pooled driver [`replicate_lockstep`].
+//! Each replica draws from its own seeded [`SimRng`], derived from its
+//! replication index alone and consumed only by that replica's own draws.
+//! A round out of `x` draws exactly what the solo
+//! [`AggregateSim`](crate::aggregate::AggregateSim) draws from the same
+//! rng, and an environment perturbation draws from the same rng too, so
+//! every replica's trajectory is bit-identical to running it solo with the
+//! same seed (`batched_matches_solo_bit_for_bit` pins this).
 //!
 //! Replicas that reach the correct consensus are **retired** by
 //! `swap_remove`, keeping the live arrays dense; the hot loop never
-//! branches on dead replicas. Retirement is pure bookkeeping: a replica's
-//! stream is derived from its replication index alone and consumed only by
-//! that replica's own draws, so no batch composition, retirement order or
-//! chunking can change a trajectory.
+//! branches on dead replicas. Retirement is pure bookkeeping, so no batch
+//! composition, retirement order or chunking can change a trajectory.
+//! The pooled driver [`replicate_lockstep`] shards replication indices
+//! into batches over the worker pool.
 
-use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
 use bitdissem_core::{Configuration, Kernel};
 use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer};
 use bitdissem_pool::{effective_parallelism, Pool};
 
+use crate::binomial::with_lnfact;
 use crate::env::EnvSchedule;
-use crate::rng::replication_seed;
+use crate::rng::{replication_seed, rng_from, SimRng};
+use crate::roundplan::{RoundPlan, StateCache};
 use crate::run::Outcome;
 
-/// How a lock-step batch draws one round: the per-replica stream, the
-/// per-state cache and the round body, plus the shard sizes the pooled
-/// driver uses. Implemented by [`SeededDraw`](crate::batched::SeededDraw)
-/// and [`CounterDraw`](crate::wide::CounterDraw).
-pub trait Draw: Debug + Sized {
-    /// One replica's randomness.
-    type Stream: Debug;
-    /// Chunks per pool worker that [`replicate_lockstep`] aims for.
-    const CHUNKS_PER_WORKER: usize;
-    /// Smallest chunk a pool task steps lock-step.
-    const MIN_CHUNK: usize;
-    /// Largest chunk a pool task steps lock-step.
-    const MAX_CHUNK: usize;
+// `replicate_lockstep` aims for about four chunks per pool worker, each of
+// 8 to 64 replicas: wide enough to share the plan cache, narrow enough that
+// work-stealing can balance heavy-tailed convergence times.
+const CHUNKS_PER_WORKER: usize = 4;
+const MIN_CHUNK: usize = 8;
+const MAX_CHUNK: usize = 64;
 
-    /// The draw state of a batch on `n` agents: an empty per-state cache.
-    fn new(n: u64) -> Self;
-
-    /// The stream of the replica whose replication seed is `seed`.
-    fn stream(seed: u64) -> Self::Stream;
-
-    /// Advances every live replica by one round: `ones[i]` becomes the
-    /// next ones-count of the replica drawing from `streams[i]`. `round`
-    /// counts the rounds completed before this one.
-    fn step(
-        &mut self,
-        kernel: &Kernel,
-        z: u64,
-        round: u64,
-        ones: &mut [u64],
-        streams: &mut [Self::Stream],
-    );
-
-    /// Applies `env` at boundary `t` to one replica in state `(z, x)` and
-    /// returns the number of perturbation events, drawing the
-    /// perturbations' randomness from the replica's `stream`.
-    fn perturb(
-        env: &EnvSchedule,
-        t: u64,
-        n: u64,
-        z: &mut u64,
-        x: &mut u64,
-        stream: &mut Self::Stream,
-    ) -> u64;
-}
-
-/// `B` replicas of the aggregate chain stepped in lock-step, each round
-/// drawn by `D`.
+/// `B` replicas of the aggregate chain stepped in lock-step on seeded
+/// per-replica rngs; see the module docs.
 ///
 /// Construction seeds every replica from the same start configuration;
 /// replicas already at the correct consensus are retired immediately with
 /// a convergence round of 0, matching the solo run-loop convention that
 /// consensus is checked *before* stepping.
 #[derive(Debug)]
-pub struct LockstepSim<D: Draw> {
+pub struct LockstepSim {
     kernel: Arc<Kernel>,
     n: u64,
     /// Source contribution to the count of ones (1 iff the correct opinion
@@ -107,7 +62,7 @@ pub struct LockstepSim<D: Draw> {
     round: u64,
     // Dense live arrays, parallel by position.
     live_ones: Vec<u64>,
-    live_streams: Vec<D::Stream>,
+    live_rngs: Vec<SimRng>,
     live_rep: Vec<usize>,
     /// Position of each replica in the live arrays (`usize::MAX` once
     /// retired).
@@ -123,12 +78,13 @@ pub struct LockstepSim<D: Draw> {
     /// schedule that can knock a replica off consensus: consensus is no
     /// longer absorbing, so a retired replica would report a stale state.
     retire_on_consensus: bool,
-    draw: D,
+    /// BINV/BTRS plans by state `(x, z)`, shared by every replica.
+    plans: StateCache<RoundPlan>,
 }
 
-impl<D: Draw> LockstepSim<D> {
+impl LockstepSim {
     /// Creates a batch of `seeds.len()` replicas, all starting from
-    /// `start`, with replica `i` drawing from the stream of `seeds[i]`.
+    /// `start`, with replica `i` drawing from `rng_from(seeds[i])`.
     #[must_use]
     pub fn new(kernel: Arc<Kernel>, start: Configuration, seeds: &[u64]) -> Self {
         Self::with_retirement(kernel, start, seeds, true)
@@ -146,17 +102,6 @@ impl<D: Draw> LockstepSim<D> {
         seeds: &[u64],
         retire_on_consensus: bool,
     ) -> Self {
-        let draw = D::new(start.n());
-        Self::with_draw(kernel, start, seeds, retire_on_consensus, draw)
-    }
-
-    pub(crate) fn with_draw(
-        kernel: Arc<Kernel>,
-        start: Configuration,
-        seeds: &[u64],
-        retire_on_consensus: bool,
-        draw: D,
-    ) -> Self {
         let n = start.n();
         let z = u64::from(start.correct().as_bit());
         let target = if z == 1 { n } else { 0 };
@@ -168,13 +113,13 @@ impl<D: Draw> LockstepSim<D> {
             target,
             round: 0,
             live_ones: Vec::with_capacity(b),
-            live_streams: Vec::with_capacity(b),
+            live_rngs: Vec::with_capacity(b),
             live_rep: Vec::with_capacity(b),
             pos_of_rep: vec![usize::MAX; b],
             ones_by_rep: vec![start.ones(); b],
             converged_at: vec![None; b],
             retire_on_consensus,
-            draw,
+            plans: StateCache::new(n),
         };
         for (rep, &seed) in seeds.iter().enumerate() {
             if start.ones() == target {
@@ -185,7 +130,7 @@ impl<D: Draw> LockstepSim<D> {
             }
             sim.pos_of_rep[rep] = sim.live_ones.len();
             sim.live_ones.push(start.ones());
-            sim.live_streams.push(D::stream(seed));
+            sim.live_rngs.push(rng_from(seed));
             sim.live_rep.push(rep);
         }
         sim
@@ -229,9 +174,17 @@ impl<D: Draw> LockstepSim<D> {
     /// Advances every live replica by one parallel round, then retires the
     /// replicas that reached the correct consensus.
     pub fn step_round(&mut self) {
-        let round = self.round;
         self.round += 1;
-        self.draw.step(&self.kernel, self.z, round, &mut self.live_ones, &mut self.live_streams);
+        // One table access for the whole chunk-round. Perturbations draw
+        // through `sample_binomial`, which enters the table itself, so they
+        // stay outside it, between rounds.
+        let (kernel, z, plans) = (&*self.kernel, self.z, &mut self.plans);
+        let (ones, rngs) = (self.live_ones.as_mut_slice(), self.live_rngs.as_mut_slice());
+        with_lnfact(plans.n(), |lnfact| {
+            for (x, rng) in ones.iter_mut().zip(rngs) {
+                *x = plans.step(kernel, z, *x, rng, lnfact);
+            }
+        });
         debug_assert!(self.live_ones.iter().all(|&x| x <= self.n));
         // Retire in a separate dense sweep so the sampling loop stays
         // branch-light; swap_remove keeps the arrays packed.
@@ -253,8 +206,10 @@ impl<D: Draw> LockstepSim<D> {
 
     /// Applies the environment schedule at the current round boundary
     /// (`t = self.round`), drawing each replica's perturbation randomness
-    /// through [`Draw::perturb`]. Returns the number of perturbation events
-    /// across the batch.
+    /// from its own rng — exactly the draws the solo
+    /// [`run_to_consensus_observed`](crate::run::run_to_consensus_observed)
+    /// loop makes under a schedule. Returns the number of perturbation
+    /// events across the batch.
     ///
     /// Source flips are time-scheduled, so every replica computes the same
     /// new `z`; the shared `z`/`target` pair is committed after the sweep.
@@ -264,9 +219,9 @@ impl<D: Draw> LockstepSim<D> {
         let t = self.round;
         let mut events_total = 0u64;
         let mut new_z = self.z;
-        for (x, stream) in self.live_ones.iter_mut().zip(self.live_streams.iter_mut()) {
+        for (x, rng) in self.live_ones.iter_mut().zip(self.live_rngs.iter_mut()) {
             let mut z = self.z;
-            events_total += D::perturb(env, t, self.n, &mut z, x, stream);
+            events_total += env.apply_aggregate(t, self.n, &mut z, x, rng);
             new_z = z;
         }
         if new_z != self.z {
@@ -281,7 +236,7 @@ impl<D: Draw> LockstepSim<D> {
         self.ones_by_rep[rep] = self.live_ones[pos];
         self.pos_of_rep[rep] = usize::MAX;
         self.live_ones.swap_remove(pos);
-        self.live_streams.swap_remove(pos);
+        self.live_rngs.swap_remove(pos);
         self.live_rep.swap_remove(pos);
         if pos < self.live_rep.len() {
             self.pos_of_rep[self.live_rep[pos]] = pos;
@@ -317,7 +272,7 @@ impl<D: Draw> LockstepSim<D> {
     /// and perturbation counters so totals match the solo path (a replica
     /// is charged `ℓ·n` samples only for rounds it ran). `reps[i]` is the
     /// trace label of batch replica `i` (its replication index within the
-    /// experiment). Instrumentation never touches a stream, so outcomes are
+    /// experiment). Instrumentation never touches an rng, so outcomes are
     /// identical to the unobserved run.
     ///
     /// # Panics
@@ -450,7 +405,7 @@ impl<D: Draw> LockstepSim<D> {
 }
 
 #[cfg(test)]
-impl<D: Draw> LockstepSim<D> {
+impl LockstepSim {
     /// [`LockstepSim::run`] without a schedule or instrumentation.
     pub(crate) fn run_plain(&mut self, budget: u64) -> Vec<Outcome> {
         let labels: Vec<u64> = (0..self.batch_size() as u64).collect();
@@ -459,25 +414,24 @@ impl<D: Draw> LockstepSim<D> {
 }
 
 /// Runs the replications named by `indices` through lock-step batches
-/// drawn by `D` over the shared worker pool, and returns their outcomes
-/// **in the order of `indices`**.
+/// over the shared worker pool, and returns their outcomes **in the order
+/// of `indices`**.
 ///
 /// The lock-step counterpart of
 /// [`replicate_indices_observed`](crate::runner::replicate_indices_observed):
-/// replica `rep` draws from the stream of `replication_seed(base_seed,
-/// rep)`, so outcomes are bit-identical for every thread count, chunk
-/// layout and partition of the index set across calls (the
-/// checkpoint-splicing contract). Each batch runs [`LockstepSim::run`]
-/// under `env`. The pool shards `indices` into about
-/// [`Draw::CHUNKS_PER_WORKER`] chunks per worker, each of
-/// [`Draw::MIN_CHUNK`] to [`Draw::MAX_CHUNK`] replicas.
+/// replica `rep` draws from `rng_from(replication_seed(base_seed, rep))`,
+/// so outcomes are bit-identical to the per-replica engine for every
+/// thread count, chunk layout and partition of the index set across calls
+/// (the checkpoint-splicing contract). Each batch runs
+/// [`LockstepSim::run`] under `env`. The pool shards `indices` into about
+/// four chunks per worker, each of 8 to 64 replicas.
 ///
 /// # Panics
 ///
 /// Panics if any batch task panics (the panic is propagated).
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn replicate_lockstep<D: Draw>(
+pub fn replicate_lockstep(
     kernel: &Arc<Kernel>,
     start: Configuration,
     indices: &[usize],
@@ -494,7 +448,7 @@ pub fn replicate_lockstep<D: Draw>(
     let cap = threads.unwrap_or_else(effective_parallelism).clamp(1, tasks);
     // Chunk boundaries never affect results; several chunks per worker let
     // stealing balance convergence-time skew.
-    let chunk = tasks.div_ceil(cap * D::CHUNKS_PER_WORKER).clamp(D::MIN_CHUNK, D::MAX_CHUNK);
+    let chunk = tasks.div_ceil(cap * CHUNKS_PER_WORKER).clamp(MIN_CHUNK, MAX_CHUNK);
 
     let _scope = obs.scope("replicate");
     if obs.metrics_on() {
@@ -511,7 +465,7 @@ pub fn replicate_lockstep<D: Draw>(
             chunk_indices.iter().map(|&rep| replication_seed(base_seed, rep as u64)).collect();
         let labels: Vec<u64> = chunk_indices.iter().map(|&rep| rep as u64).collect();
         let outcomes =
-            LockstepSim::<D>::new(Arc::clone(kernel), start, &seeds).run(budget, env, obs, &labels);
+            LockstepSim::new(Arc::clone(kernel), start, &seeds).run(budget, env, obs, &labels);
         {
             let mut slots = slots.lock().expect("lock-step replication slots poisoned");
             for (offset, outcome) in outcomes.into_iter().enumerate() {
@@ -536,45 +490,17 @@ pub fn replicate_lockstep<D: Draw>(
         .collect()
 }
 
-/// The draw-generic contracts of a lock-step batch, one function over the
-/// draw each. `contract_tests!` instantiates all of them as `#[test]`s in a
-/// draw's own test module, under the same names, so every draw is held to
-/// every contract.
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use std::sync::atomic::Ordering;
 
     use super::*;
-    use bitdissem_core::dynamics::{Stay, Voter};
+    use crate::aggregate::AggregateSim;
+    use crate::run::{run_to_consensus, run_to_consensus_observed, Simulator};
+    use crate::runner::replicate_indices_observed;
+    use bitdissem_core::dynamics::{Minority, Stay, Voter};
     use bitdissem_core::{Opinion, ProtocolExt};
     use bitdissem_obs::MemorySink;
-
-    /// `#[test]` wrappers running every contract below on the draw `$draw`.
-    macro_rules! contract_tests {
-        ($draw:ty) => {
-            $crate::lockstep::tests::contract_tests!(
-                $draw;
-                already_converged_start_retires_everything_at_round_zero,
-                stay_times_out_with_the_budget,
-                zero_budget_means_no_steps,
-                retirement_keeps_survivor_bookkeeping_consistent,
-                no_retire_mode_keeps_stepping_past_first_consensus,
-                observed_no_retire_run_emits_one_row_per_round_and_one_finish,
-                observed_run_matches_unobserved_and_counts_metrics,
-                observed_timeout_emits_timed_out_finishes,
-                observed_respects_round_stride
-            );
-        };
-        ($draw:ty; $($contract:ident),*) => {
-            $(
-                #[test]
-                fn $contract() {
-                    $crate::lockstep::tests::$contract::<$draw>();
-                }
-            )*
-        };
-    }
-    pub(crate) use contract_tests;
 
     fn kernel_of(protocol: &dyn bitdissem_core::Protocol, n: u64) -> Arc<Kernel> {
         Arc::new(protocol.to_table(n).unwrap().compile().unwrap())
@@ -584,11 +510,12 @@ pub(crate) mod tests {
         (0..reps).map(|rep| replication_seed(base, rep as u64)).collect()
     }
 
-    pub(crate) fn already_converged_start_retires_everything_at_round_zero<D: Draw>() {
+    #[test]
+    fn already_converged_start_retires_everything_at_round_zero() {
         let n = 64;
         let kernel = kernel_of(&Voter::new(1).unwrap(), n);
         let start = Configuration::correct_consensus(n, Opinion::One);
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(1, 5));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(1, 5));
         assert_eq!(batch.live(), 0);
         assert_eq!(batch.run_plain(100), vec![Outcome::Converged { rounds: 0 }; 5]);
         for rep in 0..5 {
@@ -597,31 +524,34 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn stay_times_out_with_the_budget<D: Draw>() {
+    #[test]
+    fn stay_times_out_with_the_budget() {
         let n = 32;
         let kernel = kernel_of(&Stay::new(1), n);
         let start = Configuration::all_wrong(n, Opinion::One);
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(3, 4));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(3, 4));
         assert_eq!(batch.run_plain(50), vec![Outcome::TimedOut { rounds: 50 }; 4]);
         assert_eq!(batch.round(), 50);
     }
 
-    pub(crate) fn zero_budget_means_no_steps<D: Draw>() {
+    #[test]
+    fn zero_budget_means_no_steps() {
         let n = 32;
         let kernel = kernel_of(&Voter::new(1).unwrap(), n);
         let start = Configuration::all_wrong(n, Opinion::One);
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(3, 3));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(3, 3));
         assert_eq!(batch.run_plain(0), vec![Outcome::TimedOut { rounds: 0 }; 3]);
         assert_eq!(batch.round(), 0);
     }
 
-    pub(crate) fn retirement_keeps_survivor_bookkeeping_consistent<D: Draw>() {
+    #[test]
+    fn retirement_keeps_survivor_bookkeeping_consistent() {
         // Replicas converge at different rounds; ones_of/converged_at must
         // stay coherent through the swap_removes.
         let n = 100;
         let kernel = kernel_of(&Voter::new(1).unwrap(), n);
         let start = Configuration::new(n, Opinion::One, 50).unwrap();
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(11, 16));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(11, 16));
         let outcomes = batch.run_plain(500_000);
         let distinct: std::collections::HashSet<u64> =
             outcomes.iter().filter_map(Outcome::rounds).collect();
@@ -634,7 +564,8 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn no_retire_mode_keeps_stepping_past_first_consensus<D: Draw>() {
+    #[test]
+    fn no_retire_mode_keeps_stepping_past_first_consensus() {
         // Conformance contract: with retirement off, a replica that hits
         // the (old) consensus keeps its first-hit round but stays live, so
         // a post-flip checkpoint reads its true, perturbed state.
@@ -643,8 +574,7 @@ pub(crate) mod tests {
         let start = Configuration::new(n, Opinion::One, 40).unwrap();
         let env: EnvSchedule = "flip@400".parse().unwrap();
         let reps = 6usize;
-        let mut batch =
-            LockstepSim::<D>::with_retirement(kernel, start, &seeds_for(9, reps), false);
+        let mut batch = LockstepSim::with_retirement(kernel, start, &seeds_for(9, reps), false);
         let labels: Vec<u64> = (0..reps as u64).collect();
         let outcomes = batch.run(800, Some(&env), &Obs::none(), &labels);
         assert_eq!(batch.live(), reps, "nothing retires without retirement");
@@ -657,7 +587,8 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn observed_no_retire_run_emits_one_row_per_round_and_one_finish<D: Draw>() {
+    #[test]
+    fn observed_no_retire_run_emits_one_row_per_round_and_one_finish() {
         // Without retirement every replica steps to the budget, so it
         // reports each round 1..=budget exactly once and finishes exactly
         // once, as `outcomes` says: `Converged` at its first hit (round 0
@@ -671,7 +602,7 @@ pub(crate) mod tests {
             let start = Configuration::new(n, Opinion::One, x0).unwrap();
             let sink = Arc::new(MemorySink::new());
             let obs = Obs::none().with_sink(Arc::clone(&sink) as _);
-            let mut batch = LockstepSim::<D>::with_retirement(
+            let mut batch = LockstepSim::with_retirement(
                 Arc::clone(&kernel),
                 start,
                 &seeds_for(9, reps),
@@ -712,20 +643,21 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn observed_run_matches_unobserved_and_counts_metrics<D: Draw>() {
+    #[test]
+    fn observed_run_matches_unobserved_and_counts_metrics() {
         let n = 80;
         let kernel = kernel_of(&Voter::new(1).unwrap(), n);
         let start = Configuration::new(n, Opinion::One, 30).unwrap();
         let reps = 6usize;
         let budget = 100_000;
 
-        let plain = LockstepSim::<D>::new(Arc::clone(&kernel), start, &seeds_for(5, reps))
-            .run_plain(budget);
+        let plain =
+            LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(5, reps)).run_plain(budget);
 
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::none().with_sink(Arc::clone(&sink) as _).with_metrics();
         let labels: Vec<u64> = (0..reps as u64).collect();
-        let observed = LockstepSim::<D>::new(Arc::clone(&kernel), start, &seeds_for(5, reps))
+        let observed = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(5, reps))
             .run(budget, None, &obs, &labels);
         assert_eq!(plain, observed);
 
@@ -775,13 +707,14 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn observed_timeout_emits_timed_out_finishes<D: Draw>() {
+    #[test]
+    fn observed_timeout_emits_timed_out_finishes() {
         let n = 16;
         let kernel = kernel_of(&Stay::new(1), n);
         let start = Configuration::all_wrong(n, Opinion::One);
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::none().with_sink(Arc::clone(&sink) as _);
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(2, 3));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(2, 3));
         let outcomes = batch.run(25, None, &obs, &[0, 1, 2]);
         assert_eq!(outcomes, vec![Outcome::TimedOut { rounds: 25 }; 3]);
         let finishes = sink
@@ -801,13 +734,14 @@ pub(crate) mod tests {
         assert_eq!(finishes, 3);
     }
 
-    pub(crate) fn observed_respects_round_stride<D: Draw>() {
+    #[test]
+    fn observed_respects_round_stride() {
         let n = 64;
         let kernel = kernel_of(&Voter::new(1).unwrap(), n);
         let start = Configuration::new(n, Opinion::One, 20).unwrap();
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::none().with_sink(Arc::clone(&sink) as _).with_round_stride(8);
-        let mut batch = LockstepSim::<D>::new(kernel, start, &seeds_for(21, 4));
+        let mut batch = LockstepSim::new(kernel, start, &seeds_for(21, 4));
         let outcomes = batch.run(500_000, None, &obs, &[0, 1, 2, 3]);
         for (rep, outcome) in outcomes.iter().enumerate() {
             let k = outcome.rounds().unwrap();
@@ -818,5 +752,217 @@ pub(crate) mod tests {
                 .count() as u64;
             assert_eq!(round_events, k / 8, "rep {rep}: only multiples of 8 traced");
         }
+    }
+
+    #[test]
+    fn batched_matches_solo_bit_for_bit() {
+        // Every replica of the batch must reproduce the exact trajectory of
+        // a solo AggregateSim with the same seed — not just the same law.
+        let n = 300;
+        let minority = Minority::new(5).unwrap();
+        let kernel = kernel_of(&minority, n);
+        let start = Configuration::new(n, Opinion::One, 90).unwrap();
+        let base = 424_242;
+        let budget = 200_000;
+
+        let solo: Vec<Outcome> = (0..24)
+            .map(|rep| {
+                let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                let mut rng = rng_from(replication_seed(base, rep));
+                run_to_consensus(&mut sim, &mut rng, budget)
+            })
+            .collect();
+
+        let mut batch = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(base, 24));
+        let batched = batch.run_plain(budget);
+        assert_eq!(batched, solo);
+    }
+
+    #[test]
+    fn lock_step_trajectories_match_solo_round_by_round() {
+        // Stronger than outcome equality: after every lock-step round, each
+        // live replica's ones count equals the solo simulator's state at
+        // the same round.
+        let n = 200;
+        let voter = Voter::new(3).unwrap();
+        let kernel = kernel_of(&voter, n);
+        let start = Configuration::new(n, Opinion::One, 60).unwrap();
+        let base = 7;
+        let reps = 8usize;
+
+        let mut solos: Vec<(AggregateSim, SimRng)> = (0..reps)
+            .map(|rep| {
+                (
+                    AggregateSim::with_kernel(Arc::clone(&kernel), start),
+                    rng_from(replication_seed(base, rep as u64)),
+                )
+            })
+            .collect();
+        let mut batch = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(base, reps));
+
+        for _round in 0..500 {
+            if batch.live() == 0 {
+                break;
+            }
+            batch.step_round();
+            for (rep, (sim, rng)) in solos.iter_mut().enumerate() {
+                if !sim.configuration().is_correct_consensus() {
+                    sim.step_round(rng);
+                }
+                assert_eq!(
+                    batch.ones_of(rep),
+                    sim.configuration().ones(),
+                    "rep {rep} diverged at round {}",
+                    batch.round()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn driver_matches_per_replica_engine_bit_for_bit() {
+        // The pooled batched driver and the reference per-replica engine
+        // must agree on every outcome, for any thread count — including a
+        // sparse index subset (the checkpoint-splicing contract).
+        let n = 250;
+        let minority = Minority::new(3).unwrap();
+        let kernel = kernel_of(&minority, n);
+        let start = Configuration::new(n, Opinion::One, 70).unwrap();
+        let base = 99;
+        let budget = 200_000;
+        let obs = Obs::none();
+
+        let indices: Vec<usize> = (0..40).collect();
+        let reference = replicate_indices_observed(&indices, base, Some(4), &obs, |mut rng, _| {
+            let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+            run_to_consensus(&mut sim, &mut rng, budget)
+        });
+        for &threads in &[1usize, 2, 7] {
+            let batched = replicate_lockstep(
+                &kernel,
+                start,
+                &indices,
+                base,
+                Some(threads),
+                budget,
+                None,
+                &obs,
+            );
+            assert_eq!(batched, reference, "threads={threads}");
+        }
+        let sparse: Vec<usize> = (0..40).filter(|i| i % 3 == 0).collect();
+        let spliced =
+            replicate_lockstep(&kernel, start, &sparse, base, Some(2), budget, None, &obs);
+        for (pos, &rep) in sparse.iter().enumerate() {
+            assert_eq!(spliced[pos], reference[rep], "sparse rep {rep}");
+        }
+    }
+
+    #[test]
+    fn env_run_matches_solo_env_bit_for_bit() {
+        // Under an active schedule the batched engine must still reproduce
+        // the exact per-replica trajectory: perturbation draws come from
+        // each replica's own stream, in the same perturb-then-step order
+        // as the solo loop.
+        let n = 64;
+        let voter = Voter::new(1).unwrap();
+        let kernel = kernel_of(&voter, n);
+        let start = Configuration::new(n, Opinion::One, 20).unwrap();
+        let env: EnvSchedule = "flip@30,noise:0.01".parse().unwrap();
+        let base = 77;
+        let reps = 12usize;
+        let budget = 20_000;
+
+        let solo: Vec<Outcome> = (0..reps)
+            .map(|rep| {
+                let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                let mut rng = rng_from(replication_seed(base, rep as u64));
+                run_to_consensus_observed(&mut sim, &mut rng, budget, Some(&env), &Obs::none(), 0)
+            })
+            .collect();
+        assert!(solo.iter().any(Outcome::is_converged), "some replicas re-converge post-flip");
+
+        let mut batch = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(base, reps));
+        let labels: Vec<u64> = (0..reps as u64).collect();
+        assert_eq!(batch.run(budget, Some(&env), &Obs::none(), &labels), solo);
+
+        // The pooled driver agrees too, for several thread counts.
+        let indices: Vec<usize> = (0..reps).collect();
+        for &threads in &[1usize, 3] {
+            let driven = replicate_lockstep(
+                &kernel,
+                start,
+                &indices,
+                base,
+                Some(threads),
+                budget,
+                Some(&env),
+                &Obs::none(),
+            );
+            assert_eq!(driven, solo, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn opinion_samples_match_the_per_replica_engine_across_retirement() {
+        // Audit of the retirement-round accounting: replicas retired
+        // mid-run by swap_remove must be charged ℓ·n for
+        // exactly the rounds they ran — the batch metric totals have to
+        // equal the per-replica reference engine's, replica by replica in
+        // aggregate. Minority ℓ = 3 from an off-center start staggers the
+        // retirement rounds, which is the regime the ℓ·n bug family hits.
+        // Voter ℓ = 3 from a supermajority start drifts to consensus at
+        // replica-dependent rounds.
+        let n = 120;
+        let voter3 = Voter::new(3).unwrap();
+        let kernel = kernel_of(&voter3, n);
+        let start = Configuration::new(n, Opinion::One, 80).unwrap();
+        let base = 31;
+        let reps = 12usize;
+        let budget = 400_000;
+
+        let batched_obs = Obs::none().with_metrics();
+        let labels: Vec<u64> = (0..reps as u64).collect();
+        let outcomes = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(base, reps)).run(
+            budget,
+            None,
+            &batched_obs,
+            &labels,
+        );
+        let distinct: std::collections::HashSet<u64> =
+            outcomes.iter().filter_map(Outcome::rounds).collect();
+        assert!(distinct.len() > 1, "retirement must be staggered for this test to bite");
+
+        let reference_obs = Obs::none().with_metrics();
+        let indices: Vec<usize> = (0..reps).collect();
+        let reference =
+            replicate_indices_observed(&indices, base, Some(2), &reference_obs, |mut rng, rep| {
+                let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                run_to_consensus_observed(
+                    &mut sim,
+                    &mut rng,
+                    budget,
+                    None,
+                    &reference_obs,
+                    rep as u64,
+                )
+            });
+        assert_eq!(outcomes, reference);
+
+        let load = |obs: &Obs| {
+            let m = obs.metrics();
+            (
+                m.rounds_simulated.load(std::sync::atomic::Ordering::Relaxed),
+                m.opinion_samples.load(std::sync::atomic::Ordering::Relaxed),
+            )
+        };
+        let (batched_rounds, batched_samples) = load(&batched_obs);
+        let (reference_rounds, reference_samples) = load(&reference_obs);
+        assert_eq!(batched_rounds, reference_rounds);
+        assert_eq!(batched_samples, reference_samples);
+        // And both equal the closed form Σ rounds · ℓ · n.
+        let total_rounds: u64 = outcomes.iter().map(Outcome::rounds_censored).sum();
+        assert_eq!(batched_rounds, total_rounds);
+        assert_eq!(batched_samples, total_rounds * 3 * n);
     }
 }

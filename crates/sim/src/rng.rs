@@ -46,32 +46,6 @@ pub fn replication_seed(base: u64, rep: u64) -> u64 {
     splitmix64(base ^ splitmix64(rep.wrapping_add(0xA5A5_A5A5_0000_0001)))
 }
 
-/// The SplitMix64 increment ("golden gamma").
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The `counter`-th output of the SplitMix64 generator whose state starts
-/// at `stream` — a *counter-based* uniform `u64`: a pure function of
-/// `(stream, counter)` with no per-draw state to carry.
-///
-/// This is what makes the wide replication engine deterministic under
-/// sharding: a replica's draw for round `t` depends only on its stream
-/// (derived from the replication index via [`replication_seed`]) and `t`,
-/// never on batch composition, chunk layout, retirement order, or the
-/// order draws are issued in.
-///
-/// # Examples
-///
-/// ```
-/// use bitdissem_sim::rng::{counter_rng, splitmix64};
-/// // counter 0 is exactly one splitmix64 step from the stream state.
-/// assert_eq!(counter_rng(7, 0), splitmix64(7));
-/// ```
-#[inline]
-#[must_use]
-pub fn counter_rng(stream: u64, counter: u64) -> u64 {
-    splitmix64(stream.wrapping_add(counter.wrapping_mul(GOLDEN_GAMMA)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,34 +91,5 @@ mod tests {
     fn replication_seed_depends_on_both_arguments() {
         assert_ne!(replication_seed(1, 2), replication_seed(2, 1));
         assert_ne!(replication_seed(0, 0), replication_seed(0, 1));
-    }
-
-    #[test]
-    fn counter_rng_equals_iterated_splitmix() {
-        // counter_rng(s, c) must equal the (c+1)-th output of the reference
-        // splitmix64 generator: state s, advance by the golden gamma, mix.
-        for &stream in &[0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-            let mut state = stream;
-            for counter in 0..64u64 {
-                let expected = splitmix64(state);
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                assert_eq!(counter_rng(stream, counter), expected, "stream={stream} c={counter}");
-            }
-        }
-    }
-
-    #[test]
-    fn counter_rng_depends_on_both_arguments() {
-        assert_ne!(counter_rng(1, 2), counter_rng(2, 1));
-        assert_ne!(counter_rng(0, 0), counter_rng(0, 1));
-        let mut seen = HashSet::new();
-        for stream in 0..16u64 {
-            for counter in 0..256u64 {
-                assert!(
-                    seen.insert(counter_rng(stream, counter)),
-                    "collision at {stream}/{counter}"
-                );
-            }
-        }
     }
 }

@@ -1,12 +1,12 @@
-//! The per-state cache behind all three aggregate engines.
+//! The per-state cache behind the aggregate engines.
 //!
 //! For a fixed `(kernel, n)`, everything a round needs out of ones-count
 //! `x` under source opinion `z` is a pure function of `(x, z)`: the
 //! adoption probabilities `(P₀(x/n), P₁(x/n))`, the binomial counts and
-//! the samplers built from them. The per-replica and batched engines cache
-//! a [`RoundPlan`] (BINV/BTRS sampler setups), the wide engine a compiled
-//! fused alias step (`sim::wide`). Both live in one [`StateCache`]: 1024
-//! direct-mapped slots, each tagged by the full `(x, z)` pair.
+//! the samplers built from them. The per-replica and lock-step engines
+//! cache a [`RoundPlan`] (BINV/BTRS sampler setups) per state in a
+//! [`StateCache`]: 1024 direct-mapped slots, each tagged by the full
+//! `(x, z)` pair.
 //!
 //! # One draw or two
 //!
@@ -137,18 +137,12 @@ impl<T> StateCache<T> {
     }
 
     /// The value cached for `(x, z)`, if its slot holds it.
-    #[inline]
-    pub(crate) fn get(&self, x: u64, z: u64) -> Option<&T> {
+    #[cfg(test)]
+    fn get(&self, x: u64, z: u64) -> Option<&T> {
         match &self.slots[self.slot(x)] {
             Some((tag, value)) if *tag == Self::tag(x, z) => Some(value),
             _ => None,
         }
-    }
-
-    /// Caches `value` for `(x, z)`, evicting whatever held its slot.
-    pub(crate) fn insert(&mut self, x: u64, z: u64, value: T) {
-        let slot = self.slot(x);
-        self.slots[slot] = Some((Self::tag(x, z), value));
     }
 
     /// The value cached for `(x, z)`, built by `build` and cached first on
@@ -169,7 +163,7 @@ impl<T> StateCache<T> {
 }
 
 /// The sampler setups for one round out of `(x, z)`: the entry the
-/// per-replica and batched engines cache.
+/// per-replica and lock-step engines cache.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RoundPlan {
     /// `P₀ = P₁ = P`: sampler for `Binomial(n − 1, P)`, the whole round.
@@ -402,6 +396,31 @@ mod tests {
             xw = step(&mut warm, &kernel, 0, xw, &mut a);
             xc = step(&mut cold, &kernel, 0, xc, &mut b);
             assert_eq!(xw, xc, "stale z-plan served at round {round}");
+        }
+    }
+
+    /// A perturbation can hand a round the transient states `x < z` (the
+    /// source flipped to 1 before any agent holds 1) or `x + (1 − z) > n`.
+    /// The component sizes must not wrap `u64` and must still sum to
+    /// `n − 1` (a saturating guard would give `flip_n = n` for
+    /// `(z, x) = (1, 0)`), and a split round out of such a state must land
+    /// inside `[z, n − 1 + z]`.
+    #[test]
+    fn transient_out_of_band_states_step_inside_the_band() {
+        let n = 64u64;
+        // Stay keeps every agent's own opinion, so P₀ = 0 ≠ 1 = P₁ and
+        // every round splits into keep and flip.
+        let kernel = kernel_of(&bitdissem_core::dynamics::Stay::new(1), n);
+        for (z, x) in [(1u64, 0u64), (0, n)] {
+            let (keep_n, flip_n) = component_sizes(n, z, x);
+            assert_eq!(keep_n + flip_n, n - 1, "(z, x) = ({z}, {x})");
+            let mut cache = StateCache::new(n);
+            let mut rng = rng_from(3);
+            for _ in 0..4 {
+                let next = step(&mut cache, &kernel, z, x, &mut rng);
+                assert!(!is_merged(&cache, x, z));
+                assert!((z..=n - 1 + z).contains(&next), "({z}, {x}) stepped to {next}");
+            }
         }
     }
 

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let id = args.next().unwrap_or_else(|| "list".to_string());
     let scale = args.next().map(|s| Scale::from_str(&s)).transpose()?.unwrap_or(Scale::Standard);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2024);
-    let cfg = RunConfig { scale, seed, threads: None, engine: Default::default(), env: None };
+    let cfg = RunConfig { scale, seed, threads: None, env: None };
 
     match id.as_str() {
         "list" => {

@@ -5,8 +5,7 @@
 use bitdissem_experiments::{registry, RunConfig, Scale};
 
 fn render(id: &str, threads: Option<usize>, seed: u64) -> String {
-    let cfg =
-        RunConfig { scale: Scale::Smoke, seed, threads, engine: Default::default(), env: None };
+    let cfg = RunConfig { scale: Scale::Smoke, seed, threads, env: None };
     registry::run(id, &cfg).expect("known id").render()
 }
 

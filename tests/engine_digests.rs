@@ -1,5 +1,6 @@
-//! Golden digests of all three replication engines, on two chains from
-//! the Theorem-12 witness start at `n = 8192`.
+//! Golden digests of both replication engines — the per-replica chain and
+//! the lock-step batch — on two chains from the Theorem-12 witness start
+//! at `n = 8192`.
 //!
 //! * **Minority(5)**, own-independent (`g⁰ = g¹`, so `P₀ = P₁`). With
 //!   `ℓ = 5` the drift slope at ½ is −5/4, so the aggregate state
@@ -11,7 +12,7 @@
 //! * **TwoChoices**, own-dependent (`P₀ ≠ P₁` off the consensus states),
 //!   whose rounds take two draws, keep then flip.
 //!
-//! A cached plan or step is a pure function of `(kernel, n, x, z)`, so no
+//! A cached plan is a pure function of `(kernel, n, x, z)`, so no
 //! cache layout may change a single draw. The Minority(5) digests were
 //! computed when own-independent states first drew once; the TwoChoices
 //! digests predate that change and must hold unchanged, because it leaves
@@ -32,12 +33,11 @@
 //! * **Environment schedules.** Voter(1) at `n = 256` under a schedule with
 //!   all three clause kinds (source flip, noise, periodic reset). The
 //!   per-replica and batched engines draw the perturbations from each
-//!   replica's own stream and must agree; the wide engine draws them from
-//!   the salted counter stream and has a pin of its own.
-//! * **Observed event stream.** One observed lock-step run per engine, with
-//!   a round stride and a source flip: the digest covers every event field
-//!   but the wall-clock `elapsed_us`, in emission order, plus the run's
-//!   counters. Recorded traces come out of this loop.
+//!   replica's own stream and must agree.
+//! * **Observed event stream.** One observed lock-step run, with a round
+//!   stride and a source flip: the digest covers every event field but the
+//!   wall-clock `elapsed_us`, in emission order, plus the run's counters.
+//!   Recorded traces come out of this loop.
 
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::{
     replicate_indices_observed, replicate_lockstep, run_to_consensus_observed, AggregateSim,
-    CounterDraw, Draw, EnvSchedule, LockstepSim, Outcome, SeededDraw,
+    EnvSchedule, LockstepSim, Outcome,
 };
 
 const N: u64 = 8192;
@@ -64,22 +64,16 @@ const SEED: u64 = 2024;
 /// that spends most of the budget near consensus.
 type Pin = (u64, u64);
 
-/// Minority(5): every replica times out within the budget on all three
-/// engines, so the three share the outcome digest; the per-replica and
-/// batched engines are bit-identical replica by replica, so they share the
-/// path digest too.
+/// Minority(5): every replica times out within the budget, and the
+/// per-replica and batched engines are bit-identical replica by replica,
+/// so they share both digests.
 const MINORITY5_REFERENCE: Pin = (6_578_279_417_942_601_509, 7_222_077_074_101_701_315);
-/// Minority(5) on the wide engine (counter streams, so a different
-/// trajectory per replica than the reference pair).
-const MINORITY5_WIDE: Pin = (6_578_279_417_942_601_509, 10_356_885_508_675_137_051);
 
 /// TwoChoices, per-replica and batched engines. From its witness start
 /// the chain drifts to the wrong consensus and stays near it, so no
 /// replica crosses the threshold or converges either, and the outcome
 /// digest equals Minority(5)'s; the paths carry the pin.
 const TWO_CHOICES_REFERENCE: Pin = (6_578_279_417_942_601_509, 11_699_059_901_570_005_233);
-/// TwoChoices on the wide engine.
-const TWO_CHOICES_WIDE: Pin = (6_578_279_417_942_601_509, 16_137_742_750_140_750_964);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -154,22 +148,14 @@ fn crossing_pin<P: Protocol + Sync>(protocol: &P) -> Pin {
     (outcome_digest(&outcomes), path_digest(&paths))
 }
 
-/// Outcomes through the pooled lock-step driver on draw `D`, and the paths
-/// of one batch of the same replicas stepped for the whole budget.
-fn lockstep_pin<D: Draw, P: Protocol>(protocol: &P) -> Pin {
+/// Outcomes through the pooled lock-step driver, and the paths of one
+/// batch of the same replicas stepped for the whole budget.
+fn lockstep_pin<P: Protocol>(protocol: &P) -> Pin {
     let (witness, kernel, indices, seeds) = setup(protocol);
     let start = witness.start();
-    let outcomes = replicate_lockstep::<D>(
-        &kernel,
-        start,
-        &indices,
-        SEED,
-        Some(2),
-        BUDGET,
-        None,
-        &Obs::none(),
-    );
-    let mut batch = LockstepSim::<D>::new(kernel, start, &seeds);
+    let outcomes =
+        replicate_lockstep(&kernel, start, &indices, SEED, Some(2), BUDGET, None, &Obs::none());
+    let mut batch = LockstepSim::new(kernel, start, &seeds);
     let paths = batch_paths(|| {
         batch.step_round();
         (0..REPS).map(|rep| batch.ones_of(rep)).collect()
@@ -189,12 +175,7 @@ fn crossing_outcomes_and_states_are_pinned() {
 
 #[test]
 fn batched_outcomes_and_states_are_pinned() {
-    assert_eq!(lockstep_pin::<SeededDraw, _>(&minority5()), MINORITY5_REFERENCE, "batched digests");
-}
-
-#[test]
-fn wide_outcomes_and_states_are_pinned() {
-    assert_eq!(lockstep_pin::<CounterDraw, _>(&minority5()), MINORITY5_WIDE, "wide digests");
+    assert_eq!(lockstep_pin(&minority5()), MINORITY5_REFERENCE, "batched digests");
 }
 
 #[test]
@@ -204,14 +185,8 @@ fn two_choices_crossing_outcomes_and_states_are_pinned() {
 
 #[test]
 fn two_choices_batched_outcomes_and_states_are_pinned() {
-    let pin = lockstep_pin::<SeededDraw, _>(&TwoChoices::new());
+    let pin = lockstep_pin(&TwoChoices::new());
     assert_eq!(pin, TWO_CHOICES_REFERENCE, "batched digests");
-}
-
-#[test]
-fn two_choices_wide_outcomes_and_states_are_pinned() {
-    let pin = lockstep_pin::<CounterDraw, _>(&TwoChoices::new());
-    assert_eq!(pin, TWO_CHOICES_WIDE, "wide digests");
 }
 
 /// Replicas per crossing pin, enough for Minority(5) at `n = 64` to see
@@ -291,9 +266,6 @@ const ENV_SCHEDULE: &str = "flip@40,noise:0.01,reset:k=4@every:60";
 /// draw every perturbation from the replica's own stream, so they agree on
 /// outcomes and paths.
 const ENV_REFERENCE: Pin = (9_151_437_523_866_711_054, 4_197_544_416_341_348_954);
-/// The same runs on the wide engine, whose perturbations come from the
-/// counter stream `stream ^ ENV_STREAM_SALT`.
-const ENV_WIDE: Pin = (10_942_672_526_979_212_375, 15_722_102_892_072_395_737);
 
 fn env_setup() -> (Arc<Kernel>, Configuration, EnvSchedule, Vec<usize>, Vec<u64>) {
     let kernel = Arc::new(
@@ -342,11 +314,11 @@ fn env_reference_pin() -> Pin {
     (outcome_digest(&outcomes), path_digest(&paths))
 }
 
-/// Outcomes through the pooled lock-step driver on draw `D` under the
-/// schedule, and the paths of one no-retire batch of the same replicas.
-fn env_lockstep_pin<D: Draw>() -> Pin {
+/// Outcomes through the pooled lock-step driver under the schedule, and
+/// the paths of one no-retire batch of the same replicas.
+fn env_lockstep_pin() -> Pin {
     let (kernel, start, env, indices, seeds) = env_setup();
-    let outcomes = replicate_lockstep::<D>(
+    let outcomes = replicate_lockstep(
         &kernel,
         start,
         &indices,
@@ -356,7 +328,7 @@ fn env_lockstep_pin<D: Draw>() -> Pin {
         Some(&env),
         &Obs::none(),
     );
-    let mut batch = LockstepSim::<D>::with_retirement(kernel, start, &seeds, false);
+    let mut batch = LockstepSim::with_retirement(kernel, start, &seeds, false);
     let paths = env_paths(|| {
         batch.perturb_round(&env);
         batch.step_round();
@@ -368,8 +340,7 @@ fn env_lockstep_pin<D: Draw>() -> Pin {
 #[test]
 fn env_outcomes_and_states_are_pinned() {
     assert_eq!(env_reference_pin(), ENV_REFERENCE, "per-replica env digests");
-    assert_eq!(env_lockstep_pin::<SeededDraw>(), ENV_REFERENCE, "batched env digests");
-    assert_eq!(env_lockstep_pin::<CounterDraw>(), ENV_WIDE, "wide env digests");
+    assert_eq!(env_lockstep_pin(), ENV_REFERENCE, "batched env digests");
 }
 
 const OBS_N: u64 = 64;
@@ -384,8 +355,6 @@ type ObservedPin = (u64, [u64; 4]);
 /// The observed run on the batched engine: five replicas converge (one
 /// flip each), three time out at the budget.
 const OBSERVED_BATCHED: ObservedPin = (12_705_591_152_106_064_800, [573, 36_672, 8, 5]);
-/// The observed run on the wide engine: four converge, four time out.
-const OBSERVED_WIDE: ObservedPin = (3_828_907_192_953_506_369, [640, 40_960, 8, 4]);
 
 /// Digest of an event stream over every field but `elapsed_us`, in
 /// emission order.
@@ -436,16 +405,15 @@ fn observed_pin(run: impl FnOnce(&Obs) -> Vec<Outcome>) -> ObservedPin {
     )
 }
 
-/// One observed run of a [`LockstepSim`] on draw `D` under the source flip.
-fn observed_lockstep_pin<D: Draw>() -> ObservedPin {
+/// One observed run of a [`LockstepSim`] under the source flip.
+fn observed_lockstep_pin() -> ObservedPin {
     let (kernel, start, env, seeds, labels) = observed_setup();
     observed_pin(|obs| {
-        LockstepSim::<D>::new(kernel, start, &seeds).run(OBS_BUDGET, Some(&env), obs, &labels)
+        LockstepSim::new(kernel, start, &seeds).run(OBS_BUDGET, Some(&env), obs, &labels)
     })
 }
 
 #[test]
 fn observed_event_streams_are_pinned() {
-    assert_eq!(observed_lockstep_pin::<SeededDraw>(), OBSERVED_BATCHED, "batched event stream");
-    assert_eq!(observed_lockstep_pin::<CounterDraw>(), OBSERVED_WIDE, "wide event stream");
+    assert_eq!(observed_lockstep_pin(), OBSERVED_BATCHED, "batched event stream");
 }

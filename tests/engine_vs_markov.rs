@@ -12,7 +12,6 @@ use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::{run_to_consensus, Outcome, Simulator};
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::WideBatchedSim;
 
 fn simulated_mean_tau<P: Protocol>(
     protocol: &P,
@@ -75,14 +74,6 @@ fn per_replica_one_round(kernel: &Arc<Kernel>, start: Configuration) -> Vec<u64>
         .collect()
 }
 
-/// `LAW_DRAWS` one-round draws out of `start` on the wide engine.
-fn wide_one_round(kernel: &Arc<Kernel>, start: Configuration) -> Vec<u64> {
-    let streams: Vec<u64> = (0..LAW_DRAWS).map(|rep| replication_seed(0xAD, rep)).collect();
-    let mut batch = WideBatchedSim::new(Arc::clone(kernel), start, &streams);
-    batch.step_round();
-    (0..streams.len()).map(|rep| batch.ones_of(rep)).collect()
-}
-
 /// `sup_y |F̂(y) − F(y)|` between the empirical CDF of `draws` and the CDF
 /// of the exact distribution `row` over `0..row.len()`.
 fn sup_cdf_distance(draws: &[u64], row: &[f64]) -> f64 {
@@ -101,7 +92,7 @@ fn sup_cdf_distance(draws: &[u64], row: &[f64]) -> f64 {
 
 #[test]
 fn one_round_distribution_matches_transition_row() {
-    // The one-round law out of a state, on both engine families, against
+    // The one-round law out of a state, on the per-replica engine, against
     // the exact row `AggregateChain::transition_row` computes as the
     // convolution of the keep and flip binomials. Own-independent rules
     // (Voter, Minority) draw `z + Bin(n − 1, P)` in one go, TwoChoices
@@ -116,27 +107,20 @@ fn one_round_distribution_matches_transition_row() {
         (Box::new(Minority::new(5).unwrap()), witness_start(&Minority::new(5).unwrap(), 512)),
         (Box::new(TwoChoices::new()), witness_start(&TwoChoices::new(), 512)),
     ];
-    // DKW: with N draws, sup|F̂ − F| exceeds this only with probability
-    // α; the 1e-6 covers the wide engine's window truncation and alias
-    // quantization.
-    let band = ((2.0 / LAW_ALPHA).ln() / (2.0 * LAW_DRAWS as f64)).sqrt() + 1e-6;
+    // DKW: with N draws, sup|F̂ − F| exceeds this only with probability α.
+    let band = ((2.0 / LAW_ALPHA).ln() / (2.0 * LAW_DRAWS as f64)).sqrt();
     for (protocol, start) in cases {
         let (n, x) = (start.n(), start.ones());
         let chain = AggregateChain::build(&protocol, n, start.correct()).unwrap();
         let row = chain.transition_row(x);
         let kernel = Arc::new(protocol.to_table(n).unwrap().compile().unwrap());
-        for (engine, draws) in [
-            ("per-replica", per_replica_one_round(&kernel, start)),
-            ("wide", wide_one_round(&kernel, start)),
-        ] {
-            let sup = sup_cdf_distance(&draws, &row);
-            assert!(
-                sup <= band,
-                "{} n={n} x={x} z={}, {engine}: sup|F̂ − F| = {sup:.5} > DKW band {band:.5}",
-                protocol.name(),
-                start.correct()
-            );
-        }
+        let sup = sup_cdf_distance(&per_replica_one_round(&kernel, start), &row);
+        assert!(
+            sup <= band,
+            "{} n={n} x={x} z={}: sup|F̂ − F| = {sup:.5} > DKW band {band:.5}",
+            protocol.name(),
+            start.correct()
+        );
     }
 }
 
