@@ -68,6 +68,22 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
+
+    /// Checks every option against `known`, the options the synopsis of
+    /// `command` lists.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming every other option, sorted.
+    pub fn check_options(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> =
+            self.options.keys().map(String::as_str).filter(|k| !known.contains(k)).collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(format!("{command}: unknown option: --{} (see 'help')", unknown.join(", --")))
+    }
 }
 
 #[cfg(test)]
@@ -97,6 +113,16 @@ mod tests {
         let a = Args::parse(["x", "--n", "abc"]);
         assert!(a.get_parsed::<u64>("n", 1).is_err());
         assert_eq!(a.get_parsed::<u64>("missing", 5).unwrap(), 5);
+    }
+
+    #[test]
+    fn unknown_options_are_named_in_order() {
+        let a = Args::parse(["x", "--seed", "1", "--zz", "--aa", "v"]);
+        assert_eq!(a.check_options("x", &["seed", "aa", "zz"]), Ok(()));
+        assert_eq!(
+            a.check_options("x", &["seed"]),
+            Err("x: unknown option: --aa, --zz (see 'help')".to_string())
+        );
     }
 
     #[test]

@@ -36,9 +36,6 @@ mod tests;
 /// micro-benchmark record).
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
-/// The only flags `bench` reads.
-const FLAGS: [&str; 5] = ["base", "seeds", "workload", "label", "out"];
-
 /// An end-to-end metric as `BENCHMARK.json` declares it.
 struct Metric {
     name: String,
@@ -87,9 +84,6 @@ fn failure(msg: String) -> CommandOutput {
 
 fn prepare(args: &Args) -> Result<CommandOutput, CommandOutput> {
     let usage = |e: String| usage_error(format!("bench: {e}\n"));
-    if let Some(flag) = args.options.keys().find(|k| !FLAGS.contains(&k.as_str())) {
-        return Err(usage(format!("unknown flag --{flag} (see 'bitdissem help')")));
-    }
     let rev = args.get("base").filter(|r| !r.is_empty());
     let rev = rev.ok_or_else(|| usage("needs --base REV".into()))?;
     let seeds = parse_seeds(args.get("seeds").ok_or_else(|| usage("needs --seeds A..B".into()))?)

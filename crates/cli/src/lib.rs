@@ -9,7 +9,7 @@
 //!   [--resume] [--telemetry-*]` — run an experiment and print its report,
 //!   optionally writing a trace, printing run metrics to stderr, and
 //!   persisting per-replication checkpoints (so an interrupted sweep can be
-//!   resumed with `--resume`); any other option is a usage error;
+//!   resumed with `--resume`);
 //! * `analyze <protocol> [--ell L] [--n N]` — bias polynomial, roots, sign
 //!   intervals and the Theorem-12 witness of a protocol;
 //! * `simulate <protocol> [--ell L] [--n N] [--seed S] [--budget B]
@@ -17,11 +17,11 @@
 //! * `exact <protocol> [--ell L] [--n N]` — exact expected hitting times
 //!   (small `n`);
 //! * `markov [--grid P:L,…] [--ns N1,N2,…] [--eps E] [--t-max T]
-//!   [--verify-n V] [--label L] [--out DIR]` — exact large-`n` analytics on
-//!   the ε-truncated sparse chain: hitting times (banded LU), mixing
-//!   rounds, survival quantiles and curves, spectral gaps at small `n`, a
-//!   sparse-vs-dense verification gate, and a versioned
-//!   `MARKOV_<label>.json` record;
+//!   [--mix-max M] [--verify-n V] [--label L] [--out DIR]` — exact
+//!   large-`n` analytics on the ε-truncated sparse chain: hitting times
+//!   (banded LU), mixing rounds, survival quantiles and curves, spectral
+//!   gaps at small `n`, a sparse-vs-dense verification gate, and a
+//!   versioned `MARKOV_<label>.json` record;
 //! * `bench --base REV --seeds A..B [--workload W,…] [--label L] [--out DIR]`
 //!   — the paired A/B of `benchsuite/` at REV against the working tree:
 //!   one pair of runs per workload and seed, a verdict per (workload,
@@ -30,17 +30,18 @@
 //!   consensus-time and latency summaries plus theory-conformance checks
 //!   (Proposition 4 jump bound, Proposition 5 drift band);
 //! * `conform [--scale S] [--seed N] [--label L] [--out DIR]
-//!   [--skip-faults]` — the differential conformance matrix: every
-//!   simulator backend driven from identical grids, KS-gated against a
-//!   shared false-alarm budget, plus checkpoint fault-injection scenarios;
-//!   writes a schema-versioned `CONFORM_<label>.json`;
+//!   [--skip-faults] [--env SPEC]` — the differential conformance
+//!   matrix: every simulator backend driven from identical grids, KS-gated
+//!   against a shared false-alarm budget, plus checkpoint fault-injection
+//!   scenarios; writes a schema-versioned `CONFORM_<label>.json`;
 //! * `watch (--socket PATH [--snapshots N] | --prom FILE [--reconcile M.jsonl])`
 //!   — live telemetry view over a run's `--telemetry-socket` stream, or a
 //!   one-shot Prometheus exposition check with optional reconciliation
 //!   against the counter deltas recorded in a sweep's `manifests.jsonl`.
 //!
-//! All output goes through a returned `String` so the commands are unit
-//! testable.
+//! An option missing from a subcommand's synopsis is a usage error (exit
+//! status 2, naming the option). All output goes through a returned
+//! `String` so the commands are unit testable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,7 +121,7 @@ pub fn usage() -> String {
      \x20 bitdissem simulate <protocol> [--ell L] [--n N] [--seed S] [--budget B] [--sequential]\n\
      \x20 bitdissem exact <protocol> [--ell L] [--n N]\n\
      \x20 bitdissem markov [--grid voter:1,minority:3] [--ns 1024,8192] [--eps E] [--t-max T]\n\
-     \x20\x20\x20\x20 [--verify-n V] [--label L] [--out DIR]\n\
+     \x20\x20\x20\x20 [--mix-max M] [--verify-n V] [--label L] [--out DIR]\n\
      \x20 bitdissem bench --base REV --seeds A..B [--workload W,...] [--label L] [--out DIR]\n\
      \x20 bitdissem trace <run.jsonl|run.bct>\n\
      \x20 bitdissem trace convert <in> <out>\n\
@@ -262,9 +263,50 @@ pub fn dispatch(args: &Args) -> (String, Status) {
     (out.stdout + &out.stderr, out.status)
 }
 
+/// Every option each subcommand accepts: the ones its synopsis lists.
+/// `trace convert` shares the (empty) list of `trace`.
+const OPTIONS: [(&str, &[&str]); 10] = [
+    ("list", &[]),
+    (
+        "run",
+        &[
+            "scale",
+            "seed",
+            "threads",
+            "env",
+            "csv",
+            "trace-out",
+            "trace-format",
+            "trace-every",
+            "metrics",
+            "progress",
+            "checkpoint-dir",
+            "resume",
+            "telemetry-prom",
+            "telemetry-out",
+            "telemetry-socket",
+            "telemetry-interval-ms",
+        ],
+    ),
+    ("analyze", &["ell", "n"]),
+    ("simulate", &["ell", "n", "seed", "budget", "sequential"]),
+    ("exact", &["ell", "n"]),
+    ("markov", &["grid", "ns", "eps", "t-max", "mix-max", "verify-n", "label", "out"]),
+    ("bench", &["base", "seeds", "workload", "label", "out"]),
+    ("trace", &[]),
+    ("conform", &["scale", "seed", "label", "out", "skip-faults", "env"]),
+    ("watch", &["socket", "snapshots", "prom", "reconcile"]),
+];
+
 /// Runs a parsed command keeping stdout and stderr separate.
 #[must_use]
 pub fn dispatch_full(args: &Args) -> CommandOutput {
+    let listed = OPTIONS.iter().find(|(name, _)| args.command.as_deref() == Some(*name));
+    if let Some((command, known)) = listed {
+        if let Err(e) = args.check_options(command, known) {
+            return usage_error(e + "\n");
+        }
+    }
     match args.command.as_deref() {
         None | Some("help") => CommandOutput::ok(usage(), Status::Ok),
         Some("list") => cmd_list(),
@@ -433,36 +475,7 @@ fn parse_env_flag(args: &Args) -> Result<Option<bitdissem_sim::EnvSchedule>, Str
     }
 }
 
-/// Every option `run` accepts: the ones its synopsis lists.
-const RUN_OPTIONS: &[&str] = &[
-    "scale",
-    "seed",
-    "threads",
-    "env",
-    "csv",
-    "trace-out",
-    "trace-format",
-    "trace-every",
-    "metrics",
-    "progress",
-    "checkpoint-dir",
-    "resume",
-    "telemetry-prom",
-    "telemetry-out",
-    "telemetry-socket",
-    "telemetry-interval-ms",
-];
-
 fn cmd_run(args: &Args) -> CommandOutput {
-    let mut unknown: Vec<&str> =
-        args.options.keys().map(String::as_str).filter(|k| !RUN_OPTIONS.contains(k)).collect();
-    if !unknown.is_empty() {
-        unknown.sort_unstable();
-        return usage_error(format!(
-            "run: unknown option: --{} (see 'help')\n",
-            unknown.join(", --")
-        ));
-    }
     let id = match args.positional.first() {
         Some(id) => id.clone(),
         None => return usage_error("missing experiment id\n"),
@@ -1664,14 +1677,45 @@ mod tests {
             assert_eq!(status, Status::UsageError, "{out}");
             assert!(out.contains(bad[0]), "the message names the option: {out}");
         }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_options_missing_from_its_synopsis() {
+        for argv in [
+            &["analyze", "minority", "--el", "5"][..],
+            &["simulate", "voter", "--ell", "1", "--n", "64", "--sede", "5"],
+        ] {
+            let (out, status) = run_cli(argv);
+            assert_eq!(status, Status::UsageError, "{argv:?}: {out}");
+            let bad = argv[argv.len() - 2];
+            assert!(out.contains(&format!("unknown option: {bad} ")), "{out}");
+        }
         let usage = usage();
-        let synopsis =
-            &usage[usage.find("bitdissem run").unwrap()..usage.find("bitdissem analyze").unwrap()];
-        for opt in RUN_OPTIONS {
-            assert!(
-                synopsis.contains(&format!("[--{opt}")),
-                "--{opt} is accepted but undocumented"
-            );
+        for (command, known) in OPTIONS {
+            // The command's line of the usage text and its indented
+            // continuation lines.
+            let mut lines =
+                usage.lines().skip_while(|l| !l.starts_with(&format!("  bitdissem {command}")));
+            let head = lines.next().unwrap_or_else(|| panic!("no synopsis for {command}"));
+            let synopsis: String =
+                std::iter::once(head).chain(lines.take_while(|l| l.starts_with("     "))).collect();
+            let listed: Vec<String> = known.iter().map(|opt| format!("--{opt}")).collect();
+            for opt in &listed {
+                assert!(
+                    synopsis.contains(opt.as_str()),
+                    "{command} accepts {opt} but its synopsis omits it"
+                );
+            }
+            // Every listed option passes; only the stray one is named.
+            let mut argv = vec![command];
+            if command == "trace" {
+                argv.extend(["convert", "in.jsonl", "out.bct"]);
+            }
+            argv.extend(listed.iter().map(String::as_str));
+            argv.push("--bogus");
+            let (out, status) = run_cli(&argv);
+            assert_eq!(status, Status::UsageError, "{out}");
+            assert_eq!(out, format!("{command}: unknown option: --bogus (see 'help')\n"));
         }
     }
 

@@ -304,7 +304,8 @@ fn sample_lockstep(
 ) -> RunSamples {
     let kernel = Arc::new(table.compile().expect("valid grid cell"));
     let seeds: Vec<u64> = (0..reps).map(|rep| replication_seed(seed, rep as u64)).collect();
-    let mut batch = LockstepSim::with_retirement(kernel, start, &seeds, env.is_none());
+    let consensus = Configuration::correct_consensus(start.n(), start.correct()).ones();
+    let mut batch = LockstepSim::with_goal(kernel, start, consensus, &seeds, env.is_none());
 
     let last_cp = checkpoints.last().copied().unwrap_or(0);
     // Rows are filled in visit order; checkpoints beyond the budget leave

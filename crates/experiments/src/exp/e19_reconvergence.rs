@@ -8,8 +8,8 @@
 //! flip (the full-distance disruption — every agent is suddenly wrong)
 //! and after an adversarial reset of a quarter of the population, across
 //! sample sizes `ℓ`. Each disruption opens a re-convergence clock
-//! ([`bitdissem_sim::run_env`]); the table charts the resolved clocks and
-//! the consensus dwell fraction per `(schedule, ℓ)` cell.
+//! ([`bitdissem_sim::run_env_observed`]); the table charts the resolved
+//! clocks and the consensus dwell fraction per `(schedule, ℓ)` cell.
 
 use bitdissem_core::dynamics::Voter;
 use bitdissem_core::{Configuration, Opinion};

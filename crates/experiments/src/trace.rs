@@ -481,8 +481,8 @@ fn analyze_batch(accum: &BatchAccum) -> BatchAnalysis {
 /// Runs the Prop-4 / Prop-5 checks for one batch, or returns `None` when
 /// the batch is not checkable: no header to rebuild the protocol from, or
 /// a kind whose round labels are not parallel one-step transitions
-/// (`seqconv` rounds are `n` sequential activations; `cross` emits no
-/// round events).
+/// (`seqconv` rounds are `n` sequential activations; a `cross` batch has
+/// no round events, since its engine runs on a handle without a sink).
 fn check_conformance(accum: &BatchAccum) -> Option<Conformance> {
     let meta = accum.meta.as_ref()?;
     if meta.kind != "conv" || meta.n == 0 {

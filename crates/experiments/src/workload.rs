@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use bitdissem_analysis::LowerBoundWitness;
 use bitdissem_core::{Configuration, GTable, Kernel, Opinion, Protocol, ProtocolExt};
-use bitdissem_obs::{GaugeId, Obs};
-use bitdissem_sim::aggregate::AggregateSim;
+use bitdissem_obs::{GaugeId, NullSink, Obs};
 use bitdissem_sim::env::EnvSchedule;
 use bitdissem_sim::lockstep::replicate_lockstep;
 use bitdissem_sim::run::{run_to_consensus_observed, Outcome};
@@ -297,27 +296,10 @@ where
 }
 
 /// Measures convergence times of `protocol` from `start` over `reps`
-/// replications with a per-run budget of `budget` rounds, using the
-/// aggregate exact-chain simulator.
-#[must_use]
-pub fn measure_convergence<P>(
-    protocol: &P,
-    start: Configuration,
-    reps: usize,
-    budget: u64,
-    seed: u64,
-    threads: Option<usize>,
-) -> OutcomeBatch
-where
-    P: Protocol + Sync + ?Sized,
-{
-    measure_convergence_observed(&Obs::none(), protocol, start, reps, budget, seed, threads)
-}
-
-/// [`measure_convergence`] with an observability handle: each replication
-/// emits per-round and per-replication trace events and contributes to the
-/// run counters. Outcomes are identical to the unobserved call for the
-/// same seed.
+/// replications with a per-run budget of `budget` rounds, on the aggregate
+/// exact chain. With an active handle each replication emits per-round and
+/// per-replication trace events and contributes to the run counters;
+/// outcomes are identical to a run on [`Obs::none`] for the same seed.
 ///
 /// Every replication runs on the lock-step engine
 /// ([`replicate_lockstep`]) through one compiled adoption [`Kernel`] and
@@ -389,40 +371,42 @@ where
         Some(env) => format!("conv+env[{}]", env.fingerprint()),
     };
     emit_batch_started(obs, &kind, protocol, start, reps, budget, seed);
-    let kernel = compile_kernel(protocol, start.n());
-    let key_base = || batch_key(&kind, protocol, start, budget, seed);
-    let outcomes = replicate_checkpointed(obs, key_base, reps, |missing| {
-        replicate_lockstep(&kernel, start, missing, seed, threads, budget, env, obs)
-    });
+    let consensus = Configuration::correct_consensus(start.n(), start.correct()).ones();
+    let outcomes =
+        replicate_to_goal(obs, &kind, protocol, start, consensus, env, reps, budget, seed, threads);
     OutcomeBatch::new(outcomes, budget)
+}
+
+/// Runs one checkpointed batch of lock-step replications of `protocol`
+/// from `start`, each retiring at the first round its ones-count reaches
+/// `goal` in the direction of the correct opinion (see
+/// [`LockstepSim::with_goal`](bitdissem_sim::LockstepSim::with_goal)),
+/// keyed under `kind`.
+#[allow(clippy::too_many_arguments)]
+fn replicate_to_goal<P>(
+    obs: &Obs,
+    kind: &str,
+    protocol: &P,
+    start: Configuration,
+    goal: u64,
+    env: Option<&EnvSchedule>,
+    reps: usize,
+    budget: u64,
+    seed: u64,
+    threads: Option<usize>,
+) -> Vec<Outcome>
+where
+    P: Protocol + Sync + ?Sized,
+{
+    let kernel = compile_kernel(protocol, start.n());
+    let key_base = || batch_key(kind, protocol, start, budget, seed);
+    replicate_checkpointed(obs, key_base, reps, |missing| {
+        replicate_lockstep(&kernel, start, goal, missing, seed, threads, budget, env, obs)
+    })
 }
 
 /// Measures convergence in the **sequential** setting (times in parallel
 /// rounds: one round = `n` activations).
-#[must_use]
-pub fn measure_convergence_sequential<P>(
-    protocol: &P,
-    start: Configuration,
-    reps: usize,
-    budget_rounds: u64,
-    seed: u64,
-    threads: Option<usize>,
-) -> OutcomeBatch
-where
-    P: Protocol + Sync + ?Sized,
-{
-    measure_convergence_sequential_observed(
-        &Obs::none(),
-        protocol,
-        start,
-        reps,
-        budget_rounds,
-        seed,
-        threads,
-    )
-}
-
-/// [`measure_convergence_sequential`] with an observability handle.
 #[must_use]
 pub fn measure_convergence_sequential_observed<P>(
     obs: &Obs,
@@ -457,29 +441,17 @@ where
 /// `Converged { rounds: t }` for a replica that first crossed at round `t`
 /// (0 if the start has already crossed), `TimedOut { rounds: budget }` for
 /// one that did not cross within the budget.
-#[must_use]
-pub fn measure_crossing<P>(
-    protocol: &P,
-    witness: &LowerBoundWitness,
-    reps: usize,
-    budget: u64,
-    seed: u64,
-    threads: Option<usize>,
-) -> Vec<Outcome>
-where
-    P: Protocol + Sync + ?Sized,
-{
-    measure_crossing_observed(&Obs::none(), protocol, witness, reps, budget, seed, threads)
-}
-
-/// [`measure_crossing`] with an observability handle (progress ticks and
-/// run counters; crossing runs emit no per-round events since the
-/// stopping rule differs from consensus). Each replica runs the
-/// per-replica chain through [`AggregateSim::run_until`], which tests the
-/// threshold before every round and after the last. With metrics on, a
-/// freshly run replica adds its rounds to `rounds_simulated` and `ℓ·n`
-/// per round to `opinion_samples`; a replica loaded from a checkpoint
-/// adds nothing.
+///
+/// The batch runs on the lock-step engine with the threshold as its goal,
+/// through the same checkpointed driver as [`measure_convergence_observed`].
+/// An active handle records the batch's `cross` header only: the engine
+/// runs on a handle that keeps metrics, progress and the checkpoint log
+/// but emits nothing, since a crossing sweep's round rows (6.9 M for e1 at
+/// smoke scale) would outgrow what `trace` holds in memory until its end.
+/// With metrics on, a freshly run replica adds its
+/// rounds to `rounds_simulated`, `ℓ·n` per round to `opinion_samples`, and
+/// one to `replicas_retired` if it crossed; a replica loaded from a
+/// checkpoint adds nothing.
 #[must_use]
 pub fn measure_crossing_observed<P>(
     obs: &Obs,
@@ -493,29 +465,11 @@ pub fn measure_crossing_observed<P>(
 where
     P: Protocol + Sync + ?Sized,
 {
-    emit_batch_started(obs, "cross", protocol, witness.start(), reps, budget, seed);
-    let kernel = compile_kernel(protocol, witness.start().n());
-    let samples_per_round = (kernel.sample_size() as u64).saturating_mul(witness.start().n());
-    replicate_checkpointed(
-        obs,
-        || batch_key("cross", protocol, witness.start(), budget, seed),
-        reps,
-        |missing| {
-            replicate_indices_observed(missing, seed, threads, obs, |mut rng, _| {
-                let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), witness.start());
-                let outcome = match sim.run_until(&mut rng, budget, |x| witness.crossed(x)) {
-                    Some(rounds) => Outcome::Converged { rounds },
-                    None => Outcome::TimedOut { rounds: budget },
-                };
-                if obs.metrics_on() {
-                    let rounds = outcome.rounds_censored();
-                    obs.metrics().add_rounds(rounds);
-                    obs.metrics().add_samples(rounds.saturating_mul(samples_per_round));
-                }
-                outcome
-            })
-        },
-    )
+    let start = witness.start();
+    emit_batch_started(obs, "cross", protocol, start, reps, budget, seed);
+    let quiet = obs.clone().with_sink(Arc::new(NullSink));
+    let goal = witness.threshold();
+    replicate_to_goal(&quiet, "cross", protocol, start, goal, None, reps, budget, seed, threads)
 }
 
 /// Geometric sweep of population sizes `start·2^k`, `k = 0..count`.
@@ -555,7 +509,7 @@ mod tests {
     fn measure_convergence_voter_smoke() {
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(32, Opinion::One);
-        let b = measure_convergence(&voter, start, 6, 100_000, 1, Some(2));
+        let b = measure_convergence_observed(&Obs::none(), &voter, start, 6, 100_000, 1, Some(2));
         assert_eq!(b.len(), 6);
         assert!((b.converged_fraction() - 1.0).abs() < 1e-12);
     }
@@ -564,8 +518,8 @@ mod tests {
     fn measure_convergence_is_deterministic() {
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
-        let a = measure_convergence(&voter, start, 5, 100_000, 9, Some(1));
-        let b = measure_convergence(&voter, start, 5, 100_000, 9, Some(4));
+        let a = measure_convergence_observed(&Obs::none(), &voter, start, 5, 100_000, 9, Some(1));
+        let b = measure_convergence_observed(&Obs::none(), &voter, start, 5, 100_000, 9, Some(4));
         let av: Vec<_> = a.outcomes.iter().map(Outcome::rounds_censored).collect();
         let bv: Vec<_> = b.outcomes.iter().map(Outcome::rounds_censored).collect();
         assert_eq!(av, bv);
@@ -575,39 +529,86 @@ mod tests {
     fn stay_never_crosses() {
         let stay = Stay::new(1);
         let w = LowerBoundWitness::construct(&stay, 64).unwrap();
-        let xs = measure_crossing(&stay, &w, 3, 50, 2, Some(1));
+        let xs = measure_crossing_observed(&Obs::none(), &stay, &w, 3, 50, 2, Some(1));
         assert!(xs.iter().all(|o| !o.is_converged()));
     }
 
     #[test]
     fn crossing_runs_count_rounds_and_samples() {
         // Each fresh replica is charged the rounds it ran (its crossing
-        // round, or the budget) and ℓ·n samples per round; a second run
-        // over the same checkpoint log loads every replica and adds
-        // nothing.
+        // round, or the budget) and ℓ·n samples per round, and counts as
+        // retired if it crossed; the sink receives the batch header and
+        // nothing else. A second run over the same checkpoint log loads
+        // every replica and adds nothing.
         use bitdissem_core::dynamics::Minority;
-        use bitdissem_obs::CheckpointLog;
+        use bitdissem_obs::{CheckpointLog, Event, MemorySink};
         use std::sync::atomic::Ordering;
         let n = 64;
         let minority = Minority::new(5).unwrap();
         let w = LowerBoundWitness::construct(&minority, n).unwrap();
         let log = Arc::new(CheckpointLog::in_memory());
-        let obs = Obs::none().with_metrics().with_checkpoint(Arc::clone(&log));
-        let outcomes = measure_crossing_observed(&obs, &minority, &w, 32, 50 * n, 2024, Some(2));
-        assert_eq!(outcomes, measure_crossing(&minority, &w, 32, 50 * n, 2024, Some(2)));
-        assert!(outcomes.iter().any(|o| o.is_converged()), "some replica crosses");
-        assert!(outcomes.iter().any(|o| !o.is_converged()), "some replica times out");
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::none()
+            .with_sink(Arc::clone(&sink) as _)
+            .with_metrics()
+            .with_checkpoint(Arc::clone(&log));
+        let cross =
+            |obs: &Obs| measure_crossing_observed(obs, &minority, &w, 32, 50 * n, 2024, Some(2));
+        let outcomes = cross(&obs);
+        assert_eq!(outcomes, cross(&Obs::none()));
+        let crossed = outcomes.iter().filter(|o| o.is_converged()).count() as u64;
+        assert!(crossed > 0, "some replica crosses");
+        assert!(crossed < 32, "some replica times out");
+        let events = sink.events();
+        assert!(
+            matches!(&events[..], [Event::BatchStarted { kind, reps: 32, .. }] if kind == "cross"),
+            "only the batch header: {events:?}"
+        );
         let total: u64 = outcomes.iter().map(Outcome::rounds_censored).sum();
         let m = obs.metrics();
         let counts = || {
-            (m.rounds_simulated.load(Ordering::Relaxed), m.opinion_samples.load(Ordering::Relaxed))
+            let c = m.snapshot();
+            (c.rounds_simulated, c.opinion_samples, c.replicas_retired)
         };
-        assert_eq!(counts(), (total, total * 5 * n), "Σ rounds and Σ rounds·ℓ·n");
+        assert_eq!(counts(), (total, total * 5 * n, crossed), "Σ rounds, Σ rounds·ℓ·n, crossers");
 
-        let resumed = measure_crossing_observed(&obs, &minority, &w, 32, 50 * n, 2024, Some(2));
+        let resumed = cross(&obs);
         assert_eq!(resumed, outcomes);
         assert_eq!(m.checkpoint_hits.load(Ordering::Relaxed), 32);
-        assert_eq!(counts(), (total, total * 5 * n), "cached replicas add nothing");
+        assert_eq!(counts(), (total, total * 5 * n, crossed), "cached replicas add nothing");
+    }
+
+    /// A lock-step replica aimed at the witness threshold has reached its
+    /// goal exactly where `witness.crossed` holds, for every state the
+    /// chain can hold, in all three cases of the construction.
+    #[test]
+    fn witness_crossing_is_the_lockstep_goal_rule() {
+        use bitdissem_analysis::WitnessCase;
+        use bitdissem_core::dynamics::{Minority, PowerVoter};
+        use bitdissem_sim::LockstepSim;
+        let n = 512;
+        let cases: [(&dyn Protocol, WitnessCase); 3] = [
+            (&Voter::new(1).unwrap(), WitnessCase::VoterLike),
+            (&Minority::new(3).unwrap(), WitnessCase::NegativeDrift),
+            (&PowerVoter::new(3, 0.5).unwrap(), WitnessCase::PositiveDrift),
+        ];
+        for (protocol, case) in cases {
+            let w = LowerBoundWitness::construct(protocol, n).unwrap();
+            assert_eq!(w.case(), case, "{}", protocol.name());
+            let correct = w.start().correct();
+            assert_eq!(correct == Opinion::Zero, case == WitnessCase::PositiveDrift, "{case}");
+            let kernel = compile_kernel(protocol, n);
+            for x in 0..=n {
+                // The source's own opinion rules out one end of [0, n].
+                let Ok(start) = Configuration::new(n, correct, x) else {
+                    assert_eq!(x, if correct == Opinion::One { 0 } else { n }, "{case}");
+                    continue;
+                };
+                let batch =
+                    LockstepSim::with_goal(Arc::clone(&kernel), start, w.threshold(), &[1], true);
+                assert_eq!(batch.converged_at(0) == Some(0), w.crossed(x), "{case}, x = {x}");
+            }
+        }
     }
 
     #[test]
@@ -643,7 +644,8 @@ mod tests {
         use std::sync::Arc;
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
-        let plain = measure_convergence(&voter, start, 8, 100_000, 5, Some(2));
+        let plain =
+            measure_convergence_observed(&Obs::none(), &voter, start, 8, 100_000, 5, Some(2));
 
         let log = Arc::new(CheckpointLog::in_memory());
         let obs = Obs::none().with_metrics().with_checkpoint(Arc::clone(&log));
@@ -665,7 +667,8 @@ mod tests {
         use std::sync::Arc;
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
-        let full = measure_convergence(&voter, start, 10, 100_000, 7, Some(2));
+        let full =
+            measure_convergence_observed(&Obs::none(), &voter, start, 10, 100_000, 7, Some(2));
 
         // Simulate an interrupted sweep: only the first 4 replications made
         // it into the log.
@@ -790,7 +793,8 @@ mod tests {
             Some(2),
         );
         assert_eq!(hits(), 16);
-        let plain = measure_convergence(&voter, start, 8, 100_000, 5, Some(2));
+        let plain =
+            measure_convergence_observed(&Obs::none(), &voter, start, 8, 100_000, 5, Some(2));
         assert_eq!(inert.outcomes(), plain.outcomes());
     }
 

@@ -75,8 +75,9 @@ pub struct Metrics {
     pub pool_steals: Counter,
     /// Replications satisfied from the checkpoint log instead of re-run.
     pub checkpoint_hits: Counter,
-    /// Replicas retired (reached consensus / budget) inside the batched
-    /// and wide lock-step engines.
+    /// Replicas of the lock-step engine that reached their goal within
+    /// the budget: the correct consensus, or the threshold of a crossing
+    /// batch.
     pub replicas_retired: Counter,
     /// Environment perturbation events applied (source flips, noise
     /// rounds, adversarial resets) across all replications.

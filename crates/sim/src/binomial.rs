@@ -41,13 +41,13 @@ thread_local! {
     ///
     /// Entering it ([`with_lnfact`]) costs a `LocalKey::with` and a
     /// `RefCell` borrow, a fifth of a cached one-draw round, so the hot
-    /// loops enter it once per unit of work and hand the slice down:
-    /// once per replica run ([`AggregateSim::run_until`]) or per lock-step
-    /// chunk-round ([`LockstepSim::step_round`]). [`Plan::build`] and
+    /// loop enters it once per unit of work and hands the slice down:
+    /// [`LockstepSim::run`] enters it once per batch run without a
+    /// schedule, and once per round with one (perturbations draw through
+    /// [`sample_binomial`], which enters it itself). [`Plan::build`] and
     /// [`Plan::sample_with`] take the slice and never enter it themselves.
     ///
-    /// [`AggregateSim::run_until`]: crate::aggregate::AggregateSim::run_until
-    /// [`LockstepSim::step_round`]: crate::lockstep::LockstepSim::step_round
+    /// [`LockstepSim::run`]: crate::lockstep::LockstepSim::run
     static LNFACT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -353,7 +353,7 @@ impl EnvSchedule {
     }
 }
 
-/// Re-convergence statistics collected by [`run_env`].
+/// Re-convergence statistics collected by [`run_env_observed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnvRunStats {
     /// Rounds simulated (the fixed horizon).
@@ -394,11 +394,17 @@ impl EnvRunStats {
 /// flip). Each disruption opens a clock that closes at the next correct
 /// consensus boundary; a clock still open at the horizon is counted in
 /// [`EnvRunStats::unresolved`] instead of biasing the samples.
-pub fn run_env<S: Simulator + ?Sized>(
+///
+/// With metrics on, batch-adds round/sample counters, the
+/// `perturbations_applied` counter, and one `reconverge_rounds` histogram
+/// entry per resolved disruption. Instrumentation never touches `rng`, so
+/// the stats are identical to a run on `Obs::none()` for the same seed.
+pub fn run_env_observed<S: Simulator + ?Sized>(
     sim: &mut S,
     env: &EnvSchedule,
     rng: &mut SimRng,
     horizon: u64,
+    obs: &bitdissem_obs::Obs,
 ) -> EnvRunStats {
     let mut stats = EnvRunStats { total_rounds: horizon, ..EnvRunStats::default() };
     let mut outstanding: Option<u64> = None;
@@ -429,21 +435,6 @@ pub fn run_env<S: Simulator + ?Sized>(
         sim.step_round(rng);
     }
     stats.unresolved = u64::from(outstanding.is_some());
-    stats
-}
-
-/// [`run_env`] with observability: batch-adds round/sample counters, the
-/// `perturbations_applied` counter, and one `reconverge_rounds` histogram
-/// entry per resolved disruption. Instrumentation never touches `rng`, so
-/// the stats are identical to the unobserved run for the same seed.
-pub fn run_env_observed<S: Simulator + ?Sized>(
-    sim: &mut S,
-    env: &EnvSchedule,
-    rng: &mut SimRng,
-    horizon: u64,
-    obs: &bitdissem_obs::Obs,
-) -> EnvRunStats {
-    let stats = run_env(sim, env, rng, horizon);
     if obs.metrics_on() {
         let m = obs.metrics();
         m.add_rounds(stats.total_rounds);
@@ -464,6 +455,7 @@ mod tests {
     use crate::rng::{replication_seed, rng_from};
     use bitdissem_core::dynamics::Voter;
     use bitdissem_core::Configuration;
+    use bitdissem_obs::Obs;
 
     #[test]
     fn grammar_round_trips_through_the_fingerprint() {
@@ -623,7 +615,7 @@ mod tests {
         let start = Configuration::all_wrong(32, Opinion::One);
         let mut sim = AggregateSim::new(&Voter::new(1).unwrap(), start).unwrap();
         let mut rng = rng_from(9);
-        let stats = run_env(&mut sim, &env, &mut rng, 3_000);
+        let stats = run_env_observed(&mut sim, &env, &mut rng, 3_000, &Obs::none());
         assert_eq!(stats.total_rounds, 3_000);
         assert_eq!(stats.perturbations, 1);
         let first = stats.first_consensus.expect("voter converges well before the flip");
@@ -647,10 +639,10 @@ mod tests {
                 let mut rng = rng_from(replication_seed(21, rep));
                 total += if agentwise {
                     let mut sim = AgentSim::new(&Voter::new(1).unwrap(), start).unwrap();
-                    run_env(&mut sim, &env, &mut rng, 2_000).dwell_fraction()
+                    run_env_observed(&mut sim, &env, &mut rng, 2_000, &Obs::none()).dwell_fraction()
                 } else {
                     let mut sim = AggregateSim::new(&Voter::new(1).unwrap(), start).unwrap();
-                    run_env(&mut sim, &env, &mut rng, 2_000).dwell_fraction()
+                    run_env_observed(&mut sim, &env, &mut rng, 2_000, &Obs::none()).dwell_fraction()
                 };
             }
             total / reps as f64

@@ -17,8 +17,9 @@
 //! replicas at once: [`lockstep::LockstepSim`] advances them in lock-step
 //! on per-replica seeded rngs and one shared per-state plan cache, every
 //! replica bit-identical to a solo `AggregateSim` with the same seed, and
-//! [`lockstep::replicate_lockstep`] shards the batches over the worker
-//! pool.
+//! retires each at a goal (the correct consensus, or a crossing
+//! threshold); [`lockstep::replicate_lockstep`] shards the batches over
+//! the worker pool.
 //!
 //! Plus the sequential-setting simulator ([`sequential::SequentialSim`]),
 //! the Voter *dual process* of coalescing backward random walks used in the
@@ -66,11 +67,11 @@ pub mod trajectory;
 
 pub use agent::AgentSim;
 pub use aggregate::AggregateSim;
-pub use env::{run_env, run_env_observed, EnvRunStats, EnvSchedule, ResetSpec, ResetTrigger};
+pub use env::{run_env_observed, EnvRunStats, EnvSchedule, ResetSpec, ResetTrigger};
 pub use lockstep::{replicate_lockstep, LockstepSim};
 pub use rng::{rng_from, SimRng};
 pub use run::{
-    run_to_consensus, run_to_consensus_observed, run_with_exit_detection,
-    run_with_exit_detection_observed, Outcome, Simulator, StabilityOutcome,
+    run_to_consensus, run_to_consensus_observed, run_with_exit_detection_observed, Outcome,
+    Simulator, StabilityOutcome,
 };
 pub use runner::{replicate, replicate_indices_observed, replicate_observed, replicate_spawn};

@@ -16,12 +16,16 @@
 //! every replica's trajectory is bit-identical to running it solo with the
 //! same seed (`batched_matches_solo_bit_for_bit` pins this).
 //!
-//! Replicas that reach the correct consensus are **retired** by
-//! `swap_remove`, keeping the live arrays dense; the hot loop never
-//! branches on dead replicas. Retirement is pure bookkeeping, so no batch
-//! composition, retirement order or chunking can change a trajectory.
-//! The pooled driver [`replicate_lockstep`] shards replication indices
-//! into batches over the worker pool.
+//! A batch runs each replica until its ones-count reaches the batch's
+//! **goal** in the direction of the correct opinion: `x ≥ goal` when the
+//! correct opinion is `One`, `x ≤ goal` when it is `Zero`. A convergence
+//! batch aims at the correct consensus (`n` or `0`); a crossing batch aims
+//! at a threshold, such as the Theorem-12 witness's. Replicas that reach
+//! the goal are **retired** by `swap_remove`, keeping the live arrays
+//! dense; the hot loop never branches on dead replicas. Retirement is pure
+//! bookkeeping, so no batch composition, retirement order or chunking can
+//! change a trajectory. The pooled driver [`replicate_lockstep`] shards
+//! replication indices into batches over the worker pool.
 
 use std::sync::{Arc, Mutex};
 
@@ -46,9 +50,9 @@ const MAX_CHUNK: usize = 64;
 /// per-replica rngs; see the module docs.
 ///
 /// Construction seeds every replica from the same start configuration;
-/// replicas already at the correct consensus are retired immediately with
-/// a convergence round of 0, matching the solo run-loop convention that
-/// consensus is checked *before* stepping.
+/// if the start has already reached the goal, every replica is retired
+/// immediately at round 0, matching the solo run-loop convention that the
+/// stop rule is checked *before* stepping.
 #[derive(Debug)]
 pub struct LockstepSim {
     kernel: Arc<Kernel>,
@@ -56,8 +60,9 @@ pub struct LockstepSim {
     /// Source contribution to the count of ones (1 iff the correct opinion
     /// is `One`).
     z: u64,
-    /// The `ones` value that constitutes the correct consensus.
-    target: u64,
+    /// The ones-count a replica stops at, reached in the direction of the
+    /// correct opinion (see the module docs).
+    goal: u64,
     /// Rounds completed so far (shared by all live replicas).
     round: u64,
     // Dense live arrays, parallel by position.
@@ -71,46 +76,61 @@ pub struct LockstepSim {
     /// are read through `pos_of_rep` instead, so the hot loop stores one
     /// word per replica-round, not two.
     ones_by_rep: Vec<u64>,
-    /// First round at which each replica held the correct consensus.
+    /// First round at which each replica had reached the goal.
     converged_at: Vec<Option<u64>>,
-    /// `false` keeps replicas stepping past the correct consensus (their
-    /// first-hit round is still recorded). Required under an environment
-    /// schedule that can knock a replica off consensus: consensus is no
-    /// longer absorbing, so a retired replica would report a stale state.
-    retire_on_consensus: bool,
+    /// `false` keeps replicas stepping past the goal (their first-hit round
+    /// is still recorded). Required under an environment schedule that can
+    /// knock a replica off consensus: consensus is no longer absorbing, so
+    /// a retired replica would report a stale state.
+    retire_at_goal: bool,
     /// BINV/BTRS plans by state `(x, z)`, shared by every replica.
     plans: StateCache<RoundPlan>,
 }
 
+/// Whether ones-count `x` has reached `goal` in the direction of the
+/// correct opinion, whose source contributes `z` ones.
+#[inline]
+fn reached(x: u64, z: u64, goal: u64) -> bool {
+    if z == 1 {
+        x >= goal
+    } else {
+        x <= goal
+    }
+}
+
 impl LockstepSim {
     /// Creates a batch of `seeds.len()` replicas, all starting from
-    /// `start`, with replica `i` drawing from `rng_from(seeds[i])`.
+    /// `start`, with replica `i` drawing from `rng_from(seeds[i])`, that
+    /// retire at the correct consensus.
     #[must_use]
     pub fn new(kernel: Arc<Kernel>, start: Configuration, seeds: &[u64]) -> Self {
-        Self::with_retirement(kernel, start, seeds, true)
+        let goal = Configuration::correct_consensus(start.n(), start.correct()).ones();
+        Self::with_goal(kernel, start, goal, seeds, true)
     }
 
-    /// [`LockstepSim::new`] with retirement pinned explicitly.
-    /// `retire_on_consensus = false` keeps every replica live for the whole
-    /// run — first consensus hits are recorded in `converged_at`, but the
-    /// replicas continue stepping (the conformance harness needs the true
-    /// post-consensus marginals when an environment schedule is active).
+    /// [`LockstepSim::new`] with the goal and retirement pinned explicitly.
+    /// A replica has reached `goal` once its ones-count is `≥ goal` (correct
+    /// opinion `One`) or `≤ goal` (`Zero`). `retire_at_goal = false` keeps
+    /// every replica live for the whole run — first hits are recorded in
+    /// `converged_at`, but the replicas continue stepping (the conformance
+    /// harness needs the true post-consensus marginals when an environment
+    /// schedule is active).
     #[must_use]
-    pub fn with_retirement(
+    pub fn with_goal(
         kernel: Arc<Kernel>,
         start: Configuration,
+        goal: u64,
         seeds: &[u64],
-        retire_on_consensus: bool,
+        retire_at_goal: bool,
     ) -> Self {
         let n = start.n();
         let z = u64::from(start.correct().as_bit());
-        let target = if z == 1 { n } else { 0 };
         let b = seeds.len();
         let mut sim = Self {
             kernel,
             n,
             z,
-            target,
+            goal,
             round: 0,
             live_ones: Vec::with_capacity(b),
             live_rngs: Vec::with_capacity(b),
@@ -118,13 +138,14 @@ impl LockstepSim {
             pos_of_rep: vec![usize::MAX; b],
             ones_by_rep: vec![start.ones(); b],
             converged_at: vec![None; b],
-            retire_on_consensus,
+            retire_at_goal,
             plans: StateCache::new(n),
         };
+        let at_goal = reached(start.ones(), z, goal);
         for (rep, &seed) in seeds.iter().enumerate() {
-            if start.ones() == target {
+            if at_goal {
                 sim.converged_at[rep] = Some(0);
-                if retire_on_consensus {
+                if retire_at_goal {
                     continue;
                 }
             }
@@ -154,8 +175,8 @@ impl LockstepSim {
         self.round
     }
 
-    /// Current `ones` count of replica `rep` — its final (consensus) value
-    /// once retired.
+    /// Current `ones` count of replica `rep` — its final value, at or past
+    /// the goal, once retired.
     #[must_use]
     pub fn ones_of(&self, rep: usize) -> u64 {
         match self.pos_of_rep[rep] {
@@ -164,38 +185,49 @@ impl LockstepSim {
         }
     }
 
-    /// First round at which replica `rep` held the correct consensus, or
-    /// `None` while it is still running.
+    /// First round at which replica `rep` had reached the goal (the correct
+    /// consensus, for a batch made by [`LockstepSim::new`]), or `None`
+    /// while it has not.
     #[must_use]
     pub fn converged_at(&self, rep: usize) -> Option<u64> {
         self.converged_at[rep]
     }
 
     /// Advances every live replica by one parallel round, then retires the
-    /// replicas that reached the correct consensus.
+    /// replicas that reached the goal.
     pub fn step_round(&mut self) {
+        if with_lnfact(self.n, |lnfact| self.draw_round(lnfact)) {
+            self.sweep();
+        }
+    }
+
+    /// Draws one round for every live replica from the `ln(i!)` table
+    /// `lnfact`, and returns whether any of them is now at the goal.
+    fn draw_round(&mut self, lnfact: &[f64]) -> bool {
         self.round += 1;
-        // One table access for the whole chunk-round. Perturbations draw
-        // through `sample_binomial`, which enters the table itself, so they
-        // stay outside it, between rounds.
-        let (kernel, z, plans) = (&*self.kernel, self.z, &mut self.plans);
-        let (ones, rngs) = (self.live_ones.as_mut_slice(), self.live_rngs.as_mut_slice());
-        with_lnfact(plans.n(), |lnfact| {
-            for (x, rng) in ones.iter_mut().zip(rngs) {
-                *x = plans.step(kernel, z, *x, rng, lnfact);
-            }
-        });
+        let (kernel, z, goal, plans) = (&*self.kernel, self.z, self.goal, &mut self.plans);
+        let mut hit = false;
+        for (x, rng) in self.live_ones.iter_mut().zip(&mut self.live_rngs) {
+            *x = plans.step(kernel, z, *x, rng, lnfact);
+            hit |= reached(*x, z, goal);
+        }
         debug_assert!(self.live_ones.iter().all(|&x| x <= self.n));
-        // Retire in a separate dense sweep so the sampling loop stays
-        // branch-light; swap_remove keeps the arrays packed.
+        hit
+    }
+
+    /// Records the first hit of every live replica at the goal and, with
+    /// retirement on, retires it. A separate dense sweep, run only on a
+    /// round where some replica hit, keeps the draw loop branch-light;
+    /// `swap_remove` keeps the arrays packed.
+    fn sweep(&mut self) {
         let mut pos = 0;
         while pos < self.live_ones.len() {
-            if self.live_ones[pos] == self.target {
+            if reached(self.live_ones[pos], self.z, self.goal) {
                 let rep = self.live_rep[pos];
                 if self.converged_at[rep].is_none() {
                     self.converged_at[rep] = Some(self.round);
                 }
-                if self.retire_on_consensus {
+                if self.retire_at_goal {
                     self.retire(pos);
                     continue;
                 }
@@ -212,7 +244,8 @@ impl LockstepSim {
     /// events across the batch.
     ///
     /// Source flips are time-scheduled, so every replica computes the same
-    /// new `z`; the shared `z`/`target` pair is committed after the sweep.
+    /// new `z`; the shared `z` is committed after the sweep, and a flip
+    /// re-aims the goal at the new correct consensus.
     /// The per-state cache needs no flushing: slots are tagged by `(x, z)`
     /// (DESIGN decision 15).
     pub fn perturb_round(&mut self, env: &EnvSchedule) -> u64 {
@@ -226,7 +259,7 @@ impl LockstepSim {
         }
         if new_z != self.z {
             self.z = new_z;
-            self.target = if self.z == 1 { self.n } else { 0 };
+            self.goal = if self.z == 1 { self.n } else { 0 };
         }
         events_total
     }
@@ -244,8 +277,8 @@ impl LockstepSim {
     }
 
     /// Per-replica outcomes under a round budget: `Converged` with the
-    /// recorded round for retired replicas, `TimedOut { rounds: budget }`
-    /// for the rest.
+    /// recorded round for replicas that reached the goal, `TimedOut {
+    /// rounds: budget }` for the rest.
     #[must_use]
     pub fn outcomes(&self, budget: u64) -> Vec<Outcome> {
         self.converged_at
@@ -257,13 +290,17 @@ impl LockstepSim {
             .collect()
     }
 
-    /// Runs until every replica has converged or `budget` rounds have
-    /// elapsed, and returns the per-replica outcomes in batch order.
+    /// Runs until every replica has reached the goal or `budget` rounds
+    /// have elapsed, and returns the per-replica outcomes in batch order.
+    /// The goal is tested before the first round and after every round.
     ///
-    /// Under `env`, every boundary `t` is perturbed after the consensus
-    /// check at `t` (the retirement sweep of the previous round) and before
-    /// the step to `t + 1` — the convention of the solo
+    /// Under `env`, every boundary `t` is perturbed after the goal test at
+    /// `t` (the retirement sweep of the previous round) and before the step
+    /// to `t + 1` — the convention of the solo
     /// [`run_to_consensus_observed`](crate::run::run_to_consensus_observed).
+    /// Without `env` the whole run holds the `ln(i!)` table; perturbations
+    /// draw through `sample_binomial`, which enters the table itself, so a
+    /// scheduled run enters it once per round, after the perturbation.
     ///
     /// With an active `obs`, emits per-replica [`Event::RoundCompleted`]
     /// events (subject to the handle's round stride, same label convention
@@ -286,23 +323,9 @@ impl LockstepSim {
         reps: &[u64],
     ) -> Vec<Outcome> {
         assert_eq!(reps.len(), self.batch_size(), "one trace label per replica");
-        if !obs.active() && !obs.metrics_on() {
-            while self.live() > 0 && self.round < budget {
-                if let Some(env) = env {
-                    self.perturb_round(env);
-                }
-                self.step_round();
-            }
-            return self.outcomes(budget);
-        }
-
         let timer = Timer::start();
-        let mut perturbations = 0u64;
-        // Trace labels of the live replicas, gathered once per recorded
-        // round so that the round's rows go to the sink in one call.
-        let mut live_labels = Vec::with_capacity(self.live_rep.len());
         if obs.active() {
-            // Replicas already at consensus finish at round 0, before any
+            // Replicas that start at the goal finish at round 0, before any
             // round event — same shape as the solo loop.
             for (rep, &label) in reps.iter().enumerate() {
                 if self.converged_at[rep] == Some(0) {
@@ -315,61 +338,83 @@ impl LockstepSim {
                 }
             }
         }
-        while self.live() > 0 && self.round < budget {
-            if let Some(env) = env {
-                perturbations += self.perturb_round(env);
-            }
-            // Sampled 1-in-8: a round is microseconds, so timing every
-            // pass would itself cost a few percent (see
-            // LATENCY_SAMPLE_EVERY).
-            let pass_start = (obs.metrics_on()
-                && self.round.is_multiple_of(bitdissem_obs::LATENCY_SAMPLE_EVERY))
-            .then(std::time::Instant::now);
-            self.step_round();
-            if let Some(start) = pass_start {
-                obs.metrics().record_latency(
-                    LatencyId::RoundPass,
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-            if !obs.active() {
-                continue;
-            }
-            // Re-read after the step: a source flip mid-run changes the
-            // opinion the round events must carry.
-            let source_opinion = self.z as u8;
-            let r = self.round;
-            if obs.wants_round(r) {
-                // Still-live replicas report their post-round state; the
-                // replicas retired *this* round report the consensus they
-                // just reached (the solo loop emits that round too).
-                live_labels.clear();
-                live_labels.extend(self.live_rep.iter().map(|&rep| reps[rep]));
-                obs.emit_rounds(r, source_opinion, &live_labels, &self.live_ones);
-            }
-            for (rep, &label) in reps.iter().enumerate() {
-                if self.converged_at[rep] == Some(r) {
-                    // Without retirement the replica is still live, and
-                    // its row went out with the live ones.
-                    if self.retire_on_consensus && obs.wants_round(r) {
-                        obs.emit(&Event::RoundCompleted {
+        let mut perturbations = 0u64;
+        // Trace labels of the live replicas, gathered once per recorded
+        // round so that the round's rows go to the sink in one call.
+        let mut live_labels = Vec::with_capacity(self.live_rep.len());
+        let n = self.n;
+        // `held` is the `ln(i!)` table when the whole run holds it, `None`
+        // when each round enters it (see above).
+        let mut rounds = |held: Option<&[f64]>| {
+            while self.live() > 0 && self.round < budget {
+                if let Some(env) = env {
+                    perturbations += self.perturb_round(env);
+                }
+                // Sampled 1-in-8: a round is microseconds, so timing every
+                // pass would itself cost a few percent (see
+                // LATENCY_SAMPLE_EVERY).
+                let pass_start = (obs.metrics_on()
+                    && self.round.is_multiple_of(bitdissem_obs::LATENCY_SAMPLE_EVERY))
+                .then(std::time::Instant::now);
+                let hit = match held {
+                    Some(lnfact) => self.draw_round(lnfact),
+                    None => with_lnfact(n, |lnfact| self.draw_round(lnfact)),
+                };
+                if hit {
+                    self.sweep();
+                }
+                if let Some(start) = pass_start {
+                    obs.metrics().record_latency(
+                        LatencyId::RoundPass,
+                        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    );
+                }
+                if !obs.active() {
+                    continue;
+                }
+                // Re-read after the step: a source flip mid-run changes the
+                // opinion the round events must carry.
+                let source_opinion = self.z as u8;
+                let r = self.round;
+                if obs.wants_round(r) {
+                    // Still-live replicas report their post-round state; the
+                    // replicas retired *this* round report the state they
+                    // retired at (the solo loop emits that round too).
+                    live_labels.clear();
+                    live_labels.extend(self.live_rep.iter().map(|&rep| reps[rep]));
+                    obs.emit_rounds(r, source_opinion, &live_labels, &self.live_ones);
+                }
+                if !hit {
+                    continue;
+                }
+                for (rep, &label) in reps.iter().enumerate() {
+                    if self.converged_at[rep] == Some(r) {
+                        // Without retirement the replica is still live, and
+                        // its row went out with the live ones.
+                        if self.retire_at_goal && obs.wants_round(r) {
+                            obs.emit(&Event::RoundCompleted {
+                                rep: label,
+                                round: r,
+                                ones: self.ones_of(rep),
+                                source_opinion,
+                            });
+                        }
+                        obs.emit(&Event::ReplicationFinished {
                             rep: label,
-                            round: r,
-                            ones: self.ones_of(rep),
-                            source_opinion,
+                            outcome: ReplicationOutcome::Converged,
+                            rounds: r,
+                            elapsed_us: timer.elapsed_us(),
                         });
                     }
-                    obs.emit(&Event::ReplicationFinished {
-                        rep: label,
-                        outcome: ReplicationOutcome::Converged,
-                        rounds: r,
-                        elapsed_us: timer.elapsed_us(),
-                    });
                 }
             }
+        };
+        match env {
+            Some(_) => rounds(None),
+            None => with_lnfact(n, |lnfact| rounds(Some(lnfact))),
         }
         if obs.active() {
-            // A live replica that already hit consensus (no retirement)
+            // A live replica that already hit the goal (no retirement)
             // finished when it did; only the others time out.
             for &rep in self.live_rep.iter().filter(|&&rep| self.converged_at[rep].is_none()) {
                 obs.emit(&Event::ReplicationFinished {
@@ -386,8 +431,8 @@ impl LockstepSim {
             let mut samples_total: u64 = 0;
             for c in &self.converged_at {
                 // Without retirement every replica runs the full loop, not
-                // just up to its first consensus hit.
-                let steps = if self.retire_on_consensus { c.unwrap_or(budget) } else { self.round };
+                // just up to its first hit.
+                let steps = if self.retire_at_goal { c.unwrap_or(budget) } else { self.round };
                 rounds_total += steps;
                 samples_total =
                     samples_total.saturating_add(steps.saturating_mul(samples_per_round));
@@ -414,7 +459,8 @@ impl LockstepSim {
 }
 
 /// Runs the replications named by `indices` through lock-step batches
-/// over the shared worker pool, and returns their outcomes **in the order
+/// over the shared worker pool, each replica retiring at `goal` (see
+/// [`LockstepSim::with_goal`]), and returns their outcomes **in the order
 /// of `indices`**.
 ///
 /// The lock-step counterpart of
@@ -434,6 +480,7 @@ impl LockstepSim {
 pub fn replicate_lockstep(
     kernel: &Arc<Kernel>,
     start: Configuration,
+    goal: u64,
     indices: &[usize],
     base_seed: u64,
     threads: Option<usize>,
@@ -464,8 +511,8 @@ pub fn replicate_lockstep(
         let seeds: Vec<u64> =
             chunk_indices.iter().map(|&rep| replication_seed(base_seed, rep as u64)).collect();
         let labels: Vec<u64> = chunk_indices.iter().map(|&rep| rep as u64).collect();
-        let outcomes =
-            LockstepSim::new(Arc::clone(kernel), start, &seeds).run(budget, env, obs, &labels);
+        let outcomes = LockstepSim::with_goal(Arc::clone(kernel), start, goal, &seeds, true)
+            .run(budget, env, obs, &labels);
         {
             let mut slots = slots.lock().expect("lock-step replication slots poisoned");
             for (offset, outcome) in outcomes.into_iter().enumerate() {
@@ -544,6 +591,63 @@ mod tests {
         assert_eq!(batch.round(), 0);
     }
 
+    /// A batch with a threshold goal stops each replica at the first `t`
+    /// where the goal holds, tested before the first round and after every
+    /// round up to the budget, in the state a `step_round` loop of the solo
+    /// engine reaches from the same seed: on a merged (Voter) and a split
+    /// (TwoChoices) chain, for goals held at the start, reached part-way or
+    /// never reached.
+    #[test]
+    fn threshold_goal_stops_where_a_step_round_loop_does() {
+        use bitdissem_core::dynamics::TwoChoices;
+        let n = 300;
+        let reps = 6;
+        let protocols: [&dyn bitdissem_core::Protocol; 2] =
+            [&Voter::new(1).unwrap(), &TwoChoices::new()];
+        // No state lies above n, so the last goal is never reached.
+        let cases =
+            [(Opinion::One, 150), (Opinion::One, 180), (Opinion::Zero, 120), (Opinion::One, n + 1)];
+        let mut part_way = 0;
+        for protocol in protocols {
+            let kernel = kernel_of(protocol, n);
+            for (correct, goal) in cases {
+                let start = Configuration::new(n, correct, 150).unwrap();
+                let reached = |x: u64| if correct == Opinion::One { x >= goal } else { x <= goal };
+                for budget in [0, 1, 40, 3000] {
+                    let case =
+                        format!("{}, goal {goal} for {correct}, budget {budget}", protocol.name());
+                    let seeds = seeds_for(11, reps);
+                    let mut batch =
+                        LockstepSim::with_goal(Arc::clone(&kernel), start, goal, &seeds, true);
+                    let outcomes = batch.run_plain(budget);
+                    for (rep, &seed) in seeds.iter().enumerate() {
+                        let mut solo = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                        let mut rng = rng_from(seed);
+                        let hit = (0..=budget).find(|&t| {
+                            let stopped = reached(solo.configuration().ones());
+                            if !stopped && t < budget {
+                                solo.step_round(&mut rng);
+                            }
+                            stopped
+                        });
+                        part_way += usize::from(hit.is_some_and(|t| t > 0));
+                        let expect = hit.map_or(Outcome::TimedOut { rounds: budget }, |rounds| {
+                            Outcome::Converged { rounds }
+                        });
+                        assert_eq!(outcomes[rep], expect, "{case}, rep {rep}");
+                        assert_eq!(batch.converged_at(rep), hit, "{case}, rep {rep}");
+                        assert_eq!(
+                            batch.ones_of(rep),
+                            solo.configuration().ones(),
+                            "{case}, rep {rep}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(part_way > 0, "some replica reaches its goal after the start");
+    }
+
     #[test]
     fn retirement_keeps_survivor_bookkeeping_consistent() {
         // Replicas converge at different rounds; ones_of/converged_at must
@@ -574,7 +678,7 @@ mod tests {
         let start = Configuration::new(n, Opinion::One, 40).unwrap();
         let env: EnvSchedule = "flip@400".parse().unwrap();
         let reps = 6usize;
-        let mut batch = LockstepSim::with_retirement(kernel, start, &seeds_for(9, reps), false);
+        let mut batch = LockstepSim::with_goal(kernel, start, n, &seeds_for(9, reps), false);
         let labels: Vec<u64> = (0..reps as u64).collect();
         let outcomes = batch.run(800, Some(&env), &Obs::none(), &labels);
         assert_eq!(batch.live(), reps, "nothing retires without retirement");
@@ -602,12 +706,8 @@ mod tests {
             let start = Configuration::new(n, Opinion::One, x0).unwrap();
             let sink = Arc::new(MemorySink::new());
             let obs = Obs::none().with_sink(Arc::clone(&sink) as _);
-            let mut batch = LockstepSim::with_retirement(
-                Arc::clone(&kernel),
-                start,
-                &seeds_for(9, reps),
-                false,
-            );
+            let mut batch =
+                LockstepSim::with_goal(Arc::clone(&kernel), start, n, &seeds_for(9, reps), false);
             let outcomes = batch.run(budget, env.as_ref(), &obs, &labels);
             assert_eq!(outcomes, batch.outcomes(budget));
             let events = sink.events();
@@ -841,6 +941,7 @@ mod tests {
             let batched = replicate_lockstep(
                 &kernel,
                 start,
+                n,
                 &indices,
                 base,
                 Some(threads),
@@ -852,7 +953,7 @@ mod tests {
         }
         let sparse: Vec<usize> = (0..40).filter(|i| i % 3 == 0).collect();
         let spliced =
-            replicate_lockstep(&kernel, start, &sparse, base, Some(2), budget, None, &obs);
+            replicate_lockstep(&kernel, start, n, &sparse, base, Some(2), budget, None, &obs);
         for (pos, &rep) in sparse.iter().enumerate() {
             assert_eq!(spliced[pos], reference[rep], "sparse rep {rep}");
         }
@@ -892,6 +993,7 @@ mod tests {
             let driven = replicate_lockstep(
                 &kernel,
                 start,
+                n,
                 &indices,
                 base,
                 Some(threads),

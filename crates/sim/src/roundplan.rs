@@ -117,12 +117,6 @@ impl<T> StateCache<T> {
         Self { n, slots: slots.try_into().unwrap_or_else(|_| unreachable!("SLOTS slots")) }
     }
 
-    /// The population size the cache serves.
-    #[inline]
-    pub(crate) fn n(&self) -> u64 {
-        self.n
-    }
-
     /// The slot of state `x`: its low bits, plus one bit for the side of
     /// `n/2` it lies on.
     #[inline]
@@ -279,7 +273,7 @@ mod tests {
         x: u64,
         rng: &mut SimRng,
     ) -> u64 {
-        with_lnfact(cache.n(), |lnfact| cache.step(kernel, z, x, rng, lnfact))
+        with_lnfact(cache.n, |lnfact| cache.step(kernel, z, x, rng, lnfact))
     }
 
     /// The cache's draws must be bit-identical to plain sampling, across

@@ -95,7 +95,7 @@ impl Outcome {
 ///
 /// For Proposition-3-compliant protocols the correct consensus is absorbing,
 /// so the first hitting time *is* the convergence time `τ` of the paper. For
-/// non-compliant protocols use [`run_with_exit_detection`], which
+/// non-compliant protocols use [`run_with_exit_detection_observed`], which
 /// additionally verifies stability.
 pub fn run_to_consensus<S: Simulator + ?Sized>(
     sim: &mut S,
@@ -227,35 +227,14 @@ pub enum StabilityOutcome {
 /// `dwell` further rounds to check that the consensus *persists* — the
 /// "remains with it forever" part of the problem definition, observable in
 /// finite time for protocols that leak mass out of the consensus.
-pub fn run_with_exit_detection<S: Simulator + ?Sized>(
-    sim: &mut S,
-    rng: &mut SimRng,
-    max_rounds: u64,
-    dwell: u64,
-) -> StabilityOutcome {
-    let entered = match run_to_consensus(sim, rng, max_rounds) {
-        Outcome::Converged { rounds } => rounds,
-        Outcome::TimedOut { rounds } => return StabilityOutcome::NeverReached { rounds },
-    };
-    for d in 1..=dwell {
-        sim.step_round(rng);
-        if !sim.configuration().is_correct_consensus() {
-            return StabilityOutcome::Exited { entered, exited: entered + d };
-        }
-    }
-    StabilityOutcome::Stable { entered }
-}
-
-/// [`run_with_exit_detection`] with observability: the consensus phase runs
-/// through [`run_to_consensus_observed`] (round events, replication event,
-/// counters), the dwell window emits its own [`Event::RoundCompleted`]
-/// events (labeled `entered + d`, continuing the run's round numbering) and
-/// adds its rounds and samples to the metrics, and a consensus loss emits a
-/// closing [`Event::ConsensusExited`].
 ///
-/// Instrumentation never touches `rng`, so outcomes are **identical** to
-/// [`run_with_exit_detection`] for the same seed; with a fully disabled
-/// handle the call forwards directly to the uninstrumented loop.
+/// The consensus phase runs through [`run_to_consensus_observed`] (round
+/// events, replication event, counters), the dwell window emits its own
+/// [`Event::RoundCompleted`] events (labeled `entered + d`, continuing the
+/// run's round numbering) and adds its rounds and samples to the metrics,
+/// and a consensus loss emits a closing [`Event::ConsensusExited`].
+/// Instrumentation never touches `rng`, so outcomes are **identical** to a
+/// run on [`Obs::none`] for the same seed.
 pub fn run_with_exit_detection_observed<S: Simulator + ?Sized>(
     sim: &mut S,
     rng: &mut SimRng,
@@ -264,10 +243,6 @@ pub fn run_with_exit_detection_observed<S: Simulator + ?Sized>(
     obs: &Obs,
     rep: u64,
 ) -> StabilityOutcome {
-    if !obs.active() && !obs.metrics_on() {
-        return run_with_exit_detection(sim, rng, max_rounds, dwell);
-    }
-
     let entered = match run_to_consensus_observed(sim, rng, max_rounds, None, obs, rep) {
         Outcome::Converged { rounds } => rounds,
         Outcome::TimedOut { rounds } => return StabilityOutcome::NeverReached { rounds },
@@ -345,7 +320,8 @@ mod tests {
         let start = Configuration::all_wrong(32, Opinion::One);
         let mut sim = AggregateSim::new(&Voter::new(1).unwrap(), start).unwrap();
         let mut rng = rng_from(2);
-        match run_with_exit_detection(&mut sim, &mut rng, 1_000_000, 200) {
+        match run_with_exit_detection_observed(&mut sim, &mut rng, 1_000_000, 200, &Obs::none(), 0)
+        {
             StabilityOutcome::Stable { entered } => assert!(entered > 0),
             other => panic!("expected stable convergence, got {other:?}"),
         }
@@ -469,7 +445,14 @@ mod tests {
         let start = Configuration::new(16, Opinion::One, 14).unwrap();
         let mut sim = AggregateSim::new(&NoisyVoter::new(1, 0.02).unwrap(), start).unwrap();
         let mut rng = rng_from(3);
-        match run_with_exit_detection(&mut sim, &mut rng, 1_000_000, 10_000) {
+        match run_with_exit_detection_observed(
+            &mut sim,
+            &mut rng,
+            1_000_000,
+            10_000,
+            &Obs::none(),
+            0,
+        ) {
             StabilityOutcome::Exited { entered, exited } => assert!(exited > entered),
             other => panic!("expected consensus exit, got {other:?}"),
         }
@@ -479,24 +462,13 @@ mod tests {
     fn observed_exit_detection_matches_unobserved_exactly() {
         let noisy = NoisyVoter::new(1, 0.02).unwrap();
         let start = Configuration::new(16, Opinion::One, 14).unwrap();
-        let plain = {
+        let run = |obs: &Obs| {
             let mut sim = AggregateSim::new(&noisy, start).unwrap();
-            run_with_exit_detection(&mut sim, &mut rng_from(21), 1_000_000, 10_000)
+            run_with_exit_detection_observed(&mut sim, &mut rng_from(21), 1_000_000, 10_000, obs, 0)
         };
         let sink = std::sync::Arc::new(bitdissem_obs::MemorySink::new());
-        let obs = Obs::none().with_sink(sink).with_metrics();
-        let observed = {
-            let mut sim = AggregateSim::new(&noisy, start).unwrap();
-            run_with_exit_detection_observed(
-                &mut sim,
-                &mut rng_from(21),
-                1_000_000,
-                10_000,
-                &obs,
-                0,
-            )
-        };
-        assert_eq!(plain, observed);
+        let instrumented = run(&Obs::none().with_sink(sink).with_metrics());
+        assert_eq!(run(&Obs::none()), instrumented);
     }
 
     #[test]

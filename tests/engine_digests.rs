@@ -153,8 +153,18 @@ fn crossing_pin<P: Protocol + Sync>(protocol: &P) -> Pin {
 fn lockstep_pin<P: Protocol>(protocol: &P) -> Pin {
     let (witness, kernel, indices, seeds) = setup(protocol);
     let start = witness.start();
-    let outcomes =
-        replicate_lockstep(&kernel, start, &indices, SEED, Some(2), BUDGET, None, &Obs::none());
+    let consensus = Configuration::correct_consensus(N, start.correct()).ones();
+    let outcomes = replicate_lockstep(
+        &kernel,
+        start,
+        consensus,
+        &indices,
+        SEED,
+        Some(2),
+        BUDGET,
+        None,
+        &Obs::none(),
+    );
     let mut batch = LockstepSim::new(kernel, start, &seeds);
     let paths = batch_paths(|| {
         batch.step_round();
@@ -321,6 +331,7 @@ fn env_lockstep_pin() -> Pin {
     let outcomes = replicate_lockstep(
         &kernel,
         start,
+        ENV_N,
         &indices,
         SEED,
         Some(2),
@@ -328,7 +339,7 @@ fn env_lockstep_pin() -> Pin {
         Some(&env),
         &Obs::none(),
     );
-    let mut batch = LockstepSim::with_retirement(kernel, start, &seeds, false);
+    let mut batch = LockstepSim::with_goal(kernel, start, ENV_N, &seeds, false);
     let paths = env_paths(|| {
         batch.perturb_round(&env);
         batch.step_round();
