@@ -44,13 +44,17 @@ fn different_seeds_change_sampled_results_but_not_exact_ones() {
     assert_eq!(a, b, "e16 is exact; seeds must not matter");
 }
 
-/// FNV-1a digests of the `run e1` and `run e2` reports at `--scale smoke
-/// --seed 42`. E1 is the threshold-crossing sweep (per-replica chains
-/// under a stop rule), e2 Voter convergence on the default lock-step
-/// engine; neither report prints a wall-clock figure. Run under
-/// `BITDISSEM_POOL_WORKERS` = 1 and 8, the pins hold across pool sizes.
+/// FNV-1a digests of the `run e1` to `run e4` reports at `--scale smoke
+/// --seed 42`. E1 is the threshold-crossing sweep (lock-step batches whose
+/// replicas retire at the witness threshold), e2 Voter convergence on the
+/// lock-step engine, e3 and e4 fast Minority with `ℓ` near `√(n ln n)`,
+/// the only smoke reports whose kernels are own-independent and of large
+/// degree; no report prints a wall-clock figure. Run under
+/// `BITDISSEM_POOL_WORKERS` = 1, 2 and 8, the pins hold across pool sizes.
 const E1_SMOKE_SEED42: u64 = 15_974_778_037_371_528_721;
 const E2_SMOKE_SEED42: u64 = 15_035_177_343_551_147_721;
+const E3_SMOKE_SEED42: u64 = 11_873_062_211_824_504_307;
+const E4_SMOKE_SEED42: u64 = 6_540_961_855_893_614_972;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
@@ -58,10 +62,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
+fn assert_smoke_pins(pins: &[(&str, u64)]) {
+    for &(id, pin) in pins {
+        let report = registry::run(id, &RunConfig::smoke(42)).expect("known id").render();
+        let digest = fnv1a(report.as_bytes());
+        assert_eq!(digest, pin, "{id} report (digest {digest}):\n{report}");
+    }
+}
+
 #[test]
 fn smoke_reports_of_e1_and_e2_are_pinned() {
-    for (id, pin) in [("e1", E1_SMOKE_SEED42), ("e2", E2_SMOKE_SEED42)] {
-        let report = registry::run(id, &RunConfig::smoke(42)).expect("known id").render();
-        assert_eq!(fnv1a(report.as_bytes()), pin, "{id} report:\n{report}");
-    }
+    assert_smoke_pins(&[("e1", E1_SMOKE_SEED42), ("e2", E2_SMOKE_SEED42)]);
+}
+
+#[test]
+fn smoke_reports_of_e3_and_e4_are_pinned() {
+    assert_smoke_pins(&[("e3", E3_SMOKE_SEED42), ("e4", E4_SMOKE_SEED42)]);
 }
