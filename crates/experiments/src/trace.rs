@@ -203,11 +203,18 @@ impl TraceAnalysis {
                 ),
                 None => writeln!(out, "\nbatch {}: (no batch header; older trace)", i + 1),
             };
-            let _ = writeln!(
-                out,
-                "  replications: {} ({} converged, {} timed out)",
-                b.replications, b.converged, b.timed_out
-            );
+            // A header with replications but no finished rows: the batch
+            // ran without recording them (crossing batches emit none).
+            let _ = match &b.meta {
+                Some(m) if b.replications == 0 && m.reps > 0 => {
+                    writeln!(out, "  replications: not recorded ({} in header)", m.reps)
+                }
+                _ => writeln!(
+                    out,
+                    "  replications: {} ({} converged, {} timed out)",
+                    b.replications, b.converged, b.timed_out
+                ),
+            };
             if let Some(s) = &b.rounds_summary {
                 let _ = writeln!(
                     out,
@@ -713,6 +720,27 @@ mod tests {
         assert!(a.batches[1].meta.is_some());
         assert_eq!(a.skipped_lines, 2);
         assert!(a.render().contains("undecodable"), "{}", a.render());
+    }
+
+    #[test]
+    fn header_only_batches_read_as_not_recorded() {
+        // Crossing batches record their header and no finished rows.
+        let cross = |count| {
+            let mut header = voter_meta(64);
+            if let Event::BatchStarted { kind, reps, .. } = &mut header {
+                *kind = "cross".to_string();
+                *reps = count;
+            }
+            header
+        };
+        let a = analyze(&[cross(48), cross(0)], 0);
+        assert_eq!(a.batches.len(), 2);
+        assert_eq!(a.batches[0].replications, 0);
+        let report = a.render();
+        assert!(report.contains("replications: not recorded (48 in header)"), "{report}");
+        // A header that names no replications still reads as a count.
+        assert!(report.contains("replications: 0 (0 converged, 0 timed out)"), "{report}");
+        assert!(!a.has_violations());
     }
 
     #[test]

@@ -578,6 +578,35 @@ mod tests {
         assert_eq!(counts(), (total, total * 5 * n, crossed), "cached replicas add nothing");
     }
 
+    /// `plan_builds` counts the lock-step engine's cache misses, on one
+    /// thread (one chunk of 8 replicas): diffusive Voter(1) converging from
+    /// all-wrong at n = 8192 builds a plan on most replica-rounds (63% at
+    /// this seed), Minority(5) hovering at the n = 8192 witness on almost
+    /// none (0.5%, nearly all of them first visits).
+    #[test]
+    fn plan_builds_count_cache_misses() {
+        use bitdissem_core::dynamics::Minority;
+        let n = 8192;
+        let counts = |obs: &Obs| {
+            let c = obs.metrics().snapshot();
+            (c.plan_builds, c.rounds_simulated)
+        };
+        let obs = Obs::none().with_metrics();
+        let voter = Voter::new(1).unwrap();
+        let start = Configuration::all_wrong(n, Opinion::One);
+        let b = measure_convergence_observed(&obs, &voter, start, 8, 40 * n, 5, Some(1));
+        assert!((b.converged_fraction() - 1.0).abs() < 1e-12);
+        let (builds, rounds) = counts(&obs);
+        assert!(builds <= rounds && 2 * builds > rounds, "Voter: {builds} builds, {rounds} rounds");
+
+        let obs = Obs::none().with_metrics();
+        let minority = Minority::new(5).unwrap();
+        let w = LowerBoundWitness::construct(&minority, n).unwrap();
+        let _ = measure_crossing_observed(&obs, &minority, &w, 8, 20_000, 5, Some(1));
+        let (builds, rounds) = counts(&obs);
+        assert!(100 * builds < rounds, "Minority(5): {builds} builds, {rounds} rounds");
+    }
+
     /// A lock-step replica aimed at the witness threshold has reached its
     /// goal exactly where `witness.crossed` holds, for every state the
     /// chain can hold, in all three cases of the construction.

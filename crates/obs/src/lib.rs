@@ -53,7 +53,7 @@ pub use event::{Event, ReplicationOutcome};
 pub use fault::FaultyWriter;
 pub use hist::LogHistogram;
 pub use manifest::RunManifest;
-pub use metrics::{CounterSnapshot, GaugeId, LatencyId, Metrics, LATENCY_SAMPLE_EVERY};
+pub use metrics::{CounterSnapshot, GaugeId, LatencyId, Metrics, LATENCY_SAMPLE_WORK};
 pub use profile::SpanGuard;
 pub use progress::Progress;
 pub use reader::{parse_trace, read_trace, stream_trace, StreamStats, TraceRead};

@@ -27,15 +27,19 @@ pub enum LatencyId {
     RoundPass = 1,
 }
 
-/// Stride at which engine round loops time a [`LatencyId::RoundPass`]:
-/// every `LATENCY_SAMPLE_EVERY`-th round, not every round. A wide-engine
-/// round is a few microseconds, and the two `Instant::now()` calls
-/// bracketing it cost ~2-3% of the round on hosts with a slow clock
-/// source — systematic 1-in-8 sampling keeps the quantiles unbiased
-/// (round costs drift smoothly, they don't oscillate at the stride) while
-/// pushing the instrumentation under the telemetry overhead budget.
-/// Power of two, so the hot-loop stride check compiles to a mask.
-pub const LATENCY_SAMPLE_EVERY: u64 = 8;
+/// Replica-rounds a lock-step round loop draws between two timed
+/// [`LatencyId::RoundPass`] samples. The loop times the first round of each
+/// run, then the next round once this many replica-rounds have been drawn
+/// since the last timed one (that one's own included): a chunk of `B` live
+/// replicas is timed about one round in `512 / B`, so an 8-replica crossing
+/// chunk one in 64 and a 64-replica chunk one in 8. A chunk-round takes
+/// from a few hundred nanoseconds to a few microseconds, and the two
+/// `Instant::now()` calls and the histogram record bracketing it cost a
+/// few percent of a small chunk's round on hosts with a slow clock source;
+/// sampling by work keeps that share the same at every chunk size.
+/// Round costs drift smoothly rather than oscillate at the stride, so the
+/// systematic sample keeps the quantiles unbiased.
+pub const LATENCY_SAMPLE_WORK: u64 = 512;
 
 /// Instantaneous values set (not accumulated) by the workload driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +65,12 @@ pub enum GaugeId {
 pub struct Metrics {
     /// Total parallel rounds simulated across all replications.
     pub rounds_simulated: Counter,
+    /// Round plans the lock-step engine built on a miss of its per-state
+    /// cache. Its share of `rounds_simulated` is the miss rate. One cache
+    /// serves one lock-step chunk, so the count depends on how replications
+    /// are chunked, and so on the worker count, but not on scheduling: a
+    /// chunk's count is fixed by its replicas' seeds.
+    pub plan_builds: Counter,
     /// Total opinion samples drawn by agents (≈ rounds × population).
     pub opinion_samples: Counter,
     /// Independent RNG streams derived (one per replication).
@@ -100,6 +110,8 @@ pub struct Metrics {
 pub struct CounterSnapshot {
     /// See [`Metrics::rounds_simulated`].
     pub rounds_simulated: u64,
+    /// See [`Metrics::plan_builds`].
+    pub plan_builds: u64,
     /// See [`Metrics::opinion_samples`].
     pub opinion_samples: u64,
     /// See [`Metrics::rng_streams`].
@@ -127,6 +139,7 @@ impl CounterSnapshot {
     pub fn named(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("rounds_simulated", self.rounds_simulated),
+            ("plan_builds", self.plan_builds),
             ("opinion_samples", self.opinion_samples),
             ("rng_streams", self.rng_streams),
             ("replications", self.replications),
@@ -156,6 +169,7 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics {
             rounds_simulated: Counter::new(),
+            plan_builds: Counter::new(),
             opinion_samples: Counter::new(),
             rng_streams: Counter::new(),
             replications: Counter::new(),
@@ -184,6 +198,11 @@ impl Metrics {
     /// Adds to `rounds_simulated`.
     pub fn add_rounds(&self, n: u64) {
         self.rounds_simulated.add(n);
+    }
+
+    /// Adds to `plan_builds`.
+    pub fn add_plan_builds(&self, n: u64) {
+        self.plan_builds.add(n);
     }
 
     /// Adds to `opinion_samples`.
@@ -242,6 +261,7 @@ impl Metrics {
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             rounds_simulated: self.rounds_simulated.get(),
+            plan_builds: self.plan_builds.get(),
             opinion_samples: self.opinion_samples.get(),
             rng_streams: self.rng_streams.get(),
             replications: self.replications.get(),
@@ -429,18 +449,21 @@ mod tests {
     fn snapshot_copies_every_counter() {
         let m = Metrics::new();
         m.add_rounds(4);
+        m.add_plan_builds(3);
         m.add_retired(3);
         m.add_pool_batch(2, 1);
         let snap = m.snapshot();
         assert_eq!(snap.rounds_simulated, 4);
+        assert_eq!(snap.plan_builds, 3);
         assert_eq!(snap.replicas_retired, 3);
         assert_eq!(snap.pool_batches, 1);
         assert_eq!(snap.pool_tasks, 2);
         let named = snap.named();
-        assert_eq!(named.len(), 10);
+        assert_eq!(named.len(), 11);
         assert_eq!(named[0], ("rounds_simulated", 4));
-        assert_eq!(named[8], ("replicas_retired", 3));
-        assert_eq!(named[9], ("perturbations_applied", 0));
+        assert_eq!(named[1], ("plan_builds", 3));
+        assert_eq!(named[9], ("replicas_retired", 3));
+        assert_eq!(named[10], ("perturbations_applied", 0));
     }
 
     #[test]

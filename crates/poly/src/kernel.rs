@@ -10,25 +10,27 @@
 //!
 //! The simulator hot loop re-derived these from scratch every round — a
 //! fresh binomial-pmf vector per call. A [`Kernel`] instead compiles the
-//! two rows **once** into coefficient vectors and evaluates them with an
-//! allocation-free Horner pass.
+//! two rows **once** into coefficient vectors, in `O(ℓ)`, and evaluates
+//! them with an allocation-free Horner pass per row. When the rows are
+//! equal (`g⁰ = g¹`, a rule that ignores the agent's own opinion: Voter,
+//! Minority), the kernel records it and [`Kernel::eval`] runs one pass and
+//! returns its value for both rows: the second pass would compute the same
+//! numbers from the same coefficients.
 //!
 //! # Basis choice
 //!
-//! Two compiled forms are carried:
-//!
-//! * **Scaled Bernstein** (the default, used by [`Kernel::eval`]):
-//!   `c_k = g_k · C(ℓ, k)`, evaluated as `Σ c_k p^k (1−p)^(ℓ−k)` via a
-//!   rational Horner pass. Because `g_k ∈ [0, 1]`, every coefficient is
-//!   non-negative and the sum is bounded by the binomial theorem — there is
-//!   **no cancellation**, so the relative error stays at a few ulps for any
-//!   `ℓ` and the result can only escape `[0, 1]` by rounding noise.
-//! * **Monomial** (power basis, [`Kernel::eval_monomial`]): the expansion
-//!   `Σ_m a_m p^m` has alternating-sign contributions with `Σ|a_m|` growing
-//!   like `3^ℓ`, so plain Horner loses up to `~3^ℓ · ε` absolute accuracy.
-//!
-//! The `bernstein_basis_dominates_monomial` property test below measures
-//! both against a slow exact reference and pins the choice.
+//! The compiled form is the **scaled Bernstein** basis:
+//! `c_k = g_k · C(ℓ, k)`, evaluated as `Σ c_k p^k (1−p)^(ℓ−k)` via a
+//! rational Horner pass. Because `g_k ∈ [0, 1]`, every coefficient is
+//! non-negative and the sum is bounded by the binomial theorem — there is
+//! **no cancellation**, so the relative error stays at a few ulps for any
+//! `ℓ` and the result can only escape `[0, 1]` by rounding noise. The
+//! **monomial** (power) basis `Σ_m a_m p^m` has alternating-sign
+//! contributions with `Σ|a_m|` growing like `3^ℓ`, so plain Horner loses up
+//! to `~3^ℓ · ε` absolute accuracy, and its expansion takes `O(ℓ²)` terms
+//! per row. It is not compiled: the `bernstein_basis_dominates_monomial`
+//! property test below builds it, measures both against a slow exact
+//! reference and pins the choice.
 //!
 //! # Validation
 //!
@@ -112,9 +114,9 @@ pub struct Kernel {
     /// Scaled Bernstein coefficients `g_k · C(ℓ, k)`, one vector per row.
     bern0: Vec<f64>,
     bern1: Vec<f64>,
-    /// Power-basis coefficients, kept for the basis ablation.
-    mono0: Vec<f64>,
-    mono1: Vec<f64>,
+    /// Whether the two rows are bit for bit the same (`g⁰ = g¹`), so that
+    /// one Horner pass serves both.
+    own_independent: bool,
 }
 
 impl Kernel {
@@ -139,13 +141,8 @@ impl Kernel {
             }
         }
         let ell = g0.len() - 1;
-        Ok(Self {
-            ell,
-            bern0: scaled_bernstein(g0),
-            bern1: scaled_bernstein(g1),
-            mono0: monomial(g0),
-            mono1: monomial(g1),
-        })
+        let own_independent = g0.iter().zip(g1).all(|(a, b)| a.to_bits() == b.to_bits());
+        Ok(Self { ell, bern0: scaled_bernstein(g0), bern1: scaled_bernstein(g1), own_independent })
     }
 
     /// The protocol's sample size `ℓ` (polynomial degree).
@@ -169,17 +166,20 @@ impl Kernel {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         // Both polynomials share the degree, so the branch choice, the
         // Horner variable (t or u) and the q^ℓ / p^ℓ scale are computed
-        // once and reused — the per-round cost is two fused Horner loops.
+        // once and reused — the per-round cost is two fused Horner loops,
+        // or one when the rows are equal.
         let ell = self.bern0.len() - 1;
         let q = 1.0 - p;
         let (p0, p1) = if p <= 0.5 {
             let t = p / q;
             let scale = q.powi(ell as i32);
-            (horner_ascending(&self.bern0, t) * scale, horner_ascending(&self.bern1, t) * scale)
+            let p1 = horner_ascending(&self.bern1, t) * scale;
+            (if self.own_independent { p1 } else { horner_ascending(&self.bern0, t) * scale }, p1)
         } else {
             let u = q / p;
             let scale = p.powi(ell as i32);
-            (horner_descending(&self.bern0, u) * scale, horner_descending(&self.bern1, u) * scale)
+            let p1 = horner_descending(&self.bern1, u) * scale;
+            (if self.own_independent { p1 } else { horner_descending(&self.bern0, u) * scale }, p1)
         };
         debug_assert!(
             (-EVAL_TOL..=1.0 + EVAL_TOL).contains(&p0)
@@ -188,48 +188,12 @@ impl Kernel {
         );
         (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0))
     }
-
-    /// Evaluates `(P₀(p), P₁(p))` in the power basis (plain Horner).
-    ///
-    /// Kept for the basis ablation: measurably less accurate than
-    /// [`Kernel::eval`] for larger `ℓ` (see the module docs), and not used
-    /// on any hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    #[must_use]
-    pub fn eval_monomial(&self, p: f64) -> (f64, f64) {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        let horner = |c: &[f64]| c.iter().rev().fold(0.0f64, |acc, &a| acc * p + a);
-        (horner(&self.mono0).clamp(0.0, 1.0), horner(&self.mono1).clamp(0.0, 1.0))
-    }
 }
 
 /// `c_k = g_k · C(ℓ, k)` — the scaled Bernstein coefficients.
 fn scaled_bernstein(g: &[f64]) -> Vec<f64> {
     let ell = (g.len() - 1) as u64;
     g.iter().enumerate().map(|(k, &gk)| gk * choose_f64(ell, k as u64)).collect()
-}
-
-/// Expands `Σ_k g_k C(ℓ,k) p^k (1−p)^(ℓ−k)` into power-basis coefficients
-/// `a_m = Σ_{k ≤ m} g_k C(ℓ,k) C(ℓ−k, m−k) (−1)^(m−k)`.
-fn monomial(g: &[f64]) -> Vec<f64> {
-    let ell = g.len() - 1;
-    let ellu = ell as u64;
-    (0..=ell)
-        .map(|m| {
-            let mut a = 0.0;
-            for (k, &gk) in g.iter().enumerate().take(m + 1) {
-                let sign = if (m - k) % 2 == 0 { 1.0 } else { -1.0 };
-                a += gk
-                    * choose_f64(ellu, k as u64)
-                    * choose_f64(ellu - k as u64, (m - k) as u64)
-                    * sign;
-            }
-            a
-        })
-        .collect()
 }
 
 // The two Horner halves of the scaled-Bernstein evaluation
@@ -353,7 +317,86 @@ mod tests {
         let _ = k.eval(1.5);
     }
 
+    /// Expands `Σ_k g_k C(ℓ,k) p^k (1−p)^(ℓ−k)` into power-basis
+    /// coefficients `a_m = Σ_{k ≤ m} g_k C(ℓ,k) C(ℓ−k, m−k) (−1)^(m−k)`.
+    fn monomial(g: &[f64]) -> Vec<f64> {
+        let ell = g.len() - 1;
+        let ellu = ell as u64;
+        (0..=ell)
+            .map(|m| {
+                let mut a = 0.0;
+                for (k, &gk) in g.iter().enumerate().take(m + 1) {
+                    let sign = if (m - k) % 2 == 0 { 1.0 } else { -1.0 };
+                    a += gk
+                        * choose_f64(ellu, k as u64)
+                        * choose_f64(ellu - k as u64, (m - k) as u64)
+                        * sign;
+                }
+                a
+            })
+            .collect()
+    }
+
+    /// The power-basis polynomial with coefficients `a` at `p` (plain
+    /// Horner), clamped to `[0, 1]`.
+    fn eval_monomial(a: &[f64], p: f64) -> f64 {
+        a.iter().rev().fold(0.0f64, |acc, &am| acc * p + am).clamp(0.0, 1.0)
+    }
+
+    /// `(P₀(p), P₁(p))` with one Horner pass per row whether or not the
+    /// rows are equal, as every kernel evaluated before equal rows shared a
+    /// pass: the reference `eval` must match bit for bit.
+    fn eval_two_pass(k: &Kernel, p: f64) -> (f64, f64) {
+        let ell = k.bern0.len() - 1;
+        let q = 1.0 - p;
+        let (p0, p1) = if p <= 0.5 {
+            let t = p / q;
+            let scale = q.powi(ell as i32);
+            (horner_ascending(&k.bern0, t) * scale, horner_ascending(&k.bern1, t) * scale)
+        } else {
+            let u = q / p;
+            let scale = p.powi(ell as i32);
+            (horner_descending(&k.bern0, u) * scale, horner_descending(&k.bern1, u) * scale)
+        };
+        (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0))
+    }
+
+    fn bits((p0, p1): (f64, f64)) -> (u64, u64) {
+        (p0.to_bits(), p1.to_bits())
+    }
+
+    #[test]
+    fn equal_rows_are_recorded_bit_for_bit() {
+        let g = [0.0, 1.0, 0.0, 1.0];
+        assert!(Kernel::compile(&g, &g).unwrap().own_independent);
+        assert!(!Kernel::compile(&g, &[0.0, 1.0, 0.0, 0.5]).unwrap().own_independent);
+        // `-0.0 == 0.0`, but the two rows' coefficients differ in sign.
+        assert!(!Kernel::compile(&[-0.0, 1.0], &[0.0, 1.0]).unwrap().own_independent);
+    }
+
     proptest! {
+        /// One Horner pass for equal rows returns what two passes return,
+        /// bit for bit, on both branches of the evaluation (`p ≤ ½` and
+        /// `p > ½`); unequal rows still take two passes and agree too.
+        #[test]
+        fn eval_equals_the_two_pass_evaluation_bit_for_bit(
+            g0 in proptest::collection::vec(0.0f64..=1.0, 2..=40),
+            g1 in proptest::collection::vec(0.0f64..=1.0, 2..=40),
+            ps in proptest::collection::vec(0.0f64..=1.0, 16),
+        ) {
+            let len = g0.len().min(g1.len());
+            let (g0, g1) = (&g0[..len], &g1[..len]);
+            let mut grid = dense_grid();
+            grid.extend(ps);
+            for (rows, equal) in [((g0, g0), true), ((g0, g1), g0 == g1)] {
+                let k = Kernel::compile(rows.0, rows.1).unwrap();
+                prop_assert_eq!(k.own_independent, equal);
+                for &p in &grid {
+                    prop_assert_eq!(bits(k.eval(p)), bits(eval_two_pass(&k, p)), "p={}", p);
+                }
+            }
+        }
+
         /// The headline satellite property: the compiled Bernstein kernel
         /// matches the legacy pmf-summation path within 1e-12 across random
         /// valid g-tables (ℓ ≤ 9) and a dense p-grid including endpoints.
@@ -380,12 +423,13 @@ mod tests {
             g in proptest::collection::vec(0.0f64..=1.0, 6..=10),
         ) {
             let k = Kernel::compile(&g, &g).unwrap();
+            let mono = monomial(&g);
             let mut worst_bern = 0.0f64;
             let mut worst_mono = 0.0f64;
             for &p in &dense_grid() {
                 let exact = reference_precise(&g, p);
                 worst_bern = worst_bern.max((k.eval(p).0 - exact).abs());
-                worst_mono = worst_mono.max((k.eval_monomial(p).0 - exact).abs());
+                worst_mono = worst_mono.max((eval_monomial(&mono, p) - exact).abs());
             }
             // A small additive floor keeps the comparison meaningful when
             // both bases are exact (e.g. near-constant tables).

@@ -35,17 +35,21 @@ thread_local! {
     /// with a load. Each entry is produced by the *same* `ln_gamma` at the
     /// *same* argument, so cached and uncached evaluation are bit-identical
     /// and every accept/reject decision (hence every sampled value) is
-    /// unchanged, whatever prefix of the table a draw is handed. Thread-local
-    /// so the fill cost (~30 ns/entry) is paid once per worker thread, not
-    /// once per simulator instance.
+    /// unchanged, whatever prefix of the table a draw is handed. The same
+    /// holds for the two mode terms of a BTRS setup's `h`, which its first
+    /// full acceptance test reads (see [`BtrsSetup`]): whichever prefix that
+    /// draw is handed, `h` has the bits an eager build would have given it.
+    /// Thread-local so the fill cost (~30 ns/entry) is paid once per worker
+    /// thread, not once per simulator instance.
     ///
     /// Entering it ([`with_lnfact`]) costs a `LocalKey::with` and a
     /// `RefCell` borrow, a fifth of a cached one-draw round, so the hot
     /// loop enters it once per unit of work and hands the slice down:
     /// [`LockstepSim::run`] enters it once per batch run without a
     /// schedule, and once per round with one (perturbations draw through
-    /// [`sample_binomial`], which enters it itself). [`Plan::build`] and
-    /// [`Plan::sample_with`] take the slice and never enter it themselves.
+    /// [`sample_binomial`], which enters it itself). [`Plan::build`] reads
+    /// no table, and [`Plan::sample_with`] takes the slice and never enters
+    /// it itself.
     ///
     /// [`LockstepSim::run`]: crate::lockstep::LockstepSim::run
     static LNFACT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -225,30 +229,48 @@ impl BinvSetup {
 pub fn btrs(rng: &mut SimRng, n: u64, p: f64) -> u64 {
     assert!(p > 0.0 && p <= 0.5, "btrs requires p in (0, 1/2], got {p}");
     assert!((n as f64) * p >= 10.0, "btrs requires n*p >= 10");
-    with_lnfact(n, |lnfact| BtrsSetup::new(n, p, lnfact).draw(rng, n, lnfact))
+    with_lnfact(n, |lnfact| BtrsSetup::new(n, p).draw(rng, n, lnfact))
 }
 
 /// The deterministic per-`(n, p)` state of the BTRS sampler (Hörmann's
-/// constants, including the two setup `ln_gamma` calls). Split out so a
-/// [`Plan`] can cache it; [`BtrsSetup::draw`] consumes uniforms exactly
-/// like the historical monolithic `btrs`, so cached and fresh calls are
-/// bit-identical draw-for-draw. The trial count `n` is not stored: every
-/// caller already holds it and passes it to `draw`, which keeps a cached
-/// [`Plan`] at 72 bytes.
+/// constants), split out so a [`Plan`] can cache it.
+///
+/// It is built in two steps. [`BtrsSetup::new`] computes only the squeeze
+/// constants `a`, `b`, `c` and `v_r`, which every iteration reads (one
+/// `sqrt`, one division). The constants of the full acceptance test,
+/// `alpha`, `ln(p/q)`, the mode `m` and `h = ln(m!) + ln((n − m)!)`, are
+/// computed by the first draw that reaches that test, and kept, so a cached
+/// plan completes once. About 3 in 4 iterations accept at the squeeze step,
+/// so many plans built on a cache miss are drawn from and dropped without
+/// ever needing them. Until then `h` is NaN, and the fields it is completed
+/// with hold the inputs of the deferred constants: `alpha` holds `√(npq)`
+/// and `lpq` holds `p`.
+///
+/// Each constant is the same IEEE expression of the same operands, whenever
+/// it is computed, and the two log-factorials are bit-identical for any
+/// prefix of the table (see [`LNFACT`]). So [`BtrsSetup::draw`] consumes
+/// uniforms and decides exactly like the historical monolithic `btrs`:
+/// cached and fresh calls are bit-identical draw for draw. The trial count
+/// `n` is not stored: every caller already holds it and passes it to
+/// `draw`, which keeps a cached [`Plan`] at 72 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BtrsSetup {
     a: f64,
     b: f64,
     c: f64,
     v_r: f64,
+    /// `(2.83 + 5.1/b)·√(npq)`; `√(npq)` until completed.
     alpha: f64,
+    /// `ln(p/q)`; `p` until completed.
     lpq: f64,
+    /// The mode `⌊(n + 1)p⌋`; unset until completed.
     m: f64,
+    /// `ln(m!) + ln((n − m)!)`; NaN until completed.
     h: f64,
 }
 
 impl BtrsSetup {
-    fn new(n: u64, p: f64, lnfact: &[f64]) -> Self {
+    fn new(n: u64, p: f64) -> Self {
         let nf = n as f64;
         let q = 1.0 - p;
         let spq = (nf * p * q).sqrt();
@@ -257,33 +279,46 @@ impl BtrsSetup {
         let a = -0.0873 + 0.0248 * b + 0.01 * p;
         let c = nf * p + 0.5;
         let v_r = 0.92 - 4.2 / b;
-
-        let alpha = (2.83 + 5.1 / b) * spq;
-        let lpq = (p / q).ln();
-        let m = ((nf + 1.0) * p).floor(); // mode
-        let h = ln_fact(lnfact, m) + ln_fact(lnfact, nf - m);
-        Self { a, b, c, v_r, alpha, lpq, m, h }
+        Self { a, b, c, v_r, alpha: spq, lpq: p, m: 0.0, h: f64::NAN }
     }
 
-    /// Draws with the trial count `n` the setup was built for.
-    fn draw(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
+    /// Computes the constants of the full acceptance test from the inputs
+    /// [`BtrsSetup::new`] kept, for trial count `nf`.
+    fn complete(&mut self, nf: f64, lnfact: &[f64]) {
+        let (spq, p) = (self.alpha, self.lpq);
+        let q = 1.0 - p;
+        self.alpha = (2.83 + 5.1 / self.b) * spq;
+        self.lpq = (p / q).ln();
+        self.m = ((nf + 1.0) * p).floor(); // mode
+        self.h = ln_fact(lnfact, self.m) + ln_fact(lnfact, nf - self.m);
+    }
+
+    /// Draws with the trial count `n` the setup was built for, completing
+    /// the setup on the first full acceptance test.
+    fn draw(&mut self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
         let nf = n as f64;
+        // Completion never touches the squeeze constants, so they are read
+        // once, as locals the squeeze path need not reload.
+        let Self { a, b, c, v_r, .. } = *self;
         loop {
             let u: f64 = rng.random::<f64>() - 0.5;
             let v: f64 = rng.random();
             let us = 0.5 - u.abs();
-            let kf = ((2.0 * self.a / us + self.b) * u + self.c).floor();
+            let kf = ((2.0 * a / us + b) * u + c).floor();
             if kf < 0.0 || kf > nf {
                 continue;
             }
             // Squeeze step: cheap unconditional acceptance region.
-            if us >= 0.07 && v <= self.v_r {
+            if us >= 0.07 && v <= v_r {
                 return kf as u64;
             }
             // Full acceptance test against the transformed density. The two
             // log-factorials come from the per-thread table (bit-identical
             // to live `ln_gamma` calls — see [`LNFACT`]).
-            let v2 = v * self.alpha / (self.a / (us * us) + self.b);
+            if self.h.is_nan() {
+                self.complete(nf, lnfact);
+            }
+            let v2 = v * self.alpha / (a / (us * us) + b);
             if v2.ln()
                 <= self.h - ln_fact(lnfact, kf) - ln_fact(lnfact, nf - kf)
                     + (kf - self.m) * self.lpq
@@ -313,14 +348,13 @@ pub(crate) enum Plan {
 
 impl Plan {
     /// Mirrors the [`sample_binomial`] dispatch, degenerate cases included.
-    /// A BTRS setup reads its two log-factorials from `lnfact`, the caller's
-    /// `ln(i!)` table (see [`with_lnfact`]); any prefix of it builds the
-    /// same plan.
+    /// A BTRS plan is built with its squeeze constants only; its first full
+    /// acceptance test completes it (see [`BtrsSetup`]).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub(crate) fn build(n: u64, p: f64, lnfact: &[f64]) -> Self {
+    pub(crate) fn build(n: u64, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         if n == 0 || p == 0.0 {
             return Plan::Const(0);
@@ -332,17 +366,18 @@ impl Plan {
         if (n as f64) * q < 10.0 {
             Plan::Binv { flipped, setup: BinvSetup::new(n, q) }
         } else {
-            Plan::Btrs { flipped, setup: BtrsSetup::new(n, q, lnfact) }
+            Plan::Btrs { flipped, setup: BtrsSetup::new(n, q) }
         }
     }
 
     /// Draws one variate for the trial count `n` the plan was built for,
     /// with the `ln(i!)` table supplied by the caller, who enters it once
-    /// for a whole run or lock-step round of draws (see [`LNFACT`]).
-    /// Bit-identical to [`sample_binomial`] with the same `(n, p)` and rng
-    /// state, for any prefix of the table.
+    /// for a whole run or lock-step round of draws (see [`LNFACT`]). A BTRS
+    /// plan completes itself on its first full acceptance test, hence
+    /// `&mut self`. Bit-identical to [`sample_binomial`] with the same
+    /// `(n, p)` and rng state, for any prefix of the table.
     #[inline]
-    pub(crate) fn sample_with(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
+    pub(crate) fn sample_with(&mut self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
         let (k, flipped) = match self {
             Plan::Const(k) => return *k,
             Plan::Binv { flipped, setup } => (setup.draw(rng, n), *flipped),
@@ -531,10 +566,7 @@ mod tests {
             (512, 0.999), // reflected BINV
             (7, 0.4),     // BINV small n
         ];
-        let plans: Vec<Plan> = cases
-            .iter()
-            .map(|&(n, p)| with_lnfact(n, |lnfact| Plan::build(n, p, lnfact)))
-            .collect();
+        let mut plans: Vec<Plan> = cases.iter().map(|&(n, p)| Plan::build(n, p)).collect();
         let mut a = rng_from(42);
         let mut b = rng_from(42);
         for round in 0..200 {
@@ -542,6 +574,185 @@ mod tests {
             let (n, p) = cases[i];
             let planned = with_lnfact(n, |lnfact| plans[i].sample_with(&mut a, n, lnfact));
             assert_eq!(planned, sample_binomial(&mut b, n, p), "round {round}: n={n} p={p}");
+        }
+    }
+
+    /// The BTRS setup as it was built before the full-test constants were
+    /// deferred: every constant computed up front. The oracle a lazily
+    /// completed [`BtrsSetup`] must match draw for draw and bit for bit.
+    struct EagerBtrs {
+        a: f64,
+        b: f64,
+        c: f64,
+        v_r: f64,
+        alpha: f64,
+        lpq: f64,
+        m: f64,
+        h: f64,
+    }
+
+    impl EagerBtrs {
+        fn new(n: u64, p: f64, lnfact: &[f64]) -> Self {
+            let nf = n as f64;
+            let q = 1.0 - p;
+            let spq = (nf * p * q).sqrt();
+
+            let b = 1.15 + 2.53 * spq;
+            let a = -0.0873 + 0.0248 * b + 0.01 * p;
+            let c = nf * p + 0.5;
+            let v_r = 0.92 - 4.2 / b;
+
+            let alpha = (2.83 + 5.1 / b) * spq;
+            let lpq = (p / q).ln();
+            let m = ((nf + 1.0) * p).floor(); // mode
+            let h = ln_fact(lnfact, m) + ln_fact(lnfact, nf - m);
+            Self { a, b, c, v_r, alpha, lpq, m, h }
+        }
+
+        fn draw(&self, rng: &mut SimRng, n: u64, lnfact: &[f64]) -> u64 {
+            let nf = n as f64;
+            loop {
+                let u: f64 = rng.random::<f64>() - 0.5;
+                let v: f64 = rng.random();
+                let us = 0.5 - u.abs();
+                let kf = ((2.0 * self.a / us + self.b) * u + self.c).floor();
+                if kf < 0.0 || kf > nf {
+                    continue;
+                }
+                if us >= 0.07 && v <= self.v_r {
+                    return kf as u64;
+                }
+                let v2 = v * self.alpha / (self.a / (us * us) + self.b);
+                if v2.ln()
+                    <= self.h - ln_fact(lnfact, kf) - ln_fact(lnfact, nf - kf)
+                        + (kf - self.m) * self.lpq
+                {
+                    return kf as u64;
+                }
+            }
+        }
+
+        fn bits(&self) -> [u64; 8] {
+            [self.a, self.b, self.c, self.v_r, self.alpha, self.lpq, self.m, self.h]
+                .map(f64::to_bits)
+        }
+    }
+
+    impl BtrsSetup {
+        fn is_complete(&self) -> bool {
+            !self.h.is_nan()
+        }
+
+        fn bits(&self) -> [u64; 8] {
+            [self.a, self.b, self.c, self.v_r, self.alpha, self.lpq, self.m, self.h]
+                .map(f64::to_bits)
+        }
+    }
+
+    /// Draws `draws` variates of `Bin(n, p)` from seed `seed` through a
+    /// fresh lazy setup and through the eager oracle, from the table
+    /// `lnfact`, and asserts equal values draw by draw: the squeeze
+    /// constants are the oracle's from the start, every constant is once the
+    /// setup is complete. Returns whether the first draw completed it.
+    fn lazy_matches_eager(n: u64, p: f64, seed: u64, draws: usize, lnfact: &[f64]) -> bool {
+        let eager = EagerBtrs::new(n, p, lnfact);
+        let mut lazy = BtrsSetup::new(n, p);
+        assert!(!lazy.is_complete(), "a new setup defers its full-test constants");
+        assert_eq!(lazy.bits()[..4], eager.bits()[..4], "squeeze constants, n={n} p={p}");
+        let mut a = rng_from(seed);
+        let mut b = rng_from(seed);
+        let mut first_completed = false;
+        for draw in 0..draws {
+            let case = format!("n={n} p={p} seed={seed} draw {draw}");
+            assert_eq!(lazy.draw(&mut a, n, lnfact), eager.draw(&mut b, n, lnfact), "{case}");
+            first_completed |= draw == 0 && lazy.is_complete();
+            if lazy.is_complete() {
+                assert_eq!(lazy.bits(), eager.bits(), "constants, {case}");
+            }
+        }
+        first_completed
+    }
+
+    /// BTRS cases with `n·p ≥ 10`, `p ≤ ½`, around the trial counts the
+    /// engines draw at. For 0.3, 0.25 and 0.18, `(p/q).ln()` and
+    /// `p.ln() − q.ln()` differ in the last bit.
+    const BTRS_CASES: [(u64, f64); 6] =
+        [(512, 0.3), (100, 0.1), (8191, 0.5), (32_767, 0.0123), (4096, 0.25), (2048, 0.18)];
+
+    /// Streams whose draws all accept at the squeeze step never complete
+    /// the setup, and draw what the eager setup draws.
+    #[test]
+    fn lazy_btrs_matches_eager_on_squeeze_only_streams() {
+        for (n, p) in BTRS_CASES {
+            let squeeze_only = with_lnfact(n, |lnfact| {
+                (0..64).filter(|&seed| !lazy_matches_eager(n, p, seed, 1, lnfact)).count()
+            });
+            assert!(squeeze_only >= 16, "n={n} p={p}: {squeeze_only} of 64 streams");
+        }
+    }
+
+    /// Streams whose first draw reaches the full acceptance test complete
+    /// the setup with the eager setup's constants, bit for bit, and keep
+    /// drawing what it draws.
+    #[test]
+    fn lazy_btrs_matches_eager_when_the_first_draw_reaches_the_full_test() {
+        for (n, p) in BTRS_CASES {
+            with_lnfact(n, |lnfact| {
+                let full: Vec<u64> =
+                    (0..64).filter(|&seed| lazy_matches_eager(n, p, seed, 1, lnfact)).collect();
+                assert!(!full.is_empty(), "n={n} p={p}: no stream reached the full test");
+                for seed in full {
+                    assert!(lazy_matches_eager(n, p, seed, 200, lnfact));
+                }
+            });
+        }
+    }
+
+    /// A reflected plan (`p > ½`) draws `n − Bin(n, 1 − p)` through the
+    /// same lazy setup, and completes it to the eager setup of `1 − p`.
+    #[test]
+    fn lazy_btrs_matches_eager_under_reflection() {
+        for (n, p) in [(512u64, 0.82), (8191, 0.5 + 1e-9), (1000, 0.95)] {
+            with_lnfact(n, |lnfact| {
+                let q = 1.0 - p;
+                let eager = EagerBtrs::new(n, q, lnfact);
+                let mut plan = Plan::build(n, p);
+                let mut a = rng_from(3);
+                let mut b = rng_from(3);
+                for draw in 0..300 {
+                    let expect = n - eager.draw(&mut b, n, lnfact);
+                    assert_eq!(plan.sample_with(&mut a, n, lnfact), expect, "n={n} p={p} {draw}");
+                }
+                let Plan::Btrs { flipped: true, setup } = plan else {
+                    panic!("n={n} p={p} builds a reflected BTRS plan: {plan:?}");
+                };
+                assert!(setup.is_complete(), "300 draws reach the full test");
+                assert_eq!(setup.bits(), eager.bits(), "n={n} p={p}");
+            });
+        }
+    }
+
+    /// Past `LNFACT_CAP` trials the mode term `ln((n − m)!)` and the
+    /// candidates' terms fall back to live `ln_gamma` calls; the lazy setup
+    /// completes to the same bits whichever prefix of the table its first
+    /// full test is handed, the empty one included.
+    #[test]
+    fn lazy_btrs_matches_eager_past_the_table() {
+        let cap = LNFACT_CAP as u64;
+        for (n, p) in [(cap + 4464, 0.01), (100_000, 0.3), (1_000_000, 0.25)] {
+            with_lnfact(n, |lnfact| {
+                assert_eq!(lnfact.len(), LNFACT_CAP, "the table stops short of n = {n}");
+                assert!(n - ((n as f64 + 1.0) * p).floor() as u64 > cap, "n={n} p={p}");
+                for seed in 0..8 {
+                    let _ = lazy_matches_eager(n, p, seed, 50, lnfact);
+                }
+                let eager = EagerBtrs::new(n, p, lnfact);
+                for prefix in [&lnfact[..0], &lnfact[..1000], lnfact] {
+                    let mut lazy = BtrsSetup::new(n, p);
+                    lazy.complete(n as f64, prefix);
+                    assert_eq!(lazy.bits(), eager.bits(), "n={n} p={p}, {} entries", prefix.len());
+                }
+            });
         }
     }
 

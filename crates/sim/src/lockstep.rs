@@ -30,7 +30,7 @@
 use std::sync::{Arc, Mutex};
 
 use bitdissem_core::{Configuration, Kernel};
-use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer};
+use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer, LATENCY_SAMPLE_WORK};
 use bitdissem_pool::{effective_parallelism, Pool};
 
 use crate::binomial::with_lnfact;
@@ -307,7 +307,10 @@ impl LockstepSim {
     /// as the solo loop) and one [`Event::ReplicationFinished`] per
     /// replica; with metrics on, batch-adds the round, sample, retirement
     /// and perturbation counters so totals match the solo path (a replica
-    /// is charged `ℓ·n` samples only for rounds it ran). `reps[i]` is the
+    /// is charged `ℓ·n` samples only for rounds it ran), adds the plans the
+    /// run built to `plan_builds`, and times the first round and then one
+    /// round per [`LATENCY_SAMPLE_WORK`] replica-rounds drawn into
+    /// `latency/round_pass`. `reps[i]` is the
     /// trace label of batch replica `i` (its replication index within the
     /// experiment). Instrumentation never touches an rng, so outcomes are
     /// identical to the unobserved run.
@@ -324,6 +327,7 @@ impl LockstepSim {
     ) -> Vec<Outcome> {
         assert_eq!(reps.len(), self.batch_size(), "one trace label per replica");
         let timer = Timer::start();
+        let builds_before = self.plans.builds();
         if obs.active() {
             // Replicas that start at the goal finish at round 0, before any
             // round event — same shape as the solo loop.
@@ -343,6 +347,9 @@ impl LockstepSim {
         // round so that the round's rows go to the sink in one call.
         let mut live_labels = Vec::with_capacity(self.live_rep.len());
         let n = self.n;
+        // Replica-rounds drawn since the last timed round; starts full so
+        // the first round is timed.
+        let mut untimed_work = LATENCY_SAMPLE_WORK;
         // `held` is the `ln(i!)` table when the whole run holds it, `None`
         // when each round enters it (see above).
         let mut rounds = |held: Option<&[f64]>| {
@@ -350,12 +357,15 @@ impl LockstepSim {
                 if let Some(env) = env {
                     perturbations += self.perturb_round(env);
                 }
-                // Sampled 1-in-8: a round is microseconds, so timing every
+                // Sampled by work: a round is microseconds, so timing every
                 // pass would itself cost a few percent (see
-                // LATENCY_SAMPLE_EVERY).
-                let pass_start = (obs.metrics_on()
-                    && self.round.is_multiple_of(bitdissem_obs::LATENCY_SAMPLE_EVERY))
-                .then(std::time::Instant::now);
+                // LATENCY_SAMPLE_WORK).
+                let pass_start = (obs.metrics_on() && untimed_work >= LATENCY_SAMPLE_WORK)
+                    .then(std::time::Instant::now);
+                if pass_start.is_some() {
+                    untimed_work = 0;
+                }
+                untimed_work += self.live() as u64;
                 let hit = match held {
                     Some(lnfact) => self.draw_round(lnfact),
                     None => with_lnfact(n, |lnfact| self.draw_round(lnfact)),
@@ -438,6 +448,7 @@ impl LockstepSim {
                     samples_total.saturating_add(steps.saturating_mul(samples_per_round));
             }
             obs.metrics().add_rounds(rounds_total);
+            obs.metrics().add_plan_builds(self.plans.builds() - builds_before);
             obs.metrics().add_samples(samples_total);
             let retired = self.converged_at.iter().filter(|c| c.is_some()).count();
             obs.metrics().add_retired(retired as u64);
@@ -832,6 +843,31 @@ mod tests {
             })
             .count();
         assert_eq!(finishes, 3);
+    }
+
+    /// `latency/round_pass` times the first round of a run, then one round
+    /// per `LATENCY_SAMPLE_WORK` = 512 replica-rounds drawn: a batch of `B`
+    /// replicas that never retire is timed once every `512 / B` rounds.
+    #[test]
+    fn round_pass_is_sampled_by_work() {
+        let n = 32;
+        let kernel = kernel_of(&Stay::new(1), n);
+        let start = Configuration::all_wrong(n, Opinion::One);
+        // (replicas, budget, timed rounds): 8 replicas are timed at rounds
+        // 1, 65, …, 577; 64 at 1, 9, …, 73; one at 1 and 513.
+        for (reps, budget, samples) in [(8usize, 640, 10), (64, 80, 10), (1, 1024, 2), (8, 1, 1)] {
+            let obs = Obs::none().with_metrics();
+            let labels: Vec<u64> = (0..reps as u64).collect();
+            let mut batch = LockstepSim::new(Arc::clone(&kernel), start, &seeds_for(4, reps));
+            let _ = batch.run(budget, None, &obs, &labels);
+            let timed = obs
+                .metrics()
+                .latency_snapshots()
+                .into_iter()
+                .find(|(name, _)| *name == "round_pass")
+                .map(|(_, h)| h.count());
+            assert_eq!(timed, Some(samples), "{reps} replicas, budget {budget}");
+        }
     }
 
     #[test]

@@ -52,8 +52,18 @@
 //! one or two 72-byte [`Plan`]s (discriminant and reflection flag in one
 //! word, then at most eight `f64` BTRS constants) and keeps its own
 //! variant in a spare discriminant value of a `Plan`, so a `RoundPlan` is
-//! 144 bytes, an aggregate slot 152 and a cache 152 KiB. The component counts `keep_n`/`flip_n` are not stored:
-//! [`component_sizes`] derives them from `x` on every round.
+//! 144 bytes, an aggregate slot 152 and a cache 152 KiB. The component
+//! counts `keep_n`/`flip_n` are not stored: [`component_sizes`] derives
+//! them from `x` on every round.
+//!
+//! A miss builds only what the squeeze step reads. A BTRS plan's four
+//! full-test constants (`alpha`, `ln(p/q)`, the mode and the sum `h` of its
+//! two log-factorials) are filled in, in the slot, by the first draw that
+//! reaches that test, which is why [`StateCache::get_or_insert_with`] hands
+//! out `&mut`. Diffusive chains miss on most rounds (Voter from all-wrong
+//! at `n = 32 768` on 89% of replica-rounds in 32-replica batches), and
+//! many of their plans are drawn from once and never complete.
+//! [`StateCache::builds`] counts the misses.
 //!
 //! # Bit identity
 //!
@@ -101,6 +111,8 @@ pub(crate) fn component_sizes(n: u64, z: u64, x: u64) -> (u64, u64) {
 pub(crate) struct StateCache<T> {
     /// Population size.
     n: u64,
+    /// Values built so far: one per miss.
+    builds: u64,
     slots: Box<[Option<(u64, T)>; SLOTS]>,
 }
 
@@ -114,7 +126,17 @@ impl<T> StateCache<T> {
     pub(crate) fn new(n: u64) -> Self {
         assert!(n < 1 << 63, "the state cache packs 2x + z into a u64; n = {n} is too large");
         let slots: Box<[Option<(u64, T)>]> = (0..SLOTS).map(|_| None).collect();
-        Self { n, slots: slots.try_into().unwrap_or_else(|_| unreachable!("SLOTS slots")) }
+        Self {
+            n,
+            builds: 0,
+            slots: slots.try_into().unwrap_or_else(|_| unreachable!("SLOTS slots")),
+        }
+    }
+
+    /// Values built so far, one per miss. It depends on which replicas
+    /// share the cache (a lock-step chunk's), and counting touches no rng.
+    pub(crate) fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// The slot of state `x`: its low bits, plus one bit for the side of
@@ -140,14 +162,20 @@ impl<T> StateCache<T> {
     }
 
     /// The value cached for `(x, z)`, built by `build` and cached first on
-    /// a miss.
+    /// a miss. Only a miss touches the build count.
     #[inline]
-    pub(crate) fn get_or_insert_with(&mut self, x: u64, z: u64, build: impl FnOnce() -> T) -> &T {
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        x: u64,
+        z: u64,
+        build: impl FnOnce() -> T,
+    ) -> &mut T {
         let tag = Self::tag(x, z);
         let slot = self.slot(x);
         let slot = &mut self.slots[slot];
         if !matches!(slot, Some((t, _)) if *t == tag) {
             *slot = Some((tag, build()));
+            self.builds += 1;
         }
         match slot {
             Some((_, value)) => value,
@@ -173,16 +201,13 @@ pub(crate) enum RoundPlan {
 
 impl RoundPlan {
     /// The plan for a round out of `(x, z)`, given the state's kernel
-    /// values `(P₀, P₁)` and the caller's `ln(i!)` table.
-    fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64, lnfact: &[f64]) -> Self {
+    /// values `(P₀, P₁)`.
+    fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
         if p0 == p1 {
-            return RoundPlan::Merged(Plan::build(n - 1, p1, lnfact));
+            return RoundPlan::Merged(Plan::build(n - 1, p1));
         }
         let (keep_n, flip_n) = component_sizes(n, z, x);
-        RoundPlan::Split {
-            keep: Plan::build(keep_n, p1, lnfact),
-            flip: Plan::build(flip_n, p0, lnfact),
-        }
+        RoundPlan::Split { keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
     }
 }
 
@@ -194,7 +219,8 @@ impl StateCache<RoundPlan> {
     /// once for a whole run or lock-step round
     /// ([`with_lnfact`](crate::binomial::with_lnfact)`(n, …)`), not once per
     /// replica-round: the access costs a fifth of a cached one-draw round.
-    /// Both a miss's plan build and the draw read it.
+    /// The draw reads it, and so does a BTRS plan's first full acceptance
+    /// test, which completes the plan in its slot.
     ///
     /// Draws are bit-identical to one
     /// [`sample_binomial`](crate::binomial::sample_binomial) call with
@@ -213,7 +239,7 @@ impl StateCache<RoundPlan> {
         let n = self.n;
         let plan = self.get_or_insert_with(x, z, || {
             let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            RoundPlan::build(n, z, x, p0, p1, lnfact)
+            RoundPlan::build(n, z, x, p0, p1)
         });
         match plan {
             RoundPlan::Merged(all) => z + all.sample_with(rng, n - 1, lnfact),
