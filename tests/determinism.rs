@@ -56,6 +56,15 @@ const E2_SMOKE_SEED42: u64 = 15_035_177_343_551_147_721;
 const E3_SMOKE_SEED42: u64 = 11_873_062_211_824_504_307;
 const E4_SMOKE_SEED42: u64 = 6_540_961_855_893_614_972;
 
+/// FNV-1a digests of the `run e9`, `e11`, `e18` and `e19` reports at
+/// `--scale smoke --seed 42`: the four experiments that step a solo
+/// simulator through `sim::run` (E9's dwell windows, E11's sequential
+/// sweep, E18's partial-synchrony runs, E19's fixed-horizon env runs).
+const E9_SMOKE_SEED42: u64 = 6_477_680_629_417_547_985;
+const E11_SMOKE_SEED42: u64 = 7_247_951_252_653_856_837;
+const E18_SMOKE_SEED42: u64 = 12_420_375_032_716_134_849;
+const E19_SMOKE_SEED42: u64 = 15_301_677_236_914_643_657;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -78,4 +87,14 @@ fn smoke_reports_of_e1_and_e2_are_pinned() {
 #[test]
 fn smoke_reports_of_e3_and_e4_are_pinned() {
     assert_smoke_pins(&[("e3", E3_SMOKE_SEED42), ("e4", E4_SMOKE_SEED42)]);
+}
+
+#[test]
+fn smoke_reports_of_the_solo_run_experiments_are_pinned() {
+    assert_smoke_pins(&[
+        ("e9", E9_SMOKE_SEED42),
+        ("e11", E11_SMOKE_SEED42),
+        ("e18", E18_SMOKE_SEED42),
+        ("e19", E19_SMOKE_SEED42),
+    ]);
 }
