@@ -75,7 +75,22 @@ impl BiasPolynomial {
         }
         // Numerical noise from the expansion is far below 1e-12 for ℓ ≤ ~40.
         let power = f.cleaned(1e-12);
-        let bernstein = Bernstein::from_polynomial(&power);
+        // The Bernstein form comes straight from the table, not from the
+        // power form, so evaluation stays exact to round-off at any ℓ:
+        // p·B_{k,ℓ} = (k+1)/(ℓ+1)·B_{k+1,ℓ+1}, (1−p)·B_{k,ℓ} =
+        // (ℓ+1−k)/(ℓ+1)·B_{k,ℓ+1} and p = Σ_j j/(ℓ+1)·B_{j,ℓ+1}, so the
+        // degree-(ℓ+1) coefficients are
+        // b_j = (j·g¹(j−1) + (ℓ+1−j)·g⁰(j) − j)/(ℓ+1).
+        let d = ell + 1;
+        let bernstein = Bernstein::new(
+            (0..=d)
+                .map(|j| {
+                    let g1 = if j > 0 { j as f64 * table.g(Opinion::One, j - 1) } else { 0.0 };
+                    let g0 = if j < d { (d - j) as f64 * table.g(Opinion::Zero, j) } else { 0.0 };
+                    (g1 + g0 - j as f64) / d as f64
+                })
+                .collect(),
+        );
         Self { n, ell, power, bernstein, protocol_name }
     }
 

@@ -59,7 +59,7 @@ use bitdissem_conformance::{
     ConformScale, CONFORM_SCHEMA_VERSION,
 };
 use bitdissem_core::dynamics::{self, BoxedProtocol};
-use bitdissem_core::{Protocol, ProtocolExt};
+use bitdissem_core::{Configuration, Protocol, ProtocolExt};
 use bitdissem_experiments::trace::TraceAccumulator;
 use bitdissem_experiments::{registry, RunConfig, Scale};
 use bitdissem_markov::absorbing::{expected_hitting_times, quantile_from_survival};
@@ -75,7 +75,7 @@ use bitdissem_obs::{
 };
 use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::rng_from;
-use bitdissem_sim::run::{Outcome, Simulator};
+use bitdissem_sim::run::{drive, Outcome, RunSpec, Simulator, Stop};
 use bitdissem_sim::sequential::SequentialSim;
 use bitdissem_sim::trajectory::Trajectory;
 use bitdissem_stats::table::fmt_num;
@@ -844,13 +844,15 @@ fn cmd_simulate(args: &Args) -> CommandOutput {
         if args.flag("sequential") { "sequential" } else { "parallel" },
     );
 
-    let outcome = if args.flag("sequential") {
-        let mut sim = SequentialSim::new(&protocol, witness.start()).expect("validated above");
-        run_with_recorder(&mut sim, &mut rng, budget, &mut trajectory)
+    let mut sim: Box<dyn Simulator> = if args.flag("sequential") {
+        Box::new(SequentialSim::new(&protocol, witness.start()).expect("validated above"))
     } else {
-        let mut sim = AggregateSim::new(&protocol, witness.start()).expect("validated above");
-        run_with_recorder(&mut sim, &mut rng, budget, &mut trajectory)
+        Box::new(AggregateSim::new(&protocol, witness.start()).expect("validated above"))
     };
+    let obs = Obs::none();
+    let spec = RunSpec::new(budget, Stop::Consensus, &obs);
+    let mut record = |config: Configuration| trajectory.record(config.ones());
+    let outcome = drive(&mut *sim, &mut rng, &spec, Some(&mut record)).outcome();
 
     let _ = writeln!(out, "trajectory (round, X/n):");
     for (round, x) in trajectory.iter() {
@@ -865,25 +867,6 @@ fn cmd_simulate(args: &Args) -> CommandOutput {
         }
     }
     CommandOutput::ok(out, Status::Ok)
-}
-
-fn run_with_recorder<S: Simulator>(
-    sim: &mut S,
-    rng: &mut bitdissem_sim::rng::SimRng,
-    budget: u64,
-    trajectory: &mut Trajectory,
-) -> Outcome {
-    for t in 0..=budget {
-        trajectory.record(sim.configuration().ones());
-        if sim.configuration().is_correct_consensus() {
-            return Outcome::Converged { rounds: t };
-        }
-        if t == budget {
-            break;
-        }
-        sim.step_round(rng);
-    }
-    Outcome::TimedOut { rounds: budget }
 }
 
 fn cmd_exact(args: &Args) -> CommandOutput {

@@ -91,27 +91,33 @@ pub struct RunSamples {
     pub times: Vec<f64>,
 }
 
-/// Advances one replication to consensus or `budget` time units, recording
-/// `X_t` at each checkpoint. `step` advances the simulation by one time
-/// unit; consensus is absorbing for the protocols under test (Prop. 3), so
-/// once reached the state is held without further stepping.
+/// Advances one replication to its first consensus or `budget` time units,
+/// recording `X_t` at each checkpoint. `step(sim, rng, t)` advances the
+/// simulation by one time unit from boundary `t`. When `absorbing`, the
+/// correct consensus is absorbing (Prop. 3, no schedule), so once reached
+/// the state is held without further stepping or burning randomness; when
+/// not (a schedule can disrupt it), the replication keeps stepping until
+/// its first consensus hit has been seen *and* every checkpoint is
+/// recorded. The marginal at a checkpoint is the state at that boundary,
+/// before its perturbation; the time is the first boundary holding the
+/// correct consensus, right-censored at `budget`.
 fn run_one<S, F>(
     sim: &mut S,
     rng: &mut SimRng,
     budget: u64,
     checkpoints: &[u64],
+    absorbing: bool,
     mut step: F,
 ) -> (Vec<u64>, u64)
 where
-    S: ?Sized,
-    F: FnMut(&mut S, &mut SimRng) -> Configuration,
-    S: HasConfiguration,
+    S: HasConfiguration + ?Sized,
+    F: FnMut(&mut S, &mut SimRng, u64),
 {
     let mut marginals = Vec::with_capacity(checkpoints.len());
     let mut converged_at: Option<u64> = None;
     let last_cp = checkpoints.last().copied().unwrap_or(0);
-    let mut config = sim.current_configuration();
     for t in 0..=budget {
+        let config = sim.current_configuration();
         if converged_at.is_none() && config.is_correct_consensus() {
             converged_at = Some(t);
         }
@@ -121,11 +127,9 @@ where
         if t == budget || (converged_at.is_some() && t >= last_cp) {
             break;
         }
-        if converged_at.is_none() {
-            config = step(sim, rng);
+        if converged_at.is_none() || !absorbing {
+            step(sim, rng, t);
         }
-        // Once absorbed the configuration is constant; later checkpoints
-        // reuse it without burning randomness.
     }
     (marginals, converged_at.unwrap_or(budget))
 }
@@ -142,14 +146,19 @@ impl HasConfiguration for dyn Simulator + '_ {
     }
 }
 
-/// Samples `reps` replications of `backend` on the parallel law. Times and
-/// checkpoints are in rounds.
+/// Samples `reps` replications of `backend` on the parallel law, with the
+/// schedule's perturbations (if any) injected at every round boundary on
+/// all four backends (perturb, then one round — the engine-wide convention
+/// of DESIGN decision 15). Times and checkpoints are in rounds. Under a
+/// schedule the lock-step engine runs in no-retire mode, so replicas keep
+/// stepping past their first consensus; an inert schedule is no schedule.
 ///
 /// # Panics
 ///
 /// Panics if the table cannot be materialized for `start.n()` (invalid
 /// grid cell).
 #[must_use]
+#[allow(clippy::too_many_arguments)]
 pub fn sample_parallel(
     backend: ParallelBackend,
     table: &GTable,
@@ -158,9 +167,11 @@ pub fn sample_parallel(
     budget: u64,
     checkpoints: &[u64],
     seed: u64,
+    env: Option<&EnvSchedule>,
 ) -> RunSamples {
+    let env = env.filter(|env| !env.is_inert());
     if backend == ParallelBackend::Batched {
-        return sample_lockstep(table, start, reps, budget, checkpoints, seed, None);
+        return sample_lockstep(table, start, reps, budget, checkpoints, seed, env);
     }
     let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
     let mut times = Vec::with_capacity(reps);
@@ -178,98 +189,14 @@ pub fn sample_parallel(
             }
             ParallelBackend::Batched => unreachable!("handled above"),
         };
-        let (ms, time) = run_one(&mut *sim, &mut rng, budget, checkpoints, |s, rng| {
-            s.step_round(rng);
-            s.configuration()
-        });
-        for (slot, m) in marginals.iter_mut().zip(ms) {
-            slot.push(m as f64);
-        }
-        times.push(time as f64);
-    }
-    RunSamples { marginals, times }
-}
-
-/// [`run_one`] under an environment schedule: the correct consensus is no
-/// longer absorbing, so the simulation keeps stepping (perturb at the
-/// boundary, then one round — the engine-wide convention of DESIGN
-/// decision 15) until the first consensus hit has been seen *and* every
-/// checkpoint is recorded. The marginal at a checkpoint is the
-/// **pre-perturbation** state at that boundary, and `times` hold the
-/// first boundary at which the correct consensus held, right-censored at
-/// `budget`.
-fn run_one_env(
-    sim: &mut dyn Simulator,
-    rng: &mut SimRng,
-    budget: u64,
-    checkpoints: &[u64],
-    env: &EnvSchedule,
-) -> (Vec<u64>, u64) {
-    let mut marginals = Vec::with_capacity(checkpoints.len());
-    let mut converged_at: Option<u64> = None;
-    let last_cp = checkpoints.last().copied().unwrap_or(0);
-    for t in 0..=budget {
-        let config = sim.configuration();
-        if converged_at.is_none() && config.is_correct_consensus() {
-            converged_at = Some(t);
-        }
-        if checkpoints.contains(&t) {
-            marginals.push(config.ones());
-        }
-        if t == budget || (converged_at.is_some() && t >= last_cp) {
-            break;
-        }
-        sim.perturb(env, t, rng);
-        sim.step_round(rng);
-    }
-    (marginals, converged_at.unwrap_or(budget))
-}
-
-/// [`sample_parallel`] under an environment schedule. Same grid cell, same
-/// observables, but the schedule's perturbations are injected at every
-/// round boundary on all four backends; the lock-step engine runs in
-/// no-retire mode so replicas keep stepping past their first consensus
-/// (it is not absorbing once the environment can disrupt it).
-///
-/// # Panics
-///
-/// Panics if the table cannot be materialized for `start.n()` (invalid
-/// grid cell).
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn sample_parallel_env(
-    backend: ParallelBackend,
-    table: &GTable,
-    start: Configuration,
-    reps: usize,
-    budget: u64,
-    checkpoints: &[u64],
-    seed: u64,
-    env: &EnvSchedule,
-) -> RunSamples {
-    if env.is_inert() {
-        return sample_parallel(backend, table, start, reps, budget, checkpoints, seed);
-    }
-    if backend == ParallelBackend::Batched {
-        return sample_lockstep(table, start, reps, budget, checkpoints, seed, Some(env));
-    }
-    let mut marginals = vec![Vec::with_capacity(reps); checkpoints.len()];
-    let mut times = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let mut rng = rng_from(replication_seed(seed, rep as u64));
-        let mut sim: Box<dyn Simulator> = match backend {
-            ParallelBackend::Agent => {
-                Box::new(AgentSim::new(table, start).expect("valid grid cell"))
-            }
-            ParallelBackend::Aggregate => {
-                Box::new(AggregateSim::new(table, start).expect("valid grid cell"))
-            }
-            ParallelBackend::PartialFull => {
-                Box::new(PartialSim::new(table, start, start.n() - 1).expect("valid grid cell"))
-            }
-            ParallelBackend::Batched => unreachable!("handled above"),
-        };
-        let (ms, time) = run_one_env(&mut *sim, &mut rng, budget, checkpoints, env);
+        let absorbing = env.is_none();
+        let (ms, time) =
+            run_one(&mut *sim, &mut rng, budget, checkpoints, absorbing, |s, rng, t| {
+                if let Some(env) = env {
+                    s.perturb(env, t, rng);
+                }
+                s.step_round(rng);
+            });
         for (slot, m) in marginals.iter_mut().zip(ms) {
             slot.push(m as f64);
         }
@@ -282,7 +209,7 @@ pub fn sample_parallel_env(
 /// batch holds all `reps`
 /// replications of the cell, and the observables are read from the batch
 /// as its shared clock passes each checkpoint, with [`run_one`]'s
-/// conventions (or [`run_one_env`]'s under a schedule) exactly —
+/// conventions exactly —
 /// consensus is checked at `t` before stepping and times are
 /// right-censored at `budget`. Without a schedule a converged replication
 /// retires and holds its absorbed state for later checkpoints without
@@ -348,16 +275,10 @@ impl HasConfiguration for ActSim {
 }
 
 impl ActSim {
-    fn step_activation(&mut self, rng: &mut SimRng) -> Configuration {
+    fn step_activation(&mut self, rng: &mut SimRng) {
         match self {
-            ActSim::Seq(s) => {
-                s.step_activation(rng);
-                s.configuration()
-            }
-            ActSim::Part(s) => {
-                s.step_batch(rng);
-                s.configuration()
-            }
+            ActSim::Seq(s) => s.step_activation(rng),
+            ActSim::Part(s) => s.step_batch(rng),
         }
     }
 }
@@ -391,8 +312,8 @@ pub fn sample_activation(
                 ActSim::Part(PartialSim::new(table, start, 1).expect("valid grid cell"))
             }
         };
-        let (ms, time) =
-            run_one(&mut sim, &mut rng, budget_activations, checkpoints, ActSim::step_activation);
+        let step = |s: &mut ActSim, rng: &mut SimRng, _| s.step_activation(rng);
+        let (ms, time) = run_one(&mut sim, &mut rng, budget_activations, checkpoints, true, step);
         for (slot, m) in marginals.iter_mut().zip(ms) {
             slot.push(m as f64);
         }
@@ -430,13 +351,15 @@ mod tests {
     fn parallel_driver_shapes_and_determinism() {
         let table = voter_table(16);
         let start = Configuration::all_wrong(16, Opinion::One);
-        let a = sample_parallel(ParallelBackend::Aggregate, &table, start, 5, 500, &[1, 2, 4], 9);
+        let a =
+            sample_parallel(ParallelBackend::Aggregate, &table, start, 5, 500, &[1, 2, 4], 9, None);
         assert_eq!(a.marginals.len(), 3);
         assert!(a.marginals.iter().all(|m| m.len() == 5));
         assert_eq!(a.times.len(), 5);
         // X_1 ≥ 1 always (the source), and each marginal is ≤ n.
         assert!(a.marginals[0].iter().all(|&x| (1.0..=16.0).contains(&x)));
-        let b = sample_parallel(ParallelBackend::Aggregate, &table, start, 5, 500, &[1, 2, 4], 9);
+        let b =
+            sample_parallel(ParallelBackend::Aggregate, &table, start, 5, 500, &[1, 2, 4], 9, None);
         assert_eq!(a.times, b.times);
         assert_eq!(a.marginals, b.marginals);
     }
@@ -451,7 +374,7 @@ mod tests {
             ParallelBackend::PartialFull,
             ParallelBackend::Batched,
         ] {
-            let s = sample_parallel(backend, &table, start, 3, 2000, &[1], 4);
+            let s = sample_parallel(backend, &table, start, 3, 2000, &[1], 4, None);
             assert_eq!(s.times.len(), 3, "{}", backend.name());
             assert!(s.times.iter().all(|&t| t <= 2000.0));
         }
@@ -477,6 +400,7 @@ mod tests {
                     600,
                     &[1, 2, 4],
                     77,
+                    None,
                 );
                 let bat = sample_parallel(
                     ParallelBackend::Batched,
@@ -486,6 +410,7 @@ mod tests {
                     600,
                     &[1, 2, 4],
                     77,
+                    None,
                 );
                 assert_eq!(agg.times, bat.times);
                 assert_eq!(agg.marginals, bat.marginals);
@@ -497,7 +422,7 @@ mod tests {
     fn batched_backend_handles_consensus_start() {
         let table = voter_table(10);
         let start = Configuration::correct_consensus(10, Opinion::One);
-        let s = sample_parallel(ParallelBackend::Batched, &table, start, 2, 50, &[1, 4], 1);
+        let s = sample_parallel(ParallelBackend::Batched, &table, start, 2, 50, &[1, 4], 1, None);
         assert!(s.times.iter().all(|&t| t == 0.0));
         assert!(s.marginals.iter().flatten().all(|&x| x == 10.0));
     }
@@ -535,12 +460,12 @@ mod tests {
             ParallelBackend::PartialFull,
             ParallelBackend::Batched,
         ] {
-            let a = sample_parallel_env(backend, &table, start, 4, 800, &[1, 4], 5, &env);
+            let a = sample_parallel(backend, &table, start, 4, 800, &[1, 4], 5, Some(&env));
             assert_eq!(a.marginals.len(), 2, "{}", backend.name());
             assert!(a.marginals.iter().all(|m| m.len() == 4));
             assert_eq!(a.times.len(), 4);
             assert!(a.times.iter().all(|&t| t <= 800.0));
-            let b = sample_parallel_env(backend, &table, start, 4, 800, &[1, 4], 5, &env);
+            let b = sample_parallel(backend, &table, start, 4, 800, &[1, 4], 5, Some(&env));
             assert_eq!(a.times, b.times, "{}", backend.name());
             assert_eq!(a.marginals, b.marginals, "{}", backend.name());
         }
@@ -559,7 +484,7 @@ mod tests {
             Configuration::all_wrong(n, Opinion::One),
             Configuration::new(n, Opinion::One, n / 2).unwrap(),
         ] {
-            let agg = sample_parallel_env(
+            let agg = sample_parallel(
                 ParallelBackend::Aggregate,
                 &table,
                 start,
@@ -567,9 +492,9 @@ mod tests {
                 500,
                 &[1, 4, 8],
                 91,
-                &env,
+                Some(&env),
             );
-            let bat = sample_parallel_env(
+            let bat = sample_parallel(
                 ParallelBackend::Batched,
                 &table,
                 start,
@@ -577,7 +502,7 @@ mod tests {
                 500,
                 &[1, 4, 8],
                 91,
-                &env,
+                Some(&env),
             );
             assert_eq!(agg.times, bat.times);
             assert_eq!(agg.marginals, bat.marginals);
@@ -590,8 +515,8 @@ mod tests {
         let start = Configuration::all_wrong(16, Opinion::One);
         let env = EnvSchedule::default();
         for backend in [ParallelBackend::Aggregate, ParallelBackend::Batched] {
-            let s = sample_parallel(backend, &table, start, 5, 300, &[1, 2], 3);
-            let e = sample_parallel_env(backend, &table, start, 5, 300, &[1, 2], 3, &env);
+            let s = sample_parallel(backend, &table, start, 5, 300, &[1, 2], 3, None);
+            let e = sample_parallel(backend, &table, start, 5, 300, &[1, 2], 3, Some(&env));
             assert_eq!(s.times, e.times, "{}", backend.name());
             assert_eq!(s.marginals, e.marginals, "{}", backend.name());
         }
@@ -606,7 +531,7 @@ mod tests {
         let table = voter_table(16);
         let start = Configuration::correct_consensus(16, Opinion::One);
         let env: EnvSchedule = "flip@2".parse().unwrap();
-        let s = sample_parallel_env(
+        let s = sample_parallel(
             ParallelBackend::Aggregate,
             &table,
             start,
@@ -614,7 +539,7 @@ mod tests {
             4_000,
             &[1, 3_000],
             11,
-            &env,
+            Some(&env),
         );
         assert!(s.times.iter().all(|&t| t == 0.0), "pre-flip consensus is the first hit");
         assert!(s.marginals[0].iter().all(|&x| x == 16.0));
@@ -631,7 +556,7 @@ mod tests {
     fn consensus_start_reports_time_zero_and_full_marginals() {
         let table = voter_table(10);
         let start = Configuration::correct_consensus(10, Opinion::One);
-        let s = sample_parallel(ParallelBackend::Aggregate, &table, start, 2, 50, &[1, 4], 1);
+        let s = sample_parallel(ParallelBackend::Aggregate, &table, start, 2, 50, &[1, 4], 1, None);
         assert!(s.times.iter().all(|&t| t == 0.0));
         // Absorbed at n for every checkpoint.
         assert!(s.marginals.iter().flatten().all(|&x| x == 10.0));

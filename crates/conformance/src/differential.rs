@@ -33,8 +33,7 @@ use bitdissem_stats::compare::{ks_critical_value, ks_statistic};
 use bitdissem_sim::env::EnvSchedule;
 
 use crate::backend::{
-    sample_activation, sample_dual, sample_parallel, sample_parallel_env, ActivationBackend,
-    ParallelBackend, RunSamples,
+    sample_activation, sample_dual, sample_parallel, ActivationBackend, ParallelBackend, RunSamples,
 };
 use crate::oracle::{drift_band_check, sample_exact, sparse_dense_check};
 
@@ -356,6 +355,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                             cfg.budget,
                             &cfg.checkpoints,
                             stream_seed(seed, &format!("{prefix}/{}", b.name())),
+                            None,
                         )
                     })
                     .collect();
@@ -419,7 +419,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                     let samples: Vec<RunSamples> = backends
                         .iter()
                         .map(|b| {
-                            sample_parallel_env(
+                            sample_parallel(
                                 *b,
                                 &table,
                                 start,
@@ -427,7 +427,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
                                 cfg.budget,
                                 &cfg.checkpoints,
                                 stream_seed(seed, &format!("{prefix}/{}", b.name())),
-                                &env,
+                                Some(&env),
                             )
                         })
                         .collect();
@@ -494,6 +494,7 @@ pub fn run_differential(cfg: &ConformConfig, seed: u64) -> Vec<Check> {
             cfg.budget,
             &[],
             stream_seed(seed, &format!("dual/n{n}/forward")),
+            None,
         );
         let dual =
             sample_dual(n, cfg.reps, cfg.budget, stream_seed(seed, &format!("dual/n{n}/backward")));
@@ -608,6 +609,7 @@ mod tests {
             400,
             &[],
             1,
+            None,
         );
         let b = crate::backend::sample_parallel(
             ParallelBackend::Aggregate,
@@ -617,6 +619,7 @@ mod tests {
             400,
             &[],
             2,
+            None,
         );
         let check = make_check("teeth".into(), &a.times, &b.times, alpha);
         assert!(!check.pass, "D={} <= {}", check.statistic, check.critical);
@@ -643,7 +646,7 @@ mod tests {
         let samples: Vec<crate::backend::RunSamples> = backends
             .iter()
             .map(|b| {
-                crate::backend::sample_parallel_env(
+                crate::backend::sample_parallel(
                     *b,
                     &table,
                     start,
@@ -651,7 +654,7 @@ mod tests {
                     600,
                     &checkpoints,
                     stream_seed(33, &format!("postflip/{}", b.name())),
-                    &env,
+                    Some(&env),
                 )
             })
             .collect();

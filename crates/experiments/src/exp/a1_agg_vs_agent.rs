@@ -6,6 +6,7 @@
 //! exact Markov expectation for both simulators, (b) full convergence-time
 //! distributions, and (c) throughput.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bitdissem_core::dynamics::Minority;
@@ -13,14 +14,14 @@ use bitdissem_core::{Configuration, Opinion};
 use bitdissem_markov::AggregateChain;
 use bitdissem_sim::agent::AgentSim;
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::run::{run_to_consensus, Simulator};
+use bitdissem_sim::run::{drive, RunSpec, Simulator, Stop};
 use bitdissem_sim::runner::replicate_observed;
 use bitdissem_stats::table::fmt_num;
 use bitdissem_stats::{Summary, Table};
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use bitdissem_obs::Obs;
+use bitdissem_obs::{NullSink, Obs};
 
 /// Runs ablation A1.
 #[must_use]
@@ -86,14 +87,18 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
     // short enough for the O(n*l) agent simulator).
     let conv_reps = cfg.scale.pick(60, 200, 500);
     let fav = Configuration::new(n, Opinion::One, n - 1).expect("consistent");
-    let budget = 40 * n;
-    let agg_tau = replicate_observed(conv_reps, cfg.seed ^ 2, cfg.threads, obs, |mut rng, _| {
-        let mut sim = AggregateSim::new(&minority, fav).expect("valid");
-        run_to_consensus(&mut sim, &mut rng, budget).rounds_censored() as f64
+    // The runs count under metrics but emit no trace events (no batch
+    // header describes them).
+    let quiet = obs.clone().with_sink(Arc::new(NullSink));
+    let spec = RunSpec::new(40 * n, Stop::Consensus, &quiet);
+    let tau = |sim: &mut dyn Simulator, mut rng| {
+        drive(sim, &mut rng, &spec, None).outcome().rounds_censored() as f64
+    };
+    let agg_tau = replicate_observed(conv_reps, cfg.seed ^ 2, cfg.threads, obs, |rng, _| {
+        tau(&mut AggregateSim::new(&minority, fav).expect("valid"), rng)
     });
-    let agent_tau = replicate_observed(conv_reps, cfg.seed ^ 3, cfg.threads, obs, |mut rng, _| {
-        let mut sim = AgentSim::new(&minority, fav).expect("valid");
-        run_to_consensus(&mut sim, &mut rng, budget).rounds_censored() as f64
+    let agent_tau = replicate_observed(conv_reps, cfg.seed ^ 3, cfg.threads, obs, |rng, _| {
+        tau(&mut AgentSim::new(&minority, fav).expect("valid"), rng)
     });
     let at = Summary::from_samples(&agg_tau).expect("non-empty");
     let gt = Summary::from_samples(&agent_tau).expect("non-empty");

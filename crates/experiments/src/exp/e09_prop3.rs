@@ -11,12 +11,30 @@ use bitdissem_core::dynamics::{AntiVoter, Minority, NoisyVoter, Stay, Voter};
 use bitdissem_core::{Configuration, Opinion, Protocol, ProtocolExt};
 use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::rng_from;
-use bitdissem_sim::run::{run_with_exit_detection_observed, StabilityOutcome};
+use bitdissem_sim::run::{drive, RunSpec, RunStats, Stop};
 use bitdissem_stats::Table;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
+use crate::workload::emit_batch_started;
 use bitdissem_obs::Obs;
+
+/// One traced dwell run of replication `rep`: a `dwell` batch header (one
+/// replica), then the run's round rows and events.
+fn dwell_run(
+    obs: &Obs,
+    protocol: &(dyn Protocol + Send + Sync),
+    start: Configuration,
+    budget: u64,
+    dwell: u64,
+    seed: u64,
+    rep: u64,
+) -> RunStats {
+    emit_batch_started(obs, "dwell", protocol, start, 1, budget, seed);
+    let mut sim = AggregateSim::new(protocol, start).expect("valid");
+    let spec = RunSpec { rep, ..RunSpec::new(budget, Stop::Dwell(dwell), obs) };
+    drive(&mut sim, &mut rng_from(seed), &spec, None)
+}
 
 /// Runs experiment E9.
 #[must_use]
@@ -83,30 +101,27 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         // Start AT the correct consensus: the dynamic content of Prop 3 is
         // that compliant protocols keep it forever, violators leak out.
         let start = Configuration::correct_consensus(n, Opinion::One);
-        let mut sim = AggregateSim::new(&case.protocol, start).expect("valid");
-        let mut rng = rng_from(cfg.seed ^ 0x9999);
         // Observed: dwell rounds enter the metrics and a consensus loss
         // emits a ConsensusExited trace event (one rep per protocol case).
-        let outcome = run_with_exit_detection_observed(
-            &mut sim,
-            &mut rng,
+        let stats = dwell_run(
+            obs,
+            case.protocol.as_ref(),
+            start,
             budget,
             dwell,
-            obs,
+            cfg.seed ^ 0x9999,
             case_idx as u64,
         );
-        let desc = match outcome {
-            StabilityOutcome::Stable { entered } => format!("stable (entered at {entered})"),
-            StabilityOutcome::Exited { entered, exited } => {
-                format!("exited (entered {entered}, exited {exited})")
+        let (desc, dynamic_ok) = match (stats.first_consensus, stats.exited) {
+            (Some(entered), None) => {
+                (format!("stable (entered at {entered})"), case.expect_stable_if_reached)
             }
-            StabilityOutcome::NeverReached { .. } => "never reached".to_string(),
-        };
-        let dynamic_ok = match outcome {
-            StabilityOutcome::Stable { .. } => case.expect_stable_if_reached,
-            StabilityOutcome::Exited { .. } => !case.expect_stable_if_reached,
+            (Some(entered), Some(exited)) => (
+                format!("exited (entered {entered}, exited {exited})"),
+                !case.expect_stable_if_reached,
+            ),
             // Impossible when starting at consensus.
-            StabilityOutcome::NeverReached { .. } => false,
+            (None, _) => ("never reached".to_string(), false),
         };
         report.check(dynamic_ok, format!("{}: {desc}", case.protocol.name()));
         table.row([
@@ -119,14 +134,11 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
 
     // Stay: Prop 3 compliant yet never converges — the condition is
     // necessary, not sufficient.
-    let stay = Stay::new(1);
     let start = Configuration::new(n, Opinion::One, n / 2).expect("consistent");
-    let mut sim = AggregateSim::new(&stay, start).expect("valid");
-    let mut rng = rng_from(cfg.seed ^ 0xAAAA);
-    let outcome =
-        run_with_exit_detection_observed(&mut sim, &mut rng, 1_000, 10, obs, cases.len() as u64);
+    let stats =
+        dwell_run(obs, &Stay::new(1), start, 1_000, 10, cfg.seed ^ 0xAAAA, cases.len() as u64);
     report.check(
-        matches!(outcome, StabilityOutcome::NeverReached { .. }),
+        stats.first_consensus.is_none(),
         "Stay is compliant but never converges from a mixed start: Prop 3 is \
          necessary, not sufficient",
     );
@@ -141,5 +153,44 @@ mod tests {
     fn smoke_run_validates_prop3_both_ways() {
         let report = run(&RunConfig::smoke(37), &Obs::none());
         assert!(report.pass, "{}", report.render());
+    }
+
+    /// Each dwell run opens its own one-replica batch, so its rows never
+    /// fall into the batch traced before it (here an e7-style `conv`
+    /// batch of Voter, whose Prop-4/5 checks would run over them).
+    #[test]
+    fn dwell_runs_trace_as_their_own_batches() {
+        use crate::trace::analyze;
+        use crate::workload::measure_convergence_observed;
+        use bitdissem_obs::MemorySink;
+        use std::sync::Arc;
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::none().with_sink(Arc::clone(&sink) as _);
+        let voter = Voter::new(1).expect("valid");
+        let start = Configuration::all_wrong(32, Opinion::One);
+        let _ = measure_convergence_observed(&obs, &voter, start, 10, 100_000, 7, Some(1));
+        let _ = run(&RunConfig::smoke(42), &obs);
+
+        let analysis = analyze(&sink.events(), 0);
+        let batches: Vec<_> = analysis
+            .batches
+            .iter()
+            .map(|b| {
+                let meta = b.meta.as_ref().expect("every batch has a header");
+                (meta.kind.as_str(), meta.protocol.as_str(), meta.reps, b.replications)
+            })
+            .collect();
+        assert_eq!(batches[0], ("conv", "voter(l=1)", 10, 10), "{}", analysis.render());
+        assert_eq!(
+            batches[1..],
+            [
+                ("dwell", "voter(l=1)", 1, 1),
+                ("dwell", "minority(l=3)", 1, 1),
+                ("dwell", "noisy-voter(l=1, eps=0.02)", 1, 1),
+                ("dwell", "anti-voter(l=3)", 1, 1),
+                ("dwell", "stay(l=1)", 1, 1),
+                ("dwell", "stay(l=1)", 1, 1),
+            ]
+        );
     }
 }

@@ -9,17 +9,19 @@
 //! dies: the poly-log convergence of Minority survives only while the
 //! activated batch is a large fraction of the population.
 
+use std::sync::Arc;
+
 use bitdissem_core::dynamics::Minority;
 use bitdissem_core::{Configuration, Opinion};
 use bitdissem_sim::partial::PartialSim;
-use bitdissem_sim::run::{run_to_consensus, Outcome};
+use bitdissem_sim::run::{drive, RunSpec, Stop};
 use bitdissem_sim::runner::replicate_observed;
 use bitdissem_stats::table::fmt_num;
 use bitdissem_stats::{Summary, Table};
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use bitdissem_obs::Obs;
+use bitdissem_obs::{NullSink, Obs};
 
 /// Runs experiment E18.
 #[must_use]
@@ -64,6 +66,10 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
     let mut fast_at_full = false;
     let mut slow_at_unit = false;
     let mut last_fast_fraction: Option<f64> = None;
+    // The runs count under metrics but emit no trace events (no batch
+    // header describes them).
+    let quiet = obs.clone().with_sink(Arc::new(NullSink));
+    let spec = RunSpec::new(budget, Stop::Consensus, &quiet);
     for &batch in &batches {
         let times = replicate_observed(
             reps,
@@ -72,10 +78,7 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
             obs,
             |mut rng, _| {
                 let mut sim = PartialSim::new(&minority, start, batch).expect("valid");
-                match run_to_consensus(&mut sim, &mut rng, budget) {
-                    Outcome::Converged { rounds } => rounds as f64,
-                    Outcome::TimedOut { rounds } => rounds as f64,
-                }
+                drive(&mut sim, &mut rng, &spec, None).outcome().rounds_censored() as f64
             },
         );
         let s = Summary::from_samples(&times).expect("non-empty");
@@ -125,5 +128,16 @@ mod tests {
     fn smoke_run_synchronicity_matters() {
         let report = run(&RunConfig::smoke(89), &Obs::none());
         assert!(report.pass, "{}", report.render());
+    }
+
+    /// The partial-synchrony runs count under `--metrics`: ℓ·n samples
+    /// per round, ℓ = 25 at n = 128.
+    #[test]
+    fn smoke_runs_are_counted() {
+        let obs = Obs::none().with_metrics();
+        let _ = run(&RunConfig::smoke(42), &obs);
+        let m = obs.metrics().snapshot();
+        assert!(m.rounds_simulated > 0);
+        assert_eq!(m.opinion_samples, 25 * 128 * m.rounds_simulated);
     }
 }

@@ -52,7 +52,7 @@ pub const DRIFT_Z: f64 = 6.0;
 /// The batch header, as recorded in the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchMeta {
-    /// Batch kind (`conv` / `seqconv` / `cross`).
+    /// Batch kind (`conv` / `seqconv` / `cross` / `dwell`).
     pub kind: String,
     /// Protocol display name.
     pub protocol: String,
@@ -489,7 +489,8 @@ fn analyze_batch(accum: &BatchAccum) -> BatchAnalysis {
 /// the batch is not checkable: no header to rebuild the protocol from, or
 /// a kind whose round labels are not parallel one-step transitions
 /// (`seqconv` rounds are `n` sequential activations; a `cross` batch has
-/// no round events, since its engine runs on a handle without a sink).
+/// no round events, since its engine runs on a handle without a sink), or
+/// a `dwell` batch, one run that keeps stepping past its consensus.
 fn check_conformance(accum: &BatchAccum) -> Option<Conformance> {
     let meta = accum.meta.as_ref()?;
     if meta.kind != "conv" || meta.n == 0 {

@@ -17,7 +17,7 @@ use bitdissem_core::{Configuration, GTable, Kernel, Opinion, Protocol, ProtocolE
 use bitdissem_obs::{GaugeId, NullSink, Obs};
 use bitdissem_sim::env::EnvSchedule;
 use bitdissem_sim::lockstep::replicate_lockstep;
-use bitdissem_sim::run::{run_to_consensus_observed, Outcome};
+use bitdissem_sim::run::{drive, Outcome, RunSpec, Stop};
 use bitdissem_sim::runner::replicate_indices_observed;
 use bitdissem_sim::sequential::SequentialSim;
 use bitdissem_stats::Summary;
@@ -148,7 +148,7 @@ where
 /// without knowing how the batch was constructed. Every event of the
 /// batch follows it in the trace (batch calls block), so the next
 /// `BatchStarted` line delimits it.
-fn emit_batch_started<P>(
+pub(crate) fn emit_batch_started<P>(
     obs: &Obs,
     kind: &str,
     protocol: &P,
@@ -428,7 +428,11 @@ where
         |missing| {
             replicate_indices_observed(missing, seed, threads, obs, |mut rng, rep| {
                 let mut sim = SequentialSim::new(protocol, start).expect("valid protocol");
-                run_to_consensus_observed(&mut sim, &mut rng, budget_rounds, None, obs, rep as u64)
+                let spec = RunSpec {
+                    rep: rep as u64,
+                    ..RunSpec::new(budget_rounds, Stop::Consensus, obs)
+                };
+                drive(&mut sim, &mut rng, &spec, None).outcome()
             })
         },
     );

@@ -64,8 +64,9 @@ pub enum Event {
     /// how the protocol was constructed.
     BatchStarted {
         /// Batch kind: `conv` (parallel-round convergence), `seqconv`
-        /// (sequential convergence) or `cross` (crossing time, no round
-        /// events).
+        /// (sequential convergence), `cross` (crossing time, no round
+        /// events) or `dwell` (one consensus-maintenance run with its
+        /// dwell window).
         kind: String,
         /// Protocol display name.
         protocol: String,

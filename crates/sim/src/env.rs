@@ -38,7 +38,6 @@ use bitdissem_core::Opinion;
 
 use crate::binomial::sample_binomial;
 use crate::rng::SimRng;
-use crate::run::Simulator;
 
 /// Default adaptive-reset threshold: fire when 90% of the population
 /// holds the correct opinion.
@@ -353,106 +352,13 @@ impl EnvSchedule {
     }
 }
 
-/// Re-convergence statistics collected by [`run_env_observed`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnvRunStats {
-    /// Rounds simulated (the fixed horizon).
-    pub total_rounds: u64,
-    /// Perturbation events applied across the run.
-    pub perturbations: u64,
-    /// Boundaries `1..=horizon` at which the system held the correct
-    /// consensus.
-    pub dwell_rounds: u64,
-    /// Rounds from each disruptive perturbation back to the correct
-    /// consensus (one entry per resolved disruption).
-    pub reconverge: Vec<u64>,
-    /// `1` if the final disruption was still unresolved at the horizon
-    /// (a right-censored re-convergence time), else `0`.
-    pub unresolved: u64,
-    /// First boundary at which the correct consensus held, if any.
-    pub first_consensus: Option<u64>,
-}
-
-impl EnvRunStats {
-    /// Fraction of boundaries spent at the correct consensus.
-    #[must_use]
-    pub fn dwell_fraction(&self) -> f64 {
-        if self.total_rounds == 0 {
-            return 0.0;
-        }
-        self.dwell_rounds as f64 / self.total_rounds as f64
-    }
-}
-
-/// Runs `sim` under the schedule for a **fixed horizon** of rounds,
-/// tracking consensus dwell and the time to re-converge after each
-/// disruptive perturbation.
-///
-/// A perturbation at boundary `t` is *disruptive* when it leaves the
-/// system off the correct consensus and either the system held the
-/// consensus before it or the perturbation moved the target (a source
-/// flip). Each disruption opens a clock that closes at the next correct
-/// consensus boundary; a clock still open at the horizon is counted in
-/// [`EnvRunStats::unresolved`] instead of biasing the samples.
-///
-/// With metrics on, batch-adds round/sample counters, the
-/// `perturbations_applied` counter, and one `reconverge_rounds` histogram
-/// entry per resolved disruption. Instrumentation never touches `rng`, so
-/// the stats are identical to a run on `Obs::none()` for the same seed.
-pub fn run_env_observed<S: Simulator + ?Sized>(
-    sim: &mut S,
-    env: &EnvSchedule,
-    rng: &mut SimRng,
-    horizon: u64,
-    obs: &bitdissem_obs::Obs,
-) -> EnvRunStats {
-    let mut stats = EnvRunStats { total_rounds: horizon, ..EnvRunStats::default() };
-    let mut outstanding: Option<u64> = None;
-    for t in 0..=horizon {
-        let at_consensus = sim.configuration().is_correct_consensus();
-        if at_consensus {
-            if stats.first_consensus.is_none() {
-                stats.first_consensus = Some(t);
-            }
-            if let Some(p) = outstanding.take() {
-                stats.reconverge.push(t - p);
-            }
-            if t > 0 {
-                stats.dwell_rounds += 1;
-            }
-        }
-        if t == horizon {
-            break;
-        }
-        let events = sim.perturb(env, t, rng);
-        stats.perturbations += events;
-        if events > 0 {
-            let now = sim.configuration().is_correct_consensus();
-            if !now && (at_consensus || env.flip_fires(t)) && outstanding.is_none() {
-                outstanding = Some(t);
-            }
-        }
-        sim.step_round(rng);
-    }
-    stats.unresolved = u64::from(outstanding.is_some());
-    if obs.metrics_on() {
-        let m = obs.metrics();
-        m.add_rounds(stats.total_rounds);
-        m.add_samples(stats.total_rounds.saturating_mul(sim.opinion_samples_per_round()));
-        m.add_perturbations(stats.perturbations);
-        for &r in &stats.reconverge {
-            m.record_reconverge(r);
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::AgentSim;
     use crate::aggregate::AggregateSim;
     use crate::rng::{replication_seed, rng_from};
+    use crate::run::{drive, RunSpec, RunStats, Simulator, Stop};
     use bitdissem_core::dynamics::Voter;
     use bitdissem_core::Configuration;
     use bitdissem_obs::Obs;
@@ -606,6 +512,13 @@ mod tests {
         assert!((ma - mg).abs() < 1.5, "agent mean {ma} vs aggregate mean {mg}");
     }
 
+    /// A fixed-horizon run of `sim` under `env`.
+    fn horizon<S: Simulator>(sim: &mut S, seed: u64, h: u64, env: &EnvSchedule) -> RunStats {
+        let obs = Obs::none();
+        let spec = RunSpec { env: Some(env), ..RunSpec::new(h, Stop::Horizon, &obs) };
+        drive(sim, &mut rng_from(seed), &spec, None)
+    }
+
     #[test]
     fn run_env_measures_reconvergence_after_a_flip() {
         // Voter on n = 32 converges fast; flip the source well after
@@ -614,14 +527,11 @@ mod tests {
         let env: EnvSchedule = "flip@200".parse().unwrap();
         let start = Configuration::all_wrong(32, Opinion::One);
         let mut sim = AggregateSim::new(&Voter::new(1).unwrap(), start).unwrap();
-        let mut rng = rng_from(9);
-        let stats = run_env_observed(&mut sim, &env, &mut rng, 3_000, &Obs::none());
-        assert_eq!(stats.total_rounds, 3_000);
-        assert_eq!(stats.perturbations, 1);
+        let stats = horizon(&mut sim, 9, 3_000, &env);
+        assert_eq!((stats.rounds, stats.perturbations), (3_000, 1));
         let first = stats.first_consensus.expect("voter converges well before the flip");
         assert!(first < 200, "first consensus at {first}");
         assert_eq!(stats.reconverge.len(), 1, "{stats:?}");
-        assert_eq!(stats.unresolved, 0);
         assert!(stats.reconverge[0] > 0);
         assert!(stats.dwell_fraction() > 0.5 && stats.dwell_fraction() < 1.0);
     }
@@ -632,17 +542,18 @@ mod tests {
         // (the KS-gated conformance section does the real admission).
         let env: EnvSchedule = "flip@every:400".parse().unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
+        let voter = Voter::new(1).unwrap();
         let reps = 20u64;
         let dwell = |agentwise: bool| -> f64 {
             let mut total = 0.0;
             for rep in 0..reps {
-                let mut rng = rng_from(replication_seed(21, rep));
+                let seed = replication_seed(21, rep);
                 total += if agentwise {
-                    let mut sim = AgentSim::new(&Voter::new(1).unwrap(), start).unwrap();
-                    run_env_observed(&mut sim, &env, &mut rng, 2_000, &Obs::none()).dwell_fraction()
+                    let mut sim = AgentSim::new(&voter, start).unwrap();
+                    horizon(&mut sim, seed, 2_000, &env).dwell_fraction()
                 } else {
-                    let mut sim = AggregateSim::new(&Voter::new(1).unwrap(), start).unwrap();
-                    run_env_observed(&mut sim, &env, &mut rng, 2_000, &Obs::none()).dwell_fraction()
+                    let mut sim = AggregateSim::new(&voter, start).unwrap();
+                    horizon(&mut sim, seed, 2_000, &env).dwell_fraction()
                 };
             }
             total / reps as f64

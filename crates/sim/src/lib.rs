@@ -25,8 +25,11 @@
 //! the Voter *dual process* of coalescing backward random walks used in the
 //! Theorem 2 proof ([`dual`]), deterministic seeding ([`rng`]), a built-from-
 //! scratch binomial sampler ([`binomial`]), environment perturbations
-//! ([`mod@env`]), convergence detection ([`run`]) and a multi-threaded
-//! per-replica replication runner ([`runner`]).
+//! ([`mod@env`]), the one driver of a solo simulator run ([`run::drive`],
+//! which steps any [`Simulator`] under a [`RunSpec`]: a round budget, a
+//! stop rule — the first consensus, a dwell window after it, or a fixed
+//! horizon — an optional schedule and an observability handle) and a
+//! multi-threaded per-replica replication runner ([`runner`]).
 //!
 //! # Example
 //!
@@ -67,11 +70,8 @@ pub mod trajectory;
 
 pub use agent::AgentSim;
 pub use aggregate::AggregateSim;
-pub use env::{run_env_observed, EnvRunStats, EnvSchedule, ResetSpec, ResetTrigger};
+pub use env::{EnvSchedule, ResetSpec, ResetTrigger};
 pub use lockstep::{replicate_lockstep, LockstepSim};
 pub use rng::{rng_from, SimRng};
-pub use run::{
-    run_to_consensus, run_to_consensus_observed, run_with_exit_detection_observed, Outcome,
-    Simulator, StabilityOutcome,
-};
+pub use run::{drive, run_to_consensus, Outcome, RunSpec, RunStats, Simulator, Stop};
 pub use runner::{replicate, replicate_indices_observed, replicate_observed, replicate_spawn};

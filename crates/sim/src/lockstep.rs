@@ -238,9 +238,8 @@ impl LockstepSim {
 
     /// Applies the environment schedule at the current round boundary
     /// (`t = self.round`), drawing each replica's perturbation randomness
-    /// from its own rng — exactly the draws the solo
-    /// [`run_to_consensus_observed`](crate::run::run_to_consensus_observed)
-    /// loop makes under a schedule. Returns the number of perturbation
+    /// from its own rng — exactly the draws the solo driver
+    /// [`drive`](crate::run::drive) makes under a schedule. Returns the number of perturbation
     /// events across the batch.
     ///
     /// Source flips are time-scheduled, so every replica computes the same
@@ -296,8 +295,8 @@ impl LockstepSim {
     ///
     /// Under `env`, every boundary `t` is perturbed after the goal test at
     /// `t` (the retirement sweep of the previous round) and before the step
-    /// to `t + 1` — the convention of the solo
-    /// [`run_to_consensus_observed`](crate::run::run_to_consensus_observed).
+    /// to `t + 1` — the convention of the solo driver
+    /// [`drive`](crate::run::drive).
     /// Without `env` the whole run holds the `ln(i!)` table; perturbations
     /// draw through `sample_binomial`, which enters the table itself, so a
     /// scheduled run enters it once per round, after the perturbation.
@@ -554,7 +553,7 @@ mod tests {
 
     use super::*;
     use crate::aggregate::AggregateSim;
-    use crate::run::{run_to_consensus, run_to_consensus_observed, Simulator};
+    use crate::run::{drive, run_to_consensus, RunSpec, Simulator, Stop};
     use crate::runner::replicate_indices_observed;
     use bitdissem_core::dynamics::{Minority, Stay, Voter};
     use bitdissem_core::{Opinion, ProtocolExt};
@@ -1014,7 +1013,10 @@ mod tests {
             .map(|rep| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
                 let mut rng = rng_from(replication_seed(base, rep as u64));
-                run_to_consensus_observed(&mut sim, &mut rng, budget, Some(&env), &Obs::none(), 0)
+                let obs = Obs::none();
+                let spec =
+                    RunSpec { env: Some(&env), ..RunSpec::new(budget, Stop::Consensus, &obs) };
+                drive(&mut sim, &mut rng, &spec, None).outcome()
             })
             .collect();
         assert!(solo.iter().any(Outcome::is_converged), "some replicas re-converge post-flip");
@@ -1076,14 +1078,11 @@ mod tests {
         let reference =
             replicate_indices_observed(&indices, base, Some(2), &reference_obs, |mut rng, rep| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
-                run_to_consensus_observed(
-                    &mut sim,
-                    &mut rng,
-                    budget,
-                    None,
-                    &reference_obs,
-                    rep as u64,
-                )
+                let spec = RunSpec {
+                    rep: rep as u64,
+                    ..RunSpec::new(budget, Stop::Consensus, &reference_obs)
+                };
+                drive(&mut sim, &mut rng, &spec, None).outcome()
             });
         assert_eq!(outcomes, reference);
 

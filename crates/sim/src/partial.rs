@@ -105,6 +105,12 @@ impl Simulator for PartialSim {
         }
     }
 
+    /// Nominally `ℓ·n` samples per round, as on the parallel simulators: a
+    /// round activates about `n − 1` agents, each drawing `ℓ` samples.
+    fn opinion_samples_per_round(&self) -> u64 {
+        self.table.sample_size() as u64 * self.config.n()
+    }
+
     /// Aggregate perturbation on the partial-synchrony state (the state is
     /// the same `(z, x)` pair; only the round dynamics differ).
     fn perturb(&mut self, env: &crate::env::EnvSchedule, t: u64, rng: &mut SimRng) -> u64 {
@@ -177,6 +183,16 @@ mod tests {
         sim.step_round(&mut rng);
         assert_eq!(sim.steps(), 4); // ceil(32 / 8)
         assert_eq!(sim.batch(), 8);
+    }
+
+    #[test]
+    fn samples_per_round_are_ell_n_at_every_batch_size() {
+        let n = 40u64;
+        let start = Configuration::new(n, Opinion::One, 20).unwrap();
+        for m in [1, n - 1] {
+            let sim = PartialSim::new(&Minority::new(5).unwrap(), start, m).unwrap();
+            assert_eq!(sim.opinion_samples_per_round(), 5 * n, "m = {m}");
+        }
     }
 
     #[test]

@@ -56,9 +56,11 @@ where
 
 /// [`replicate`] with an observability handle: counts derived RNG streams,
 /// completed replications and pool batch/steal totals, and ticks the
-/// attached progress meter once per replication. Trace events for
-/// individual replications are the closure's job (it knows the outcome);
-/// see `experiments::workload::measure_convergence_observed`.
+/// attached progress meter once per replication. Trace events and round
+/// counters of individual replications are the closure's job (it knows
+/// the outcome), e.g. through a [`RunSpec`](crate::run::RunSpec) handed to
+/// [`drive`](crate::run::drive), as the sequential sweep
+/// `experiments::workload::measure_convergence_sequential_observed` does.
 ///
 /// # Panics
 ///

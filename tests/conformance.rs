@@ -99,8 +99,9 @@ fn gate_rejects_genuinely_different_laws() {
     let start = Configuration::all_wrong(n, Opinion::One);
     let voter = Voter::new(1).unwrap().to_table(n).unwrap();
     let minority = Minority::new(3).unwrap().to_table(n).unwrap();
-    let a = sample_parallel(ParallelBackend::Aggregate, &voter, start, reps, budget, &[], 1);
-    let b = sample_parallel(ParallelBackend::Aggregate, &minority, start, reps, budget, &[], 2);
+    let a = sample_parallel(ParallelBackend::Aggregate, &voter, start, reps, budget, &[], 1, None);
+    let b =
+        sample_parallel(ParallelBackend::Aggregate, &minority, start, reps, budget, &[], 2, None);
     let d = ks_statistic(&a.times, &b.times).expect("defined statistic");
     let crit = ks_critical_value(reps, reps, tiny_config().per_test_alpha());
     assert!(d > crit, "gate failed to separate voter from minority: D = {d:.4} <= {crit:.4}");

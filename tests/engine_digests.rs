@@ -47,10 +47,9 @@ use bitdissem_core::{Configuration, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_experiments::workload::measure_crossing_observed;
 use bitdissem_obs::{CounterSnapshot, Event, MemorySink, Obs, ReplicationOutcome};
 use bitdissem_sim::rng::{replication_seed, rng_from};
-use bitdissem_sim::run::Simulator;
+use bitdissem_sim::run::{drive, RunSpec, Simulator, Stop};
 use bitdissem_sim::{
-    replicate_indices_observed, replicate_lockstep, run_to_consensus_observed, AggregateSim,
-    EnvSchedule, LockstepSim, Outcome,
+    replicate_indices_observed, replicate_lockstep, AggregateSim, EnvSchedule, LockstepSim, Outcome,
 };
 
 const N: u64 = 8192;
@@ -305,7 +304,12 @@ fn env_reference_pin() -> Pin {
     let obs = Obs::none();
     let outcomes = replicate_indices_observed(&indices, SEED, Some(2), &obs, |mut rng, rep| {
         let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
-        run_to_consensus_observed(&mut sim, &mut rng, ENV_BUDGET, Some(&env), &obs, rep as u64)
+        let spec = RunSpec {
+            env: Some(&env),
+            rep: rep as u64,
+            ..RunSpec::new(ENV_BUDGET, Stop::Consensus, &obs)
+        };
+        drive(&mut sim, &mut rng, &spec, None).outcome()
     });
     let paths: Vec<Vec<u64>> = seeds
         .iter()
