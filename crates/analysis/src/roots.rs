@@ -1,7 +1,5 @@
 //! Root structure of the bias polynomial.
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_poly::roots::{roots_in_unit_interval, sign_intervals};
 use bitdissem_poly::sturm::count_distinct_roots;
 
@@ -24,7 +22,7 @@ use crate::bias::BiasPolynomial;
 /// assert_eq!(rs.sign_intervals().len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RootStructure {
     roots: Vec<f64>,
     intervals: Vec<(f64, f64, i8)>,
@@ -41,9 +39,9 @@ impl RootStructure {
         if f.is_identically_zero() {
             return Self { roots: Vec::new(), intervals: Vec::new(), identically_zero: true };
         }
-        let p = f.as_polynomial();
-        let roots = roots_in_unit_interval(p, Self::DEFAULT_TOL);
-        let intervals = sign_intervals(p, &roots);
+        let b = f.as_bernstein();
+        let roots = roots_in_unit_interval(b, Self::DEFAULT_TOL);
+        let intervals = sign_intervals(b, &roots);
         Self { roots, intervals, identically_zero: false }
     }
 

@@ -1,14 +1,12 @@
 //! Executable Theorem 12: the adversarial-configuration witness.
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_core::{Configuration, Opinion, Protocol, ProtocolError};
 
 use crate::bias::BiasPolynomial;
 use crate::roots::RootStructure;
 
 /// Which branch of the Theorem 12 proof applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WitnessCase {
     /// `F_n ≡ 0` (Voter-like): Lemma 11 applies with the fixed interval
     /// `(a₁, a₂, a₃) = (1/4, 1/2, 3/4)` and correct opinion 1.
@@ -63,7 +61,7 @@ impl std::fmt::Display for WitnessCase {
 /// assert_eq!(w.start().correct(), bitdissem_core::Opinion::One);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LowerBoundWitness {
     case: WitnessCase,
     interval: (f64, f64),
@@ -244,6 +242,20 @@ mod tests {
         assert_eq!(w.start().correct(), Opinion::One);
         // Start is at (a2+a3)/2 = lo + 0.625·w = 0.8125.
         assert_eq!(w.start().ones(), (0.8125f64 * 1024.0).round() as u64);
+    }
+
+    #[test]
+    fn large_ell_minority_keeps_case1_and_its_dyadic_roots() {
+        // The power form read Minority(ℓ ≥ 25) as voter-like; the roots 0,
+        // 1/2 and 1 are exact in the Bernstein form at every odd ℓ.
+        for ell in (3..=63).step_by(2) {
+            let f = BiasPolynomial::build(&Minority::new(ell).unwrap(), 512).unwrap();
+            assert_eq!(RootStructure::analyze(&f).roots(), [0.0, 0.5, 1.0], "ell {ell}");
+            let w = LowerBoundWitness::from_bias(&f);
+            assert_eq!(w.case(), WitnessCase::NegativeDrift, "ell {ell}");
+            assert_eq!(w.interval(), (0.5, 1.0), "ell {ell}");
+            assert_eq!(w.start().ones(), 416, "ell {ell}: 0.8125 n");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * `list` — the experiment registry;
 //! * `run <id> [--scale smoke|standard|full] [--seed N] [--threads T]
-//!   [--env SPEC] [--csv] [--trace-out PATH] [--trace-format F]
-//!   [--trace-every N] [--metrics] [--progress] [--checkpoint-dir DIR]
+//!   [--env SPEC] [--csv] [--trace-out PATH] [--trace-every N]
+//!   [--metrics] [--progress] [--checkpoint-dir DIR]
 //!   [--resume] [--telemetry-*]` — run an experiment and print its report,
 //!   optionally writing a trace, printing run metrics to stderr, and
 //!   persisting per-replication checkpoints (so an interrupted sweep can be
@@ -26,9 +26,11 @@
 //!   — the paired A/B of `benchsuite/` at REV against the working tree:
 //!   one pair of runs per workload and seed, a verdict per (workload,
 //!   end-to-end metric), and a schema-versioned `BENCH_<label>.json`;
-//! * `trace <run.jsonl>` — offline analytics over a recorded trace:
-//!   consensus-time and latency summaries plus theory-conformance checks
-//!   (Proposition 4 jump bound, Proposition 5 drift band);
+//! * `trace <run.bct>` — offline analytics over a trace recorded with
+//!   `--trace-out` (the binary columnar store): consensus-time and latency
+//!   summaries plus theory-conformance checks (Proposition 4 jump bound,
+//!   Proposition 5 drift band); `trace convert <run.bct> <out.jsonl>`
+//!   exports it as JSONL;
 //! * `conform [--scale S] [--seed N] [--label L] [--out DIR]
 //!   [--skip-faults] [--env SPEC]` — the differential conformance
 //!   matrix: every simulator backend driven from identical grids, KS-gated
@@ -69,10 +71,7 @@ use bitdissem_markov::{
 };
 use bitdissem_obs::durable::atomic_replace;
 use bitdissem_obs::json::Value;
-use bitdissem_obs::{
-    detect_format, stream_trace, CheckpointLog, ColumnarReader, ColumnarSink, EventSink, JsonlSink,
-    Obs, Progress, TraceFormat,
-};
+use bitdissem_obs::{CheckpointLog, ColumnarReader, ColumnarSink, Obs, Progress};
 use bitdissem_sim::aggregate::AggregateSim;
 use bitdissem_sim::rng::rng_from;
 use bitdissem_sim::run::{drive, Outcome, RunSpec, Simulator, Stop};
@@ -113,8 +112,8 @@ pub fn usage() -> String {
      usage:\n\
      \x20 bitdissem list\n\
      \x20 bitdissem run <experiment-id|all> [--scale smoke|standard|full] [--seed N]\n\
-     \x20\x20\x20\x20 [--threads T] [--env SPEC] [--csv] [--trace-out PATH] [--trace-format F]\n\
-     \x20\x20\x20\x20 [--trace-every N] [--metrics] [--progress]\n\
+     \x20\x20\x20\x20 [--threads T] [--env SPEC] [--csv] [--trace-out PATH] [--trace-every N]\n\
+     \x20\x20\x20\x20 [--metrics] [--progress]\n\
      \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--telemetry-prom F] [--telemetry-out F]\n\
      \x20\x20\x20\x20 [--telemetry-socket S] [--telemetry-interval-ms N]\n\
      \x20 bitdissem analyze <protocol> [--ell L] [--n N]\n\
@@ -123,8 +122,8 @@ pub fn usage() -> String {
      \x20 bitdissem markov [--grid voter:1,minority:3] [--ns 1024,8192] [--eps E] [--t-max T]\n\
      \x20\x20\x20\x20 [--mix-max M] [--verify-n V] [--label L] [--out DIR]\n\
      \x20 bitdissem bench --base REV --seeds A..B [--workload W,...] [--label L] [--out DIR]\n\
-     \x20 bitdissem trace <run.jsonl|run.bct>\n\
-     \x20 bitdissem trace convert <in> <out>\n\
+     \x20 bitdissem trace <run.bct>\n\
+     \x20 bitdissem trace convert <run.bct> <out.jsonl>\n\
      \x20 bitdissem conform [--scale smoke|standard|full] [--seed N] [--label L] [--out DIR]\n\
      \x20\x20\x20\x20 [--skip-faults] [--env SPEC]\n\
      \x20 bitdissem watch (--socket PATH [--snapshots N] | --prom FILE [--reconcile M.jsonl])\n\
@@ -189,13 +188,12 @@ pub fn usage() -> String {
      trace analytics (trace):\n\
      \x20 exit status 1 when a recorded trajectory violates the paper's Prop-4 jump\n\
      \x20 bound or Prop-5 drift band; requires a trace recorded with --trace-out.\n\
-     \x20 The input format (JSONL or binary columnar) is detected from the file's\n\
-     \x20 leading bytes; 'trace convert' rewrites a trace in the other format\n\
+     \x20 'trace convert' exports a trace as JSONL (one JSON event per line, for jq);\n\
+     \x20 'trace' reads only the binary columnar store, not such an export\n\
      \n\
      observability (run):\n\
-     \x20 --trace-out PATH   record a trace (rounds, replications, manifest)\n\
-     \x20 --trace-format F   trace encoding: 'jsonl' (one JSON event per line, default,\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 debuggable) or 'columnar' (binary columns, for large runs)\n\
+     \x20 --trace-out PATH   record a binary columnar trace (rounds, replications,\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 manifest); 'trace convert' exports it as JSONL\n\
      \x20 --trace-every N    thin per-round events to every N-th round (default 1)\n\
      \x20 --metrics          print counters and per-phase timings to stderr\n\
      \x20 --progress         live replication meter on stderr\n\
@@ -215,7 +213,7 @@ pub fn usage() -> String {
      \n\
      live view (watch):\n\
      \x20 --socket PATH      stream snapshots from a run's --telemetry-socket; redraws\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 rates, ETA, span/latency quantiles, steal ratio live\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 rates, ETA, phase/latency quantiles, steal ratio live\n\
      \x20 --snapshots N      stop after N snapshots (default: until the run ends)\n\
      \x20 --prom FILE        parse a --telemetry-prom exposition and print its counters\n\
      \x20 --reconcile M      with --prom: check exposition totals equal the summed\n\
@@ -276,7 +274,6 @@ const OPTIONS: [(&str, &[&str]); 10] = [
             "env",
             "csv",
             "trace-out",
-            "trace-format",
             "trace-every",
             "metrics",
             "progress",
@@ -340,30 +337,13 @@ fn usage_error(msg: impl Into<String>) -> CommandOutput {
 
 fn build_obs(args: &Args) -> Result<Obs, String> {
     let mut obs = Obs::none();
-    let format = match args.get("trace-format") {
-        None | Some("jsonl") => TraceFormat::Jsonl,
-        Some("columnar") => TraceFormat::Columnar,
-        Some(other) => {
-            return Err(format!("unknown --trace-format '{other}' (expected jsonl or columnar)"))
-        }
-    };
     if let Some(path) = args.get("trace-out") {
         if path.is_empty() {
             return Err("--trace-out needs a file path".to_string());
         }
-        let sink: Arc<dyn EventSink> = match format {
-            TraceFormat::Jsonl => Arc::new(
-                JsonlSink::create(path)
-                    .map_err(|e| format!("cannot create trace file '{path}': {e}"))?,
-            ),
-            TraceFormat::Columnar => Arc::new(
-                ColumnarSink::create(path)
-                    .map_err(|e| format!("cannot create trace file '{path}': {e}"))?,
-            ),
-        };
-        obs = obs.with_sink(sink);
-    } else if args.get("trace-format").is_some() {
-        return Err("--trace-format requires --trace-out".to_string());
+        let sink = ColumnarSink::create(path)
+            .map_err(|e| format!("cannot create trace file '{path}': {e}"))?;
+        obs = obs.with_sink(Arc::new(sink));
     }
     // Telemetry exporters read the shared metric cells, so any
     // --telemetry-* flag implies collection even without --metrics.
@@ -625,142 +605,67 @@ fn cmd_conform(args: &Args) -> CommandOutput {
     CommandOutput::ok(out, status)
 }
 
-/// Sniffs the trace format at `path`, mapping both I/O failures and
-/// unrecognized contents to a user-facing error string.
-fn sniff_trace(path: &str) -> Result<TraceFormat, String> {
-    match detect_format(std::path::Path::new(path)) {
-        Ok(Some(f)) => Ok(f),
-        Ok(None) => Err(format!(
-            "cannot read trace '{path}': not a trace file \
-             (expected the columnar BDCT magic or JSONL events)\n"
-        )),
-        Err(e) => Err(format!("cannot read trace '{path}': {e}\n")),
-    }
-}
-
 fn cmd_trace(args: &Args) -> CommandOutput {
     if args.positional.first().map(String::as_str) == Some("convert") {
         return cmd_trace_convert(args);
     }
     let Some(path) = args.positional.first() else {
-        return usage_error(
-            "missing trace path (a JSONL or columnar file recorded with --trace-out)\n",
-        );
+        return usage_error("missing trace path (a columnar file recorded with --trace-out)\n");
     };
-    let format = match sniff_trace(path) {
-        Ok(f) => f,
-        Err(e) => return usage_error(e),
+    let reader = match ColumnarReader::open(path) {
+        Ok(reader) => reader,
+        Err(e) => return usage_error(format!("cannot read trace '{path}': {e}\n")),
     };
+    // Zero-copy pass: typed column views feed the accumulator without
+    // materializing events.
     let mut acc = TraceAccumulator::new();
-    let (skipped, torn_tail) = match format {
-        TraceFormat::Jsonl => {
-            // One buffered pass, events pushed straight into the
-            // accumulator — O(line) memory.
-            match stream_trace(std::path::Path::new(path), |ev| acc.push(&ev)) {
-                Ok(stats) => (stats.skipped, stats.torn_tail),
-                Err(e) => return usage_error(format!("cannot read trace '{path}': {e}\n")),
-            }
-        }
-        TraceFormat::Columnar => match ColumnarReader::open(std::path::Path::new(path)) {
-            Ok(reader) => {
-                // Zero-copy pass: typed column views feed the
-                // accumulator without materializing events.
-                for block in reader.blocks() {
-                    acc.ingest_block(&block);
-                }
-                (0, reader.torn_tail())
-            }
-            Err(e) => return usage_error(format!("cannot read trace '{path}': {e}\n")),
-        },
-    };
+    for block in reader.blocks() {
+        acc.ingest_block(&block);
+    }
     let mut out = String::new();
-    if torn_tail {
-        let _ = writeln!(
-            out,
-            "note: trace ends in a torn {} (the writer was cut off mid-record); \
-             analytics cover the complete prefix",
-            match format {
-                TraceFormat::Jsonl => "line",
-                TraceFormat::Columnar => "block",
-            }
+    if reader.torn_tail() {
+        out.push_str(
+            "note: trace ends in a torn block (the writer was cut off mid-record); \
+             analytics cover the complete prefix\n",
         );
     }
-    let analysis = acc.finish(skipped);
+    let analysis = acc.finish();
     out.push_str(&analysis.render());
     let status = if analysis.has_violations() { Status::CheckFailed } else { Status::Ok };
     CommandOutput::ok(out, status)
 }
 
-/// `trace convert <in> <out>`: rewrites a trace in the other format
-/// (JSONL → columnar, columnar → JSONL), preserving event order.
+/// `trace convert <in> <out>`: exports a columnar trace as JSONL, one
+/// [`bitdissem_obs::Event::to_json`] line per event in file order. The
+/// export is one-way: `trace` reads only the columnar store.
 fn cmd_trace_convert(args: &Args) -> CommandOutput {
     let (Some(input), Some(output)) = (args.positional.get(1), args.positional.get(2)) else {
-        return usage_error("usage: bitdissem trace convert <in> <out>\n");
+        return usage_error("usage: bitdissem trace convert <run.bct> <out.jsonl>\n");
     };
-    let format = match sniff_trace(input) {
-        Ok(f) => f,
-        Err(e) => return usage_error(e),
+    // The input is scanned before the output is created, so that a file
+    // this build cannot read leaves no empty output behind.
+    let reader = match ColumnarReader::open(input) {
+        Ok(reader) => reader,
+        Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
     };
-    let target = match format {
-        TraceFormat::Jsonl => TraceFormat::Columnar,
-        TraceFormat::Columnar => TraceFormat::Jsonl,
-    };
-    // A columnar input is scanned before the output is created, so that
-    // a trace this build cannot read leaves no empty output behind.
-    let columnar = match format {
-        TraceFormat::Jsonl => None,
-        TraceFormat::Columnar => match ColumnarReader::open(std::path::Path::new(input)) {
-            Ok(reader) => Some(reader),
-            Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
-        },
-    };
-    let sink: Arc<dyn EventSink> = match target {
-        TraceFormat::Jsonl => match JsonlSink::create(output) {
-            Ok(s) => Arc::new(s),
-            Err(e) => return usage_error(format!("cannot create trace file '{output}': {e}\n")),
-        },
-        TraceFormat::Columnar => match ColumnarSink::create(output) {
-            Ok(s) => Arc::new(s),
-            Err(e) => return usage_error(format!("cannot create trace file '{output}': {e}\n")),
-        },
-    };
-    let mut events = 0usize;
-    let (skipped, torn_tail) = match columnar {
-        None => {
-            match stream_trace(std::path::Path::new(input), |ev| {
-                events += 1;
-                sink.emit(&ev);
-            }) {
-                Ok(stats) => (stats.skipped, stats.torn_tail),
-                Err(e) => return usage_error(format!("cannot read trace '{input}': {e}\n")),
-            }
+    let written = std::fs::File::create(output).and_then(|file| {
+        use std::io::Write as _;
+        let mut out = std::io::BufWriter::new(file);
+        let mut events = 0usize;
+        for ev in reader.events() {
+            writeln!(out, "{}", ev.to_json())?;
+            events += 1;
         }
-        Some(reader) => {
-            for ev in reader.events() {
-                events += 1;
-                sink.emit(&ev);
-            }
-            (0, reader.torn_tail())
-        }
+        out.flush()?;
+        Ok(events)
+    });
+    let events = match written {
+        Ok(events) => events,
+        Err(e) => return usage_error(format!("cannot write '{output}': {e}\n")),
     };
-    sink.flush();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "converted {events} events: {} ({}) -> {} ({})",
-        input,
-        format.name(),
-        output,
-        target.name()
-    );
-    if skipped > 0 {
-        let _ = writeln!(out, "note: {skipped} undecodable lines skipped");
-    }
-    if torn_tail {
-        let _ = writeln!(
-            out,
-            "note: input ends in a torn record; the conversion covers the complete prefix"
-        );
+    let mut out = format!("converted {events} events: {input} (columnar) -> {output} (jsonl)\n");
+    if reader.torn_tail() {
+        out.push_str("note: input ends in a torn block; the export covers the complete prefix\n");
     }
     CommandOutput::ok(out, Status::Ok)
 }
@@ -1274,7 +1179,7 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
         }
     }
     if !snap.spans.is_empty() {
-        let _ = writeln!(out, "spans (p50 / p90 / p99):");
+        let _ = writeln!(out, "histograms (p50 / p90 / p99):");
         for (path, q) in &snap.spans {
             let unit = bitdissem_obs::metrics::series_unit(path);
             let _ = writeln!(
@@ -1451,6 +1356,7 @@ fn watch_prom(args: &Args, path: &str) -> CommandOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitdissem_obs::EventSink as _;
 
     fn run_cli(argv: &[&str]) -> (String, Status) {
         dispatch(&Args::parse(argv.iter().copied()))
@@ -1484,6 +1390,22 @@ mod tests {
     #[test]
     fn analyze_voter_is_voter_like() {
         let (out, status) = run_cli(&["analyze", "voter", "--ell", "1"]);
+        assert_eq!(status, Status::Ok);
+        assert!(out.contains("identically zero"), "{out}");
+    }
+
+    /// The power form's coefficients grow like `3^ℓ`; the roots, signs and
+    /// witness read the Bernstein form, so large `ℓ` keeps Minority's
+    /// structure (and Voter stays identically zero).
+    #[test]
+    fn analyze_keeps_the_root_structure_at_large_ell() {
+        for ell in ["25", "41", "57"] {
+            let (out, status) = run_cli(&["analyze", "minority", "--ell", ell, "--n", "512"]);
+            assert_eq!(status, Status::Ok, "{out}");
+            assert!(out.contains("roots in [0,1]: [0.0, 0.5, 1.0]\n"), "ell {ell}: {out}");
+            assert!(out.contains("witness: case 1"), "ell {ell}: {out}");
+        }
+        let (out, status) = run_cli(&["analyze", "voter", "--ell", "25"]);
         assert_eq!(status, Status::Ok);
         assert!(out.contains("identically zero"), "{out}");
     }
@@ -1692,7 +1614,7 @@ mod tests {
             // Every listed option passes; only the stray one is named.
             let mut argv = vec![command];
             if command == "trace" {
-                argv.extend(["convert", "in.jsonl", "out.bct"]);
+                argv.extend(["convert", "in.bct", "out.jsonl"]);
             }
             argv.extend(listed.iter().map(String::as_str));
             argv.push("--bogus");
@@ -1760,8 +1682,8 @@ mod tests {
     fn run_trace_out_writes_parseable_jsonl_consistent_with_report() {
         use bitdissem_obs::Event;
 
-        let path =
-            std::env::temp_dir().join(format!("bitdissem_cli_trace_{}.jsonl", std::process::id()));
+        let dir = temp_dir("cli_trace");
+        let (path, export) = (dir.join("run.bct"), dir.join("run.jsonl"));
         let path_str = path.to_str().unwrap();
         let out = dispatch_full(&Args::parse([
             "run",
@@ -1775,8 +1697,9 @@ mod tests {
         ]));
         assert_eq!(out.status, Status::Ok, "{}", out.stdout);
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<Event> = text.lines().map(|l| Event::from_json(l).expect(l)).collect();
+        let reader = ColumnarReader::open(&path).unwrap();
+        assert!(!reader.torn_tail());
+        let events: Vec<Event> = reader.events().collect();
         assert!(!events.is_empty());
         // Bracketing events and the manifest are all present.
         assert!(matches!(&events[0], Event::ExperimentStarted { id, .. } if id == "e2"));
@@ -1805,21 +1728,30 @@ mod tests {
         assert!(finished.iter().all(|(o, _)| *o == bitdissem_obs::ReplicationOutcome::Converged));
         // Round events exist and stay consistent with their replication.
         assert!(events.iter().any(|e| matches!(e, Event::RoundCompleted { .. })));
-        let _ = std::fs::remove_file(&path);
-    }
 
+        // The JSONL export holds one parseable JSON object per event.
+        let (out, status) = run_cli(&["trace", "convert", path_str, export.to_str().unwrap()]);
+        assert_eq!(status, Status::Ok, "{out}");
+        let text = std::fs::read_to_string(&export).unwrap();
+        assert_eq!(text.lines().count(), events.len());
+        for (line, ev) in text.lines().zip(&events) {
+            let value = bitdissem_obs::json::parse(line).expect(line);
+            assert!(value.get("type").and_then(Value::as_str).is_some(), "{line}");
+            assert_eq!(line, ev.to_json());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     #[test]
     fn trace_every_thins_round_events() {
         use bitdissem_obs::Event;
 
-        let tmp = std::env::temp_dir();
-        let dense_path = tmp.join(format!("bitdissem_dense_{}.jsonl", std::process::id()));
-        let sparse_path = tmp.join(format!("bitdissem_sparse_{}.jsonl", std::process::id()));
+        let dir = temp_dir("trace_every");
+        let (dense_path, sparse_path) = (dir.join("dense.bct"), dir.join("sparse.bct"));
         let count_rounds = |path: &std::path::Path| {
-            std::fs::read_to_string(path)
+            ColumnarReader::open(path)
                 .unwrap()
-                .lines()
-                .filter(|l| matches!(Event::from_json(l).expect(l), Event::RoundCompleted { .. }))
+                .events()
+                .filter(|ev| matches!(ev, Event::RoundCompleted { .. }))
                 .count()
         };
         let base = ["run", "e2", "--scale", "smoke", "--seed", "5", "--trace-out"];
@@ -1834,14 +1766,12 @@ mod tests {
         let (d, s) = (count_rounds(&dense_path), count_rounds(&sparse_path));
         assert!(d > 0 && s > 0);
         assert!(s * 10 < d, "stride 50 must thin the trace: dense={d} sparse={s}");
-        let _ = std::fs::remove_file(&dense_path);
-        let _ = std::fs::remove_file(&sparse_path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-
     #[test]
     fn identical_seeds_give_identical_reports_with_and_without_tracing() {
         let plain = dispatch_full(&Args::parse(["run", "e5", "--scale", "smoke", "--seed", "3"]));
-        let path = std::env::temp_dir().join(format!("bitdissem_det_{}.jsonl", std::process::id()));
+        let path = std::env::temp_dir().join(format!("bitdissem_det_{}.bct", std::process::id()));
         let path_str = path.to_str().unwrap();
         let traced = dispatch_full(&Args::parse([
             "run",
@@ -1986,7 +1916,7 @@ mod tests {
     #[test]
     fn bad_trace_out_is_a_usage_error() {
         let (out, status) =
-            run_cli(&["run", "e5", "--scale", "smoke", "--trace-out", "/nonexistent-dir/x.jsonl"]);
+            run_cli(&["run", "e5", "--scale", "smoke", "--trace-out", "/nonexistent-dir/x.bct"]);
         assert_eq!(status, Status::UsageError);
         assert!(out.contains("cannot create trace file"), "{out}");
     }
@@ -2001,7 +1931,7 @@ mod tests {
     #[test]
     fn trace_subcommand_passes_a_fresh_e2_trace() {
         let dir = temp_dir("trace_ok");
-        let path = dir.join("run.jsonl");
+        let path = dir.join("run.bct");
         let path_s = path.to_str().unwrap().to_string();
         let out = dispatch_full(&Args::parse([
             "run",
@@ -2030,7 +1960,7 @@ mod tests {
     fn trace_subcommand_flags_a_doctored_jump() {
         use bitdissem_obs::{Event, ReplicationOutcome};
         let dir = temp_dir("trace_bad");
-        let path = dir.join("doctored.jsonl");
+        let path = dir.join("doctored.bct");
         let n = 4096u64;
         // Voter ℓ=1 from X_t = 0.3n: Prop 4 caps the next step at
         // y(0.3, 1)·n ≈ 0.755n, so a jump to 0.9n violates the bound.
@@ -2057,8 +1987,11 @@ mod tests {
                 elapsed_us: 100,
             },
         ];
-        let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
-        std::fs::write(&path, text).unwrap();
+        let sink = ColumnarSink::create(&path).unwrap();
+        for ev in &events {
+            sink.emit(ev);
+        }
+        drop(sink);
 
         let (report, status) = run_cli(&["trace", path.to_str().unwrap()]);
         assert_eq!(status, Status::CheckFailed, "{report}");
@@ -2111,7 +2044,7 @@ mod tests {
         std::fs::write(&path, "schema_version,label\n1,x\n").unwrap();
         let (out, status) = run_cli(&["trace", path.to_str().unwrap()]);
         assert_eq!(status, Status::UsageError);
-        assert!(out.contains("not a trace file"), "{out}");
+        assert!(out.contains("not a columnar trace"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2123,7 +2056,7 @@ mod tests {
         let expected = "columnar trace version 0003: this build reads 0001 and 0002";
         let (out, status) = run_cli(&["trace", path.to_str().unwrap()]);
         assert_eq!(status, Status::UsageError);
-        assert!(out.contains(expected) && !out.contains("not a trace file"), "{out}");
+        assert!(out.contains(expected) && !out.contains("not a columnar trace"), "{out}");
         let (out, status) =
             run_cli(&["trace", "convert", path.to_str().unwrap(), out_path.to_str().unwrap()]);
         assert_eq!(status, Status::UsageError);
@@ -2133,135 +2066,83 @@ mod tests {
     }
 
     #[test]
-    fn trace_reads_a_jsonl_trace_behind_blank_lines() {
-        // More blank lines than a columnar magic is long: the format sniff
-        // must read past them, as the JSONL reader does.
-        let dir = temp_dir("trace_padded");
-        let (bare, padded) = (dir.join("run.jsonl"), dir.join("padded.jsonl"));
-        let (out, status) = run_cli(&[
-            "run",
-            "e2",
-            "--scale",
-            "smoke",
-            "--seed",
-            "13",
-            "--trace-out",
-            bare.to_str().unwrap(),
-        ]);
+    fn trace_convert_exports_the_memory_sink_stream_of_the_same_run() {
+        use bitdissem_obs::{Event, EventSink, MemorySink};
+
+        /// Records one run into memory and into a columnar file at once.
+        struct Tee(Arc<MemorySink>, ColumnarSink);
+        impl EventSink for Tee {
+            fn emit(&self, ev: &Event) {
+                self.0.emit(ev);
+                self.1.emit(ev);
+            }
+            fn flush(&self) {
+                self.1.flush();
+            }
+        }
+        let dir = temp_dir("trace_export");
+        let (bct, jsonl) = (dir.join("run.bct"), dir.join("run.jsonl"));
+        let memory = Arc::new(MemorySink::new());
+        let tee = Arc::new(Tee(Arc::clone(&memory), ColumnarSink::create(&bct).unwrap()));
+        // One worker, so that the columnar file keeps emission order.
+        let cfg = RunConfig { threads: Some(1), ..RunConfig::smoke(42) };
+        registry::run_observed("e2", &cfg, &Obs::none().with_sink(tee)).expect("registered id");
+        let expected: String = memory.events().iter().map(|ev| ev.to_json() + "\n").collect();
+        assert!(expected.lines().count() > 1000, "a smoke run records a substantial stream");
+
+        let (out, status) =
+            run_cli(&["trace", "convert", bct.to_str().unwrap(), jsonl.to_str().unwrap()]);
         assert_eq!(status, Status::Ok, "{out}");
-        let mut bytes = b"\n".repeat(9);
-        bytes.extend(std::fs::read(&bare).unwrap());
-        std::fs::write(&padded, bytes).unwrap();
-        let (expected, status) = run_cli(&["trace", bare.to_str().unwrap()]);
-        assert_eq!(status, Status::Ok, "{expected}");
-        let (report, status) = run_cli(&["trace", padded.to_str().unwrap()]);
-        assert_eq!(status, Status::Ok, "{report}");
-        assert_eq!(report, expected, "blank lines change nothing in the report");
+        let events = expected.lines().count();
+        assert!(out.starts_with(&format!("converted {events} events: ")), "{out}");
+        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn run_trace_format_columnar_matches_jsonl_analytics_exactly() {
-        // The acceptance contract at CLI level: the same run recorded in
-        // both formats must produce byte-identical `trace` reports
-        // (summaries, conformance verdicts, exit status).
-        let dir = temp_dir("trace_xfmt");
-        let jpath = dir.join("run.jsonl");
-        let cpath = dir.join("run.bct");
-        let (out, status) = run_cli(&[
-            "run",
-            "e2",
-            "--scale",
-            "smoke",
-            "--seed",
-            "13",
-            "--trace-out",
-            jpath.to_str().unwrap(),
-        ]);
-        assert_eq!(status, Status::Ok, "{out}");
-        // The same event stream in columnar form (converted, so the two
-        // files describe the identical run — wall-clock latencies
-        // included).
+    fn jsonl_exports_are_not_read_back() {
+        use bitdissem_obs::Event;
+        let dir = temp_dir("trace_jsonl_in");
+        let (bct, jsonl, back) = (dir.join("run.bct"), dir.join("run.jsonl"), dir.join("back.bct"));
+        let sink = ColumnarSink::create(&bct).unwrap();
+        sink.emit(&Event::RoundCompleted { rep: 0, round: 1, ones: 3, source_opinion: 1 });
+        drop(sink);
         let (out, status) =
-            run_cli(&["trace", "convert", jpath.to_str().unwrap(), cpath.to_str().unwrap()]);
+            run_cli(&["trace", "convert", bct.to_str().unwrap(), jsonl.to_str().unwrap()]);
         assert_eq!(status, Status::Ok, "{out}");
-        assert_eq!(
-            detect_format(&cpath).unwrap(),
-            Some(TraceFormat::Columnar),
-            "convert from jsonl must write the binary format"
-        );
-        // A direct `--trace-format columnar` run also writes the binary
-        // format (its analytics differ only by wall-clock latencies, so
-        // the byte-for-byte comparison below uses the converted file).
-        let direct = dir.join("direct.bct");
-        let (out, status) = run_cli(&[
-            "run",
-            "e2",
-            "--scale",
-            "smoke",
-            "--seed",
-            "13",
-            "--trace-out",
-            direct.to_str().unwrap(),
-            "--trace-format",
-            "columnar",
-        ]);
-        assert_eq!(status, Status::Ok, "{out}");
-        assert_eq!(detect_format(&direct).unwrap(), Some(TraceFormat::Columnar));
-        let (jreport, jstatus) = run_cli(&["trace", jpath.to_str().unwrap()]);
-        let (creport, cstatus) = run_cli(&["trace", cpath.to_str().unwrap()]);
-        assert_eq!(jstatus, Status::Ok, "{jreport}");
-        assert_eq!(jreport, creport, "jsonl and columnar analytics must agree");
-        assert_eq!(jstatus, cstatus);
-        assert!(jreport.contains("conforms"), "{jreport}");
+        // `trace` of the export names what it is not.
+        let (out, status) = run_cli(&["trace", jsonl.to_str().unwrap()]);
+        assert_eq!(status, Status::UsageError, "{out}");
+        assert!(out.contains("not a columnar trace"), "{out}");
+        // Converting it back is no conversion, and writes nothing.
+        let (out, status) =
+            run_cli(&["trace", "convert", jsonl.to_str().unwrap(), back.to_str().unwrap()]);
+        assert_eq!(status, Status::UsageError, "{out}");
+        assert!(out.contains("not a columnar trace"), "{out}");
+        assert!(!back.exists(), "nothing is written for a JSONL input");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn trace_convert_round_trips_both_directions() {
-        use bitdissem_obs::read_trace;
-        let dir = temp_dir("trace_convert");
-        let jpath = dir.join("run.jsonl");
-        let cpath = dir.join("run.bct");
-        let back = dir.join("back.jsonl");
-        let (out, status) = run_cli(&[
-            "run",
-            "e2",
-            "--scale",
-            "smoke",
-            "--seed",
-            "21",
-            "--trace-out",
-            jpath.to_str().unwrap(),
-        ]);
-        assert_eq!(status, Status::Ok, "{out}");
+    fn trace_convert_reports_write_errors() {
+        use bitdissem_obs::Event;
+        let dir = temp_dir("trace_write_err");
+        let bct = dir.join("run.bct");
+        let sink = ColumnarSink::create(&bct).unwrap();
+        sink.emit(&Event::RoundCompleted { rep: 0, round: 1, ones: 3, source_opinion: 1 });
+        drop(sink);
+        let missing = dir.join("no-such-dir").join("out.jsonl");
         let (out, status) =
-            run_cli(&["trace", "convert", jpath.to_str().unwrap(), cpath.to_str().unwrap()]);
-        assert_eq!(status, Status::Ok, "{out}");
-        assert!(out.contains("jsonl) ->"), "{out}");
-        let (out, status) =
-            run_cli(&["trace", "convert", cpath.to_str().unwrap(), back.to_str().unwrap()]);
-        assert_eq!(status, Status::Ok, "{out}");
-        // Full fidelity: the round-tripped JSONL decodes to the exact
-        // original event stream.
-        let original = read_trace(&jpath).unwrap();
-        let round_tripped = read_trace(&back).unwrap();
-        assert_eq!(original.events, round_tripped.events);
-        assert_eq!(round_tripped.skipped, 0);
+            run_cli(&["trace", "convert", bct.to_str().unwrap(), missing.to_str().unwrap()]);
+        assert_eq!(status, Status::UsageError, "{out}");
+        assert!(out.starts_with("cannot write"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn trace_convert_rejects_bad_usage() {
-        let (out, status) = run_cli(&["trace", "convert", "/only-one-arg"]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("usage: bitdissem trace convert"), "{out}");
-    }
-
-    #[test]
-    fn trace_format_flag_is_validated() {
-        let dir = temp_dir("trace_fmt_flag");
-        let path = dir.join("x.trace");
+    fn run_rejects_the_removed_trace_format_option() {
+        let dir = temp_dir("trace_format_gone");
+        let path = dir.join("run.bct");
         let (out, status) = run_cli(&[
             "run",
             "e5",
@@ -2270,14 +2151,19 @@ mod tests {
             "--trace-out",
             path.to_str().unwrap(),
             "--trace-format",
-            "parquet",
+            "columnar",
         ]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("unknown --trace-format"), "{out}");
-        let (out, status) = run_cli(&["run", "e5", "--scale", "smoke", "--trace-format", "jsonl"]);
-        assert_eq!(status, Status::UsageError);
-        assert!(out.contains("--trace-format requires --trace-out"), "{out}");
+        assert_eq!(status, Status::UsageError, "{out}");
+        assert_eq!(out, "run: unknown option: --trace-format (see 'help')\n");
+        assert!(!path.exists(), "a rejected run records nothing");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_convert_rejects_bad_usage() {
+        let (out, status) = run_cli(&["trace", "convert", "/only-one-arg"]);
+        assert_eq!(status, Status::UsageError);
+        assert!(out.contains("usage: bitdissem trace convert"), "{out}");
     }
 
     #[test]

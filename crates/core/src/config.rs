@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::opinion::Opinion;
 
 /// A configuration `(z, x)` of an `n`-agent system: the correct opinion `z`
@@ -27,7 +25,7 @@ use crate::opinion::Opinion;
 /// assert_eq!(c.fraction_ones(), 0.3);
 /// # Ok::<(), bitdissem_core::config::ConfigurationError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Configuration {
     n: u64,
     correct: Opinion,

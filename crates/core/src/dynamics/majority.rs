@@ -1,7 +1,5 @@
 //! The Majority dynamics — the classical counterpart of Minority.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -34,7 +32,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(maj.prob_one(Opinion::Zero, 1, 10), 0.0);
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Majority {
     ell: usize,
 }

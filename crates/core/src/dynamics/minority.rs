@@ -1,7 +1,5 @@
 //! The Minority dynamics (Protocol 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -34,7 +32,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(m.prob_one(Opinion::Zero, 4, 10), 1.0); // unanimous 1
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Minority {
     ell: usize,
 }

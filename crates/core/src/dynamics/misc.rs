@@ -1,7 +1,5 @@
 //! Counter-example dynamics used by the validation experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -12,7 +10,7 @@ use crate::protocol::Protocol;
 /// solve bit dissemination: a reached consensus decays at rate ≈ `εn` per
 /// round. Used by experiment E9 to check that the validation logic and the
 /// consensus-exit detection both fire.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoisyVoter {
     ell: usize,
     epsilon: f64,
@@ -62,7 +60,7 @@ impl Protocol for NoisyVoter {
 /// The **anti-Voter**: `g(k) = 1 − k/ℓ` — adopt the *opposite* of a random
 /// sample. Violates Proposition 3 on both endpoints; the system oscillates
 /// around `n/2` forever. A sanity baseline for never-converging behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AntiVoter {
     ell: usize,
 }
@@ -103,7 +101,7 @@ impl Protocol for AntiVoter {
 /// sufficient: Stay never converges from any non-consensus configuration.
 /// Its bias polynomial is identically zero, so Lemma 11's `Ω(n^{1−ε})` bound
 /// applies — vacuously, since the true convergence time is infinite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stay {
     ell: usize,
 }

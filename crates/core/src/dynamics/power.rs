@@ -1,7 +1,5 @@
 //! The power-Voter family: a tunable-bias dynamics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -27,7 +25,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(p.prob_one(Opinion::Zero, 1, 10), 0.25); // (1/2)²
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerVoter {
     ell: usize,
     alpha: f64,

@@ -1,7 +1,5 @@
 //! The threshold dynamics family.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -31,7 +29,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(t.prob_one(Opinion::Zero, 2, 10), 1.0);
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThresholdRule {
     ell: usize,
     theta: usize,

@@ -1,7 +1,5 @@
 //! The 2-Choices dynamics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
 
@@ -25,7 +23,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(tc.prob_one(Opinion::One, 1, 10), 1.0);  // split sample: keep own
 /// assert_eq!(tc.prob_one(Opinion::Zero, 1, 10), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TwoChoices;
 
 impl TwoChoices {

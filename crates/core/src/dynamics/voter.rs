@@ -1,7 +1,5 @@
 //! The Voter dynamics (Protocol 1 of the paper) and its lazy variant.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -22,7 +20,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(v.prob_one(Opinion::Zero, 2, 100), 0.5);
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Voter {
     ell: usize,
 }
@@ -62,7 +60,7 @@ impl Protocol for Voter {
 /// Its bias polynomial is identically zero, just like the plain Voter —
 /// a useful second witness for Lemma 11 (any `F_n ≡ 0` protocol is
 /// almost-linearly slow).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LazyVoter {
     ell: usize,
     laziness: f64,

@@ -7,8 +7,6 @@
 //! restricted multi-opinion model so that the reduction can be exercised
 //! empirically (integration test `multi_opinion_reduction`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 
 /// A memory-less update rule over `m ≥ 2` opinions.
@@ -96,7 +94,7 @@ fn check_rec<P: MultiProtocol + ?Sized>(
 
 /// Multi-opinion Voter: adopt the opinion of a uniformly random sample,
 /// i.e. opinion `j` with probability `counts[j] / ℓ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiVoter {
     m: usize,
     ell: usize,
@@ -138,7 +136,7 @@ impl MultiProtocol for MultiVoter {
 /// Multi-opinion Minority: if the sample is unanimous adopt it; otherwise
 /// adopt a uniformly random opinion among those observed with the *lowest
 /// non-zero* count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiMinority {
     m: usize,
     ell: usize,

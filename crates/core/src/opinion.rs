@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::Not;
 
-use serde::{Deserialize, Serialize};
-
 /// A binary opinion held by an agent.
 ///
 /// The paper identifies opinions with bits; we use a dedicated enum so that
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(!one, Opinion::Zero);
 /// assert_eq!(Opinion::from_bool(true), Opinion::One);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Opinion {
     /// Opinion `0`.
     #[default]

@@ -10,7 +10,7 @@ use crate::table::GTable;
 /// the parallel setting, or `n` successive single-agent activations in the
 /// sequential setting. All convergence times in this workspace are expressed
 /// in parallel rounds so that the two settings are comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationModel {
     /// All non-source agents update simultaneously each round.
     Parallel,

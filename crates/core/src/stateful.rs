@@ -15,8 +15,6 @@
 //! whether this single extra bit escapes the constant-`ℓ` slowness — it
 //! does not, at the sizes we can reach.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::opinion::Opinion;
 use crate::protocol::Protocol;
@@ -82,7 +80,7 @@ pub fn check_stateful_absorption<P: StatefulProtocol + ?Sized>(
 
 /// Adapter: any memory-less [`Protocol`] is a 2-state stateful protocol
 /// (state = displayed opinion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Memoryless<P> {
     inner: P,
 }
@@ -157,7 +155,7 @@ pub mod usd_states {
 /// With `ℓ = 1` this is the classical pairwise undecided-state dynamics,
 /// restricted to what passive communication can express (the undecided
 /// flag is private). The display-consensus on `z` is absorbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UndecidedState {
     ell: usize,
 }

@@ -7,8 +7,6 @@
 //! [`ProtocolExt::to_table`](crate::protocol::ProtocolExt::to_table), and the
 //! analysis crate consumes tables when building the bias polynomial.
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_poly::kernel::{Kernel, KernelError};
 
 use crate::error::ProtocolError;
@@ -32,7 +30,7 @@ use crate::protocol::Protocol;
 /// assert_eq!(lazy.prob_one(Opinion::One, 0, 10), 0.5);
 /// # Ok::<(), bitdissem_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GTable {
     g0: Vec<f64>,
     g1: Vec<f64>,

@@ -1,14 +1,12 @@
 //! Run configuration shared by all experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// How much work an experiment run should do.
 ///
 /// * `Smoke` — seconds-scale, used by tests and CI: small `n`, few
 ///   replications; verifies mechanics and directional expectations only.
 /// * `Standard` — the default for `bitdissem run` and the example binaries.
 /// * `Full` — the scale used to produce the tables in `EXPERIMENTS.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-scale smoke run.
     Smoke,
@@ -61,7 +59,7 @@ impl std::str::FromStr for Scale {
 }
 
 /// Configuration of one experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Work scale.
     pub scale: Scale,
@@ -72,7 +70,6 @@ pub struct RunConfig {
     /// Environment perturbation schedule applied between rounds (`None`
     /// means the static, unperturbed process). Recorded in run manifests
     /// and in checkpoint batch kinds.
-    #[serde(default)]
     pub env: Option<bitdissem_sim::EnvSchedule>,
 }
 

@@ -171,7 +171,7 @@ mod tests {
         let _ = measure_convergence_observed(&obs, &voter, start, 10, 100_000, 7, Some(1));
         let _ = run(&RunConfig::smoke(42), &obs);
 
-        let analysis = analyze(&sink.events(), 0);
+        let analysis = analyze(&sink.events());
         let batches: Vec<_> = analysis
             .batches
             .iter()

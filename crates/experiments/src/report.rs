@@ -1,13 +1,11 @@
 //! Experiment reports: one uniform shape for every table and figure.
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_obs::RunManifest;
 use bitdissem_stats::Table;
 
 /// The result of one experiment run: titled tables plus a verdict on
 /// whether the measured *shape* matches the paper's claim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Short experiment id (`e1`, …, `a3`).
     pub id: String,

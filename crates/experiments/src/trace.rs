@@ -1,6 +1,7 @@
-//! Offline trace analytics: replaying a recorded JSONL run.
+//! Offline trace analytics: replaying a recorded run.
 //!
-//! A trace produced with `--trace-out` is *self-describing*: every
+//! A trace produced with `--trace-out` (a columnar store, see
+//! [`bitdissem_obs::columnar`]) is *self-describing*: every
 //! replicated batch opens with a `batch_started` event carrying the
 //! protocol's full `g`-table and the batch dimensions (see
 //! [`bitdissem_obs::Event::BatchStarted`]). This module groups a decoded
@@ -160,8 +161,6 @@ pub struct TraceAnalysis {
     pub batches: Vec<BatchAnalysis>,
     /// Total events consumed.
     pub events: usize,
-    /// Undecodable lines reported by the reader (torn tail etc.).
-    pub skipped_lines: usize,
 }
 
 impl TraceAnalysis {
@@ -175,17 +174,7 @@ impl TraceAnalysis {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "trace: {} events, {} batches{}",
-            self.events,
-            self.batches.len(),
-            if self.skipped_lines > 0 {
-                format!(" ({} undecodable lines skipped)", self.skipped_lines)
-            } else {
-                String::new()
-            }
-        );
+        let _ = writeln!(out, "trace: {} events, {} batches", self.events, self.batches.len());
         for (i, b) in self.batches.iter().enumerate() {
             let _ = match &b.meta {
                 Some(m) => writeln!(
@@ -312,9 +301,9 @@ fn latency_hist(samples: impl Iterator<Item = u64>) -> Option<LogHistogram> {
 /// Streaming trace analyzer: feed events (or whole columnar blocks) in
 /// file order, then [`TraceAccumulator::finish`] to get the
 /// [`TraceAnalysis`]. This is the single grouping engine behind both
-/// trace formats — the JSONL path pushes decoded [`Event`]s one at a
-/// time, the columnar path ingests typed column views without ever
-/// materializing events.
+/// inputs — an in-memory stream pushes [`Event`]s one at a time, a
+/// recorded trace ingests typed column views without ever materializing
+/// events.
 #[derive(Debug, Default)]
 pub struct TraceAccumulator {
     accums: Vec<BatchAccum>,
@@ -347,9 +336,10 @@ impl TraceAccumulator {
         self.current.finished.push((rep, converged, rounds, elapsed_us));
     }
 
-    /// Consumes one decoded event — the JSONL streaming path. Events
-    /// that don't affect batch grouping (experiment brackets, manifests,
-    /// stability events) still count toward the event total.
+    /// Consumes one event — the path of in-memory streams, and the
+    /// reference [`TraceAccumulator::ingest_block`] is pinned against.
+    /// Events that don't affect batch grouping (experiment brackets,
+    /// manifests, stability events) still count toward the event total.
     pub fn push(&mut self, ev: &Event) {
         self.events += 1;
         match ev {
@@ -444,27 +434,26 @@ impl TraceAccumulator {
 
     /// Closes the stream and analyzes every batch.
     #[must_use]
-    pub fn finish(mut self, skipped_lines: usize) -> TraceAnalysis {
+    pub fn finish(mut self) -> TraceAnalysis {
         if !self.current.is_empty() {
             self.accums.push(self.current);
         }
         TraceAnalysis {
             batches: self.accums.iter().map(analyze_batch).collect(),
             events: self.events,
-            skipped_lines,
         }
     }
 }
 
-/// Groups a decoded event stream into batches and analyzes each —
+/// Groups an event stream into batches and analyzes each —
 /// convenience wrapper over [`TraceAccumulator`] for in-memory slices.
 #[must_use]
-pub fn analyze(events: &[Event], skipped_lines: usize) -> TraceAnalysis {
+pub fn analyze(events: &[Event]) -> TraceAnalysis {
     let mut acc = TraceAccumulator::new();
     for ev in events {
         acc.push(ev);
     }
-    acc.finish(skipped_lines)
+    acc.finish()
 }
 
 fn analyze_batch(accum: &BatchAccum) -> BatchAnalysis {
@@ -597,7 +586,7 @@ mod tests {
 
     #[test]
     fn empty_trace_analyzes_to_nothing() {
-        let a = analyze(&[], 0);
+        let a = analyze(&[]);
         assert!(a.batches.is_empty());
         assert!(!a.has_violations());
         assert!(a.render().contains("conforms"));
@@ -615,7 +604,7 @@ mod tests {
             events.push(round(0, r, x));
         }
         events.push(finished(0, 200));
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         assert_eq!(a.batches.len(), 1);
         let conf = a.batches[0].conformance.as_ref().unwrap();
         assert_eq!(conf.adjacent_pairs, 200); // includes the x0 -> round-1 pair
@@ -637,7 +626,7 @@ mod tests {
             round(0, 6, (9 * n) / 10),
             finished(0, 6),
         ];
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         let conf = a.batches[0].conformance.as_ref().unwrap();
         assert_eq!(conf.jump_violations.len(), 1, "{conf:?}");
         let v = &conf.jump_violations[0];
@@ -661,7 +650,7 @@ mod tests {
             events.push(round(rep, 2, 70)); // +20 drift, every rep
             events.push(finished(rep, 2));
         }
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         let conf = a.batches[0].conformance.as_ref().unwrap();
         let drift_rounds: Vec<u64> = conf.drift_violations.iter().map(|v| v.round).collect();
         assert!(drift_rounds.contains(&1), "{:?}", conf.drift_violations);
@@ -675,7 +664,7 @@ mod tests {
         // the near-consensus transition is the only one analyzed.
         let n = 1024;
         let events = vec![voter_meta(n), round(0, 5, n - 2), round(0, 6, n), finished(0, 6)];
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         let conf = a.batches[0].conformance.as_ref().unwrap();
         assert_eq!(conf.adjacent_pairs, 1);
         assert_eq!(conf.jump_checked, 0, "vacuous bound must be gated: {conf:?}");
@@ -686,7 +675,7 @@ mod tests {
     fn strided_traces_have_no_adjacent_pairs() {
         let n = 256;
         let events = vec![voter_meta(n), round(0, 10, 30), round(0, 20, 60), finished(0, 25)];
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         let conf = a.batches[0].conformance.as_ref().unwrap();
         assert_eq!(conf.adjacent_pairs, 0);
         assert!(a.render().contains("no adjacent round pairs"), "{}", a.render());
@@ -701,7 +690,7 @@ mod tests {
             *kind = "seqconv".to_string();
         }
         let events = vec![seq, round(0, 1, 5), round(0, 2, 9), finished(0, 2)];
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         assert!(a.batches[0].conformance.is_none());
         assert!(a.render().contains("not checkable"), "{}", a.render());
     }
@@ -714,13 +703,12 @@ mod tests {
             round(0, 1, 2),
             finished(0, 1),
         ];
-        let a = analyze(&events, 2);
+        let a = analyze(&events);
         assert_eq!(a.batches.len(), 2);
         assert!(a.batches[0].meta.is_none());
         assert!(a.batches[0].conformance.is_none());
         assert!(a.batches[1].meta.is_some());
-        assert_eq!(a.skipped_lines, 2);
-        assert!(a.render().contains("undecodable"), "{}", a.render());
+        assert!(a.render().starts_with("trace: 4 events, 2 batches\n"), "{}", a.render());
     }
 
     #[test]
@@ -734,7 +722,7 @@ mod tests {
             }
             header
         };
-        let a = analyze(&[cross(48), cross(0)], 0);
+        let a = analyze(&[cross(48), cross(0)]);
         assert_eq!(a.batches.len(), 2);
         assert_eq!(a.batches[0].replications, 0);
         let report = a.render();
@@ -750,7 +738,7 @@ mod tests {
         for rep in 0..8 {
             events.push(finished(rep, 10 + rep));
         }
-        let a = analyze(&events, 0);
+        let a = analyze(&events);
         let b = &a.batches[0];
         assert_eq!(b.replications, 8);
         assert_eq!(b.converged, 8);

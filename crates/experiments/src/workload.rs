@@ -767,7 +767,7 @@ mod tests {
         let obs = Obs::none().with_sink(Arc::clone(&sink) as Arc<dyn bitdissem_obs::EventSink>);
         let _ = measure_convergence_observed(&obs, &voter, start, 10, 100_000, 3, Some(2));
 
-        let analysis = crate::trace::analyze(&sink.events(), 0);
+        let analysis = crate::trace::analyze(&sink.events());
         assert_eq!(analysis.batches.len(), 1);
         let batch = &analysis.batches[0];
         assert_eq!(batch.replications, 10);

@@ -1,13 +1,11 @@
 //! Absorbing-chain analysis: exact hitting times of the correct consensus.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::AggregateChain;
 use crate::linalg::Lu;
 
 /// Exact expected hitting times of the correct consensus for every state of
 /// an [`AggregateChain`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HittingTimes {
     lo: u64,
     times: Vec<f64>,

@@ -1,12 +1,12 @@
 //! Append-only binary columnar trace store.
 //!
-//! JSONL traces (see [`crate::JsonlSink`]) pay a text encode on the hot
-//! path and a full re-parse on every `trace` query — fine for debugging,
-//! a bottleneck for "analyze a million replications". This module is the
-//! production store: events are packed **per event type into per-field
-//! binary columns**, framed into self-checking blocks, so a reader can
-//! stream a typed column (`ones`, `round`, …) straight off the file
-//! bytes without constructing a single event or string.
+//! The one on-disk trace format: everything `--trace-out` records and
+//! `bitdissem trace` reads. Events are packed **per event type into
+//! per-field binary columns**, framed into self-checking blocks, so a
+//! reader can stream a typed column (`ones`, `round`, …) straight off the
+//! file bytes without constructing a single event or string. JSONL is an
+//! export only: `bitdissem trace convert run.bct run.jsonl` writes each
+//! event's [`Event::to_json`] line, and nothing reads JSONL back.
 //!
 //! # On-disk layout
 //!
@@ -42,11 +42,6 @@
 //! columnar trace of a version this build does not know: it is rejected
 //! with an error that names the version, not read as "not a trace".
 //!
-//! To upgrade a v1 trace, convert it to JSONL and back: `bitdissem trace
-//! convert old.bct old.jsonl`, then `bitdissem trace convert old.jsonl
-//! new.bct`. The round trip keeps the event sequence exactly, and the
-//! new file is written as v2.
-//!
 //! # Order and batch grouping
 //!
 //! A block holds a **run** of consecutive same-typed events. The sink is
@@ -68,7 +63,7 @@
 //!
 //! Rows that different threads emit between the same two rare events
 //! may interleave in any block order. A single-threaded stream is
-//! reproduced exactly, which keeps convert round trips order-faithful.
+//! reproduced exactly, so its `trace convert` export is in emission order.
 //!
 //! # Torn-tail semantics
 //!
@@ -91,7 +86,7 @@ use crate::sink::EventSink;
 use crate::telemetry::{thread_slot, CachePadded, STRIPES};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -213,71 +208,6 @@ fn checksum_for(magic: &[u8]) -> Option<fn(&[u8]) -> u64> {
     match magic {
         m if m == MAGIC => Some(xxh64),
         m if m == MAGIC_V1 => Some(fnv1a64),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Format detection
-// ---------------------------------------------------------------------------
-
-/// Trace file formats the tooling understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line (the debug sink).
-    Jsonl,
-    /// The binary columnar store in this module.
-    Columnar,
-}
-
-impl TraceFormat {
-    /// Human-readable name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Columnar => "columnar",
-        }
-    }
-}
-
-/// Sniffs the format of the file at `path` from its leading bytes: a
-/// columnar magic of any version (`BDCT` and four ASCII digits) at offset 0
-/// wins, a leading `{` (after any run of ASCII whitespace) reads as JSONL,
-/// anything else is `None` — not a trace. Whether this build reads that
-/// columnar version is [`ColumnarReader::open`]'s question.
-///
-/// # Errors
-///
-/// Propagates the I/O error if the file cannot be opened or read.
-pub fn detect_format(path: impl AsRef<Path>) -> std::io::Result<Option<TraceFormat>> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut head = Vec::with_capacity(MAGIC.len() + 1);
-    reader.by_ref().take(MAGIC.len() as u64).read_to_end(&mut head)?;
-    // A JSONL trace may open with any number of blank lines, which the
-    // readers skip: past the magic's length, read on through whitespace to
-    // the first byte that decides.
-    if head.len() == MAGIC.len() && head.iter().all(|b| WHITESPACE.contains(b)) {
-        if let Some(byte) = reader.bytes().find(|b| !matches!(b, Ok(b) if WHITESPACE.contains(b))) {
-            head.push(byte?);
-        }
-    }
-    Ok(sniff_bytes(&head))
-}
-
-/// The bytes a JSONL trace may open with before its first `{`.
-const WHITESPACE: &[u8] = b" \t\r\n";
-
-/// [`detect_format`] over in-memory leading bytes.
-#[must_use]
-pub fn sniff_bytes(head: &[u8]) -> Option<TraceFormat> {
-    if let Some((b"BDCT", version)) = head.get(..MAGIC.len()).map(|m| m.split_at(4)) {
-        if version.iter().all(u8::is_ascii_digit) {
-            return Some(TraceFormat::Columnar);
-        }
-    }
-    match head.iter().find(|b| !WHITESPACE.contains(b)) {
-        Some(b'{') => Some(TraceFormat::Jsonl),
         _ => None,
     }
 }
@@ -414,9 +344,9 @@ impl Stripe {
 
 /// Binary columnar [`EventSink`]: buffers events per type and writes
 /// framed column blocks, striped per emitting thread (see the module
-/// docs for the order this keeps). Like [`crate::JsonlSink`] it is
-/// best-effort — I/O errors end the trace early instead of aborting the
-/// simulation — and it flushes on [`EventSink::flush`] and on drop.
+/// docs for the order this keeps). It is best-effort — I/O errors end
+/// the trace early instead of aborting the simulation — and it flushes on
+/// [`EventSink::flush`] and on drop.
 pub struct ColumnarSink {
     /// Open runs of hot rows, indexed by [`thread_slot`]. Lock order: a
     /// stripe, then the writer.
@@ -537,7 +467,7 @@ impl Writer {
 
     /// Serializes and writes the open rare run's block (plus any pending
     /// dictionary block), clearing the buffer. Errors are swallowed: the
-    /// trace just ends early, like the JSONL sink.
+    /// trace just ends early.
     fn seal(&mut self) {
         let Some(type_id) = self.open_type else { return };
         let count = self.buffered_rows(type_id);
@@ -1008,11 +938,14 @@ impl ColumnarReader {
     pub fn from_bytes(data: Vec<u8>) -> std::io::Result<Self> {
         let head = data.get(..MAGIC.len()).unwrap_or_default();
         let Some(checksum) = checksum_for(head) else {
-            let message = if sniff_bytes(head) == Some(TraceFormat::Columnar) {
-                let version = String::from_utf8_lossy(&head[4..]);
-                format!("columnar trace version {version}: this build reads 0001 and 0002")
-            } else {
-                "not a columnar trace (missing BDCT magic)".to_string()
+            // `BDCT` and four other digits is a columnar trace of a layout
+            // this build does not know, not some other file.
+            let message = match head.split_at_checked(4) {
+                Some((b"BDCT", version)) if version.iter().all(u8::is_ascii_digit) => {
+                    let version = String::from_utf8_lossy(version);
+                    format!("columnar trace version {version}: this build reads 0001 and 0002")
+                }
+                _ => "not a columnar trace (missing BDCT magic)".to_string(),
             };
             return Err(std::io::Error::new(ErrorKind::InvalidData, message));
         };
@@ -1070,8 +1003,8 @@ impl ColumnarReader {
     }
 
     /// Streams the recovered events in file order, which keeps emission
-    /// order as the module docs state — the compatibility path (`trace
-    /// convert`, tests). Analytics should prefer
+    /// order as the module docs state — the path of the JSONL export
+    /// (`trace convert`) and of tests. Analytics should prefer
     /// [`ColumnarReader::blocks`], which never materializes events.
     pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
         self.blocks().flat_map(block_to_events)
@@ -1599,7 +1532,7 @@ mod tests {
     /// (the trace of `all`) at *any* byte offset must recover a prefix of
     /// whole blocks — never garbage, never a panic. A cut exactly on a
     /// block boundary is indistinguishable from a clean shorter trace
-    /// (just as JSONL cut exactly at a newline), so only mid-block cuts
+    /// (just as a line log cut exactly at a newline), so only mid-block cuts
     /// must raise the torn-tail flag.
     fn assert_every_cut_recovers_a_clean_prefix(full: &[u8], all: &[Event]) {
         let bounds = block_boundaries(full);
@@ -1703,7 +1636,6 @@ mod tests {
     fn v1_traces_still_read_check_and_recover() {
         let events = sample_events();
         let v1 = to_v1(&encode(&events));
-        assert_eq!(sniff_bytes(&v1), Some(TraceFormat::Columnar));
         let reader = ColumnarReader::from_bytes(v1.clone()).unwrap();
         assert!(!reader.torn_tail());
         assert_eq!(reader.events().collect::<Vec<_>>(), events);
@@ -1737,13 +1669,13 @@ mod tests {
     fn unknown_versions_are_named_not_taken_for_other_files() {
         let mut v3 = encode(&sample_events());
         v3[..MAGIC.len()].copy_from_slice(b"BDCT0003");
-        assert_eq!(sniff_bytes(&v3), Some(TraceFormat::Columnar));
         let err = ColumnarReader::from_bytes(v3).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "columnar trace version 0003: this build reads 0001 and 0002");
-        assert_eq!(sniff_bytes(b"BDCTv003"), None);
-        let err = ColumnarReader::from_bytes(b"BDCTv003".to_vec()).unwrap_err();
-        assert!(err.to_string().starts_with("not a columnar trace"), "{err}");
+        for other in [&b"BDCTv003"[..], b"BDCT", b"BDCT000", b"{\"type\":\"round_completed\"}"] {
+            let err = ColumnarReader::from_bytes(other.to_vec()).unwrap_err();
+            assert!(err.to_string().starts_with("not a columnar trace"), "{err}");
+        }
     }
 
     /// Four rounds of 3000 live replicas after a batch header. The first
@@ -1856,41 +1788,6 @@ mod tests {
         std::fs::write(&path, b"{\"type\":\"round_completed\"}\n").unwrap();
         assert_eq!(repair(&path).unwrap_err().kind(), ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn format_sniffing() {
-        assert_eq!(sniff_bytes(&MAGIC), Some(TraceFormat::Columnar));
-        assert_eq!(sniff_bytes(&MAGIC_V1), Some(TraceFormat::Columnar));
-        assert_eq!(sniff_bytes(b"{\"type\":"), Some(TraceFormat::Jsonl));
-        assert_eq!(sniff_bytes(b"  \n{\"a\":1}"), Some(TraceFormat::Jsonl));
-        assert_eq!(sniff_bytes(b"schema_version,label"), None);
-        assert_eq!(sniff_bytes(b""), None);
-        assert_eq!(sniff_bytes(&MAGIC[..4]), None, "a partial magic is not a columnar trace");
-    }
-
-    #[test]
-    fn detect_format_on_disk() {
-        let dir = std::env::temp_dir();
-        let cpath = dir.join(format!("obs_detect_col_{}.bct", std::process::id()));
-        let jpath = dir.join(format!("obs_detect_jsonl_{}.jsonl", std::process::id()));
-        let xpath = dir.join(format!("obs_detect_other_{}.txt", std::process::id()));
-        let padded = dir.join(format!("obs_detect_padded_{}.jsonl", std::process::id()));
-        let blank = dir.join(format!("obs_detect_blank_{}.jsonl", std::process::id()));
-        drop(ColumnarSink::create(&cpath).unwrap());
-        std::fs::write(&jpath, "{\"type\":\"x\"}\n").unwrap();
-        std::fs::write(&xpath, "hello\n").unwrap();
-        // More leading whitespace than a magic is long.
-        std::fs::write(&padded, "\n\n\n\n\n\n\n\n\n{\"type\":\"x\"}\n").unwrap();
-        std::fs::write(&blank, " \n\t\r\n\n\n\n\n\n\n").unwrap();
-        assert_eq!(detect_format(&cpath).unwrap(), Some(TraceFormat::Columnar));
-        assert_eq!(detect_format(&jpath).unwrap(), Some(TraceFormat::Jsonl));
-        assert_eq!(detect_format(&xpath).unwrap(), None);
-        assert_eq!(detect_format(&padded).unwrap(), Some(TraceFormat::Jsonl));
-        assert_eq!(detect_format(&blank).unwrap(), None, "whitespace alone is not a trace");
-        for p in [cpath, jpath, xpath, padded, blank] {
-            let _ = std::fs::remove_file(&p);
-        }
     }
 
     #[test]

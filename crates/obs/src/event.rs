@@ -1,6 +1,6 @@
-//! Typed trace events and their JSONL encoding.
+//! Typed trace events and their JSON encoding.
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::manifest::RunManifest;
 
 /// How a replication ended.
@@ -22,18 +22,11 @@ impl ReplicationOutcome {
             ReplicationOutcome::TimedOut => "timed_out",
         }
     }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "converged" => Some(ReplicationOutcome::Converged),
-            "timed_out" => Some(ReplicationOutcome::TimedOut),
-            _ => None,
-        }
-    }
 }
 
 /// One structured trace event. Every variant encodes to a single JSON
-/// object with a `"type"` discriminator, one per line in a JSONL trace.
+/// object with a `"type"` discriminator, one per line in the JSONL export
+/// of a trace (`bitdissem trace convert`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// An experiment run began.
@@ -253,82 +246,6 @@ impl Event {
             ),
         }
     }
-
-    /// Decodes an event from one JSONL line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description on malformed JSON, an unknown
-    /// `"type"` or missing fields.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let value = json::parse(line).map_err(|e| e.to_string())?;
-        let ty = value.get("type").and_then(Value::as_str).ok_or("missing \"type\" field")?;
-        let str_field = |k: &str| {
-            value.get(k).and_then(Value::as_str).map(str::to_string).ok_or(format!("missing {k}"))
-        };
-        let u64_field =
-            |k: &str| value.get(k).and_then(Value::as_u64).ok_or(format!("missing {k}"));
-        let f64_array = |k: &str| -> Result<Vec<f64>, String> {
-            let Some(Value::Arr(items)) = value.get(k) else {
-                return Err(format!("missing {k}"));
-            };
-            items.iter().map(|v| v.as_f64().ok_or(format!("non-numeric entry in {k}"))).collect()
-        };
-        match ty {
-            "batch_started" => Ok(Event::BatchStarted {
-                kind: str_field("kind")?,
-                protocol: str_field("protocol")?,
-                ell: u64_field("ell")?,
-                n: u64_field("n")?,
-                x0: u64_field("x0")?,
-                source_opinion: u8::try_from(u64_field("source_opinion")?)
-                    .map_err(|_| "source_opinion out of range".to_string())?,
-                reps: u64_field("reps")?,
-                budget: u64_field("budget")?,
-                seed: u64_field("seed")?,
-                g0: f64_array("g0")?,
-                g1: f64_array("g1")?,
-            }),
-            "experiment_started" => Ok(Event::ExperimentStarted {
-                id: str_field("id")?,
-                title: str_field("title")?,
-                seed: u64_field("seed")?,
-                scale: str_field("scale")?,
-            }),
-            "experiment_finished" => Ok(Event::ExperimentFinished {
-                id: str_field("id")?,
-                pass: value.get("pass").and_then(Value::as_bool).ok_or("missing pass")?,
-                elapsed_us: u64_field("elapsed_us")?,
-            }),
-            "replication_finished" => Ok(Event::ReplicationFinished {
-                rep: u64_field("rep")?,
-                outcome: ReplicationOutcome::from_str(&str_field("outcome")?)
-                    .ok_or("unknown outcome")?,
-                rounds: u64_field("rounds")?,
-                elapsed_us: u64_field("elapsed_us")?,
-            }),
-            "round_completed" => Ok(Event::RoundCompleted {
-                rep: u64_field("rep")?,
-                round: u64_field("round")?,
-                ones: u64_field("ones")?,
-                source_opinion: u8::try_from(u64_field("source_opinion")?)
-                    .map_err(|_| "source_opinion out of range".to_string())?,
-            }),
-            "consensus_exited" => Ok(Event::ConsensusExited {
-                rep: u64_field("rep")?,
-                entered: u64_field("entered")?,
-                exited: u64_field("exited")?,
-            }),
-            "manifest" => RunManifest::from_value(&value).map(Event::Manifest),
-            "telemetry_sample" => Ok(Event::TelemetrySample {
-                series: str_field("series")?,
-                version: u64_field("version")?,
-                elapsed_us: u64_field("elapsed_us")?,
-                value: u64_field("value")?,
-            }),
-            other => Err(format!("unknown event type '{other}'")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,13 +311,28 @@ mod tests {
         ]
     }
 
+    /// The JSON line of each sample event, as the JSONL sink wrote it
+    /// before `trace convert` became the only JSONL writer: the export must
+    /// not drift from the traces that earlier builds wrote.
+    const GOLDEN_LINES: [&str; 10] = [
+        r#"{"type":"experiment_started","id":"e2","title":"Voter upper bound","seed":18446744073709551615,"scale":"smoke"}"#,
+        r#"{"type":"experiment_finished","id":"e2","pass":true,"elapsed_us":12345}"#,
+        r#"{"type":"batch_started","kind":"conv","protocol":"voter","ell":1,"n":128,"x0":1,"source_opinion":1,"reps":30,"budget":4964,"seed":195911405,"g0":[0,1],"g1":[0,1]}"#,
+        r#"{"type":"batch_started","kind":"cross","protocol":"mixed","ell":2,"n":64,"x0":32,"source_opinion":0,"reps":8,"budget":100,"seed":7,"g0":[0.125,0.5,0.875],"g1":[0.25,0.5,0.75]}"#,
+        r#"{"type":"replication_finished","rep":3,"outcome":"converged","rounds":99,"elapsed_us":400}"#,
+        r#"{"type":"replication_finished","rep":4,"outcome":"timed_out","rounds":1000,"elapsed_us":2}"#,
+        r#"{"type":"round_completed","rep":0,"round":17,"ones":5,"source_opinion":1}"#,
+        r#"{"type":"consensus_exited","rep":2,"entered":40,"exited":55}"#,
+        r#"{"type":"manifest","experiment_id":"e2","seed":16045690984503111693,"scale":"smoke","threads":2,"crate_version":"0.1.0","started_unix_ms":1700000000000,"duration_us":250000,"counters":{"rounds_simulated":4964}}"#,
+        r#"{"type":"telemetry_sample","series":"counter/rounds_simulated","version":12,"elapsed_us":3000000,"value":987654321}"#,
+    ];
+
     #[test]
-    fn every_event_round_trips() {
-        for ev in samples() {
-            let line = ev.to_json();
-            assert!(!line.contains('\n'), "single line: {line}");
-            let back = Event::from_json(&line).expect(&line);
-            assert_eq!(back, ev, "{line}");
+    fn every_event_encodes_to_its_pinned_line() {
+        let samples = samples();
+        assert_eq!(samples.len(), GOLDEN_LINES.len());
+        for (ev, golden) in samples.iter().zip(GOLDEN_LINES) {
+            assert_eq!(ev.to_json(), golden, "{ev:?}");
         }
     }
 
@@ -409,13 +341,5 @@ mod tests {
         for ev in samples() {
             assert!(ev.to_json().starts_with("{\"type\":\""), "{}", ev.to_json());
         }
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(Event::from_json("{}").is_err());
-        assert!(Event::from_json("{\"type\":\"martian\"}").is_err());
-        assert!(Event::from_json("{\"type\":\"round_completed\",\"rep\":0}").is_err());
-        assert!(Event::from_json("not json").is_err());
     }
 }

@@ -4,10 +4,10 @@
 //! metrics layer threaded through `sim` → `experiments` → `cli`:
 //!
 //! - [`EventSink`] + typed [`Event`]s — structured trace records
-//!   (JSONL to a file, in-memory for tests, or discarded),
+//!   (a [`ColumnarSink`] file, in-memory for tests, or discarded),
 //! - [`Metrics`] — coarse atomic counters, named phase timers and
 //!   latency histograms (one type, [`LogHistogram`]),
-//! - [`Timer`] / [`Scope`] — monotonic span timing,
+//! - [`Timer`] / [`Scope`] — monotonic phase timing,
 //! - [`RunManifest`] — a provenance record serialized next to reports.
 //!
 //! Everything funnels through one cheap handle, [`Obs`]. The contract
@@ -40,24 +40,20 @@ pub mod hist;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod profile;
 pub mod progress;
-pub mod reader;
 pub mod sink;
 pub mod telemetry;
 pub mod time;
 
 pub use checkpoint::{CheckpointLog, ResumeStats};
-pub use columnar::{detect_format, ColumnarReader, ColumnarSink, TraceFormat};
+pub use columnar::{ColumnarReader, ColumnarSink};
 pub use event::{Event, ReplicationOutcome};
 pub use fault::FaultyWriter;
 pub use hist::LogHistogram;
 pub use manifest::RunManifest;
 pub use metrics::{CounterSnapshot, GaugeId, LatencyId, Metrics, LATENCY_SAMPLE_WORK};
-pub use profile::SpanGuard;
 pub use progress::Progress;
-pub use reader::{parse_trace, read_trace, stream_trace, StreamStats, TraceRead};
-pub use sink::{EventSink, JsonlSink, MemorySink, NullSink};
+pub use sink::{EventSink, MemorySink, NullSink};
 pub use telemetry::{
     start_telemetry, Counter, TelemetryExporter, TelemetryHandle, TelemetrySnapshot,
 };
@@ -222,17 +218,6 @@ impl Obs {
         }
     }
 
-    /// Opens a profiling span (latency histogram under a nested path;
-    /// see [`SpanGuard`]); disabled when metrics are off.
-    #[must_use]
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        if self.metrics_on {
-            SpanGuard::enabled(Arc::clone(&self.metrics), name)
-        } else {
-            SpanGuard::disabled()
-        }
-    }
-
     /// Flushes the sink.
     pub fn flush(&self) {
         self.sink.flush();
@@ -292,18 +277,6 @@ mod tests {
         let obs = Obs::none().with_metrics();
         drop(obs.scope("measured"));
         assert_eq!(obs.metrics().phases().len(), 1);
-    }
-
-    #[test]
-    fn span_records_when_metrics_on() {
-        let obs = Obs::none().with_metrics();
-        drop(obs.span("profiled"));
-        let spans = obs.metrics().spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "profiled");
-        let off = Obs::none();
-        drop(off.span("ignored"));
-        assert!(off.metrics().spans().is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Run manifests: a small self-describing record of how a report was
 //! produced, serialized next to every experiment report and embedded in
-//! JSONL traces.
+//! traces.
 
 use crate::json::{self, Value};
 use std::time::{SystemTime, UNIX_EPOCH};

@@ -98,7 +98,6 @@ pub struct Metrics {
     gauges: [AtomicU64; N_GAUGES],
     latencies: [AtomicHistogram; N_LATENCIES],
     phases: Mutex<BTreeMap<String, LogHistogram>>,
-    spans: Mutex<BTreeMap<String, LogHistogram>>,
 }
 
 /// Plain-value copy of every counter, taken by summing the stripes.
@@ -183,7 +182,6 @@ impl Default for Metrics {
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             latencies: std::array::from_fn(|_| AtomicHistogram::new()),
             phases: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -339,40 +337,15 @@ impl Metrics {
         self.phases.lock().expect("metrics poisoned").clone().into_iter().collect()
     }
 
-    /// Records one completed span (see [`crate::profile::SpanGuard`])
-    /// under its `/`-joined path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the metrics block panicked mid-update.
-    pub fn record_span(&self, path: &str, elapsed: Duration) {
-        self.spans
-            .lock()
-            .expect("metrics poisoned")
-            .entry(path.to_string())
-            .or_default()
-            .record_duration(elapsed);
-    }
-
-    /// Snapshot of all span histograms (nanoseconds), sorted by path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous user of the metrics block panicked mid-update.
-    #[must_use]
-    pub fn spans(&self) -> Vec<(String, LogHistogram)> {
-        self.spans.lock().expect("metrics poisoned").clone().into_iter().collect()
-    }
-
     /// Every non-empty histogram series under its snapshot path, in one
-    /// order: spans by path, then `phase/<name>`, `latency/<name>` and
+    /// order: `phase/<name>`, then `latency/<name>` and
     /// `hist/reconverge_rounds` (rounds, not nanoseconds). The live
     /// snapshot ([`crate::telemetry::build_snapshot`]) and
     /// [`Metrics::render`] both read quantiles from this list.
     #[must_use]
     pub fn series(&self) -> Vec<(String, LogHistogram)> {
-        let mut series = self.spans();
-        series.extend(self.phases().into_iter().map(|(name, h)| (format!("phase/{name}"), h)));
+        let mut series: Vec<_> =
+            self.phases().into_iter().map(|(name, h)| (format!("phase/{name}"), h)).collect();
         series.extend(
             self.latency_snapshots()
                 .into_iter()
@@ -402,7 +375,7 @@ impl Metrics {
         }
         let series = self.series();
         if !series.is_empty() {
-            out.push_str("spans:\n");
+            out.push_str("histograms:\n");
             for (path, hist) in series {
                 out.push_str(&format!("  {path:<24} [{}]\n", hist.render(series_unit(&path))));
             }
@@ -530,22 +503,6 @@ mod tests {
         assert_eq!(hist.min(), 100);
         assert_eq!(hist.max(), 10_000);
         assert_eq!(hist.sum(), 10_100);
-    }
-
-    #[test]
-    fn spans_record_under_paths() {
-        let m = Metrics::new();
-        m.record_span("run/replicate", Duration::from_nanos(500));
-        m.record_span("run/replicate", Duration::from_nanos(700));
-        m.record_span("run", Duration::from_nanos(1_300));
-        let spans = m.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].0, "run");
-        assert_eq!(spans[1].0, "run/replicate");
-        assert_eq!(spans[1].1.count(), 2);
-        let text = m.render();
-        assert!(text.contains("spans:"), "{text}");
-        assert!(text.contains("run/replicate"), "{text}");
     }
 
     #[test]

@@ -286,8 +286,8 @@ pub struct TelemetrySnapshot {
     /// Gauge values.
     pub gauges: Vec<(String, u64)>,
     /// Quantiles of every histogram series, keyed by the paths of
-    /// [`Metrics::series`]: span paths, `phase/*`, the striped `latency/*`
-    /// cells and `hist/reconverge_rounds`.
+    /// [`Metrics::series`]: `phase/*`, the striped `latency/*` cells and
+    /// `hist/reconverge_rounds`.
     pub spans: Vec<(String, SpanQuantiles)>,
     /// Progress, when a meter is attached.
     pub progress: Option<ProgressView>,
@@ -1066,7 +1066,6 @@ mod tests {
         for (i, nanos) in [900u64, 1_500, 2_600, 40_000, 41_000, 3_000_000].into_iter().enumerate()
         {
             m.record_latency(LatencyId::Replication, nanos * 3);
-            m.record_span("run/replicate", Duration::from_nanos(nanos));
             m.record_phase("simulate", Duration::from_nanos(nanos * 7));
             m.record_reconverge(10 + 17 * i as u64);
         }
@@ -1091,10 +1090,7 @@ mod tests {
         let text = m.render();
 
         let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(
-            paths,
-            ["run/replicate", "phase/simulate", "latency/replication", "hist/reconverge_rounds"]
-        );
+        assert_eq!(paths, ["phase/simulate", "latency/replication", "hist/reconverge_rounds"]);
         for (path, q) in &snap.spans {
             assert_eq!(q.count, 6, "{path}");
             for (field, v) in [("count", q.count), ("p50", q.p50), ("p90", q.p90), ("p99", q.p99)] {

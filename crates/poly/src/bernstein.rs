@@ -11,8 +11,6 @@
 //!    coefficients, and subdivision tightens the bound until each
 //!    sub-interval provably contains zero or one root.
 
-use serde::{Deserialize, Serialize};
-
 use crate::binomial::choose_f64;
 use crate::polynomial::Polynomial;
 
@@ -28,7 +26,7 @@ use crate::polynomial::Polynomial;
 /// let b = Bernstein::new(vec![0.0, 0.5, 0.0]);
 /// assert!((b.eval(0.5) - 0.25).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bernstein {
     coeffs: Vec<f64>,
 }
@@ -103,6 +101,12 @@ impl Bernstein {
         &self.coeffs
     }
 
+    /// Mutable access to the coefficients, for the root isolator's exact
+    /// zeros.
+    pub(crate) fn coeffs_mut(&mut self) -> &mut [f64] {
+        &mut self.coeffs
+    }
+
     /// Evaluates at `t ∈ [0, 1]` with the de Casteljau algorithm
     /// (backward-stable for `t` in the unit interval).
     #[must_use]
@@ -115,6 +119,24 @@ impl Bernstein {
             }
         }
         v[0]
+    }
+
+    /// Evaluates `p(t)` and `p'(t)` in one de Casteljau pass: its last two
+    /// values `v₀, v₁` give `p(t) = (1−t)·v₀ + t·v₁`, the same bits as
+    /// [`Bernstein::eval`], and `p'(t) = d·(v₁ − v₀)`.
+    #[must_use]
+    pub(crate) fn eval_with_derivative(&self, t: f64) -> (f64, f64) {
+        let d = self.degree();
+        if d == 0 {
+            return (self.coeffs[0], 0.0);
+        }
+        let mut v = self.coeffs.clone();
+        for r in 1..d {
+            for i in 0..=d - r {
+                v[i] = (1.0 - t) * v[i] + t * v[i + 1];
+            }
+        }
+        ((1.0 - t) * v[0] + t * v[1], d as f64 * (v[1] - v[0]))
     }
 
     /// Degree elevation by one: returns the same polynomial expressed with
@@ -206,7 +228,12 @@ mod tests {
         for i in 0..=20 {
             let t = i as f64 / 20.0;
             assert!(approx(b.eval(t), p.eval(t), 1e-12), "t={t}");
+            let ((v, dv), (pv, pdv)) = (b.eval_with_derivative(t), p.eval_with_derivative(t));
+            assert_eq!(v.to_bits(), b.eval(t).to_bits(), "t={t}");
+            assert!(approx(v, pv, 1e-12) && approx(dv, pdv, 1e-12), "t={t}: {dv} vs {pdv}");
         }
+        let constant = Bernstein::new(vec![2.5]);
+        assert_eq!(constant.eval_with_derivative(0.3), (2.5, 0.0));
     }
 
     #[test]

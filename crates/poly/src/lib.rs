@@ -11,8 +11,9 @@
 //! * [`Bernstein`] — the same polynomials in Bernstein basis on `[0, 1]`,
 //!   which is the natural basis for Eq. 3 and enables numerically robust,
 //!   variation-diminishing root isolation via de Casteljau subdivision;
-//! * [`roots`] — root isolation and refinement on `[0, 1]`, combining
-//!   Bernstein subdivision with bisection and Newton polishing;
+//! * [`roots`] — root isolation and refinement on `[0, 1]` in Bernstein
+//!   form, combining de Casteljau subdivision with bisection and Newton
+//!   polishing;
 //! * [`binomial`] — exact (`u128`) and floating-point binomial coefficients
 //!   plus numerically stable binomial PMF/CDF evaluation, shared by the
 //!   analysis and Markov-chain crates;
@@ -24,10 +25,10 @@
 //! Count the roots of `p(1-p)(p - 1/2)` in `[0, 1]`:
 //!
 //! ```
-//! use bitdissem_poly::{Polynomial, roots::roots_in_unit_interval};
+//! use bitdissem_poly::{roots::roots_in_unit_interval, Bernstein, Polynomial};
 //!
 //! let p = Polynomial::from_roots(&[0.0, 1.0, 0.5]);
-//! let rs = roots_in_unit_interval(&p, 1e-12);
+//! let rs = roots_in_unit_interval(&Bernstein::from_polynomial(&p), 1e-12);
 //! assert_eq!(rs.len(), 3);
 //! assert!((rs[1] - 0.5).abs() < 1e-9);
 //! ```

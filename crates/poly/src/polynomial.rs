@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Tolerance below which leading coefficients are trimmed to keep degrees
 /// meaningful after floating-point arithmetic.
 const TRIM_EPS: f64 = 0.0;
@@ -28,7 +26,7 @@ const TRIM_EPS: f64 = 0.0;
 /// assert_eq!(p.eval(1.0), 0.0);
 /// assert_eq!(p.eval(0.5), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Polynomial {
     coeffs: Vec<f64>,
 }

@@ -1,14 +1,22 @@
 //! Root isolation and refinement on the unit interval.
 //!
 //! Theorem 12 of the paper inspects the roots of the bias polynomial `F_n`
-//! inside `[0, 1]`. This module finds them: Bernstein subdivision isolates
-//! intervals that provably contain exactly one root (variation-diminishing
-//! property), then bisection plus a Newton polish refines each root to close
-//! to machine precision. A dense sign-scan fallback handles near-degenerate
-//! polynomials (e.g. `F_n` that is numerically ~0 on a sub-interval).
+//! inside `[0, 1]`. This module finds them on its Bernstein form, whose
+//! coefficients bound the polynomial on `[0, 1]` (for `F_n` they lie in
+//! `[−1, 1]` at every `ℓ`, where power coefficients grow like `3^ℓ`):
+//! de Casteljau subdivision isolates intervals that provably contain
+//! exactly one root (variation-diminishing property), then bisection plus
+//! a Newton polish refines each root to close to machine precision.
 
 use crate::bernstein::Bernstein;
-use crate::polynomial::Polynomial;
+
+/// Relative size (against the largest Bernstein coefficient) below which a
+/// value counts as a root of the polynomial.
+const ROOT_EPS: f64 = 1e-11;
+
+/// Relative size below which the midpoint value of a constant-sign
+/// interval counts as zero, so that the interval carries no sign.
+const SIGN_EPS: f64 = 1e-9;
 
 /// An isolated root interval: the polynomial has exactly one sign change on
 /// `[lo, hi]` (or the interval collapsed to a point root).
@@ -20,18 +28,19 @@ pub struct Isolated {
     pub hi: f64,
 }
 
-/// Finds the *sign-crossing* roots of `p` in `[0, 1]`, sorted increasing and
+/// Finds the *sign-crossing* roots of `b` in `[0, 1]`, sorted increasing and
 /// de-duplicated to within `tol`.
 ///
-/// Even-order tangential roots (where `p` touches zero without changing
+/// Even-order tangential roots (where `b` touches zero without changing
 /// sign) are intentionally not reported: Theorem 12 of the paper only uses
 /// the open intervals on which `F_n` has constant sign, and a tangential
 /// root does not affect that structure. (Numerically, a tangential root is
 /// indistinguishable from a polynomial that merely dips close to zero.)
 ///
-/// Endpoint roots (`p(0) ≈ 0`, `p(1) ≈ 0`) are detected by direct evaluation,
-/// because the bias polynomial of any valid protocol vanishes at both ends
-/// (Proposition 3).
+/// Endpoint roots (`b(0) ≈ 0`, `b(1) ≈ 0`) are read off the first and last
+/// coefficients, because the bias polynomial of any valid protocol vanishes
+/// at both ends (Proposition 3). A subdivision point where `b` vanishes is
+/// a root as it stands, so dyadic roots such as `1/2` come out exact.
 ///
 /// # Panics
 ///
@@ -40,35 +49,36 @@ pub struct Isolated {
 /// # Examples
 ///
 /// ```
-/// use bitdissem_poly::{Polynomial, roots::roots_in_unit_interval};
+/// use bitdissem_poly::{roots::roots_in_unit_interval, Bernstein, Polynomial};
 /// let p = Polynomial::from_roots(&[0.0, 0.25, 0.75, 1.0]);
-/// let rs = roots_in_unit_interval(&p, 1e-12);
+/// let rs = roots_in_unit_interval(&Bernstein::from_polynomial(&p), 1e-12);
 /// assert_eq!(rs.len(), 4);
 /// ```
 #[must_use]
-pub fn roots_in_unit_interval(p: &Polynomial, tol: f64) -> Vec<f64> {
+pub fn roots_in_unit_interval(b: &Bernstein, tol: f64) -> Vec<f64> {
     assert!(tol > 0.0, "tolerance must be positive");
-    if p.is_zero() {
+    let scale = b.max_abs_coeff();
+    if scale == 0.0 {
         return Vec::new();
     }
-    let scale = p.max_abs_coeff().max(1e-300);
-    let value_eps = scale * 1e-11;
+    let value_eps = scale * ROOT_EPS;
+    let is_zero = |v: f64| v.abs() <= value_eps;
 
     let mut roots = Vec::new();
-    // Endpoint roots by direct evaluation.
-    if p.eval(0.0).abs() <= value_eps {
-        roots.push(0.0);
-    }
-    if p.eval(1.0).abs() <= value_eps {
-        roots.push(1.0);
+    let mut whole = b.clone();
+    let d = whole.degree();
+    // Endpoint roots; zeroing them keeps their round-off out of the sign
+    // counts below.
+    for (i, end) in [(0, 0.0), (d, 1.0)] {
+        if is_zero(whole.coeffs()[i]) {
+            whole.coeffs_mut()[i] = 0.0;
+            roots.push(end);
+        }
     }
 
     // Interior roots: Bernstein subdivision.
-    let b = Bernstein::from_polynomial(p);
-    let mut stack = vec![(b, 0.0f64, 1.0f64)];
+    let mut stack = vec![(whole, 0.0f64, 1.0f64)];
     let mut isolated: Vec<Isolated> = Vec::new();
-    // Depth cap: 60 halvings is far below f64 resolution exhaustion and
-    // plenty for degree ≤ ~40 polynomials.
     while let Some((seg, lo, hi)) = stack.pop() {
         let width = hi - lo;
         let changes = seg.sign_changes();
@@ -79,17 +89,20 @@ pub fn roots_in_unit_interval(p: &Polynomial, tol: f64) -> Vec<f64> {
             isolated.push(Isolated { lo, hi });
             continue;
         }
-        let (l, r) = seg.subdivide(0.5);
+        let (mut l, mut r) = seg.subdivide(0.5);
         let mid = 0.5 * (lo + hi);
+        // Both halves share the value at the split point.
+        if is_zero(r.coeffs()[0]) {
+            roots.push(mid);
+            l.coeffs_mut()[d] = 0.0;
+            r.coeffs_mut()[0] = 0.0;
+        }
         stack.push((l, lo, mid));
         stack.push((r, mid, hi));
     }
 
     for iso in isolated {
-        let r = refine_root(p, iso.lo, iso.hi, tol);
-        if (0.0..=1.0).contains(&r) {
-            roots.push(r);
-        }
+        roots.push(refine_root(b, iso.lo, iso.hi, tol));
     }
 
     roots.sort_by(|a, b| a.partial_cmp(b).expect("roots are finite"));
@@ -97,17 +110,19 @@ pub fn roots_in_unit_interval(p: &Polynomial, tol: f64) -> Vec<f64> {
     roots
 }
 
-/// Refines a root inside `[lo, hi]` by bisection (when the endpoints bracket
-/// a sign change) followed by a few guarded Newton steps.
+/// Refines a root of `b` inside `[lo, hi]` by bisection (when the endpoints
+/// bracket a sign change) followed by a few guarded Newton steps. An
+/// endpoint where `b` is zero to the isolator's precision is the root.
 #[must_use]
-pub fn refine_root(p: &Polynomial, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
-    let flo = p.eval(lo);
-    let fhi = p.eval(hi);
+pub fn refine_root(b: &Bernstein, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
+    let value_eps = b.max_abs_coeff() * ROOT_EPS;
+    let flo = b.eval(lo);
+    let fhi = b.eval(hi);
     let mut x = 0.5 * (lo + hi);
-    if flo == 0.0 {
+    if flo.abs() <= value_eps {
         return lo;
     }
-    if fhi == 0.0 {
+    if fhi.abs() <= value_eps {
         return hi;
     }
     if flo.signum() != fhi.signum() {
@@ -117,7 +132,7 @@ pub fn refine_root(p: &Polynomial, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
                 break;
             }
             x = 0.5 * (lo + hi);
-            let fx = p.eval(x);
+            let fx = b.eval(x);
             if fx == 0.0 {
                 return x;
             }
@@ -131,7 +146,7 @@ pub fn refine_root(p: &Polynomial, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
     }
     // Newton polish, guarded to stay in the original bracket.
     for _ in 0..8 {
-        let (fx, dfx) = p.eval_with_derivative(x);
+        let (fx, dfx) = b.eval_with_derivative(x);
         if dfx == 0.0 {
             break;
         }
@@ -148,7 +163,7 @@ pub fn refine_root(p: &Polynomial, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }
 
-/// The maximal open sub-intervals of `[0, 1]` on which `p` has constant
+/// The maximal open sub-intervals of `[0, 1]` on which `b` has constant
 /// non-zero sign, given its sorted roots. Returns `(lo, hi, sign)` triples
 /// with `sign ∈ {-1, +1}` (intervals where the midpoint value is within
 /// numeric zero are skipped).
@@ -156,18 +171,19 @@ pub fn refine_root(p: &Polynomial, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use bitdissem_poly::{Polynomial, roots::{roots_in_unit_interval, sign_intervals}};
-/// let p = Polynomial::from_roots(&[0.0, 0.5, 1.0]); // x(x-1/2)(x-1)
-/// let roots = roots_in_unit_interval(&p, 1e-12);
-/// let ivs = sign_intervals(&p, &roots);
+/// use bitdissem_poly::{roots::{roots_in_unit_interval, sign_intervals}, Bernstein};
+/// // x(x-1/2)(x-1) in degree-3 Bernstein form.
+/// let b = Bernstein::new(vec![0.0, 1.0 / 6.0, -1.0 / 6.0, 0.0]);
+/// let roots = roots_in_unit_interval(&b, 1e-12);
+/// assert_eq!(roots, [0.0, 0.5, 1.0]);
+/// let ivs = sign_intervals(&b, &roots);
 /// assert_eq!(ivs.len(), 2);
 /// assert_eq!(ivs[0].2, 1);  // positive on (0, 1/2)
 /// assert_eq!(ivs[1].2, -1); // negative on (1/2, 1)
 /// ```
 #[must_use]
-pub fn sign_intervals(p: &Polynomial, sorted_roots: &[f64]) -> Vec<(f64, f64, i8)> {
-    let scale = p.max_abs_coeff().max(1e-300);
-    let value_eps = scale * 1e-9;
+pub fn sign_intervals(b: &Bernstein, sorted_roots: &[f64]) -> Vec<(f64, f64, i8)> {
+    let value_eps = b.max_abs_coeff() * SIGN_EPS;
     let mut bounds = Vec::with_capacity(sorted_roots.len() + 2);
     if sorted_roots.first().copied() != Some(0.0) {
         bounds.push(0.0);
@@ -182,8 +198,7 @@ pub fn sign_intervals(p: &Polynomial, sorted_roots: &[f64]) -> Vec<(f64, f64, i8
         if hi - lo <= 1e-12 {
             continue;
         }
-        let mid = 0.5 * (lo + hi);
-        let v = p.eval(mid);
+        let v = b.eval(0.5 * (lo + hi));
         if v.abs() <= value_eps {
             continue;
         }
@@ -209,12 +224,17 @@ fn dedup_within(xs: &mut Vec<f64>, tol: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::polynomial::Polynomial;
     use proptest::prelude::*;
+
+    fn bern(p: &Polynomial) -> Bernstein {
+        Bernstein::from_polynomial(p)
+    }
 
     #[test]
     fn finds_simple_interior_roots() {
         let p = Polynomial::from_roots(&[0.2, 0.5, 0.8]);
-        let rs = roots_in_unit_interval(&p, 1e-12);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-12);
         assert_eq!(rs.len(), 3);
         for (r, expect) in rs.iter().zip([0.2, 0.5, 0.8]) {
             assert!((r - expect).abs() < 1e-9, "{r} vs {expect}");
@@ -224,14 +244,14 @@ mod tests {
     #[test]
     fn finds_endpoint_roots() {
         let p = Polynomial::from_roots(&[0.0, 1.0]);
-        let rs = roots_in_unit_interval(&p, 1e-12);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-12);
         assert_eq!(rs, vec![0.0, 1.0]);
     }
 
     #[test]
     fn ignores_roots_outside_unit_interval() {
         let p = Polynomial::from_roots(&[-0.5, 0.3, 1.7]);
-        let rs = roots_in_unit_interval(&p, 1e-12);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-12);
         assert_eq!(rs.len(), 1);
         assert!((rs[0] - 0.3).abs() < 1e-9);
     }
@@ -239,12 +259,12 @@ mod tests {
     #[test]
     fn no_roots_for_strictly_positive() {
         let p = Polynomial::new(vec![1.0, 0.0, 1.0]); // 1 + x²
-        assert!(roots_in_unit_interval(&p, 1e-12).is_empty());
+        assert!(roots_in_unit_interval(&bern(&p), 1e-12).is_empty());
     }
 
     #[test]
     fn zero_polynomial_has_no_reported_roots() {
-        assert!(roots_in_unit_interval(&Polynomial::zero(), 1e-12).is_empty());
+        assert!(roots_in_unit_interval(&bern(&Polynomial::zero()), 1e-12).is_empty());
     }
 
     #[test]
@@ -253,9 +273,9 @@ mod tests {
         // isolator may report the crossing pair as zero or one root, but
         // never two, and the sign structure stays globally positive-ish.
         let p = Polynomial::from_roots(&[0.5, 0.5 + 1e-13]);
-        let rs = roots_in_unit_interval(&p, 1e-9);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-9);
         assert!(rs.len() <= 1, "found {rs:?}");
-        let ivs = sign_intervals(&p, &rs);
+        let ivs = sign_intervals(&bern(&p), &rs);
         assert!(ivs.iter().all(|&(_, _, s)| s == 1));
     }
 
@@ -264,16 +284,16 @@ mod tests {
         // (x - 0.5)² ≥ 0: even if the tangential root is missed, the sign
         // intervals must all be positive.
         let p = Polynomial::from_roots(&[0.5, 0.5]);
-        let rs = roots_in_unit_interval(&p, 1e-12);
-        let ivs = sign_intervals(&p, &rs);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-12);
+        let ivs = sign_intervals(&bern(&p), &rs);
         assert!(ivs.iter().all(|&(_, _, s)| s == 1));
     }
 
     #[test]
     fn sign_intervals_alternate_for_simple_roots() {
         let p = Polynomial::from_roots(&[0.0, 0.3, 0.6, 1.0]);
-        let rs = roots_in_unit_interval(&p, 1e-12);
-        let ivs = sign_intervals(&p, &rs);
+        let rs = roots_in_unit_interval(&bern(&p), 1e-12);
+        let ivs = sign_intervals(&bern(&p), &rs);
         assert_eq!(ivs.len(), 3);
         for w in ivs.windows(2) {
             assert_ne!(w[0].2, w[1].2, "signs must alternate across simple roots");
@@ -283,14 +303,14 @@ mod tests {
     #[test]
     fn refine_root_converges_quadratically_near_root() {
         let p = Polynomial::from_roots(&[0.123_456_789]);
-        let r = refine_root(&p, 0.1, 0.2, 1e-15);
+        let r = refine_root(&bern(&p), 0.1, 0.2, 1e-15);
         assert!((r - 0.123_456_789).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "tolerance must be positive")]
     fn rejects_nonpositive_tolerance() {
-        let _ = roots_in_unit_interval(&Polynomial::x(), 0.0);
+        let _ = roots_in_unit_interval(&bern(&Polynomial::x()), 0.0);
     }
 
     proptest! {
@@ -304,7 +324,7 @@ mod tests {
             // Require pairwise separation so the isolation is unambiguous.
             prop_assume!(roots.windows(2).all(|w| w[1] - w[0] > 0.05));
             let p = Polynomial::from_roots(&roots);
-            let found = roots_in_unit_interval(&p, 1e-12);
+            let found = roots_in_unit_interval(&bern(&p), 1e-12);
             prop_assert_eq!(found.len(), roots.len());
             for (f, r) in found.iter().zip(&roots) {
                 prop_assert!((f - r).abs() < 1e-7, "{} vs {}", f, r);
@@ -318,7 +338,7 @@ mod tests {
             let p = Polynomial::new(coeffs);
             prop_assume!(!p.is_zero());
             let scale = p.max_abs_coeff();
-            for r in roots_in_unit_interval(&p, 1e-12) {
+            for r in roots_in_unit_interval(&bern(&p), 1e-12) {
                 prop_assert!(p.eval(r).abs() <= scale * 1e-6,
                     "claimed root {} has value {}", r, p.eval(r));
             }

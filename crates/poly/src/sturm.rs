@@ -192,7 +192,8 @@ mod tests {
             roots.sort_by(|a, b| a.partial_cmp(b).unwrap());
             prop_assume!(roots.windows(2).all(|w| w[1] - w[0] > 0.05));
             let p = Polynomial::from_roots(&roots);
-            let bern = crate::roots::roots_in_unit_interval(&p, 1e-12).len();
+            let b = crate::Bernstein::from_polynomial(&p);
+            let bern = crate::roots::roots_in_unit_interval(&b, 1e-12).len();
             let sturm = count_distinct_roots(&p, -0.001, 1.001);
             prop_assert_eq!(bern, sturm);
         }

@@ -32,8 +32,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_core::Opinion;
 
 use crate::binomial::sample_binomial;
@@ -44,7 +42,7 @@ use crate::rng::SimRng;
 const DEFAULT_ADAPTIVE_PPM: u32 = 900_000;
 
 /// When an adversarial reset fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResetTrigger {
     /// Fire once, at boundary `t`.
     At(u64),
@@ -60,7 +58,7 @@ pub enum ResetTrigger {
 
 /// An adversarial sub-population reset: `k` correct non-source agents are
 /// reset to the wrong opinion when the trigger fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResetSpec {
     /// Number of agents the adversary resets (clamped to the available
     /// correct non-source holders when it fires).
@@ -71,7 +69,7 @@ pub struct ResetSpec {
 
 /// A schedule of environment perturbations, parsed from the CLI `--env`
 /// grammar (see the module docs) and applied between rounds.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EnvSchedule {
     /// One-shot source flip at this boundary.
     pub flip_at: Option<u64>,

@@ -515,8 +515,8 @@ pub fn replicate_lockstep(
 
     let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; tasks]);
     let stats = Pool::global().run_chunks(tasks, chunk, cap, &|range| {
-        // Batch-level latency span, one per lock-step chunk.
-        let _span = obs.span("replication_batch");
+        // One `replication_batch` phase entry per lock-step chunk.
+        let _chunk = obs.scope("replication_batch");
         let chunk_indices = &indices[range.clone()];
         let seeds: Vec<u64> =
             chunk_indices.iter().map(|&rep| replication_seed(base_seed, rep as u64)).collect();
@@ -867,6 +867,30 @@ mod tests {
                 .map(|(_, h)| h.count());
             assert_eq!(timed, Some(samples), "{reps} replicas, budget {budget}");
         }
+    }
+
+    /// Each lock-step chunk is timed as one `replication_batch` phase entry.
+    #[test]
+    fn each_chunk_records_one_replication_batch_phase_entry() {
+        let n = 64;
+        let kernel = kernel_of(&Voter::new(1).unwrap(), n);
+        let start = Configuration::new(n, Opinion::One, 20).unwrap();
+        let indices: Vec<usize> = (0..100).collect();
+        let (cap, budget) = (2, 100_000);
+        let chunk = indices.len().div_ceil(cap * CHUNKS_PER_WORKER).clamp(MIN_CHUNK, MAX_CHUNK);
+        let chunks = indices.len().div_ceil(chunk) as u64;
+        assert!(chunks > 1, "the batch must split for this test to bite");
+        let entries = |obs: &Obs| {
+            let _ =
+                replicate_lockstep(&kernel, start, n, &indices, 7, Some(cap), budget, None, obs);
+            obs.metrics()
+                .series()
+                .into_iter()
+                .find(|(path, _)| path == "phase/replication_batch")
+                .map(|(_, h)| h.count())
+        };
+        assert_eq!(entries(&Obs::none().with_metrics()), Some(chunks));
+        assert_eq!(entries(&Obs::none()), None, "metrics off records no phase");
     }
 
     #[test]

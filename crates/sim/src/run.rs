@@ -2,8 +2,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use bitdissem_core::Configuration;
 use bitdissem_obs::{Event, Obs, ReplicationOutcome, Timer};
 
@@ -51,7 +49,7 @@ pub trait Simulator {
 }
 
 /// Result of running a simulation until consensus or a round budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The correct consensus was reached after `rounds` parallel rounds.
     Converged {

@@ -328,9 +328,9 @@ mod tests {
         assert_eq!(metrics.replications.load(std::sync::atomic::Ordering::Relaxed), 16);
         assert_eq!(metrics.pool_batches.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert_eq!(metrics.pool_tasks.load(std::sync::atomic::Ordering::Relaxed), 16);
+        // One phase for the whole call, and one latency sample per
+        // replication.
         assert_eq!(metrics.phases().len(), 1);
-        // One latency sample per replication, and no per-replication span.
-        assert!(metrics.spans().is_empty());
         let series = metrics.series();
         let latency = series.iter().find(|(path, _)| path == "latency/replication");
         assert_eq!(latency.map(|(_, h)| h.count()), Some(16));

@@ -1,7 +1,5 @@
 //! Trajectory recording with bounded memory.
 
-use serde::{Deserialize, Serialize};
-
 /// Records the value of `X_t` along a run, automatically thinning itself to
 /// stay within a sample budget: when full, every other sample is dropped and
 /// the recording stride doubles, so arbitrarily long runs keep an evenly
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(pts.len() <= 4);
 /// assert_eq!(pts[0], (0, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trajectory {
     cap: usize,
     stride: u64,

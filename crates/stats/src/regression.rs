@@ -5,10 +5,8 @@
 //! large samples). This module fits those scaling laws to measured
 //! `(n, T(n))` series and reports which model explains the data best.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of an ordinary-least-squares fit `y = intercept + slope·x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted intercept.
     pub intercept: f64,
@@ -83,7 +81,7 @@ pub fn fit_power_law(x: &[f64], y: &[f64]) -> Option<(f64, f64, f64)> {
 }
 
 /// Candidate scaling models for convergence-time series `T(n)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalingModel {
     /// `T(n) = c · n^b` — the almost-linear regime of Theorem 1.
     PowerLaw,
@@ -129,7 +127,7 @@ impl std::fmt::Display for ScalingModel {
 }
 
 /// Outcome of comparing scaling models on one series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelComparison {
     /// Per-model `(model, prefactor c, R² in log–log space)`. For
     /// `PowerLaw` the free exponent replaces a fixed one and is reported in

@@ -5,10 +5,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Cell alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Align {
     /// Left-aligned (labels).
     Left,
@@ -30,7 +28,7 @@ pub enum Align {
 /// assert!(text.contains("median T"));
 /// assert_eq!(t.to_csv().lines().count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

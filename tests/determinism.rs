@@ -51,17 +51,22 @@ fn different_seeds_change_sampled_results_but_not_exact_ones() {
 /// the only smoke reports whose kernels are own-independent and of large
 /// degree; no report prints a wall-clock figure. Run under
 /// `BITDISSEM_POOL_WORKERS` = 1, 2 and 8, the pins hold across pool sizes.
+/// E4's rows with `ℓ` = 33 and 38 start from the Theorem-12 witness's Case-1
+/// state since the witness reads `F_n`'s Bernstein form (they started from
+/// the voter-like `0.625n` before).
 const E1_SMOKE_SEED42: u64 = 15_974_778_037_371_528_721;
 const E2_SMOKE_SEED42: u64 = 15_035_177_343_551_147_721;
 const E3_SMOKE_SEED42: u64 = 11_873_062_211_824_504_307;
-const E4_SMOKE_SEED42: u64 = 6_540_961_855_893_614_972;
+const E4_SMOKE_SEED42: u64 = 5_475_399_545_658_599_184;
 
 /// FNV-1a digests of the `run e9`, `e11`, `e18` and `e19` reports at
 /// `--scale smoke --seed 42`: the four experiments that step a solo
 /// simulator through `sim::run` (E9's dwell windows, E11's sequential
 /// sweep, E18's partial-synchrony runs, E19's fixed-horizon env runs).
+/// E11's smoke cells run 15 replicas (5 before, which left its gap check
+/// to noise at this seed).
 const E9_SMOKE_SEED42: u64 = 6_477_680_629_417_547_985;
-const E11_SMOKE_SEED42: u64 = 7_247_951_252_653_856_837;
+const E11_SMOKE_SEED42: u64 = 15_705_730_019_740_216_471;
 const E18_SMOKE_SEED42: u64 = 12_420_375_032_716_134_849;
 const E19_SMOKE_SEED42: u64 = 15_301_677_236_914_643_657;
 

@@ -3,10 +3,10 @@
 //!
 //! Three contracts are gated here:
 //!
-//! 1. **Convert equality** — recording a real experiment through a
+//! 1. **Round-trip equality** — recording a real experiment through a
 //!    `MemorySink` and round-tripping the stream through the columnar
-//!    encoder (and through JSONL) reproduces the exact event sequence,
-//!    and both formats analyze to byte-identical reports.
+//!    encoder reproduces the exact event sequence, and the event-push and
+//!    column-block ingestion paths analyze it to byte-identical reports.
 //! 2. **Truncation recovery (proptest)** — cutting a columnar trace at a
 //!    *random* byte offset recovers a clean prefix of whole blocks or
 //!    flags a torn tail; never garbage, never a panic. (The obs crate
@@ -55,7 +55,7 @@ fn encode_columnar(events: &[Event]) -> Vec<u8> {
 }
 
 #[test]
-fn real_experiment_stream_round_trips_through_both_formats() {
+fn real_experiment_stream_round_trips_through_the_columnar_store() {
     // Record a real run — batch headers, round trajectories, results,
     // manifest — through the in-memory sink.
     let sink = Arc::new(MemorySink::new());
@@ -71,19 +71,15 @@ fn real_experiment_stream_round_trips_through_both_formats() {
     let columnar_back: Vec<Event> = reader.events().collect();
     assert_eq!(columnar_back, stream);
 
-    // JSONL round trip of the same stream.
-    let jsonl_back: Vec<Event> =
-        stream.iter().map(|ev| Event::from_json(&ev.to_json()).unwrap()).collect();
-    assert_eq!(jsonl_back, stream);
-
     // Both ingestion paths produce byte-identical analytics: the
-    // event-push path (JSONL) and the zero-copy block path (columnar).
-    let via_events = analyze(&stream, 0);
+    // event-push path (in-memory streams) and the zero-copy block path
+    // (recorded traces).
+    let via_events = analyze(&stream);
     let mut acc = TraceAccumulator::new();
     for block in reader.blocks() {
         acc.ingest_block(&block);
     }
-    let via_blocks = acc.finish(0);
+    let via_blocks = acc.finish();
     assert_eq!(via_events.render(), via_blocks.render());
     assert_eq!(via_events.has_violations(), via_blocks.has_violations());
 }
@@ -120,8 +116,8 @@ fn faulty_writer_tear_is_recovered_and_repaired() {
     }
     drop(sink);
 
-    // NOTE: `ColumnarSink` swallows write errors by contract (like
-    // `JsonlSink`), so the file now ends wherever the writer died.
+    // NOTE: `ColumnarSink` swallows write errors by contract, so the file
+    // now ends wherever the writer died.
     let reader = ColumnarReader::open(&path).unwrap();
     assert!(reader.torn_tail(), "the injected crash must leave a torn tail");
     let recovered = reader.event_count();
@@ -290,8 +286,8 @@ fn threaded_run_records_the_same_batches_through_both_sinks() {
             .map(|b| (b.meta.clone(), b.replications, b.converged, b.conformance.clone()))
             .collect::<Vec<_>>()
     };
-    let via_memory = analyze(&memory, 0);
-    assert_eq!(checks(&acc.finish(0)), checks(&via_memory));
+    let via_memory = analyze(&memory);
+    assert_eq!(checks(&acc.finish()), checks(&via_memory));
     assert!(!via_memory.has_violations(), "{}", via_memory.render());
 }
 
