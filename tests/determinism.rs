@@ -70,6 +70,12 @@ const E11_SMOKE_SEED42: u64 = 15_705_730_019_740_216_471;
 const E18_SMOKE_SEED42: u64 = 12_420_375_032_716_134_849;
 const E19_SMOKE_SEED42: u64 = 15_301_677_236_914_643_657;
 
+/// FNV-1a digests of the `run e8` and `e14` reports at `--scale smoke
+/// --seed 42`: E8's one-round jumps and trajectories and E14's noisy runs
+/// step their simulators through `sim::run::drive` under `Stop::Horizon`.
+const E8_SMOKE_SEED42: u64 = 8_393_858_928_446_317_017;
+const E14_SMOKE_SEED42: u64 = 1_796_715_939_992_670_991;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -102,4 +108,9 @@ fn smoke_reports_of_the_solo_run_experiments_are_pinned() {
         ("e18", E18_SMOKE_SEED42),
         ("e19", E19_SMOKE_SEED42),
     ]);
+}
+
+#[test]
+fn smoke_reports_of_e8_and_e14_are_pinned() {
+    assert_smoke_pins(&[("e8", E8_SMOKE_SEED42), ("e14", E14_SMOKE_SEED42)]);
 }
