@@ -5,11 +5,12 @@
 //! * `list` — the experiment registry;
 //! * `run <id> [--scale smoke|standard|full] [--seed N] [--threads T]
 //!   [--env SPEC] [--csv] [--trace-out PATH] [--trace-every N]
-//!   [--metrics] [--progress] [--checkpoint-dir DIR]
-//!   [--resume] [--telemetry-*]` — run an experiment and print its report,
-//!   optionally writing a trace, printing run metrics to stderr, and
-//!   persisting per-replication checkpoints (so an interrupted sweep can be
-//!   resumed with `--resume`);
+//!   [--metrics] [--progress] [--checkpoint-dir DIR] [--resume]
+//!   [--telemetry-out PATH] [--telemetry-interval-ms N]` — run an experiment
+//!   and print its report, optionally writing a trace, printing run metrics
+//!   to stderr, persisting per-replication checkpoints (so an interrupted
+//!   sweep can be resumed with `--resume`), and appending live telemetry
+//!   snapshots to a columnar file;
 //! * `analyze <protocol> [--ell L] [--n N]` — bias polynomial, roots, sign
 //!   intervals and the Theorem-12 witness of a protocol;
 //! * `simulate <protocol> [--ell L] [--n N] [--seed S] [--budget B]
@@ -36,10 +37,11 @@
 //!   matrix: every simulator backend driven from identical grids, KS-gated
 //!   against a shared false-alarm budget, plus checkpoint fault-injection
 //!   scenarios; writes a schema-versioned `CONFORM_<label>.json`;
-//! * `watch (--socket PATH [--snapshots N] | --prom FILE [--reconcile M.jsonl])`
-//!   — live telemetry view over a run's `--telemetry-socket` stream, or a
-//!   one-shot Prometheus exposition check with optional reconciliation
-//!   against the counter deltas recorded in a sweep's `manifests.jsonl`.
+//! * `watch <telemetry.bct> [--reconcile M.jsonl]` — the telemetry view of
+//!   the latest complete snapshot in a `--telemetry-out` file (one full read
+//!   per call, so a live run is followed by re-running it), optionally
+//!   reconciled against the counter deltas recorded in a sweep's
+//!   `manifests.jsonl`.
 //!
 //! An option missing from a subcommand's synopsis is a usage error (exit
 //! status 2, naming the option). All output goes through a returned
@@ -114,8 +116,7 @@ pub fn usage() -> String {
      \x20 bitdissem run <experiment-id|all> [--scale smoke|standard|full] [--seed N]\n\
      \x20\x20\x20\x20 [--threads T] [--env SPEC] [--csv] [--trace-out PATH] [--trace-every N]\n\
      \x20\x20\x20\x20 [--metrics] [--progress]\n\
-     \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--telemetry-prom F] [--telemetry-out F]\n\
-     \x20\x20\x20\x20 [--telemetry-socket S] [--telemetry-interval-ms N]\n\
+     \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--telemetry-out F] [--telemetry-interval-ms N]\n\
      \x20 bitdissem analyze <protocol> [--ell L] [--n N]\n\
      \x20 bitdissem simulate <protocol> [--ell L] [--n N] [--seed S] [--budget B] [--sequential]\n\
      \x20 bitdissem exact <protocol> [--ell L] [--n N]\n\
@@ -126,7 +127,7 @@ pub fn usage() -> String {
      \x20 bitdissem trace convert <run.bct> <out.jsonl>\n\
      \x20 bitdissem conform [--scale smoke|standard|full] [--seed N] [--label L] [--out DIR]\n\
      \x20\x20\x20\x20 [--skip-faults] [--env SPEC]\n\
-     \x20 bitdissem watch (--socket PATH [--snapshots N] | --prom FILE [--reconcile M.jsonl])\n\
+     \x20 bitdissem watch <telemetry.bct> [--reconcile M.jsonl]\n\
      \n\
      conformance (conform):\n\
      \x20 drives every simulator backend (agent, aggregate, sequential, partial, dual) from\n\
@@ -202,23 +203,20 @@ pub fn usage() -> String {
      \x20 --resume           skip replications already in the checkpoint log\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (requires --checkpoint-dir; results stay bit-identical)\n\
      \n\
-     live telemetry (run; any flag implies --metrics collection):\n\
-     \x20 --telemetry-prom F      rewrite a Prometheus text exposition atomically on every\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 snapshot (scrape F, or check it with 'watch --prom F')\n\
-     \x20 --telemetry-out F       append snapshots to a binary columnar trace ('bitdissem\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 trace F' analyzes it like any other trace)\n\
-     \x20 --telemetry-socket S    publish snapshots as JSON lines on a unix socket\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 ('bitdissem watch --socket S' is the live client)\n\
+     live telemetry (run; implies --metrics collection):\n\
+     \x20 --telemetry-out F       append a snapshot of the metric cells to the columnar file\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 F (telemetry_sample rows) at every interval and at the end\n\
      \x20 --telemetry-interval-ms N  snapshot interval (default 250)\n\
      \n\
-     live view (watch):\n\
-     \x20 --socket PATH      stream snapshots from a run's --telemetry-socket; redraws\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 rates, ETA, phase/latency quantiles, steal ratio live\n\
-     \x20 --snapshots N      stop after N snapshots (default: until the run ends)\n\
-     \x20 --prom FILE        parse a --telemetry-prom exposition and print its counters\n\
-     \x20 --reconcile M      with --prom: check exposition totals equal the summed\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 per-experiment counter deltas in a manifests.jsonl ledger;\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 exit status 1 on any mismatch\n\
+     telemetry view (watch):\n\
+     \x20 renders the latest complete snapshot of a --telemetry-out file: counters with\n\
+     \x20 their rates over the last interval, gauges, p50/p90/p99 of every histogram\n\
+     \x20 series. One full read per call; follow a live run with 'watch -n 1 bitdissem\n\
+     \x20 watch F'. A torn final block (a snapshot still being written) is skipped.\n\
+     \x20 Exit status 1 when the file holds no complete snapshot.\n\
+     \x20 --reconcile M      check the final counters equal the summed per-experiment\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 counter deltas in a manifests.jsonl ledger; exit status 1\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 on any mismatch\n\
      \n\
      protocols: voter, minority, majority, two-choices, lazy-voter, power-voter, anti-voter, stay\n"
         .to_string()
@@ -279,9 +277,7 @@ const OPTIONS: [(&str, &[&str]); 10] = [
             "progress",
             "checkpoint-dir",
             "resume",
-            "telemetry-prom",
             "telemetry-out",
-            "telemetry-socket",
             "telemetry-interval-ms",
         ],
     ),
@@ -292,7 +288,7 @@ const OPTIONS: [(&str, &[&str]); 10] = [
     ("bench", &["base", "seeds", "workload", "label", "out"]),
     ("trace", &[]),
     ("conform", &["scale", "seed", "label", "out", "skip-faults", "env"]),
-    ("watch", &["socket", "snapshots", "prom", "reconcile"]),
+    ("watch", &["reconcile"]),
 ];
 
 /// Runs a parsed command keeping stdout and stderr separate.
@@ -345,13 +341,13 @@ fn build_obs(args: &Args) -> Result<Obs, String> {
             .map_err(|e| format!("cannot create trace file '{path}': {e}"))?;
         obs = obs.with_sink(Arc::new(sink));
     }
-    // Telemetry exporters read the shared metric cells, so any
-    // --telemetry-* flag implies collection even without --metrics.
-    if args.flag("metrics") || wants_telemetry(args) {
+    // The telemetry exporter reads the shared metric cells, so
+    // --telemetry-out implies collection even without --metrics.
+    if args.flag("metrics") || args.get("telemetry-out").is_some() {
         obs = obs.with_metrics();
     }
     if args.flag("progress") {
-        obs = obs.with_progress(Arc::new(Progress::new("replications", 0)));
+        obs = obs.with_progress(Arc::new(Progress::new("replications")));
     }
     if let Some(dir) = args.get("checkpoint-dir") {
         if dir.is_empty() {
@@ -376,60 +372,30 @@ fn build_obs(args: &Args) -> Result<Obs, String> {
     Ok(obs.with_round_stride(stride))
 }
 
-/// Whether any telemetry exporter flag is present.
-fn wants_telemetry(args: &Args) -> bool {
-    ["telemetry-prom", "telemetry-out", "telemetry-socket"].iter().any(|k| args.get(k).is_some())
-}
-
-/// Builds the exporter stack from the `--telemetry-*` flags and starts
-/// the snapshot thread. Returns `None` when no exporter flag is present,
-/// so plain runs never pay for a snapshot thread.
+/// Starts the snapshot thread writing to `--telemetry-out`. Returns
+/// `None` without that flag, so plain runs never pay for a snapshot thread.
 fn start_cli_telemetry(
     args: &Args,
     obs: &Obs,
 ) -> Result<Option<bitdissem_obs::TelemetryHandle>, String> {
-    use bitdissem_obs::telemetry::{ColumnarTelemetryExporter, PrometheusExporter};
-    let mut exporters: Vec<Box<dyn bitdissem_obs::TelemetryExporter>> = Vec::new();
-    if let Some(path) = args.get("telemetry-prom") {
-        if path.is_empty() {
-            return Err("--telemetry-prom needs a file path".to_string());
-        }
-        exporters.push(Box::new(PrometheusExporter::new(std::path::Path::new(path))));
-    }
-    if let Some(path) = args.get("telemetry-out") {
-        if path.is_empty() {
-            return Err("--telemetry-out needs a file path".to_string());
-        }
-        let exporter = ColumnarTelemetryExporter::create(std::path::Path::new(path))
-            .map_err(|e| format!("cannot create telemetry trace '{path}': {e}"))?;
-        exporters.push(Box::new(exporter));
-    }
-    if let Some(path) = args.get("telemetry-socket") {
-        if path.is_empty() {
-            return Err("--telemetry-socket needs a socket path".to_string());
-        }
-        #[cfg(unix)]
-        {
-            let publisher =
-                bitdissem_obs::telemetry::SocketPublisher::bind(std::path::Path::new(path))
-                    .map_err(|e| format!("cannot bind telemetry socket '{path}': {e}"))?;
-            exporters.push(Box::new(publisher));
-        }
-        #[cfg(not(unix))]
-        return Err("--telemetry-socket requires a unix platform".to_string());
-    }
-    if exporters.is_empty() {
+    let Some(path) = args.get("telemetry-out") else {
         if args.get("telemetry-interval-ms").is_some() {
-            return Err("--telemetry-interval-ms requires a telemetry exporter flag".to_string());
+            return Err("--telemetry-interval-ms requires --telemetry-out".to_string());
         }
         return Ok(None);
+    };
+    if path.is_empty() {
+        return Err("--telemetry-out needs a file path".to_string());
     }
     let interval_ms: u64 = args.get_parsed("telemetry-interval-ms", 250)?;
+    let exporter =
+        bitdissem_obs::telemetry::ColumnarTelemetryExporter::create(std::path::Path::new(path))
+            .map_err(|e| format!("cannot create telemetry trace '{path}': {e}"))?;
     Ok(Some(bitdissem_obs::start_telemetry(
         Arc::clone(obs.metrics()),
         obs.progress().cloned(),
         std::time::Duration::from_millis(interval_ms),
-        exporters,
+        vec![Box::new(exporter)],
     )))
 }
 
@@ -1118,7 +1084,7 @@ fn cmd_markov(args: &Args) -> CommandOutput {
 }
 
 // ---------------------------------------------------------------------------
-// watch: live telemetry view and exposition reconciliation
+// watch: the telemetry view of a --telemetry-out file, and reconciliation
 // ---------------------------------------------------------------------------
 
 /// Seconds rendered for humans: `42.0s`, `3m05s`, `2h14m`.
@@ -1135,9 +1101,12 @@ fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Renders one telemetry snapshot as the multi-line live view.
-#[allow(clippy::cast_precision_loss)]
-fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
+/// Renders one telemetry snapshot as the multi-line view, with counter
+/// rates over the interval since `prev`.
+fn render_watch(
+    snap: &bitdissem_obs::TelemetrySnapshot,
+    prev: Option<&bitdissem_obs::TelemetrySnapshot>,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1145,21 +1114,8 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
         snap.version,
         fmt_secs(snap.elapsed_us as f64 / 1e6)
     );
-    if let Some(p) = &snap.progress {
-        if p.total > 0 {
-            let pct = 100.0 * p.done as f64 / p.total as f64;
-            let _ = writeln!(
-                out,
-                "progress   {}/{} ({pct:.1}%)  {:.1}/s  eta {}",
-                p.done,
-                p.total,
-                p.rate_per_sec,
-                fmt_secs(p.eta_secs)
-            );
-        } else {
-            // Indeterminate total: no percentage or ETA to show.
-            let _ = writeln!(out, "progress   {} done  {:.1}/s", p.done, p.rate_per_sec);
-        }
+    if let Some(done) = snap.progress {
+        let _ = writeln!(out, "progress   {done} done");
     }
     let _ = writeln!(
         out,
@@ -1169,8 +1125,8 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
     );
     let _ = writeln!(out, "counters:");
     for (name, v) in &snap.counters {
-        let rate = snap.rates.iter().find(|(n, _)| n == name).map_or(0.0, |&(_, r)| r);
-        let _ = writeln!(out, "  {name:<22} {:>14}  {:>12}/s", fmt_num(*v as f64), fmt_num(rate));
+        let rate = fmt_num(snap.rate(name, prev));
+        let _ = writeln!(out, "  {name:<22} {v:>14}  {rate:>12}/s");
     }
     if !snap.gauges.is_empty() {
         let _ = writeln!(out, "gauges:");
@@ -1178,9 +1134,9 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
             let _ = writeln!(out, "  {name:<22} {v:>14}");
         }
     }
-    if !snap.spans.is_empty() {
+    if !snap.series.is_empty() {
         let _ = writeln!(out, "histograms (p50 / p90 / p99):");
-        for (path, q) in &snap.spans {
+        for (path, q) in &snap.series {
             let unit = bitdissem_obs::metrics::series_unit(path);
             let _ = writeln!(
                 out,
@@ -1195,108 +1151,39 @@ fn render_watch(snap: &bitdissem_obs::TelemetrySnapshot) -> String {
     out
 }
 
-fn cmd_watch(args: &Args) -> CommandOutput {
-    match (args.get("socket"), args.get("prom")) {
-        (Some(_), Some(_)) => usage_error("watch takes --socket or --prom, not both\n"),
-        (Some(path), None) => watch_socket(args, path),
-        (None, Some(path)) => watch_prom(args, path),
-        (None, None) => usage_error("watch needs --socket PATH or --prom FILE\n"),
-    }
-}
-
-/// Streams snapshots from a run's `--telemetry-socket`, redrawing the
-/// live view on stderr (full-screen when stderr is a terminal, one block
-/// per snapshot otherwise). The last snapshot is returned on stdout so
-/// the command composes with pipes and tests.
-#[cfg(unix)]
-fn watch_socket(args: &Args, path: &str) -> CommandOutput {
-    use std::io::{BufRead as _, IsTerminal as _, Write as _};
-    let snapshots: u64 = match args.get_parsed("snapshots", 0u64) {
-        Ok(n) => n,
-        Err(e) => return usage_error(format!("{e}\n")),
-    };
-    let stream = match std::os::unix::net::UnixStream::connect(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return usage_error(format!("cannot connect to telemetry socket '{path}': {e}\n"))
-        }
-    };
-    let live_tty = std::io::stderr().is_terminal();
-    let mut seen = 0u64;
-    let mut last = None;
-    for line in std::io::BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        let Some(snap) = bitdissem_obs::TelemetrySnapshot::from_json(line.trim()) else {
-            continue;
-        };
-        let view = render_watch(&snap);
-        let mut err = std::io::stderr().lock();
-        if live_tty {
-            // Clear + home between frames so the view redraws in place.
-            let _ = write!(err, "\x1b[2J\x1b[H{view}");
-        } else {
-            let _ = writeln!(err, "{view}");
-        }
-        let _ = err.flush();
-        seen += 1;
-        last = Some(snap);
-        if snapshots > 0 && seen >= snapshots {
-            break;
-        }
-    }
-    match last {
-        None => CommandOutput {
-            stdout: String::new(),
-            stderr: format!("no snapshots received from '{path}'\n"),
-            status: Status::CheckFailed,
-        },
-        Some(snap) => CommandOutput::ok(
-            format!("{}watched {seen} snapshot(s)\n", render_watch(&snap)),
-            Status::Ok,
-        ),
-    }
-}
-
-#[cfg(not(unix))]
-fn watch_socket(_args: &Args, _path: &str) -> CommandOutput {
-    usage_error("watch --socket requires a unix platform\n")
-}
-
-/// Parses a `--telemetry-prom` exposition file, prints its counter
-/// totals, and (with `--reconcile`) checks them against the summed
+/// Renders the latest complete snapshot of a `--telemetry-out` file and
+/// (with `--reconcile`) checks its counters against the summed
 /// per-experiment counter deltas of a `manifests.jsonl` ledger.
-fn watch_prom(args: &Args, path: &str) -> CommandOutput {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return usage_error(format!("cannot read exposition '{path}': {e}\n")),
+fn cmd_watch(args: &Args) -> CommandOutput {
+    let Some(path) = args.positional.first() else {
+        return usage_error(
+            "missing telemetry path (a columnar file recorded with --telemetry-out)\n",
+        );
     };
-    let samples = match bitdissem_obs::telemetry::parse_prometheus(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return CommandOutput {
-                stdout: String::new(),
-                stderr: format!("malformed exposition '{path}': {e}\n"),
-                status: Status::CheckFailed,
-            }
-        }
+    let reader = match ColumnarReader::open(path) {
+        Ok(reader) => reader,
+        Err(e) => return usage_error(format!("cannot read telemetry '{path}': {e}\n")),
     };
-    let counters: Vec<(&str, f64)> = samples
-        .iter()
-        .filter_map(|s| {
-            let name = s.name.strip_prefix("bitdissem_")?.strip_suffix("_total")?;
-            Some((name, s.value))
-        })
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "exposition '{path}': {} samples, {} counters",
-        samples.len(),
-        counters.len()
-    );
-    for (name, v) in &counters {
-        let _ = writeln!(out, "  {name:<22} {:>14}", fmt_num(*v));
+    // Only the two latest snapshots are kept: the view and its rates.
+    let (mut prev, mut last) = (None, None);
+    for snap in bitdissem_obs::telemetry::read_snapshots(&reader) {
+        prev = last.replace(snap);
     }
+    let mut out = String::new();
+    if reader.torn_tail() {
+        out.push_str(
+            "note: the file ends in a torn block (a snapshot still being written, or a crash); \
+             it is skipped\n",
+        );
+    }
+    let Some(snap) = last else {
+        return CommandOutput {
+            stdout: out,
+            stderr: format!("'{path}' holds no telemetry snapshots (see run --telemetry-out)\n"),
+            status: Status::CheckFailed,
+        };
+    };
+    out.push_str(&render_watch(&snap, prev.as_ref()));
     let Some(manifests_path) = args.get("reconcile") else {
         return CommandOutput::ok(out, Status::Ok);
     };
@@ -1327,29 +1214,27 @@ fn watch_prom(args: &Args, path: &str) -> CommandOutput {
     }
     let _ = writeln!(out, "reconciling against {runs} manifest(s) from '{manifests_path}':");
     if sums.is_empty() {
-        let _ = writeln!(out, "  no counter deltas recorded (run with a --telemetry-* flag)");
-        return CommandOutput { stdout: out, stderr: String::new(), status: Status::CheckFailed };
+        let _ = writeln!(out, "  no counter deltas recorded (run with --telemetry-out)");
+        return CommandOutput::ok(out, Status::CheckFailed);
     }
     let mut mismatches = 0usize;
-    #[allow(clippy::cast_precision_loss)]
     for (name, expect) in &sums {
-        let got = counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-        let ok = got == Some(*expect as f64);
+        let got = snap.counter(name);
+        let ok = got == Some(*expect);
         mismatches += usize::from(!ok);
         let _ = writeln!(
             out,
-            "  {name:<22} manifests {:>14}  exposition {:>14}  {}",
-            fmt_num(*expect as f64),
-            got.map_or_else(|| "missing".to_string(), fmt_num),
+            "  {name:<22} manifests {expect:>14}  telemetry {:>14}  {}",
+            got.map_or_else(|| "missing".to_string(), |v| v.to_string()),
             if ok { "ok" } else { "MISMATCH" }
         );
     }
     if mismatches == 0 {
-        let _ = writeln!(out, "verdict: exposition reconciles with the manifest ledger");
+        let _ = writeln!(out, "verdict: telemetry reconciles with the manifest ledger");
         CommandOutput::ok(out, Status::Ok)
     } else {
         let _ = writeln!(out, "verdict: {mismatches} counter(s) disagree");
-        CommandOutput { stdout: out, stderr: String::new(), status: Status::CheckFailed }
+        CommandOutput::ok(out, Status::CheckFailed)
     }
 }
 
@@ -2186,19 +2071,46 @@ mod tests {
     }
 
     #[test]
-    fn watch_needs_a_mode() {
+    fn watch_needs_a_telemetry_file() {
         let (out, status) = run_cli(&["watch"]);
         assert_eq!(status, Status::UsageError);
-        assert!(out.contains("--socket PATH or --prom FILE"), "{out}");
-        let (_, status) = run_cli(&["watch", "--socket", "a", "--prom", "b"]);
+        assert!(out.contains("missing telemetry path"), "{out}");
+        let (out, status) = run_cli(&["watch", "/no/such/telemetry.bct"]);
         assert_eq!(status, Status::UsageError);
+        assert!(out.starts_with("cannot read telemetry"), "{out}");
+    }
+
+    #[test]
+    fn removed_telemetry_options_are_unknown() {
+        let dir = temp_dir("telemetry_gone");
+        // The socket exporter removed whatever file its path named; an
+        // unknown option now stops the run before anything is touched.
+        let notes = dir.join("notes.txt");
+        std::fs::write(&notes, "keep me\n").unwrap();
+        let notes = notes.to_str().unwrap();
+        for (argv, option) in [
+            (vec!["run", "e5", "--scale", "smoke", "--telemetry-prom", "m.prom"], "telemetry-prom"),
+            (
+                vec!["run", "e5", "--scale", "smoke", "--telemetry-socket", notes],
+                "telemetry-socket",
+            ),
+            (vec!["watch", "--socket", notes], "socket"),
+            (vec!["watch", "--prom", notes], "prom"),
+            (vec!["watch", notes, "--snapshots", "2"], "snapshots"),
+        ] {
+            let (out, status) = run_cli(&argv);
+            assert_eq!(status, Status::UsageError, "{argv:?}: {out}");
+            assert_eq!(out, format!("{}: unknown option: --{option} (see 'help')\n", argv[0]));
+        }
+        assert_eq!(std::fs::read_to_string(notes).unwrap(), "keep me\n");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn telemetry_flags_imply_metrics_collection() {
-        let obs = build_obs(&Args::parse(["run", "e2", "--telemetry-prom", "/tmp/x.prom"]))
+        let obs = build_obs(&Args::parse(["run", "e2", "--telemetry-out", "/tmp/x.bct"]))
             .expect("obs builds");
-        assert!(obs.metrics_on(), "--telemetry-prom must switch metrics on");
+        assert!(obs.metrics_on(), "--telemetry-out must switch metrics on");
         let obs = build_obs(&Args::parse(["run", "e2"])).expect("obs builds");
         assert!(!obs.metrics_on(), "plain runs keep metrics off");
     }
@@ -2208,7 +2120,7 @@ mod tests {
         let (out, status) =
             run_cli(&["run", "e2", "--scale", "smoke", "--telemetry-interval-ms", "50"]);
         assert_eq!(status, Status::UsageError);
-        assert!(out.contains("requires a telemetry exporter flag"), "{out}");
+        assert!(out.contains("--telemetry-interval-ms requires --telemetry-out"), "{out}");
     }
 
     #[test]
@@ -2218,14 +2130,9 @@ mod tests {
         for rounds in [27, 40, 89] {
             metrics.record_reconverge(rounds);
         }
-        let snap = bitdissem_obs::telemetry::build_snapshot(
-            &metrics,
-            None,
-            1,
-            std::time::Instant::now(),
-            None,
-        );
-        let view = render_watch(&snap);
+        let snap =
+            bitdissem_obs::telemetry::build_snapshot(&metrics, None, 1, std::time::Instant::now());
+        let view = render_watch(&snap, None);
         let line =
             |path: &str| view.lines().find(|l| l.split_whitespace().next() == Some(path)).unwrap();
         // A latency reads as a duration in `obs::hist::fmt_nanos` units.
@@ -2237,41 +2144,49 @@ mod tests {
         assert!(rounds.last().is_some_and(|n| *n == "(n=3)"), "{view}");
     }
 
-    #[cfg(unix)]
     #[test]
-    fn watch_socket_streams_live_snapshots() {
-        let path =
-            std::env::temp_dir().join(format!("bitdissem_watch_{}.sock", std::process::id()));
+    fn watch_reads_a_telemetry_file_while_it_is_written() {
+        use std::time::{Duration, Instant};
+        let dir = temp_dir("watch_live");
+        let path = dir.join("live.bct");
         let metrics = Arc::new(bitdissem_obs::Metrics::new());
         metrics.add_rounds(123);
         metrics.record_latency(bitdissem_obs::LatencyId::Replication, 1_500_000);
-        let publisher = bitdissem_obs::telemetry::SocketPublisher::bind(&path).unwrap();
+        let exporter = bitdissem_obs::telemetry::ColumnarTelemetryExporter::create(&path).unwrap();
         let handle = bitdissem_obs::start_telemetry(
             Arc::clone(&metrics),
             None,
-            std::time::Duration::from_millis(5),
-            vec![Box::new(publisher)],
+            Duration::from_millis(5),
+            vec![Box::new(exporter)],
         );
-        let out = dispatch_full(&Args::parse([
-            "watch",
-            "--socket",
-            path.to_str().unwrap(),
-            "--snapshots",
-            "2",
-        ]));
+        // One full read per call: a live run is followed by calling again.
+        let watch = || dispatch_full(&Args::parse(["watch", path.to_str().unwrap()]));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let live = loop {
+            let out = watch();
+            if out.status == Status::Ok && !out.stdout.contains("snapshot v1 ") {
+                break out;
+            }
+            assert!(Instant::now() < deadline, "no second snapshot: {}{}", out.stdout, out.stderr);
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(live.stdout.contains("rounds_simulated"), "{}", live.stdout);
+        assert!(live.stdout.contains("p50 / p90 / p99"), "{}", live.stdout);
+        assert!(live.stdout.contains("steal ratio"), "{}", live.stdout);
+
+        metrics.add_rounds(877);
         handle.stop();
-        assert_eq!(out.status, Status::Ok, "{}{}", out.stdout, out.stderr);
-        assert!(out.stdout.contains("watched 2 snapshot(s)"), "{}", out.stdout);
-        assert!(out.stdout.contains("rounds_simulated"), "{}", out.stdout);
-        assert!(out.stdout.contains("p50 / p90 / p99"), "{}", out.stdout);
-        assert!(out.stdout.contains("steal ratio"), "{}", out.stdout);
+        let done = watch();
+        assert_eq!(done.status, Status::Ok, "{}{}", done.stdout, done.stderr);
+        let rounds = done.stdout.lines().find(|l| l.trim_start().starts_with("rounds_simulated"));
+        assert_eq!(rounds.and_then(|l| l.split_whitespace().nth(1)), Some("1000"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn run_with_telemetry_reconciles_prom_against_manifests() {
+    fn run_with_telemetry_reconciles_against_manifests() {
         let dir = temp_dir("telemetry");
-        let prom = dir.join("metrics.prom");
-        let bct = dir.join("telemetry.bct");
+        let bct = dir.join("t.bct");
         let manifests = dir.join("manifests.jsonl");
         let (out, status) = run_cli(&[
             "run",
@@ -2282,8 +2197,6 @@ mod tests {
             "7",
             "--checkpoint-dir",
             dir.to_str().unwrap(),
-            "--telemetry-prom",
-            prom.to_str().unwrap(),
             "--telemetry-out",
             bct.to_str().unwrap(),
             "--telemetry-interval-ms",
@@ -2291,40 +2204,73 @@ mod tests {
         ]);
         assert_eq!(status, Status::Ok, "{out}");
 
-        // The final exposition parses and carries the run's counters.
-        let text = std::fs::read_to_string(&prom).unwrap();
-        let samples = bitdissem_obs::telemetry::parse_prometheus(&text).expect("exposition parses");
-        assert!(
-            samples.iter().any(|s| s.name == "bitdissem_rounds_simulated_total" && s.value > 0.0),
-            "{text}"
-        );
-
-        // Exposition totals reconcile with the summed manifest deltas.
-        let (out, status) = run_cli(&[
-            "watch",
-            "--prom",
-            prom.to_str().unwrap(),
-            "--reconcile",
-            manifests.to_str().unwrap(),
-        ]);
+        // The final counters reconcile with the summed manifest deltas,
+        // exactly: every counter of the registry reads ok.
+        let reconcile = |file: &std::path::Path| {
+            run_cli(&["watch", file.to_str().unwrap(), "--reconcile", manifests.to_str().unwrap()])
+        };
+        let (out, status) = reconcile(&bct);
         assert_eq!(status, Status::Ok, "{out}");
         assert!(out.contains("reconciles with the manifest ledger"), "{out}");
+        assert_eq!(out.lines().filter(|l| l.ends_with("  ok")).count(), 11, "{out}");
 
-        // The columnar telemetry series is a readable trace.
+        // The telemetry series is a readable trace.
         let (out, status) = run_cli(&["trace", bct.to_str().unwrap()]);
         assert_eq!(status, Status::Ok, "{out}");
 
-        // A doctored exposition is caught.
-        std::fs::write(&prom, "bitdissem_rounds_simulated_total 1\n").unwrap();
-        let (out, status) = run_cli(&[
-            "watch",
-            "--prom",
-            prom.to_str().unwrap(),
-            "--reconcile",
-            manifests.to_str().unwrap(),
-        ]);
+        // A file whose final rounds_simulated row is off by one is caught.
+        let reader = ColumnarReader::open(&bct).unwrap();
+        let mut snaps: Vec<_> = bitdissem_obs::telemetry::read_snapshots(&reader).collect();
+        let last = snaps.last_mut().expect("the run wrote snapshots");
+        let rounds = last.counters.iter_mut().find(|(n, _)| n == "rounds_simulated").unwrap();
+        rounds.1 += 1;
+        let doctored = dir.join("doctored.bct");
+        let sink = ColumnarSink::create(&doctored).unwrap();
+        let mut exporter =
+            bitdissem_obs::telemetry::ColumnarTelemetryExporter::with_sink(Box::new(sink));
+        for snap in &snaps {
+            bitdissem_obs::TelemetryExporter::export(&mut exporter, snap);
+        }
+        drop(exporter);
+        let (out, status) = reconcile(&doctored);
         assert_eq!(status, Status::CheckFailed, "{out}");
         assert!(out.contains("MISMATCH"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn watch_needs_a_complete_snapshot() {
+        use bitdissem_obs::Event;
+        let dir = temp_dir("watch_none");
+        // A --trace-out trace is a columnar file with no telemetry rows.
+        let trace = dir.join("run.bct");
+        let (out, status) =
+            run_cli(&["run", "e5", "--scale", "smoke", "--trace-out", trace.to_str().unwrap()]);
+        assert_eq!(status, Status::Ok, "{out}");
+        let (out, status) = run_cli(&["watch", trace.to_str().unwrap()]);
+        assert_eq!(status, Status::CheckFailed, "{out}");
+        assert!(out.contains("holds no telemetry snapshots"), "{out}");
+
+        // A first snapshot torn mid-block is no snapshot either.
+        let torn = dir.join("torn.bct");
+        let sink = ColumnarSink::create(&torn).unwrap();
+        let sample = |series: &str| Event::TelemetrySample {
+            series: series.to_string(),
+            version: 1,
+            elapsed_us: 10,
+            value: 3,
+        };
+        sink.emit(&sample("counter/rounds_simulated"));
+        sink.emit(&sample("counter/replications"));
+        drop(sink);
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() - 3]).unwrap();
+        let (out, status) = run_cli(&["watch", torn.to_str().unwrap()]);
+        assert_eq!(status, Status::CheckFailed, "{out}");
+        assert!(
+            out.contains("torn block") && out.contains("holds no telemetry snapshots"),
+            "{out}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2332,7 +2278,7 @@ mod tests {
     fn run_without_telemetry_flags_matches_telemetry_run_output() {
         let plain = dispatch_full(&Args::parse(["run", "e5", "--scale", "smoke", "--seed", "9"]));
         let dir = temp_dir("telemetry_id");
-        let prom = dir.join("m.prom");
+        let bct = dir.join("t.bct");
         let teled = dispatch_full(&Args::parse([
             "run",
             "e5",
@@ -2340,8 +2286,8 @@ mod tests {
             "smoke",
             "--seed",
             "9",
-            "--telemetry-prom",
-            prom.to_str().unwrap(),
+            "--telemetry-out",
+            bct.to_str().unwrap(),
         ]));
         assert_eq!(plain.status, teled.status);
         assert_eq!(plain.stdout, teled.stdout, "telemetry must not perturb results");

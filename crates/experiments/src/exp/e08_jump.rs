@@ -11,14 +11,15 @@ use bitdissem_analysis::jump::{check_jump, y_constant};
 use bitdissem_core::dynamics::{Minority, TwoChoices, Voter};
 use bitdissem_core::{Configuration, Opinion, Protocol};
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::run::Simulator;
+use bitdissem_sim::run::{drive, RunSpec, Simulator, Stop};
 use bitdissem_sim::runner::replicate_observed;
 use bitdissem_stats::table::fmt_num;
 use bitdissem_stats::Table;
+use std::sync::Arc;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use bitdissem_obs::Obs;
+use bitdissem_obs::{NullSink, Obs};
 
 /// Runs experiment E8.
 #[must_use]
@@ -42,6 +43,11 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         Box::new(TwoChoices::new()),
     ];
 
+    // Every run steps through the driver for exactly its horizon; the runs
+    // count under metrics but emit no trace events (no batch header
+    // describes them).
+    let quiet = obs.clone().with_sink(Arc::new(NullSink));
+    let one_round = RunSpec::new(1, Stop::Horizon, &quiet);
     let mut table =
         Table::new(["protocol", "c", "y(c,l)", "max X'/n observed", "violations", "trials"]);
     let mut total_violations = 0u64;
@@ -57,7 +63,7 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
                 obs,
                 |mut rng, _| {
                     let mut sim = AggregateSim::new(protocol, start).expect("valid");
-                    sim.step_round(&mut rng);
+                    drive(&mut sim, &mut rng, &one_round, None);
                     sim.configuration().ones()
                 },
             );
@@ -90,20 +96,21 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
     let minority = Minority::new(3).expect("valid");
     let c = 0.5;
     let steps = cfg.scale.pick(2_000u64, 20_000, 100_000);
+    let trajectory = RunSpec::new(steps, Stop::Horizon, &quiet);
     let traj_violations: u64 =
         replicate_observed(4, cfg.seed ^ 0xBEEF, cfg.threads, obs, |mut rng, _| {
             let start = Configuration::new(n, Opinion::One, n / 4).expect("consistent");
             let mut sim = AggregateSim::new(&minority, start).expect("valid");
             let mut v = 0u64;
-            let mut prev = sim.configuration().ones();
-            for _ in 0..steps {
-                sim.step_round(&mut rng);
-                let cur = sim.configuration().ones();
-                if check_jump(n, 3, c, prev, cur) == Some(false) {
+            let mut prev: Option<u64> = None;
+            let mut visit = |config: Configuration| {
+                let cur = config.ones();
+                if prev.is_some_and(|p| check_jump(n, 3, c, p, cur) == Some(false)) {
                     v += 1;
                 }
-                prev = cur;
-            }
+                prev = Some(cur);
+            };
+            drive(&mut sim, &mut rng, &trajectory, Some(&mut visit));
             v
         })
         .into_iter()
@@ -123,5 +130,16 @@ mod tests {
     fn smoke_run_has_no_violations() {
         let report = run(&RunConfig::smoke(31), &Obs::none());
         assert!(report.pass, "{}", report.render());
+    }
+
+    #[test]
+    fn smoke_runs_are_counted() {
+        // 16 cells of 200 one-round samples, then 4 trajectories of 2000
+        // rounds, each round drawing l*n opinions.
+        let obs = Obs::none().with_metrics();
+        let _ = run(&RunConfig::smoke(42), &obs);
+        let m = obs.metrics().snapshot();
+        assert_eq!(m.rounds_simulated, 16 * 200 + 4 * 2_000);
+        assert_eq!(m.opinion_samples, 4 * 200 * 512 * (1 + 3 + 7 + 2) + 4 * 2_000 * 512 * 3);
     }
 }

@@ -14,14 +14,15 @@ use bitdissem_core::channel::with_observation_noise;
 use bitdissem_core::dynamics::{Minority, Voter};
 use bitdissem_core::{Configuration, Opinion, Protocol, ProtocolExt};
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::run::Simulator;
+use bitdissem_sim::run::{drive, RunSpec, Stop};
 use bitdissem_sim::runner::replicate_observed;
 use bitdissem_stats::table::fmt_num;
 use bitdissem_stats::{Summary, Table};
+use std::sync::Arc;
 
 use crate::config::RunConfig;
 use crate::report::ExperimentReport;
-use bitdissem_obs::Obs;
+use bitdissem_obs::{NullSink, Obs};
 
 /// Runs experiment E14.
 #[must_use]
@@ -43,6 +44,10 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
 
     let protocols: Vec<Box<dyn Protocol + Send + Sync>> =
         vec![Box::new(Voter::new(1).expect("valid")), Box::new(Minority::new(3).expect("valid"))];
+    // The runs count under metrics but emit no trace events (no batch
+    // header describes them).
+    let quiet = obs.clone().with_sink(Arc::new(NullSink));
+    let spec = RunSpec::new(horizon, Stop::Horizon, &quiet);
 
     let mut table =
         Table::new(["protocol", "delta", "prop3", "interior F-root", "avg correct frac (late)"]);
@@ -83,15 +88,16 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
                 |mut rng, _| {
                     let start = Configuration::correct_consensus(n, Opinion::One);
                     let mut sim = AggregateSim::new(&noisy, start).expect("valid");
-                    let mut acc = 0.0;
-                    let mut samples = 0u64;
-                    for t in 0..horizon {
-                        sim.step_round(&mut rng);
-                        if t >= burn_in {
-                            acc += sim.configuration().fraction_ones();
+                    // The late window: the boundaries after `burn_in`.
+                    let (mut t, mut acc, mut samples) = (0u64, 0.0, 0u64);
+                    let mut visit = |config: Configuration| {
+                        if t > burn_in {
+                            acc += config.fraction_ones();
                             samples += 1;
                         }
-                    }
+                        t += 1;
+                    };
+                    drive(&mut sim, &mut rng, &spec, Some(&mut visit));
                     acc / samples as f64
                 },
             );
@@ -131,5 +137,15 @@ mod tests {
     fn smoke_run_noise_destroys_dissemination() {
         let report = run(&RunConfig::smoke(71), &Obs::none());
         assert!(report.pass, "{}", report.render());
+    }
+
+    #[test]
+    fn smoke_runs_are_counted() {
+        // 10 cells of 6 runs over the 400-round horizon.
+        let obs = Obs::none().with_metrics();
+        let _ = run(&RunConfig::smoke(42), &obs);
+        let m = obs.metrics().snapshot();
+        assert_eq!(m.rounds_simulated, 10 * 6 * 400);
+        assert_eq!(m.opinion_samples, 5 * 6 * 400 * 256 * (1 + 3));
     }
 }

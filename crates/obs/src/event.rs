@@ -125,7 +125,7 @@ pub enum Event {
     /// The run manifest, embedded in the trace for self-description.
     Manifest(RunManifest),
     /// One point of a live telemetry series: the value of one metric
-    /// (`counter/...`, `gauge/...`, `span/.../p99`, `progress/...`) as
+    /// (`counter/...`, `gauge/...`, `series/.../p99`, `progress/done`) as
     /// observed by telemetry snapshot `version`. Emitted by the
     /// columnar telemetry exporter so snapshot series ride the same
     /// trace-store machinery (torn-tail repair, `trace` analytics) as

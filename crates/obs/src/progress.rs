@@ -5,69 +5,41 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Smoothing factor for the tick-rate EWMA: high enough to follow a
-/// sweep moving between batch regimes, low enough to damp per-tick
-/// scheduling jitter.
-const EWMA_ALPHA: f64 = 0.2;
-
-/// Thread-safe progress meter that rewrites one output line (`\r`).
-///
-/// With a known total it only redraws when the integer percentage
-/// changes, so ticking from a tight loop is cheap. A total of `0` means
-/// indeterminate: every tick redraws a plain completion count.
-///
-/// Each tick also feeds an exponentially weighted moving average of the
-/// completion rate; the live line shows the smoothed rate plus an ETA
-/// when the total is known, and [`Progress::finish`] reports the final
-/// whole-run average rate. The telemetry snapshot thread reads the same
-/// estimators via [`Progress::rate_per_sec`] / [`Progress::eta_secs`].
+/// Thread-safe completion counter that rewrites one output line (`\r`)
+/// on every tick.
 ///
 /// The meter owns its output line until [`Progress::finish`] is called,
-/// which erases the rewritten line and prints one final summary line —
-/// so whatever the process writes next starts on a clean line instead of
-/// clobbering a half-drawn percentage. `finish` is idempotent and ticks
-/// arriving after it are counted but no longer drawn.
+/// which erases the rewritten line and prints one final summary line with
+/// the whole-run average rate — so whatever the process writes next
+/// starts on a clean line instead of clobbering a half-drawn count.
+/// `finish` is idempotent and ticks arriving after it are counted but no
+/// longer drawn. The telemetry snapshot thread reads [`Progress::done`].
 pub struct Progress {
     label: String,
-    total: u64,
     done: AtomicU64,
-    last_pct: AtomicU64,
     /// Visible width of the most recent redraw (0 = nothing drawn yet).
     drawn_width: AtomicUsize,
     finished: AtomicBool,
     started: Instant,
-    /// Nanoseconds since `started` at the previous tick.
-    last_tick_nanos: AtomicU64,
-    /// EWMA of the tick rate, stored as `f64::to_bits`.
-    ewma_rate: AtomicU64,
     out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl Progress {
-    /// A meter for `total` units of work under `label` (`0` =
-    /// indeterminate), drawing to stderr.
+    /// A meter counting units of work under `label`, drawing to stderr.
     #[must_use]
-    pub fn new(label: &str, total: u64) -> Self {
-        Self::with_writer(label, total, Box::new(std::io::stderr()))
+    pub fn new(label: &str) -> Self {
+        Self::with_writer(label, Box::new(std::io::stderr()))
     }
 
     /// A meter drawing to an arbitrary writer (tests, alternative TTYs).
     #[must_use]
-    pub fn with_writer(label: &str, total: u64, out: Box<dyn Write + Send>) -> Self {
+    pub fn with_writer(label: &str, out: Box<dyn Write + Send>) -> Self {
         Progress {
             label: label.to_string(),
-            total,
             done: AtomicU64::new(0),
-            last_pct: AtomicU64::new(u64::MAX),
             drawn_width: AtomicUsize::new(0),
             finished: AtomicBool::new(false),
             started: Instant::now(),
-            last_tick_nanos: AtomicU64::new(0),
-            // NaN is the "never ticked" sentinel: a genuine smoothed rate
-            // of exactly 0.0 (a long stall) must keep feeding the EWMA
-            // instead of restarting the smoothing from the next
-            // instantaneous rate.
-            ewma_rate: AtomicU64::new(f64::NAN.to_bits()),
             out: Mutex::new(out),
         }
     }
@@ -83,56 +55,15 @@ impl Progress {
         let _ = out.flush();
     }
 
-    /// Folds `n` completed units into the rate EWMA. Concurrent tickers
-    /// race on the previous-tick timestamp; the estimate is statistical,
-    /// so the occasional lost update is acceptable.
-    fn update_rate(&self, n: u64) {
-        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let prev = self.last_tick_nanos.swap(now, Ordering::Relaxed);
-        let dt = now.saturating_sub(prev);
-        if dt == 0 {
-            return;
-        }
-        let inst = n as f64 * 1e9 / dt as f64;
-        let old = f64::from_bits(self.ewma_rate.load(Ordering::Relaxed));
-        // NaN means "first tick" (see the field init); any finite value —
-        // including a genuine 0.0 after a stall — is smoothed normally, so
-        // the rate and ETA never jump discontinuously.
-        let next = if old.is_nan() { inst } else { EWMA_ALPHA * inst + (1.0 - EWMA_ALPHA) * old };
-        self.ewma_rate.store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Records `n` completed units and redraws if the meter moved.
+    /// Records `n` completed units and redraws the count.
     ///
     /// # Panics
     ///
     /// Panics if a previous user of the meter panicked mid-draw.
     pub fn tick(&self, n: u64) {
         let done = self.done.fetch_add(n, Ordering::Relaxed) + n;
-        self.update_rate(n);
-        if self.finished.load(Ordering::Relaxed) {
-            return;
-        }
-        if self.total == 0 {
+        if !self.finished.load(Ordering::Relaxed) {
             self.draw(&format!("{}: {} done", self.label, done));
-            return;
-        }
-        let pct = (done.min(self.total) * 100) / self.total;
-        if self.last_pct.swap(pct, Ordering::Relaxed) != pct {
-            let rate = self.rate_per_sec();
-            let line = match self.eta_secs() {
-                Some(eta) if rate > 0.0 => format!(
-                    "{}: {:>3}% ({}/{}) {}/s eta {}",
-                    self.label,
-                    pct,
-                    done,
-                    self.total,
-                    fmt_rate(rate),
-                    fmt_eta(eta)
-                ),
-                _ => format!("{}: {:>3}% ({}/{})", self.label, pct, done, self.total),
-            };
-            self.draw(&line);
         }
     }
 
@@ -140,44 +71,6 @@ impl Progress {
     #[must_use]
     pub fn done(&self) -> u64 {
         self.done.load(Ordering::Relaxed)
-    }
-
-    /// Units expected in total (`0` = indeterminate).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Smoothed completion rate in units per second (`0.0` before the
-    /// first tick).
-    #[must_use]
-    pub fn rate_per_sec(&self) -> f64 {
-        let rate = f64::from_bits(self.ewma_rate.load(Ordering::Relaxed));
-        if rate.is_nan() {
-            0.0
-        } else {
-            rate
-        }
-    }
-
-    /// Estimated seconds until `done` reaches `total`, from the smoothed
-    /// rate. `None` when the total is unknown, nothing has ticked yet,
-    /// or the meter is already complete.
-    #[must_use]
-    pub fn eta_secs(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let remaining = self.total.saturating_sub(self.done());
-        if remaining == 0 {
-            return Some(0.0);
-        }
-        let rate = self.rate_per_sec();
-        if rate > 0.0 {
-            Some(remaining as f64 / rate)
-        } else {
-            None
-        }
     }
 
     /// Whole-run average rate: units completed per second since the
@@ -208,21 +101,10 @@ impl Progress {
         if width == 0 {
             return;
         }
-        let done = self.done();
         let rate = fmt_rate(self.average_rate_per_sec());
         let mut out = self.out.lock().expect("progress writer poisoned");
         let _ = write!(out, "\r{:width$}\r", "");
-        if self.total == 0 {
-            let _ = writeln!(out, "{}: {} done ({rate}/s)", self.label, done);
-        } else {
-            let _ = writeln!(
-                out,
-                "{}: {}/{} done ({rate}/s)",
-                self.label,
-                done.min(self.total),
-                self.total
-            );
-        }
+        let _ = writeln!(out, "{}: {} done ({rate}/s)", self.label, self.done());
         let _ = out.flush();
     }
 }
@@ -243,27 +125,11 @@ fn fmt_rate(r: f64) -> String {
     }
 }
 
-/// Compact ETA: `2.1h`, `3.5m`, `42s`.
-fn fmt_eta(s: f64) -> String {
-    if !s.is_finite() {
-        return "?".to_string();
-    }
-    if s >= 3600.0 {
-        format!("{:.1}h", s / 3600.0)
-    } else if s >= 60.0 {
-        format!("{:.1}m", s / 60.0)
-    } else {
-        format!("{s:.0}s")
-    }
-}
-
 impl std::fmt::Debug for Progress {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Progress")
             .field("label", &self.label)
-            .field("total", &self.total)
             .field("done", &self.done())
-            .field("rate_per_sec", &self.rate_per_sec())
             .field("finished", &self.finished.load(Ordering::Relaxed))
             .finish()
     }
@@ -296,86 +162,40 @@ mod tests {
         }
     }
 
-    fn meter(label: &str, total: u64) -> (Progress, SharedBuf) {
+    fn meter(label: &str) -> (Progress, SharedBuf) {
         let buf = SharedBuf::default();
-        (Progress::with_writer(label, total, Box::new(buf.clone())), buf)
+        (Progress::with_writer(label, Box::new(buf.clone())), buf)
     }
 
     #[test]
     fn counts_ticks() {
-        let (p, _) = meter("reps", 10);
+        let (p, _) = meter("reps");
         p.tick(3);
         p.tick(4);
         assert_eq!(p.done(), 7);
     }
 
     #[test]
-    fn zero_total_does_not_divide_by_zero() {
-        let (p, _) = meter("empty", 0);
-        p.tick(1); // must not panic
-        assert_eq!(p.done(), 1);
-    }
-
-    #[test]
     fn ticks_feed_the_rate_estimate() {
-        let (p, _) = meter("reps", 100);
-        assert_eq!(p.rate_per_sec(), 0.0);
-        assert_eq!(p.eta_secs(), None, "no rate before the first tick");
+        let (p, _) = meter("reps");
+        assert_eq!(p.average_rate_per_sec(), 0.0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
         p.tick(10);
-        assert!(p.rate_per_sec() > 0.0, "EWMA primed by the first tick");
-        let eta = p.eta_secs().expect("known total + rate gives an ETA");
-        assert!(eta >= 0.0);
-        // Finishing the work pins the ETA to zero regardless of rate.
-        p.tick(90);
-        assert_eq!(p.eta_secs(), Some(0.0));
-    }
-
-    #[test]
-    fn a_zero_ewma_keeps_smoothing_instead_of_restarting() {
-        // Regression: `update_rate` used `old == 0.0` as the "uninitialized"
-        // test, so a smoothed rate that genuinely decayed to 0.0 (a long
-        // stall) restarted the EWMA at the next instantaneous rate instead
-        // of blending it, making the displayed rate and ETA jump. The
-        // sentinel is now NaN; 0.0 is an ordinary sample.
-        let (p, _) = meter("reps", 100);
-        p.ewma_rate.store(0.0f64.to_bits(), Ordering::Relaxed);
-        let prev = p.last_tick_nanos.load(Ordering::Relaxed);
-        p.tick(10);
-        // `update_rate` recorded its own `now`; reading it back lets the
-        // test recompute the exact instantaneous rate the tick saw.
-        let now = p.last_tick_nanos.load(Ordering::Relaxed);
-        let dt = now - prev;
-        assert!(dt > 0, "time advanced since the meter was created");
-        let inst = 10.0 * 1e9 / dt as f64;
-        let rate = p.rate_per_sec();
-        // Fixed behaviour: next = ALPHA * inst + (1 - ALPHA) * 0.0.
-        // Buggy behaviour restarted at `inst`, 1/ALPHA = 5x larger.
-        assert!(
-            (rate - EWMA_ALPHA * inst).abs() <= 1e-9 * inst,
-            "a genuine 0.0 EWMA must be smoothed, not restarted: got {rate}, inst {inst}"
-        );
+        assert!(p.average_rate_per_sec() > 0.0, "the whole-run average counts the tick");
     }
 
     #[test]
     fn indeterminate_meters_have_no_eta() {
-        let (p, _) = meter("work", 0);
+        // Every meter counts without a total: the live line is the bare
+        // count, with no percentage, rate or ETA to show.
+        let (p, buf) = meter("work");
         p.tick(5);
-        assert!(p.rate_per_sec() > 0.0);
-        assert_eq!(p.eta_secs(), None);
-    }
-
-    #[test]
-    fn live_line_includes_rate_and_eta() {
-        let (p, buf) = meter("reps", 4);
-        p.tick(2);
-        let out = buf.contents();
-        assert!(out.contains("reps:  50% (2/4)"), "{out:?}");
-        assert!(out.contains("/s eta "), "{out:?}");
+        assert_eq!(buf.contents(), "\rwork: 5 done");
     }
 
     #[test]
     fn finish_clears_the_rewritten_line() {
-        let (p, buf) = meter("reps", 4);
+        let (p, buf) = meter("reps");
         p.tick(2);
         p.tick(2);
         p.finish();
@@ -385,23 +205,23 @@ mod tests {
         // is newline-terminated.
         let erase_start = out.rfind("\r\u{20}").expect("erase sequence present");
         let tail = &out[erase_start..];
-        assert!(tail.trim_start_matches(['\r', ' ']).starts_with("reps: 4/4 done ("), "{out:?}");
+        assert!(tail.trim_start_matches(['\r', ' ']).starts_with("reps: 4 done ("), "{out:?}");
         assert!(out.ends_with("/s)\n"), "{out:?}");
     }
 
     #[test]
     fn finish_reports_the_final_rate() {
-        let (p, buf) = meter("reps", 2);
+        let (p, buf) = meter("reps");
         p.tick(2);
         p.finish();
         let out = buf.contents();
-        assert!(out.contains("reps: 2/2 done ("), "{out:?}");
+        assert!(out.contains("reps: 2 done ("), "{out:?}");
         assert!(out.ends_with("/s)\n"), "{out:?}");
     }
 
     #[test]
     fn finish_is_idempotent() {
-        let (p, buf) = meter("reps", 2);
+        let (p, buf) = meter("reps");
         p.tick(2);
         p.finish();
         let after_first = buf.contents();
@@ -412,14 +232,14 @@ mod tests {
 
     #[test]
     fn finish_without_draw_stays_silent() {
-        let (p, buf) = meter("reps", 5);
+        let (p, buf) = meter("reps");
         p.finish();
         assert_eq!(buf.contents(), "");
     }
 
     #[test]
     fn finish_finalizes_indeterminate_meters_too() {
-        let (p, buf) = meter("work", 0);
+        let (p, buf) = meter("work");
         p.tick(3);
         p.finish();
         let out = buf.contents();
@@ -429,7 +249,7 @@ mod tests {
 
     #[test]
     fn ticks_after_finish_count_but_do_not_draw() {
-        let (p, buf) = meter("reps", 10);
+        let (p, buf) = meter("reps");
         p.tick(5);
         p.finish();
         let after_finish = buf.contents();
@@ -440,7 +260,7 @@ mod tests {
 
     #[test]
     fn finish_erases_the_full_width_of_the_last_draw() {
-        let (p, buf) = meter("x", 0);
+        let (p, buf) = meter("x");
         p.tick(99); // draws "x: 99 done"
         p.tick(1); // draws "x: 100 done" (11 chars wide)
         p.finish();
@@ -454,8 +274,5 @@ mod tests {
         assert_eq!(fmt_rate(12_300.0), "12.3k");
         assert_eq!(fmt_rate(45.0), "45");
         assert_eq!(fmt_rate(1.52), "1.5");
-        assert_eq!(fmt_eta(7200.0), "2.0h");
-        assert_eq!(fmt_eta(90.0), "1.5m");
-        assert_eq!(fmt_eta(42.0), "42s");
     }
 }

@@ -1,5 +1,5 @@
-//! Live telemetry: sharded metric cells, lock-free snapshots, and
-//! streaming exporters.
+//! Live telemetry: sharded metric cells, lock-free snapshots, and one
+//! snapshot series on disk.
 //!
 //! The hot-path half of this module is a set of *striped* primitives —
 //! [`Counter`] and [`AtomicHistogram`] — where every pool worker (and
@@ -11,16 +11,18 @@
 //!
 //! The read half is a snapshot thread ([`start_telemetry`]) that merges
 //! the stripes at a configurable interval into versioned
-//! [`TelemetrySnapshot`]s and fans them out to pluggable
-//! [`TelemetryExporter`]s:
+//! [`TelemetrySnapshot`]s and feeds them to [`TelemetryExporter`]s. The
+//! one exporter, [`ColumnarTelemetryExporter`], appends each snapshot as
+//! `telemetry_sample` rows to a `BDCT` columnar trace, so the torn-tail
+//! `repair()` contract applies to telemetry too, and [`read_snapshots`]
+//! decodes the rows back: `bitdissem watch` reads a live run's file and a
+//! finished run's alike. [`TelemetrySnapshot::rows`] and its inverse sit
+//! side by side, so this module alone owns the row names:
 //!
-//! - [`PrometheusExporter`] — text exposition, atomically replaced on
-//!   disk so a scraper never reads a torn file,
-//! - [`ColumnarTelemetryExporter`] — `telemetry_sample` rows appended
-//!   to a `BDCT` columnar trace, so `trace` analytics (and the
-//!   torn-tail `repair()` contract) apply to telemetry series too,
-//! - [`SocketPublisher`] — a unix-socket JSON-lines feed that the CLI
-//!   `watch` subcommand attaches to.
+//! - `counter/<name>` and `gauge/<name>`: counter totals and gauges;
+//! - `series/<path>/{count,p50,p90,p99}`: every histogram series of
+//!   [`Metrics::series`] (`phase/*`, `latency/*`, `hist/*`);
+//! - `progress/done`: the progress meter's count, when one is attached.
 //!
 //! Why relaxed ordering is enough: every stripe value is *monotone*
 //! (counters and histogram bins only grow), and a snapshot derives all
@@ -32,18 +34,18 @@
 //! later write than counter B) is inherent to sampling a live system
 //! and is bounded by one snapshot interval.
 
+use crate::columnar::{Block, ColumnarReader};
 use crate::hist::{LogHistogram, BUCKETS};
-use crate::json::{self, Value};
-use crate::metrics::{CounterSnapshot, Metrics};
+use crate::metrics::Metrics;
 use crate::progress::Progress;
 use crate::sink::EventSink;
 use crate::Event;
 use std::cell::Cell;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Number of stripes per counter/histogram. A power of two at least as
 /// large as the pool sizes we deploy, so every pool participant owns a
@@ -228,9 +230,9 @@ impl Default for AtomicHistogram {
 }
 
 /// Quantile summary of one histogram series, in the series' unit
-/// (nanoseconds, or rounds for `hist/` series).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpanQuantiles {
+/// (nanoseconds, or rounds for `hist/` series): the fields its rows hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Quantiles {
     /// Samples recorded.
     pub count: u64,
     /// 50th percentile (bucket upper bound, clamped to the maximum).
@@ -239,58 +241,35 @@ pub struct SpanQuantiles {
     pub p90: u64,
     /// 99th percentile (bucket upper bound, clamped to the maximum).
     pub p99: u64,
-    /// Largest sample observed.
-    pub max: u64,
 }
 
-impl SpanQuantiles {
+impl Quantiles {
     /// The summary of `h`.
     #[must_use]
     pub fn of(h: &LogHistogram) -> Self {
         let q = |p: f64| h.quantile(p).unwrap_or(0);
-        SpanQuantiles { count: h.count(), p50: q(0.5), p90: q(0.9), p99: q(0.99), max: h.max() }
+        Quantiles { count: h.count(), p50: q(0.5), p90: q(0.9), p99: q(0.99) }
     }
 }
 
-/// Live progress as seen by one snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgressView {
-    /// Units completed.
-    pub done: u64,
-    /// Units expected (0 = indeterminate).
-    pub total: u64,
-    /// Smoothed completion rate, units per second.
-    pub rate_per_sec: f64,
-    /// Estimated seconds to completion; negative when unknown.
-    pub eta_secs: f64,
-}
-
-/// One merged, versioned view of the live metric cells.
-///
-/// Snapshots are self-contained values: they serialize to a single
-/// JSON object (the unix-socket wire format) and back, and carry
-/// everything the `watch` view renders — totals, per-interval rates,
-/// gauges, the quantiles of every histogram series, and progress.
-#[derive(Debug, Clone, PartialEq)]
+/// One merged, versioned view of the live metric cells: totals, gauges,
+/// the quantiles of every histogram series, and progress.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Monotone snapshot sequence number, starting at 1.
     pub version: u64,
-    /// Wall-clock milliseconds since the unix epoch at merge time.
-    pub unix_ms: u64,
     /// Microseconds since the snapshot thread started.
     pub elapsed_us: u64,
     /// Counter totals, in fixed registry order.
     pub counters: Vec<(String, u64)>,
-    /// Per-counter rates over the previous snapshot interval, units/s.
-    pub rates: Vec<(String, f64)>,
     /// Gauge values.
     pub gauges: Vec<(String, u64)>,
     /// Quantiles of every histogram series, keyed by the paths of
     /// [`Metrics::series`]: `phase/*`, the striped `latency/*` cells and
     /// `hist/reconverge_rounds`.
-    pub spans: Vec<(String, SpanQuantiles)>,
-    /// Progress, when a meter is attached.
-    pub progress: Option<ProgressView>,
+    pub series: Vec<(String, Quantiles)>,
+    /// Units the progress meter counted, when one is attached.
+    pub progress: Option<u64>,
 }
 
 impl TelemetrySnapshot {
@@ -298,6 +277,16 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    /// Per-second rate of counter `name` over the interval since `prev`,
+    /// or since the snapshot thread started when there is no `prev`.
+    #[must_use]
+    pub fn rate(&self, name: &str, prev: Option<&TelemetrySnapshot>) -> f64 {
+        let (before, since_us) =
+            prev.map_or((0, 0), |p| (p.counter(name).unwrap_or(0), p.elapsed_us));
+        let delta = self.counter(name).unwrap_or(0).saturating_sub(before);
+        delta as f64 * 1e6 / self.elapsed_us.saturating_sub(since_us).max(1) as f64
     }
 
     /// Pool steal ratio: steals / tasks, or 0 when no tasks ran yet.
@@ -324,168 +313,100 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Serializes to one JSON object (the socket wire format).
+    /// The snapshot's `telemetry_sample` rows as `(series path, value)`:
+    /// `counter/<name>`, `gauge/<name>`, `series/<path>/<field>` for the
+    /// fields of [`Quantiles`], and `progress/done`.
     #[must_use]
-    pub fn to_value(&self) -> Value {
-        let pairs_u64 = |v: &[(String, u64)]| {
-            Value::Obj(v.iter().map(|(n, x)| (n.clone(), Value::Int(i128::from(*x)))).collect())
-        };
-        let mut obj = vec![
-            ("version".to_string(), Value::Int(i128::from(self.version))),
-            ("unix_ms".to_string(), Value::Int(i128::from(self.unix_ms))),
-            ("elapsed_us".to_string(), Value::Int(i128::from(self.elapsed_us))),
-            ("counters".to_string(), pairs_u64(&self.counters)),
-            (
-                "rates".to_string(),
-                Value::Obj(self.rates.iter().map(|(n, r)| (n.clone(), Value::Num(*r))).collect()),
-            ),
-            ("gauges".to_string(), pairs_u64(&self.gauges)),
-            (
-                "spans".to_string(),
-                Value::Obj(
-                    self.spans
-                        .iter()
-                        .map(|(path, q)| {
-                            (
-                                path.clone(),
-                                Value::Obj(vec![
-                                    ("count".to_string(), Value::Int(i128::from(q.count))),
-                                    ("p50".to_string(), Value::Int(i128::from(q.p50))),
-                                    ("p90".to_string(), Value::Int(i128::from(q.p90))),
-                                    ("p99".to_string(), Value::Int(i128::from(q.p99))),
-                                    ("max".to_string(), Value::Int(i128::from(q.max))),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(p) = &self.progress {
-            obj.push((
-                "progress".to_string(),
-                Value::Obj(vec![
-                    ("done".to_string(), Value::Int(i128::from(p.done))),
-                    ("total".to_string(), Value::Int(i128::from(p.total))),
-                    ("rate_per_sec".to_string(), Value::Num(p.rate_per_sec)),
-                    ("eta_secs".to_string(), Value::Num(p.eta_secs)),
-                ]),
-            ));
-        }
-        Value::Obj(obj)
-    }
-
-    /// Renders the JSON wire form (one line, no trailing newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
-    /// Decodes the JSON wire form.
-    #[must_use]
-    pub fn from_json(line: &str) -> Option<Self> {
-        let v = json::parse(line).ok()?;
-        let obj_pairs = |v: &Value| -> Option<Vec<(String, Value)>> {
-            match v {
-                Value::Obj(pairs) => Some(pairs.clone()),
-                _ => None,
+    pub fn rows(&self) -> Vec<(String, u64)> {
+        let mut rows: Vec<(String, u64)> = Vec::new();
+        rows.extend(self.counters.iter().map(|(n, v)| (format!("counter/{n}"), *v)));
+        rows.extend(self.gauges.iter().map(|(n, v)| (format!("gauge/{n}"), *v)));
+        for (path, q) in &self.series {
+            for (field, v) in [("count", q.count), ("p50", q.p50), ("p90", q.p90), ("p99", q.p99)] {
+                rows.push((format!("series/{path}/{field}"), v));
             }
-        };
-        let counters = obj_pairs(v.get("counters")?)?
-            .into_iter()
-            .map(|(n, x)| Some((n, x.as_u64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        let rates = obj_pairs(v.get("rates")?)?
-            .into_iter()
-            .map(|(n, x)| Some((n, x.as_f64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        let gauges = obj_pairs(v.get("gauges")?)?
-            .into_iter()
-            .map(|(n, x)| Some((n, x.as_u64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        let spans = obj_pairs(v.get("spans")?)?
-            .into_iter()
-            .map(|(path, q)| {
-                Some((
-                    path,
-                    SpanQuantiles {
-                        count: q.get("count")?.as_u64()?,
-                        p50: q.get("p50")?.as_u64()?,
-                        p90: q.get("p90")?.as_u64()?,
-                        p99: q.get("p99")?.as_u64()?,
-                        max: q.get("max")?.as_u64()?,
-                    },
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let progress = match v.get("progress") {
-            Some(p) => Some(ProgressView {
-                done: p.get("done")?.as_u64()?,
-                total: p.get("total")?.as_u64()?,
-                rate_per_sec: p.get("rate_per_sec")?.as_f64()?,
-                eta_secs: p.get("eta_secs")?.as_f64()?,
-            }),
-            None => None,
-        };
-        Some(TelemetrySnapshot {
-            version: v.get("version")?.as_u64()?,
-            unix_ms: v.get("unix_ms")?.as_u64()?,
-            elapsed_us: v.get("elapsed_us")?.as_u64()?,
-            counters,
-            rates,
-            gauges,
-            spans,
-            progress,
-        })
+        }
+        rows.extend(self.progress.map(|done| ("progress/done".to_string(), done)));
+        rows
+    }
+
+    /// Folds one row into the snapshot: the inverse of
+    /// [`TelemetrySnapshot::rows`]. Rows this build does not write (the
+    /// `span/` histogram rows and `progress/total` of earlier builds) are
+    /// skipped.
+    fn push_row(&mut self, name: &str, value: u64) {
+        if let Some(name) = name.strip_prefix("counter/") {
+            self.counters.push((name.to_string(), value));
+        } else if let Some(name) = name.strip_prefix("gauge/") {
+            self.gauges.push((name.to_string(), value));
+        } else if let Some((path, field)) =
+            name.strip_prefix("series/").and_then(|s| s.rsplit_once('/'))
+        {
+            if self.series.last().is_none_or(|(p, _)| p != path) {
+                self.series.push((path.to_string(), Quantiles::default()));
+            }
+            let q = &mut self.series.last_mut().expect("pushed above").1;
+            match field {
+                "count" => q.count = value,
+                "p50" => q.p50 = value,
+                "p90" => q.p90 = value,
+                "p99" => q.p99 = value,
+                _ => {}
+            }
+        } else if name == "progress/done" {
+            self.progress = Some(value);
+        }
     }
 }
 
-/// Merges the metric cells into one versioned snapshot. `prev` (the
-/// preceding snapshot's counters and age) feeds the per-interval rates;
-/// the first snapshot rates over the whole elapsed window.
+/// Decodes the telemetry snapshots of a columnar trace, in file order,
+/// one at a time. [`ColumnarTelemetryExporter`] writes each snapshot as
+/// one block, so a torn final block (a snapshot still being written, or a
+/// crash) loses that snapshot whole, and every snapshot decoded is
+/// complete.
+pub fn read_snapshots(reader: &ColumnarReader) -> impl Iterator<Item = TelemetrySnapshot> + '_ {
+    let mut rows = reader
+        .blocks()
+        .filter_map(|block| match block {
+            Block::TelemetrySample(cols) => Some(cols),
+            _ => None,
+        })
+        .flat_map(|cols| {
+            (0..cols.len).map(move |i| {
+                (
+                    cols.version.get(i),
+                    cols.elapsed_us.get(i),
+                    cols.series_name(i),
+                    cols.value.get(i),
+                )
+            })
+        })
+        .peekable();
+    std::iter::from_fn(move || {
+        let &(version, elapsed_us, _, _) = rows.peek()?;
+        let mut snap = TelemetrySnapshot { version, elapsed_us, ..TelemetrySnapshot::default() };
+        while let Some((_, _, name, value)) = rows.next_if(|row| row.0 == version) {
+            snap.push_row(name, value);
+        }
+        Some(snap)
+    })
+}
+
+/// Merges the metric cells into one versioned snapshot.
 #[must_use]
 pub fn build_snapshot(
     metrics: &Metrics,
     progress: Option<&Progress>,
     version: u64,
     started: Instant,
-    prev: Option<&(Duration, CounterSnapshot)>,
 ) -> TelemetrySnapshot {
-    let elapsed = started.elapsed();
-    let counters = metrics.snapshot();
-    let named = counters.named();
-    let (prev_elapsed, prev_named) = match prev {
-        Some((age, snap)) => (*age, snap.named()),
-        None => (Duration::ZERO, Vec::new()),
-    };
-    let dt = (elapsed.saturating_sub(prev_elapsed)).as_secs_f64().max(1e-9);
-    let rates = named
-        .iter()
-        .map(|&(name, cur)| {
-            let before = prev_named.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0);
-            (name.to_string(), cur.saturating_sub(before) as f64 / dt)
-        })
-        .collect();
-    let spans =
-        metrics.series().into_iter().map(|(path, h)| (path, SpanQuantiles::of(&h))).collect();
-    let unix_ms = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
     TelemetrySnapshot {
         version,
-        unix_ms,
-        elapsed_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        counters: named.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-        rates,
+        elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+        counters: metrics.snapshot().named().iter().map(|&(n, v)| (n.to_string(), v)).collect(),
         gauges: metrics.gauges().iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-        spans,
-        progress: progress.map(|p| ProgressView {
-            done: p.done(),
-            total: p.total(),
-            rate_per_sec: p.rate_per_sec(),
-            eta_secs: p.eta_secs().unwrap_or(-1.0),
-        }),
+        series: metrics.series().into_iter().map(|(path, h)| (path, Quantiles::of(&h))).collect(),
+        progress: progress.map(Progress::done),
     }
 }
 
@@ -499,151 +420,11 @@ pub trait TelemetryExporter: Send {
     fn finish(&mut self) {}
 }
 
-// ---------------------------------------------------------------------------
-// Prometheus text exposition
-// ---------------------------------------------------------------------------
-
-/// Renders a snapshot in Prometheus text exposition format (version
-/// 0.0.4): counters as `bitdissem_<name>_total`, gauges and derived
-/// ratios as plain gauges, span quantiles as labeled
-/// `bitdissem_span_latency_ns` samples.
-#[must_use]
-pub fn render_prometheus(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "# HELP bitdissem_snapshot_version Monotone telemetry snapshot sequence number.\n",
-    );
-    out.push_str("# TYPE bitdissem_snapshot_version gauge\n");
-    out.push_str(&format!("bitdissem_snapshot_version {}\n", snap.version));
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("# TYPE bitdissem_{name}_total counter\n"));
-        out.push_str(&format!("bitdissem_{name}_total {v}\n"));
-    }
-    for (name, r) in &snap.rates {
-        out.push_str(&format!("bitdissem_rate_per_sec{{counter=\"{name}\"}} {r}\n"));
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("# TYPE bitdissem_{name} gauge\n"));
-        out.push_str(&format!("bitdissem_{name} {v}\n"));
-    }
-    out.push_str(&format!("bitdissem_pool_steal_ratio {}\n", snap.steal_ratio()));
-    out.push_str(&format!("bitdissem_checkpoint_hit_rate {}\n", snap.checkpoint_hit_rate()));
-    for (path, q) in &snap.spans {
-        // `hist/<name>` series are unit-bearing histograms (rounds, not
-        // nanoseconds): they get their own metric family instead of the
-        // latency one, so dashboards never mix units.
-        if let Some(name) = path.strip_prefix("hist/") {
-            out.push_str(&format!("# TYPE bitdissem_{name} summary\n"));
-            for (label, v) in [("0.5", q.p50), ("0.9", q.p90), ("0.99", q.p99)] {
-                out.push_str(&format!("bitdissem_{name}{{quantile=\"{label}\"}} {v}\n"));
-            }
-            out.push_str(&format!("bitdissem_{name}_count {}\n", q.count));
-            continue;
-        }
-        for (label, v) in [("0.5", q.p50), ("0.9", q.p90), ("0.99", q.p99)] {
-            out.push_str(&format!(
-                "bitdissem_span_latency_ns{{span=\"{path}\",quantile=\"{label}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!("bitdissem_span_latency_count{{span=\"{path}\"}} {}\n", q.count));
-    }
-    if let Some(p) = &snap.progress {
-        out.push_str(&format!("bitdissem_progress_done {}\n", p.done));
-        out.push_str(&format!("bitdissem_progress_total {}\n", p.total));
-        out.push_str(&format!("bitdissem_progress_rate_per_sec {}\n", p.rate_per_sec));
-        out.push_str(&format!("bitdissem_progress_eta_secs {}\n", p.eta_secs));
-    }
-    out
-}
-
-/// One parsed exposition sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromSample {
-    /// Metric name.
-    pub name: String,
-    /// Label pairs, in source order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
-}
-
-/// Parses Prometheus text exposition into samples. Comment (`#`) and
-/// blank lines are skipped; anything else must be
-/// `name[{labels}] value`.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
-    let mut samples = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {raw:?}", lineno + 1);
-        let (head, value) =
-            line.rsplit_once(char::is_whitespace).ok_or_else(|| err("missing value"))?;
-        let value: f64 = value.parse().map_err(|_| err("bad value"))?;
-        let (name, labels) = match head.split_once('{') {
-            None => (head.trim().to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let body = rest.strip_suffix('}').ok_or_else(|| err("unterminated labels"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label pair"))?;
-                    let v = v
-                        .trim()
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    labels.push((k.trim().to_string(), v.to_string()));
-                }
-                (name.trim().to_string(), labels)
-            }
-        };
-        if name.is_empty()
-            || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(err("bad metric name"));
-        }
-        samples.push(PromSample { name, labels, value });
-    }
-    Ok(samples)
-}
-
-/// Atomically rewrites a Prometheus exposition file on every snapshot,
-/// so an external scraper (or `watch --prom`) always reads a complete
-/// exposition.
-#[derive(Debug)]
-pub struct PrometheusExporter {
-    path: PathBuf,
-}
-
-impl PrometheusExporter {
-    /// An exporter writing to `path`.
-    #[must_use]
-    pub fn new(path: &Path) -> Self {
-        PrometheusExporter { path: path.to_path_buf() }
-    }
-}
-
-impl TelemetryExporter for PrometheusExporter {
-    fn export(&mut self, snap: &TelemetrySnapshot) {
-        // Best-effort like every sink: a full disk must not kill the run.
-        let _ = crate::durable::atomic_replace(&self.path, render_prometheus(snap).as_bytes());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar snapshot series
-// ---------------------------------------------------------------------------
-
-/// Flattens snapshots into `telemetry_sample` rows in a `BDCT` columnar
-/// trace: one row per counter, gauge, and span quantile, keyed by a
-/// `kind/name[/quantile]` series path. The file carries the standard
-/// torn-tail contract, so a crash mid-snapshot is recovered by
-/// [`crate::columnar::repair`] like any other trace.
+/// Appends snapshots as [`TelemetrySnapshot::rows`] (`telemetry_sample`
+/// events) to a `BDCT` columnar trace, one block per snapshot. The file
+/// carries the standard torn-tail contract, so a crash mid-snapshot is
+/// recovered by [`crate::columnar::repair`] like any other trace, and
+/// [`read_snapshots`] reads the snapshots back.
 pub struct ColumnarTelemetryExporter {
     sink: Box<dyn EventSink>,
 }
@@ -665,34 +446,13 @@ impl ColumnarTelemetryExporter {
     pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
         ColumnarTelemetryExporter { sink }
     }
-
-    fn emit(&self, snap: &TelemetrySnapshot, series: String, value: u64) {
-        self.sink.emit(&Event::TelemetrySample {
-            series,
-            version: snap.version,
-            elapsed_us: snap.elapsed_us,
-            value,
-        });
-    }
 }
 
 impl TelemetryExporter for ColumnarTelemetryExporter {
     fn export(&mut self, snap: &TelemetrySnapshot) {
-        for (name, v) in &snap.counters {
-            self.emit(snap, format!("counter/{name}"), *v);
-        }
-        for (name, v) in &snap.gauges {
-            self.emit(snap, format!("gauge/{name}"), *v);
-        }
-        for (path, q) in &snap.spans {
-            self.emit(snap, format!("span/{path}/count"), q.count);
-            self.emit(snap, format!("span/{path}/p50"), q.p50);
-            self.emit(snap, format!("span/{path}/p90"), q.p90);
-            self.emit(snap, format!("span/{path}/p99"), q.p99);
-        }
-        if let Some(p) = &snap.progress {
-            self.emit(snap, "progress/done".to_string(), p.done);
-            self.emit(snap, "progress/total".to_string(), p.total);
+        for (series, value) in snap.rows() {
+            let (version, elapsed_us) = (snap.version, snap.elapsed_us);
+            self.sink.emit(&Event::TelemetrySample { series, version, elapsed_us, value });
         }
         // Seal the block per snapshot so a tear loses at most one interval.
         self.sink.flush();
@@ -700,76 +460,6 @@ impl TelemetryExporter for ColumnarTelemetryExporter {
 
     fn finish(&mut self) {
         self.sink.flush();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unix-socket publisher
-// ---------------------------------------------------------------------------
-
-/// Publishes snapshots as JSON lines over a unix domain socket; the
-/// CLI `watch` subcommand is the intended client. Accepts are
-/// non-blocking and performed on the snapshot thread; a client that
-/// stops reading is dropped on its first failed write rather than
-/// stalling telemetry.
-#[cfg(unix)]
-pub struct SocketPublisher {
-    path: PathBuf,
-    listener: std::os::unix::net::UnixListener,
-    clients: Vec<std::os::unix::net::UnixStream>,
-}
-
-#[cfg(unix)]
-impl SocketPublisher {
-    /// Binds `path` (removing any stale socket file first).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind(path: &Path) -> io::Result<Self> {
-        let _ = std::fs::remove_file(path);
-        let listener = std::os::unix::net::UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        Ok(SocketPublisher { path: path.to_path_buf(), listener, clients: Vec::new() })
-    }
-
-    fn accept_pending(&mut self) {
-        while let Ok((stream, _)) = self.listener.accept() {
-            // Writes stay blocking: one snapshot line per interval is
-            // small, and a dead peer errors out instead of hanging.
-            let _ = stream.set_nonblocking(false);
-            self.clients.push(stream);
-        }
-    }
-
-    fn broadcast(&mut self, line: &str) {
-        use std::io::Write;
-        self.clients
-            .retain_mut(|c| c.write_all(line.as_bytes()).and_then(|()| c.write_all(b"\n")).is_ok());
-    }
-}
-
-#[cfg(unix)]
-impl TelemetryExporter for SocketPublisher {
-    fn export(&mut self, snap: &TelemetrySnapshot) {
-        self.accept_pending();
-        self.broadcast(&snap.to_json());
-    }
-
-    fn finish(&mut self) {
-        for c in self.clients.drain(..) {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for SocketPublisher {
-    fn drop(&mut self) {
-        for c in &self.clients {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -836,7 +526,6 @@ pub fn start_telemetry(
         .spawn(move || {
             let started = Instant::now();
             let mut version = 0u64;
-            let mut prev: Option<(Duration, CounterSnapshot)> = None;
             loop {
                 let stopping = {
                     let guard = thread_shared.stop.lock().expect("telemetry stop flag poisoned");
@@ -847,9 +536,7 @@ pub fn start_telemetry(
                     *guard
                 };
                 version += 1;
-                let snap =
-                    build_snapshot(&metrics, progress.as_deref(), version, started, prev.as_ref());
-                prev = Some((started.elapsed(), metrics.snapshot()));
+                let snap = build_snapshot(&metrics, progress.as_deref(), version, started);
                 for e in &mut exporters {
                     e.export(&snap);
                 }
@@ -949,39 +636,75 @@ mod tests {
         assert_eq!(h.snapshot().count(), 20_000);
     }
 
-    #[test]
-    fn snapshot_roundtrips_through_json() {
-        let snap = TelemetrySnapshot {
-            version: 3,
-            unix_ms: 1_700_000_000_000,
-            elapsed_us: 2_500_000,
-            counters: vec![("rounds_simulated".to_string(), 42)],
-            rates: vec![("rounds_simulated".to_string(), 16.5)],
-            gauges: vec![("sweep_batches_started".to_string(), 9)],
-            spans: vec![(
-                "replication".to_string(),
-                SpanQuantiles { count: 7, p50: 100, p90: 200, p99: 300, max: 400 },
-            )],
-            progress: Some(ProgressView { done: 5, total: 10, rate_per_sec: 2.0, eta_secs: 2.5 }),
-        };
-        let decoded = TelemetrySnapshot::from_json(&snap.to_json()).expect("decodes");
-        assert_eq!(decoded, snap);
+    /// Writes `snaps` through a [`ColumnarTelemetryExporter`] over an
+    /// in-memory columnar sink and reads the snapshots back.
+    fn export_and_decode(snaps: &[TelemetrySnapshot]) -> Vec<TelemetrySnapshot> {
+        #[derive(Clone, Default)]
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl io::Write for Buf {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = Buf::default();
+        let sink = crate::columnar::ColumnarSink::from_writer(Box::new(buf.clone())).unwrap();
+        let mut exporter = ColumnarTelemetryExporter::with_sink(Box::new(sink));
+        snaps.iter().for_each(|snap| exporter.export(snap));
+        exporter.finish();
+        drop(exporter);
+        let bytes = buf.0.lock().unwrap().clone();
+        let reader = ColumnarReader::from_bytes(bytes).unwrap();
+        assert!(!reader.torn_tail());
+        read_snapshots(&reader).collect()
     }
 
     #[test]
-    fn build_snapshot_rates_use_deltas() {
+    fn snapshot_roundtrips_through_rows() {
         let m = Metrics::new();
-        m.add_rounds(100);
-        let started = Instant::now() - Duration::from_secs(1);
-        let first = build_snapshot(&m, None, 1, started, None);
-        assert_eq!(first.counter("rounds_simulated"), Some(100));
-        let rate = first.rates.iter().find(|(n, _)| n == "rounds_simulated").unwrap().1;
-        assert!(rate > 0.0);
-        // Second snapshot with no new work: delta (and rate) drop to zero.
-        let prev = (started.elapsed(), m.snapshot());
-        let second = build_snapshot(&m, None, 2, started, Some(&prev));
-        let rate2 = second.rates.iter().find(|(n, _)| n == "rounds_simulated").unwrap().1;
-        assert_eq!(rate2, 0.0);
+        m.add_rounds(42);
+        m.add_pool_batch(10, 3);
+        m.set_gauge(crate::GaugeId::SweepBatchesTotal, 9);
+        m.record_phase("simulate", Duration::from_micros(250));
+        m.record_latency(LatencyId::Replication, 1_500);
+        m.record_reconverge(27);
+        let progress = Progress::with_writer("reps", Box::new(io::sink()));
+        progress.tick(5);
+        let started = Instant::now() - Duration::from_millis(2_500);
+        let first = build_snapshot(&m, Some(&progress), 1, started);
+        m.add_rounds(8);
+        m.record_reconverge(89);
+        let second = build_snapshot(&m, Some(&progress), 2, started);
+        let paths: Vec<&str> = second.series.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["phase/simulate", "latency/replication", "hist/reconverge_rounds"]);
+        assert_eq!(second.gauges[0], ("sweep_batches_started".to_string(), 9));
+        assert_eq!((second.counter("rounds_simulated"), second.progress), (Some(50), Some(5)));
+
+        let decoded = export_and_decode(&[first.clone(), second.clone()]);
+        assert_eq!(decoded, [first, second]);
+        // A snapshot without a meter has no progress row and decodes to none.
+        let bare = build_snapshot(&m, None, 3, started);
+        assert_eq!(export_and_decode(std::slice::from_ref(&bare)), [bare]);
+    }
+
+    #[test]
+    fn rates_use_deltas_of_the_two_latest_snapshots() {
+        let snap = |version, elapsed_us, rounds| TelemetrySnapshot {
+            version,
+            elapsed_us,
+            counters: vec![("rounds_simulated".to_string(), rounds), ("replications".into(), 7)],
+            ..TelemetrySnapshot::default()
+        };
+        let (first, second) = (snap(1, 1_000_000, 100), snap(2, 3_000_000, 500));
+        // The first snapshot rates over the whole elapsed window.
+        assert_eq!(first.rate("rounds_simulated", None), 100.0);
+        assert_eq!(second.rate("rounds_simulated", Some(&first)), 200.0);
+        // No new work between the two: the rate drops to zero.
+        assert_eq!(second.rate("replications", Some(&first)), 0.0);
+        assert_eq!(second.rate("no_such_counter", Some(&first)), 0.0);
     }
 
     #[test]
@@ -990,7 +713,7 @@ mod tests {
         m.add_pool_batch(100, 25);
         m.add_checkpoint_hits(10);
         m.add_replications(30);
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let snap = build_snapshot(&m, None, 1, Instant::now());
         assert!((snap.steal_ratio() - 0.25).abs() < 1e-12);
         assert!((snap.checkpoint_hit_rate() - 0.25).abs() < 1e-12);
     }
@@ -1001,30 +724,33 @@ mod tests {
         m.add_perturbations(2);
         m.record_reconverge(400);
         m.record_reconverge(12_000);
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let snap = build_snapshot(&m, None, 1, Instant::now());
         let q = snap
-            .spans
+            .series
             .iter()
             .find(|(p, _)| p == "hist/reconverge_rounds")
             .map(|&(_, q)| q)
             .expect("reconverge histogram exported");
         assert_eq!(q.count, 2);
-        assert!(q.max >= 12_000, "max quantile covers the largest clock: {q:?}");
+        assert!(q.p99 >= 12_000, "p99 covers the largest clock: {q:?}");
         assert_eq!(snap.counter("perturbations_applied"), Some(2));
-        // Rounds never masquerade as span latencies in the exposition.
-        let text = render_prometheus(&snap);
-        assert!(!text.contains("span_latency_ns{span=\"hist/"), "{text}");
-        let samples = parse_prometheus(&text).expect("exposition parses");
-        assert!(samples.iter().any(|s| {
-            s.name == "bitdissem_reconverge_rounds"
-                && s.labels.iter().any(|(k, v)| k == "quantile" && v == "0.5")
-        }));
-        assert!(samples
+        // Rounds ride their own `hist/` rows, never a latency series.
+        let rows = snap.rows();
+        let hist: Vec<&str> = rows
             .iter()
-            .any(|s| s.name == "bitdissem_reconverge_rounds_count" && s.value == 2.0));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "bitdissem_perturbations_applied_total" && s.value == 2.0));
+            .filter(|(s, _)| s.contains("reconverge"))
+            .map(|(s, _)| s.as_str())
+            .collect();
+        assert_eq!(
+            hist,
+            [
+                "series/hist/reconverge_rounds/count",
+                "series/hist/reconverge_rounds/p50",
+                "series/hist/reconverge_rounds/p90",
+                "series/hist/reconverge_rounds/p99",
+            ]
+        );
+        assert!(rows.contains(&("counter/perturbations_applied".to_string(), 2)));
     }
 
     #[test]
@@ -1033,31 +759,23 @@ mod tests {
         for clock in [27, 40, 89] {
             m.record_reconverge(clock);
         }
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let snap = build_snapshot(&m, None, 1, Instant::now());
         let q = snap
-            .spans
+            .series
             .iter()
             .find(|(p, _)| p == "hist/reconverge_rounds")
             .map(|&(_, q)| q)
             .expect("reconverge histogram exported");
         assert_eq!(q.count, 3);
         // Nearest-rank quantiles of {27, 40, 89}, each read within 1/16.
-        for (read, exact) in [(q.p50, 40u64), (q.p90, 89), (q.p99, 89), (q.max, 89)] {
+        for (read, exact) in [(q.p50, 40u64), (q.p90, 89), (q.p99, 89)] {
             assert!(
                 read >= exact && read * 16 <= exact * 17,
                 "read {read} rounds for a true {exact}: {q:?}"
             );
         }
-        let text = render_prometheus(&snap);
-        let p50 = parse_prometheus(&text)
-            .expect("exposition parses")
-            .into_iter()
-            .find(|s| {
-                s.name == "bitdissem_reconverge_rounds"
-                    && s.labels.iter().any(|(k, v)| k == "quantile" && v == "0.5")
-            })
-            .expect("p50 exported");
-        assert_eq!(p50.value, q.p50 as f64);
+        let p50 = snap.rows().into_iter().find(|(s, _)| s == "series/hist/reconverge_rounds/p50");
+        assert_eq!(p50, Some(("series/hist/reconverge_rounds/p50".to_string(), q.p50)));
     }
 
     #[test]
@@ -1069,74 +787,24 @@ mod tests {
             m.record_phase("simulate", Duration::from_nanos(nanos * 7));
             m.record_reconverge(10 + 17 * i as u64);
         }
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
-        let sink = Arc::new(MemorySink::new());
-        struct Fwd(Arc<MemorySink>);
-        impl EventSink for Fwd {
-            fn emit(&self, e: &Event) {
-                self.0.emit(e);
-            }
-        }
-        ColumnarTelemetryExporter::with_sink(Box::new(Fwd(Arc::clone(&sink)))).export(&snap);
-        let rows: Vec<(String, u64)> = sink
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::TelemetrySample { series, value, .. } => Some((series, value)),
-                _ => None,
-            })
-            .collect();
-        let row = |series: String| rows.iter().find(|(s, _)| *s == series).map(|&(_, v)| v);
+        let live = export_and_decode(&[build_snapshot(&m, None, 1, Instant::now())]);
         let text = m.render();
 
-        let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
+        let paths: Vec<&str> = live[0].series.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, ["phase/simulate", "latency/replication", "hist/reconverge_rounds"]);
-        for (path, q) in &snap.spans {
+        for (path, q) in &live[0].series {
             assert_eq!(q.count, 6, "{path}");
-            for (field, v) in [("count", q.count), ("p50", q.p50), ("p90", q.p90), ("p99", q.p99)] {
-                assert_eq!(row(format!("span/{path}/{field}")), Some(v), "{path} {field}");
-            }
             let unit = crate::metrics::series_unit(path);
-            let line = format!(
-                "  {path:<24} [p50={} p90={} p99={} max={} ({} samples)]\n",
+            let head = format!(
+                "  {path:<24} [p50={} p90={} p99={} max=",
                 unit(q.p50),
                 unit(q.p90),
-                unit(q.p99),
-                unit(q.max),
-                q.count
+                unit(q.p99)
             );
-            assert!(text.contains(&line), "render lacks {line:?}:\n{text}");
+            let line = text.lines().find(|l| l.starts_with(&head));
+            let tail = format!("({} samples)]", q.count);
+            assert!(line.is_some_and(|l| l.ends_with(&tail)), "render lacks {head:?}:\n{text}");
         }
-    }
-
-    #[test]
-    fn prometheus_roundtrip_parses_and_reconciles() {
-        let m = Metrics::new();
-        m.add_rounds(1234);
-        m.add_pool_batch(10, 2);
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
-        let text = render_prometheus(&snap);
-        let samples = parse_prometheus(&text).expect("exposition parses");
-        let total = samples
-            .iter()
-            .find(|s| s.name == "bitdissem_rounds_simulated_total")
-            .expect("counter exported");
-        assert_eq!(total.value, 1234.0);
-        let q = samples
-            .iter()
-            .find(|s| s.name == "bitdissem_span_latency_ns")
-            .map(|s| s.labels.clone());
-        // No spans recorded, so no latency samples — but the ratio gauges exist.
-        assert!(q.is_none());
-        assert!(samples.iter().any(|s| s.name == "bitdissem_pool_steal_ratio"));
-    }
-
-    #[test]
-    fn parse_prometheus_rejects_garbage() {
-        assert!(parse_prometheus("no_value_here\n").is_err());
-        assert!(parse_prometheus("name{unterminated 1\n").is_err());
-        assert!(parse_prometheus("bad name 1\n").is_err());
-        assert!(parse_prometheus("# just a comment\n\n").unwrap().is_empty());
     }
 
     #[test]
@@ -1151,7 +819,7 @@ mod tests {
         let mut exporter = ColumnarTelemetryExporter::with_sink(Box::new(Fwd(Arc::clone(&sink))));
         let m = Metrics::new();
         m.add_rounds(5);
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
+        let snap = build_snapshot(&m, None, 1, Instant::now());
         exporter.export(&snap);
         let events = sink.events();
         assert_eq!(events.len(), snap.counters.len() + snap.gauges.len());
@@ -1182,28 +850,5 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 1, "stop produces exactly the final snapshot");
         assert_eq!(seen[0].counter("rounds_simulated"), Some(7));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn socket_publisher_streams_snapshots_to_clients() {
-        use std::io::{BufRead, BufReader};
-        let dir = std::env::temp_dir().join(format!("bitdissem-tele-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tele.sock");
-        let mut publisher = SocketPublisher::bind(&path).expect("bind");
-        let client = std::os::unix::net::UnixStream::connect(&path).expect("connect");
-        let m = Metrics::new();
-        m.add_rounds(11);
-        let snap = build_snapshot(&m, None, 1, Instant::now(), None);
-        publisher.export(&snap); // first export accepts, second delivers
-        publisher.export(&snap);
-        let mut line = String::new();
-        BufReader::new(client).read_line(&mut line).expect("read snapshot line");
-        let decoded = TelemetrySnapshot::from_json(line.trim()).expect("wire format decodes");
-        assert_eq!(decoded.counter("rounds_simulated"), Some(11));
-        drop(publisher);
-        assert!(!path.exists(), "socket file removed on drop");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn observed_counts_streams_and_ticks_progress() {
-        let progress = Arc::new(Progress::new("test", 16));
+        let progress = Arc::new(Progress::new("test"));
         let obs = Obs::none().with_metrics().with_progress(Arc::clone(&progress));
         let xs = replicate_observed(16, 3, Some(4), &obs, |_, rep| rep);
         assert_eq!(xs.len(), 16);

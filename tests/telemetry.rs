@@ -11,15 +11,18 @@
 //!    across successive snapshots, and the final totals equal the sum
 //!    of per-worker contributions exactly.
 //! 2. **Crash mid-snapshot** — a `ColumnarTelemetryExporter` over a
-//!    `FaultyWriter` that dies mid-block leaves a file the reader
-//!    recovers a whole-snapshot prefix from and `repair()` truncates
+//!    `FaultyWriter` that dies inside the third snapshot's block leaves a
+//!    file from which `read_snapshots` decodes exactly the first two
+//!    snapshots, `watch` renders the second, and `repair()` truncates it
 //!    back to a clean trace.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
+use bitdissem_cli::args::Args;
+use bitdissem_cli::{dispatch, Status};
 use bitdissem_obs::columnar::{repair, Block, ColumnarReader, ColumnarSink};
-use bitdissem_obs::telemetry::{AtomicHistogram, ColumnarTelemetryExporter};
+use bitdissem_obs::telemetry::{read_snapshots, AtomicHistogram, ColumnarTelemetryExporter};
 use bitdissem_obs::{Counter, TelemetryExporter, TelemetrySnapshot};
 use proptest::prelude::*;
 
@@ -110,13 +113,10 @@ proptest! {
 fn sample_snapshot(version: u64) -> TelemetrySnapshot {
     TelemetrySnapshot {
         version,
-        unix_ms: 0,
         elapsed_us: version * 1_000,
         counters: (0..8).map(|i| (format!("c{i}"), version * 10 + i)).collect(),
-        rates: Vec::new(),
         gauges: vec![("g".to_string(), version)],
-        spans: Vec::new(),
-        progress: None,
+        ..TelemetrySnapshot::default()
     }
 }
 
@@ -156,7 +156,7 @@ fn crash_mid_snapshot_repairs_to_a_clean_prefix() {
     export_snapshots(&mut exporter, 3);
     drop(exporter);
 
-    // The reader flags the tear and yields the complete snapshots.
+    // The reader flags the tear; the torn third snapshot is dropped whole.
     let telemetry_rows = |reader: &ColumnarReader| {
         let mut rows = 0usize;
         for block in reader.blocks() {
@@ -169,10 +169,13 @@ fn crash_mid_snapshot_repairs_to_a_clean_prefix() {
     let reader = ColumnarReader::open(&path).unwrap();
     assert!(reader.torn_tail(), "the injected crash must be detected");
     let rows = telemetry_rows(&reader);
-    assert!(
-        (2 * ROWS_PER_SNAPSHOT..3 * ROWS_PER_SNAPSHOT).contains(&rows),
-        "whole snapshots survive, the torn one is dropped: got {rows} rows"
-    );
+    assert_eq!(rows, 2 * ROWS_PER_SNAPSHOT, "one block per snapshot");
+    let decoded: Vec<TelemetrySnapshot> = read_snapshots(&reader).collect();
+    assert_eq!(decoded, [sample_snapshot(1), sample_snapshot(2)]);
+    let (view, status) = dispatch(&Args::parse(["watch", path.to_str().unwrap()]));
+    assert_eq!(status, Status::Ok, "{view}");
+    assert!(view.contains("torn block"), "{view}");
+    assert!(view.contains("snapshot v2 "), "watch renders the last whole snapshot:\n{view}");
 
     // repair() truncates the torn tail; the file is then a clean trace.
     let stats = repair(&path).unwrap();
