@@ -76,6 +76,10 @@ const E19_SMOKE_SEED42: u64 = 15_301_677_236_914_643_657;
 const E8_SMOKE_SEED42: u64 = 8_393_858_928_446_317_017;
 const E14_SMOKE_SEED42: u64 = 1_796_715_939_992_670_991;
 
+/// FNV-1a digest of the `run e12` report at `--scale smoke --seed 42`:
+/// E12's source-less runs step a `NoSourceSim` by hand.
+const E12_SMOKE_SEED42: u64 = 18_114_708_288_891_486_224;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -113,4 +117,9 @@ fn smoke_reports_of_the_solo_run_experiments_are_pinned() {
 #[test]
 fn smoke_reports_of_e8_and_e14_are_pinned() {
     assert_smoke_pins(&[("e8", E8_SMOKE_SEED42), ("e14", E14_SMOKE_SEED42)]);
+}
+
+#[test]
+fn smoke_report_of_e12_is_pinned() {
+    assert_smoke_pins(&[("e12", E12_SMOKE_SEED42)]);
 }

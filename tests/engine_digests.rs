@@ -46,8 +46,10 @@ use bitdissem_core::dynamics::{Minority, TwoChoices, Voter};
 use bitdissem_core::{Configuration, Kernel, Opinion, Protocol, ProtocolExt};
 use bitdissem_experiments::workload::measure_crossing_observed;
 use bitdissem_obs::{CounterSnapshot, Event, MemorySink, Obs, ReplicationOutcome};
+use bitdissem_sim::partial::PartialSim;
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::{drive, RunSpec, Simulator, Stop};
+use bitdissem_sim::sequential::SequentialSim;
 use bitdissem_sim::{
     replicate_indices_observed, replicate_lockstep, AggregateSim, EnvSchedule, LockstepSim, Outcome,
 };
@@ -431,4 +433,97 @@ fn observed_lockstep_pin() -> ObservedPin {
 #[test]
 fn observed_event_streams_are_pinned() {
     assert_eq!(observed_lockstep_pin(), OBSERVED_BATCHED, "batched event stream");
+}
+
+/// Voter(1) at `n = 8192` from all-wrong, 32 replicas in one lock-step
+/// batch under a budget of `⌈8 n ln n⌉` rounds. Voter diffuses over ~n
+/// states, so most of its rounds miss the 1024-slot plan cache: this pin
+/// holds what a miss builds, where the ones above run mostly on hits.
+const MISS_N: u64 = 8192;
+const MISS_REPS: usize = 32;
+
+/// Digest of the batch's outcomes then every replica's final state, and
+/// its `(rounds_simulated, plan_builds)` counters: 71% of its
+/// replica-rounds build a plan.
+const VOTER_MISS: (u64, [u64; 2]) = (17_417_590_339_925_359_173, [571_068, 408_137]);
+
+#[test]
+fn high_miss_lockstep_batch_is_pinned() {
+    let kernel = Arc::new(
+        Voter::new(1).expect("valid").to_table(MISS_N).expect("valid").compile().expect("compiles"),
+    );
+    let start = Configuration::all_wrong(MISS_N, Opinion::One);
+    let budget = (8.0 * MISS_N as f64 * (MISS_N as f64).ln()).ceil() as u64;
+    let seeds: Vec<u64> = (0..MISS_REPS).map(|rep| replication_seed(SEED, rep as u64)).collect();
+    let labels: Vec<u64> = (0..MISS_REPS as u64).collect();
+    let obs = Obs::none().with_metrics();
+    let mut batch = LockstepSim::new(kernel, start, &seeds);
+    let outcomes = batch.run(budget, None, &obs, &labels);
+    let mut h = outcome_digest(&outcomes);
+    for rep in 0..MISS_REPS {
+        fnv(&mut h, batch.ones_of(rep));
+    }
+    let c = obs.metrics().snapshot();
+    let pin = (h, [c.rounds_simulated, c.plan_builds]);
+    assert_eq!(pin, VOTER_MISS, "high-miss lock-step batch");
+}
+
+/// The partial-synchrony and sequential simulators, pinned by trajectory:
+/// the ones-count after every round of a fixed horizon. Minority(85) has
+/// `ℓ > 64`, past the stack buffer of `adoption_probs`, and its
+/// `Bin(ℓ, x/n)` draws take BTRS; Minority(3)'s take BINV.
+const SOLO_N: u64 = 64;
+const SOLO_ROUNDS: u64 = 200;
+/// A source flip (the per-state values of `(x, z)` and `(x, 1 − z)`
+/// differ) and noise that keeps the chain off consensus.
+const PARTIAL_ENV: &str = "flip@60,noise:0.02";
+
+/// `PartialSim` with Minority(85) under [`PARTIAL_ENV`], at batch sizes
+/// `m` = 1 (the sequential setting), 7 and `n − 1` (the parallel one).
+const PARTIAL_PATHS: [(u64, u64); 3] = [
+    (1, 1_457_175_997_277_787_582),
+    (7, 18_093_694_257_141_900_633),
+    (SOLO_N - 1, 1_057_126_060_170_766_785),
+];
+/// `SequentialSim` with Minority(3) (BINV) and Minority(85) (BTRS).
+const SEQUENTIAL_PATHS: [(usize, u64); 2] =
+    [(3, 11_229_689_555_929_549_879), (85, 15_853_662_480_119_725_157)];
+
+/// Digest of `ones` after each of [`SOLO_ROUNDS`] rounds; `round` steps
+/// (and perturbs) the simulator at boundary `t`.
+fn solo_path<S: Simulator>(sim: &mut S, mut round: impl FnMut(&mut S, u64)) -> u64 {
+    let mut h = FNV_OFFSET;
+    for t in 0..SOLO_ROUNDS {
+        round(sim, t);
+        fnv(&mut h, sim.configuration().ones());
+    }
+    h
+}
+
+#[test]
+fn partial_synchrony_trajectories_are_pinned() {
+    let minority = Minority::new(85).expect("valid");
+    let env: EnvSchedule = PARTIAL_ENV.parse().expect("valid schedule");
+    let start = Configuration::new(SOLO_N, Opinion::One, SOLO_N / 2).expect("valid start");
+    for (m, pin) in PARTIAL_PATHS {
+        let mut sim = PartialSim::new(&minority, start, m).expect("valid");
+        let mut rng = rng_from(replication_seed(SEED, m));
+        let digest = solo_path(&mut sim, |sim, t| {
+            sim.perturb(&env, t, &mut rng);
+            sim.step_round(&mut rng);
+        });
+        assert_eq!(digest, pin, "PartialSim, m = {m}");
+    }
+}
+
+#[test]
+fn sequential_trajectories_are_pinned() {
+    let start = Configuration::new(SOLO_N, Opinion::One, SOLO_N / 2).expect("valid start");
+    for (ell, pin) in SEQUENTIAL_PATHS {
+        let mut sim =
+            SequentialSim::new(&Minority::new(ell).expect("valid"), start).expect("valid");
+        let mut rng = rng_from(replication_seed(SEED, ell as u64));
+        let digest = solo_path(&mut sim, |sim, _| sim.step_round(&mut rng));
+        assert_eq!(digest, pin, "SequentialSim, l = {ell}");
+    }
 }
