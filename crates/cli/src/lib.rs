@@ -1164,11 +1164,9 @@ fn cmd_watch(args: &Args) -> CommandOutput {
         Ok(reader) => reader,
         Err(e) => return usage_error(format!("cannot read telemetry '{path}': {e}\n")),
     };
-    // Only the two latest snapshots are kept: the view and its rates.
-    let (mut prev, mut last) = (None, None);
-    for snap in bitdissem_obs::telemetry::read_snapshots(&reader) {
-        prev = last.replace(snap);
-    }
+    // Only the two latest snapshots are decoded: the view and its rates.
+    let mut latest = bitdissem_obs::telemetry::latest_snapshots(&reader, 2);
+    let (last, prev) = (latest.pop(), latest.pop());
     let mut out = String::new();
     if reader.torn_tail() {
         out.push_str(
@@ -2142,6 +2140,37 @@ mod tests {
         let rounds: Vec<&str> = line("hist/reconverge_rounds").split_whitespace().collect();
         assert_eq!(rounds[1..6], ["41", "/", "89", "/", "89"], "{view}");
         assert!(rounds.last().is_some_and(|n| *n == "(n=3)"), "{view}");
+    }
+
+    /// `watch` decodes only the two latest snapshots; on a file of many,
+    /// its view and rates are those of a full decode, byte for byte.
+    #[test]
+    fn watch_of_many_snapshots_equals_a_full_decode() {
+        use bitdissem_obs::TelemetryExporter as _;
+        let dir = temp_dir("watch_many");
+        let path = dir.join("many.bct");
+        let metrics = bitdissem_obs::Metrics::new();
+        let started = std::time::Instant::now();
+        let mut exporter =
+            bitdissem_obs::telemetry::ColumnarTelemetryExporter::create(&path).unwrap();
+        for version in 1..=300u64 {
+            metrics.add_rounds(version * 17);
+            metrics.record_latency(bitdissem_obs::LatencyId::Replication, 1_000 * version);
+            let mut snap =
+                bitdissem_obs::telemetry::build_snapshot(&metrics, None, version, started);
+            snap.elapsed_us = 250_000 * version;
+            exporter.export(&snap);
+        }
+        exporter.finish();
+        drop(exporter);
+        let reader = ColumnarReader::open(&path).unwrap();
+        let full: Vec<_> = bitdissem_obs::telemetry::read_snapshots(&reader).collect();
+        let expect = render_watch(&full[299], Some(&full[298]));
+        let (view, status) = run_cli(&["watch", path.to_str().unwrap()]);
+        assert_eq!(status, Status::Ok, "{view}");
+        assert_eq!(view, expect);
+        assert!(view.contains("snapshot v300 ") && view.contains("/s"), "{view}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

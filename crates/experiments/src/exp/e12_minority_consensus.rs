@@ -55,8 +55,10 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
                 obs,
                 |mut rng, _| {
                     let mut sim = NoSourceSim::new(protocol, n, ones).expect("valid");
-                    sim.run_to_any_consensus(&mut rng, budget)
-                        .map_or(budget as f64, |(t, _)| t as f64)
+                    let rounds =
+                        sim.run_to_any_consensus(&mut rng, budget).map_or(budget, |(t, _)| t);
+                    count_rounds(obs, rounds, protocol.sample_size(), n);
+                    rounds as f64
                 },
             );
             let s = Summary::from_samples(&times).expect("non-empty");
@@ -86,6 +88,7 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
         let mut sim =
             NoSourceSim::new(&Minority::new(ell).expect("valid"), n, n / 2 + 2).expect("valid");
         let (steps, flips) = sim.measure_oscillation(&mut rng, 60);
+        count_rounds(obs, steps, ell, n);
         if steps == 0 {
             1.0 // converged immediately: treat as maximally decisive
         } else {
@@ -108,6 +111,17 @@ pub fn run(cfg: &RunConfig, obs: &Obs) -> ExperimentReport {
     report
 }
 
+/// Adds a source-less run's rounds to `rounds_simulated`, and `ℓ·n` per
+/// round to `opinion_samples`, as the solo run driver does for the
+/// simulators it steps.
+fn count_rounds(obs: &Obs, rounds: u64, ell: usize, n: u64) {
+    if obs.metrics_on() {
+        let m = obs.metrics();
+        m.add_rounds(rounds);
+        m.add_samples(rounds * ell as u64 * n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,5 +130,17 @@ mod tests {
     fn smoke_run_shows_speedup_and_oscillation() {
         let report = run(&RunConfig::smoke(47), &Obs::none());
         assert!(report.pass, "{}", report.render());
+    }
+
+    /// Every source-less round counts, with `ℓ·n` samples, and counting
+    /// leaves the report as it was.
+    #[test]
+    fn smoke_run_counts_its_rounds() {
+        let obs = Obs::none().with_metrics();
+        let counted = run(&RunConfig::smoke(42), &obs);
+        assert_eq!(counted.render(), run(&RunConfig::smoke(42), &Obs::none()).render());
+        let c = obs.metrics().snapshot();
+        assert!(c.rounds_simulated > 0);
+        assert!(c.opinion_samples >= c.rounds_simulated * 256, "at least l = 1 times n = 256");
     }
 }

@@ -997,8 +997,10 @@ impl ColumnarReader {
         self.blocks.len()
     }
 
-    /// Streams the recovered blocks as typed columns, in file order.
-    pub fn blocks(&self) -> impl Iterator<Item = Block<'_>> {
+    /// Streams the recovered blocks as typed columns, in file order (or,
+    /// reversed, from the last block back: each block decodes when the
+    /// iterator reaches it).
+    pub fn blocks(&self) -> impl DoubleEndedIterator<Item = Block<'_>> {
         self.blocks.iter().map(|b| decode_block(&self.data[b.payload.clone()], b, &self.dict))
     }
 

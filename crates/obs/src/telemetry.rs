@@ -34,7 +34,7 @@
 //! later write than counter B) is inherent to sampling a live system
 //! and is bounded by one snapshot interval.
 
-use crate::columnar::{Block, ColumnarReader};
+use crate::columnar::{Block, ColumnarReader, TelemetryCols};
 use crate::hist::{LogHistogram, BUCKETS};
 use crate::metrics::Metrics;
 use crate::progress::Progress;
@@ -365,12 +365,49 @@ impl TelemetrySnapshot {
 /// crash) loses that snapshot whole, and every snapshot decoded is
 /// complete.
 pub fn read_snapshots(reader: &ColumnarReader) -> impl Iterator<Item = TelemetrySnapshot> + '_ {
-    let mut rows = reader
-        .blocks()
-        .filter_map(|block| match block {
-            Block::TelemetrySample(cols) => Some(cols),
-            _ => None,
-        })
+    snapshots_of(reader.blocks().filter_map(telemetry_cols))
+}
+
+/// The `k` latest snapshots of a columnar trace, oldest first: what
+/// [`read_snapshots`] ends with, decoded from the trailing
+/// `TelemetrySample` blocks alone. The walk goes back from the last block
+/// until the blocks it holds reach a version older than the `k` latest,
+/// so every row of those `k` is decoded and no earlier row is.
+#[must_use]
+pub fn latest_snapshots(reader: &ColumnarReader, k: usize) -> Vec<TelemetrySnapshot> {
+    let mut tail = Vec::new();
+    let (mut versions, mut oldest) = (0usize, None);
+    for cols in reader.blocks().rev().filter_map(telemetry_cols) {
+        for i in (0..cols.len).rev() {
+            let version = cols.version.get(i);
+            if oldest != Some(version) {
+                versions += 1;
+                oldest = Some(version);
+            }
+        }
+        tail.push(cols);
+        if versions > k {
+            break;
+        }
+    }
+    // The first group may be the tail of an older snapshot: keep the last k.
+    let mut snaps: Vec<_> = snapshots_of(tail.into_iter().rev()).collect();
+    snaps.split_off(snaps.len().saturating_sub(k))
+}
+
+fn telemetry_cols(block: Block<'_>) -> Option<TelemetryCols<'_>> {
+    match block {
+        Block::TelemetrySample(cols) => Some(cols),
+        _ => None,
+    }
+}
+
+/// Groups the rows of telemetry blocks, in file order, into one snapshot
+/// per run of equal versions.
+fn snapshots_of<'a>(
+    blocks: impl Iterator<Item = TelemetryCols<'a>> + 'a,
+) -> impl Iterator<Item = TelemetrySnapshot> + 'a {
+    let mut rows = blocks
         .flat_map(|cols| {
             (0..cols.len).map(move |i| {
                 (
@@ -639,6 +676,16 @@ mod tests {
     /// Writes `snaps` through a [`ColumnarTelemetryExporter`] over an
     /// in-memory columnar sink and reads the snapshots back.
     fn export_and_decode(snaps: &[TelemetrySnapshot]) -> Vec<TelemetrySnapshot> {
+        let reader = record(|sink| {
+            let mut exporter = ColumnarTelemetryExporter::with_sink(sink);
+            snaps.iter().for_each(|snap| exporter.export(snap));
+            exporter.finish();
+        });
+        read_snapshots(&reader).collect()
+    }
+
+    /// The columnar trace `write` records through an in-memory sink.
+    fn record(write: impl FnOnce(Box<dyn EventSink>)) -> ColumnarReader {
         #[derive(Clone, Default)]
         struct Buf(Arc<Mutex<Vec<u8>>>);
         impl io::Write for Buf {
@@ -651,15 +698,40 @@ mod tests {
             }
         }
         let buf = Buf::default();
-        let sink = crate::columnar::ColumnarSink::from_writer(Box::new(buf.clone())).unwrap();
-        let mut exporter = ColumnarTelemetryExporter::with_sink(Box::new(sink));
-        snaps.iter().for_each(|snap| exporter.export(snap));
-        exporter.finish();
-        drop(exporter);
+        write(Box::new(crate::columnar::ColumnarSink::from_writer(Box::new(buf.clone())).unwrap()));
         let bytes = buf.0.lock().unwrap().clone();
         let reader = ColumnarReader::from_bytes(bytes).unwrap();
         assert!(!reader.torn_tail());
-        read_snapshots(&reader).collect()
+        reader
+    }
+
+    /// The latest `k` snapshots, decoded from the trailing blocks, are the
+    /// last `k` of a full decode, for every `k`: with several snapshots in
+    /// one block, and with one snapshot over two blocks.
+    #[test]
+    fn latest_snapshots_are_the_tail_of_a_full_decode() {
+        let reader = record(|sink| {
+            let row = |version: u64, i: u64| Event::TelemetrySample {
+                series: format!("counter/c{}", i % 7),
+                version,
+                elapsed_us: 1000 * version,
+                value: version * i,
+            };
+            for version in 1..=40u64 {
+                let rows = if version == 4 { crate::columnar::BLOCK_ROWS as u64 + 10 } else { 7 };
+                (0..rows).for_each(|i| sink.emit(&row(version, i)));
+                // Versions 1 to 3 share a block; every later one seals its own.
+                if version >= 3 {
+                    sink.flush();
+                }
+            }
+        });
+        assert_eq!(reader.block_count(), 1 + 2 + 36, "the layout the comment describes");
+        let full: Vec<TelemetrySnapshot> = read_snapshots(&reader).collect();
+        assert_eq!(full.len(), 40);
+        for k in 0..=42 {
+            assert_eq!(latest_snapshots(&reader, k), full[full.len().saturating_sub(k)..], "k={k}");
+        }
     }
 
     #[test]

@@ -158,10 +158,16 @@ impl Kernel {
     /// bounds the exact sum inside `[0, 1]` and rounding can push it out
     /// by a few ulps at most.
     ///
+    /// Inlined into its callers, so that a plan-cache miss evaluates the
+    /// kernel inside the engine's round loop rather than through a call to
+    /// another crate's symbol. The `q^ℓ` / `p^ℓ` scale is its own binary
+    /// powering, with the bits of `f64::powi` and no libcall.
+    ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     #[must_use]
+    #[inline]
     pub fn eval(&self, p: f64) -> (f64, f64) {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         // Both polynomials share the degree, so the branch choice, the
@@ -172,12 +178,12 @@ impl Kernel {
         let q = 1.0 - p;
         let (p0, p1) = if p <= 0.5 {
             let t = p / q;
-            let scale = q.powi(ell as i32);
+            let scale = powi_bits(q, ell);
             let p1 = horner_ascending(&self.bern1, t) * scale;
             (if self.own_independent { p1 } else { horner_ascending(&self.bern0, t) * scale }, p1)
         } else {
             let u = q / p;
-            let scale = p.powi(ell as i32);
+            let scale = powi_bits(p, ell);
             let p1 = horner_descending(&self.bern1, u) * scale;
             (if self.own_independent { p1 } else { horner_descending(&self.bern0, u) * scale }, p1)
         };
@@ -188,6 +194,26 @@ impl Kernel {
         );
         (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0))
     }
+}
+
+/// `x^e` by binary powering, with the multiplications of `__powidf2`, the
+/// libcall that `f64::powi` lowers to for an exponent not known at compile
+/// time, in the same order: the accumulator starts at `x` or 1 by the low
+/// bit of `e`, then each step squares `x` and multiplies it in where `e`
+/// has a set bit. IEEE products are exact functions of their operands, so
+/// the result is `x.powi(e as i32)` bit for bit, without the call.
+#[inline]
+fn powi_bits(mut x: f64, mut e: usize) -> f64 {
+    let mut acc = if e & 1 == 1 { x } else { 1.0 };
+    e >>= 1;
+    while e != 0 {
+        x *= x;
+        if e & 1 == 1 {
+            acc *= x;
+        }
+        e >>= 1;
+    }
+    acc
 }
 
 /// `c_k = g_k · C(ℓ, k)` — the scaled Bernstein coefficients.
@@ -345,7 +371,8 @@ mod tests {
 
     /// `(P₀(p), P₁(p))` with one Horner pass per row whether or not the
     /// rows are equal, as every kernel evaluated before equal rows shared a
-    /// pass: the reference `eval` must match bit for bit.
+    /// pass, and the scale taken by `f64::powi`, as before `eval` did its
+    /// own powering: the reference `eval` must match bit for bit.
     fn eval_two_pass(k: &Kernel, p: f64) -> (f64, f64) {
         let ell = k.bern0.len() - 1;
         let q = 1.0 - p;
@@ -363,6 +390,48 @@ mod tests {
 
     fn bits((p0, p1): (f64, f64)) -> (u64, u64) {
         (p0.to_bits(), p1.to_bits())
+    }
+
+    /// Uniforms in `[0, 1)` from a splitmix64 stream.
+    fn uniforms(mut state: u64) -> impl Iterator<Item = f64> {
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        })
+    }
+
+    /// `eval`'s own powering against `f64::powi` (a `__powidf2` call for an
+    /// exponent only known at run time), through both Horner branches, at
+    /// every degree up to 64 and at those the engines run beyond it: e18's
+    /// 85, `fast_sample_size(32 768)` = 584 (`converge`'s large-ℓ Minority
+    /// rows), 128 and 255. The grid is `k/1024` plus random points; the
+    /// rows are random, Minority's and one of each. At 4095 the powering
+    /// alone is compared: from `ℓ ≈ 1030` the coefficient `C(ℓ, ℓ/2)`
+    /// overflows, so no kernel of that degree evaluates to a number.
+    #[test]
+    fn eval_matches_the_powi_evaluation_bit_for_bit() {
+        let mut u = uniforms(0x5eed);
+        for ell in (1..=64).chain([85, 128, 255, 584, 4095]) {
+            let mut grid: Vec<f64> = (0..=1024).map(|k| f64::from(k) / 1024.0).collect();
+            grid.extend(u.by_ref().take(64));
+            for &x in &grid {
+                assert_eq!(powi_bits(x, ell).to_bits(), x.powi(ell as i32).to_bits(), "{x}^{ell}");
+            }
+            if ell == 4095 {
+                continue;
+            }
+            let random: Vec<f64> = u.by_ref().take(ell + 1).collect();
+            let minority: Vec<f64> = (0..=ell).map(|k| f64::from(u8::from(2 * k < ell))).collect();
+            for (g0, g1) in [(&random, &random), (&minority, &minority), (&minority, &random)] {
+                let k = Kernel::compile(g0, g1).unwrap();
+                for &p in &grid {
+                    assert_eq!(bits(k.eval(p)), bits(eval_two_pass(&k, p)), "l = {ell}, p = {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -270,6 +270,7 @@ pub(crate) struct BtrsSetup {
 }
 
 impl BtrsSetup {
+    #[inline]
     fn new(n: u64, p: f64) -> Self {
         let nf = n as f64;
         let q = 1.0 - p;
@@ -351,9 +352,14 @@ impl Plan {
     /// A BTRS plan is built with its squeeze constants only; its first full
     /// acceptance test completes it (see [`BtrsSetup`]).
     ///
+    /// Inlined, like [`RoundPlan`](crate::roundplan::RoundPlan)'s build
+    /// and the kernel evaluation: a plan-cache miss then writes the plan
+    /// straight into its slot, with no call and no copy.
+    ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
+    #[inline]
     pub(crate) fn build(n: u64, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         if n == 0 || p == 0.0 {

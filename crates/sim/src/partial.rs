@@ -15,14 +15,33 @@
 //! probability `P₁(x/n)` and each activated zero-holder flips with
 //! probability `P₀(x/n)`, so
 //! `X' = X − S₁ + Bin(S₁, P₁) + Bin(m − S₁, P₀)`.
+//!
+//! Everything a step needs before its first draw is a pure function of the
+//! state `(x, z)`: the adoption probabilities, read from the decision table
+//! (a pmf over `ℓ + 1` terms, on the heap for `ℓ > 64`), and the
+//! hypergeometric's support, mode and mode pmf (three `ln_choose` calls). A
+//! unit batch takes `n − 1` steps per round out of a handful of states, so
+//! the simulator keeps both per state in a `roundplan::StateCache`, tagged
+//! by `(x, z)` because a perturbation can flip the source. The draws are
+//! those of the uncached step, bit for bit.
 
 use bitdissem_core::{Configuration, GTable, Protocol, ProtocolError, ProtocolExt};
 
 use crate::aggregate::adoption_probs;
 use crate::binomial::sample_binomial;
-use crate::hypergeometric::sample_hypergeometric;
+use crate::hypergeometric::HyperSetup;
 use crate::rng::SimRng;
+use crate::roundplan::StateCache;
 use crate::run::Simulator;
+
+/// What a step out of one state computes before it draws.
+#[derive(Debug, Clone, Copy)]
+struct StepPlan {
+    /// `adoption_probs(table, x/n)`: `(P₀, P₁)`.
+    probs: (f64, f64),
+    /// The setup of `Hypergeometric(n − 1, x − z, m)`.
+    hyper: HyperSetup,
+}
 
 /// Aggregate simulator with `m` simultaneous activations per step.
 ///
@@ -35,6 +54,8 @@ pub struct PartialSim {
     config: Configuration,
     batch: u64,
     steps: u64,
+    /// Step plans by state `(x, z)`.
+    plans: StateCache<StepPlan>,
 }
 
 impl PartialSim {
@@ -55,7 +76,7 @@ impl PartialSim {
     ) -> Result<Self, ProtocolError> {
         assert!(batch >= 1 && batch < start.n(), "batch must be in [1, n-1]");
         let table = protocol.to_table(start.n())?;
-        Ok(Self { table, config: start, batch, steps: 0 })
+        Ok(Self { table, config: start, batch, steps: 0, plans: StateCache::new(start.n()) })
     }
 
     /// The batch size `m`.
@@ -79,11 +100,16 @@ impl PartialSim {
         self.steps += 1;
 
         let nonsource_ones = x - z;
+        let (table, batch) = (&self.table, self.batch);
+        let plan = *self.plans.get_or_insert_with(x, z, || StepPlan {
+            probs: adoption_probs(table, x as f64 / n as f64),
+            hyper: HyperSetup::new(n - 1, nonsource_ones, batch),
+        });
         // How many of the activated agents currently hold 1?
-        let activated_ones = sample_hypergeometric(rng, n - 1, nonsource_ones, self.batch);
-        let activated_zeros = self.batch - activated_ones;
+        let activated_ones = plan.hyper.draw(rng, n - 1, nonsource_ones, batch);
+        let activated_zeros = batch - activated_ones;
 
-        let (p0, p1) = adoption_probs(&self.table, x as f64 / n as f64);
+        let (p0, p1) = plan.probs;
         let keep = sample_binomial(rng, activated_ones, p1);
         let flip = sample_binomial(rng, activated_zeros, p0);
         let next = x - activated_ones + keep + flip;

@@ -6,7 +6,9 @@
 //! the samplers built from them. The per-replica and lock-step engines
 //! cache a [`RoundPlan`] (BINV/BTRS sampler setups) per state in a
 //! [`StateCache`]: 1024 direct-mapped slots, each tagged by the full
-//! `(x, z)` pair.
+//! `(x, z)` pair. The partial-synchrony simulator caches its adoption
+//! probabilities and hypergeometric setup in one, and the sequential
+//! simulator its `Bin(ℓ, x/n)` plan.
 //!
 //! # One draw or two
 //!
@@ -56,7 +58,11 @@
 //! counts `keep_n`/`flip_n` are not stored: [`component_sizes`] derives
 //! them from `x` on every round.
 //!
-//! A miss builds only what the squeeze step reads. A BTRS plan's four
+//! A miss builds its plan in place: the kernel evaluation, [`RoundPlan`]'s
+//! build and the binomial setups it calls are inlined into the round loop,
+//! so the release build writes the plan straight into its slot, with no
+//! call and no copy through a stack temporary. A miss builds only what the
+//! squeeze step reads. A BTRS plan's four
 //! full-test constants (`alpha`, `ln(p/q)`, the mode and the sum `h` of its
 //! two log-factorials) are filled in, in the slot, by the first draw that
 //! reaches that test, which is why [`StateCache::get_or_insert_with`] hands
@@ -202,6 +208,7 @@ pub(crate) enum RoundPlan {
 impl RoundPlan {
     /// The plan for a round out of `(x, z)`, given the state's kernel
     /// values `(P₀, P₁)`.
+    #[inline]
     fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
         if p0 == p1 {
             return RoundPlan::Merged(Plan::build(n - 1, p1));

@@ -173,6 +173,12 @@ impl RunStats {
     }
 }
 
+/// Rounds a solo run steps between two additions to `rounds_simulated` and
+/// `opinion_samples`, so that a live view of a long run (`watch`, the
+/// telemetry series) sees its counters move; the run adds the remainder
+/// when it stops, so totals stay exact.
+const COUNT_BLOCK: u64 = 4096;
+
 /// Runs `sim` until the **correct consensus** is first reached, or until
 /// `max_rounds` rounds have elapsed: [`drive`] under [`Stop::Consensus`],
 /// unobserved.
@@ -209,9 +215,10 @@ pub fn run_to_consensus<S: Simulator + ?Sized>(
 /// first consensus is reached or the budget runs out without it (so a
 /// dwell run's lands at its entry round, before the dwell rows), and an
 /// [`Event::ConsensusExited`] when a dwell run loses the consensus. With
-/// metrics on it adds its rounds, `opinion_samples_per_round` samples per
-/// round, its perturbations (under a schedule) and its re-convergence
-/// clocks once at the end. Instrumentation never touches `rng`, so the
+/// metrics on it adds its rounds and `opinion_samples_per_round` samples
+/// per round every 4096 rounds as it steps and the rest when it stops, and
+/// its perturbations (under a schedule) and re-convergence clocks once at
+/// the end. Instrumentation never touches `rng`, so the
 /// stats are identical to a run on [`Obs::none`] for the same seed.
 pub fn drive<S: Simulator + ?Sized>(
     sim: &mut S,
@@ -229,6 +236,12 @@ pub fn drive<S: Simulator + ?Sized>(
     };
     let mut stats = RunStats::default();
     let mut disrupted_at: Option<u64> = None;
+    let samples_per_round = sim.opinion_samples_per_round();
+    let count = |rounds: u64| {
+        let m = obs.metrics();
+        m.add_rounds(rounds);
+        m.add_samples(rounds.saturating_mul(samples_per_round));
+    };
     for t in 0.. {
         let config = sim.configuration();
         if let Some(visit) = visit.as_mut() {
@@ -276,6 +289,9 @@ pub fn drive<S: Simulator + ?Sized>(
         }
         sim.step_round(rng);
         stats.rounds += 1;
+        if stats.rounds % COUNT_BLOCK == 0 && obs.metrics_on() {
+            count(COUNT_BLOCK);
+        }
         if obs.wants_round(stats.rounds) {
             let config = sim.configuration();
             obs.emit(&Event::RoundCompleted {
@@ -287,9 +303,8 @@ pub fn drive<S: Simulator + ?Sized>(
         }
     }
     if obs.metrics_on() {
+        count(stats.rounds % COUNT_BLOCK);
         let m = obs.metrics();
-        m.add_rounds(stats.rounds);
-        m.add_samples(stats.rounds.saturating_mul(sim.opinion_samples_per_round()));
         if env.is_some() {
             m.add_perturbations(stats.perturbations);
         }
@@ -386,6 +401,27 @@ mod tests {
         assert_eq!(seen.len() as u64, k + 1);
         assert_eq!((seen[0], seen[k as usize]), (1, 16));
         assert!(seen[..k as usize].iter().all(|&x| x < 16));
+    }
+
+    /// A long run's counters move while it steps, one block of rounds at a
+    /// time, and end exact.
+    #[test]
+    fn counters_move_while_the_run_steps() {
+        let start = Configuration::all_wrong(16, Opinion::One);
+        let mut sim = AggregateSim::new(&Stay::new(1), start).unwrap();
+        let obs = Obs::none().with_metrics();
+        let budget = 2 * COUNT_BLOCK + 100;
+        let spec = RunSpec::new(budget, Stop::Consensus, &obs);
+        let mut counted = Vec::new();
+        let mut read = |_| counted.push(obs.metrics().snapshot().rounds_simulated);
+        let stats = drive(&mut sim, &mut rng_from(3), &spec, Some(&mut read));
+        assert_eq!(stats.rounds, budget);
+        // `counted[t]` is read at boundary t, after t rounds.
+        assert_eq!(counted[COUNT_BLOCK as usize - 1], 0);
+        assert_eq!(counted[COUNT_BLOCK as usize], COUNT_BLOCK);
+        assert_eq!(counted[budget as usize], 2 * COUNT_BLOCK, "read before the run ends");
+        let c = obs.metrics().snapshot();
+        assert_eq!((c.rounds_simulated, c.opinion_samples), (budget, budget * 16));
     }
 
     #[test]

@@ -4,8 +4,9 @@ use rand::Rng;
 
 use bitdissem_core::{Configuration, GTable, Opinion, Protocol, ProtocolError, ProtocolExt};
 
-use crate::binomial::sample_binomial;
+use crate::binomial::{with_lnfact, Plan};
 use crate::rng::SimRng;
+use crate::roundplan::StateCache;
 use crate::run::Simulator;
 
 /// Simulates the **sequential** setting: per activation, one uniformly
@@ -20,11 +21,19 @@ use crate::run::Simulator;
 /// Reference \[14\] shows no protocol converges in fewer than `Ω(n)` parallel
 /// rounds in this setting, regardless of `ℓ` — the exponential gap with the
 /// parallel setting is experiment E11.
+///
+/// The sampler setup of `Bin(ℓ, x/n)` (one `ln` and one `exp` for BINV) is
+/// a pure function of the state, and an activation moves `x` by at most
+/// one, so consecutive activations revisit a few states. The simulator
+/// caches a binomial plan per state `(x, z)` in a `roundplan::StateCache`;
+/// a plan draws what `sample_binomial(ℓ, x/n)` draws, bit for bit.
 #[derive(Debug, Clone)]
 pub struct SequentialSim {
     table: GTable,
     config: Configuration,
     activations: u64,
+    /// `Bin(ℓ, x/n)` plans by state `(x, z)`.
+    plans: StateCache<Plan>,
 }
 
 impl SequentialSim {
@@ -38,7 +47,7 @@ impl SequentialSim {
         start: Configuration,
     ) -> Result<Self, ProtocolError> {
         let table = protocol.to_table(start.n())?;
-        Ok(Self { table, config: start, activations: 0 })
+        Ok(Self { table, config: start, activations: 0, plans: StateCache::new(start.n()) })
     }
 
     /// Total number of single-agent activations performed so far.
@@ -49,6 +58,13 @@ impl SequentialSim {
 
     /// Performs a single activation: one random non-source agent updates.
     pub fn step_activation(&mut self, rng: &mut SimRng) {
+        let ell = self.table.sample_size() as u64;
+        with_lnfact(ell, |lnfact| self.activate(rng, lnfact));
+    }
+
+    /// One activation, drawing from the `ln(i!)` table `lnfact`, which the
+    /// caller enters once for all the activations it runs.
+    fn activate(&mut self, rng: &mut SimRng, lnfact: &[f64]) {
         let n = self.config.n();
         let x = self.config.ones();
         let z = u64::from(self.config.correct().as_bit());
@@ -61,7 +77,8 @@ impl SequentialSim {
 
         // Sample ℓ opinions with replacement: k ~ Bin(ℓ, x/n).
         let ell = self.table.sample_size() as u64;
-        let k = sample_binomial(rng, ell, x as f64 / n as f64) as usize;
+        let plan = self.plans.get_or_insert_with(x, z, || Plan::build(ell, x as f64 / n as f64));
+        let k = plan.sample_with(rng, ell, lnfact) as usize;
         let g = self.table.g(own, k);
         let adopt_one = if g == 1.0 {
             true
@@ -87,9 +104,12 @@ impl Simulator for SequentialSim {
 
     /// One parallel round = `n` activations.
     fn step_round(&mut self, rng: &mut SimRng) {
-        for _ in 0..self.config.n() {
-            self.step_activation(rng);
-        }
+        let ell = self.table.sample_size() as u64;
+        with_lnfact(ell, |lnfact| {
+            for _ in 0..self.config.n() {
+                self.activate(rng, lnfact);
+            }
+        });
     }
 
     /// Each of the `n` activations per round draws `ℓ` opinion samples.
